@@ -66,7 +66,8 @@ def load_wav(path: str) -> AudioClip:
 
     Handles PCM at 8/16/24/32 bits and IEEE float32. Multi-channel audio
     is averaged down to mono. Raises FileNotFoundError, WavFormatError or
-    UnsupportedWavError depending on what is wrong with the file.
+    UnsupportedWavError depending on what is wrong with the file; float
+    data holding NaN or inf samples is a WavFormatError.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -125,6 +126,9 @@ def load_wav(path: str) -> AudioClip:
         if bits != 32:
             raise UnsupportedWavError(f"{path}: unsupported float bit depth {bits}")
         x = np.frombuffer(payload, dtype="<f4").astype(np.float64)
+        if not np.isfinite(x).all():
+            bad = int(np.count_nonzero(~np.isfinite(x)))
+            raise WavFormatError(f"{path}: {bad} non-finite float samples (NaN or inf)")
     else:
         raise UnsupportedWavError(f"{path}: unsupported audio format tag {audio_format}")
 

@@ -16,7 +16,7 @@ vector in CRY_FEATURE_NAMES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.ndimage import median_filter
@@ -92,6 +92,20 @@ def smooth_f0(f0: F0Contour) -> np.ndarray:
     return med
 
 
+def _smoothed_in_unit(f0: F0Contour, sl: slice) -> np.ndarray:
+    """smooth_f0 values of the frames in sl, equal to those of the whole clip.
+
+    The median window reaches one frame to each side, so smoothing the
+    unit's frames plus one neighbour on each side reproduces every in-unit
+    value while the cost follows the unit's length, not the clip's.
+    """
+    lo = max(sl.start - 1, 0)
+    hi = max(min(sl.stop + 1, f0.grid.num_frames), lo)
+    grid = replace(f0.grid, num_frames=hi - lo)
+    window = F0Contour(f0.f0_hz[lo:hi], f0.voiced[lo:hi], f0.confidence[lo:hi], grid)
+    return smooth_f0(window)[sl.start - lo : sl.stop - lo]
+
+
 def _min_run_frames(min_run_s: float, hop_s: float) -> int:
     # a run of n frames spans n hops of signal
     return max(int(np.ceil(min_run_s / hop_s - _EPS)), 1)
@@ -157,14 +171,13 @@ def detect_glide(
     """
     grid = f0.grid
     sl = grid.frame_slice(*unit)
-    smoothed = smooth_f0(f0)
+    seg = _smoothed_in_unit(f0, sl)
     voiced = f0.voiced.astype(bool)
     max_k = int(np.floor(max_span_s / grid.hop_seconds + _EPS))
     out = np.zeros(grid.num_frames, dtype=bool)
     t0, t1 = sl.start, sl.stop
     if t1 - t0 < 2:
         return out
-    seg = smoothed[t0:t1]
     v = voiced[t0:t1]
     n = t1 - t0
     for k in range(1, min(max_k, n - 1) + 1):
@@ -185,11 +198,11 @@ def detect_vibrato(
     max_spacing_s."""
     grid = f0.grid
     sl = grid.frame_slice(*unit)
-    smoothed = smooth_f0(f0)
+    smoothed = _smoothed_in_unit(f0, sl)
     vpos = np.flatnonzero(f0.voiced[sl]) + sl.start
     if len(vpos) < 3:
         return False
-    contour = smoothed[vpos]
+    contour = smoothed[vpos - sl.start]
     peaks, _ = find_peaks(contour, prominence=prominence_hz)
     troughs, _ = find_peaks(-contour, prominence=prominence_hz)
     extrema = sorted([(p, 1) for p in peaks] + [(t, -1) for t in troughs])
@@ -222,8 +235,7 @@ def classify_melody(
     meaningful shape default to flat.
     """
     sl = f0.grid.frame_slice(*unit)
-    smoothed = smooth_f0(f0)
-    contour = smoothed[sl][f0.voiced[sl]]
+    contour = _smoothed_in_unit(f0, sl)[f0.voiced[sl]]
     n = len(contour)
     if n < min_voiced_frames:
         return "flat"

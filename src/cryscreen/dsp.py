@@ -168,6 +168,37 @@ def log_mel(spec: Spectrogram, num_bands: int = 80, fmin: float = 0.0, fmax: flo
     return LogMelSpectrogram(np.log(np.maximum(energy, MEL_FLOOR)), spec.grid)
 
 
+def difference_function(frames: np.ndarray, tau_max: int) -> np.ndarray:
+    """YIN difference function of every frame for lags 0..tau_max.
+
+    d[t, tau] sums (x_j - x_{j+tau})^2 over the first
+    span = frame length - tau_max samples j of frame t. Following the
+    identity d(tau) = r_t(0) + r_{t+tau}(0) - 2 r_t(tau), one product of
+    each frame's head against all of its lagged copies gives r_t(tau), and
+    one cumulative sum of squared samples gives both energy terms.
+
+    On PCM input of up to 16 bits every sample is an integer over 2**15,
+    so every product and partial sum is a multiple of 2**-30 well inside
+    float64's 53-bit mantissa: each is exact, and d equals the direct sum
+    of squared differences bit for bit. On other float input the two
+    differ by rounding only, and d is clamped at 0 where rounding would
+    take it below.
+    """
+    num, win = frames.shape
+    span = win - tau_max
+    lagged = sliding_window_view(frames, span, axis=1)[:, : tau_max + 1]
+    r = np.einsum("nj,ntj->nt", frames[:, :span], lagged)
+    # energy[:, k] is the energy of the frame's first k samples, so the
+    # window starting at lag tau holds energy[:, tau + span] - energy[:, tau]
+    energy = np.zeros((num, win + 1))
+    np.square(frames, out=energy[:, 1:])
+    np.cumsum(energy[:, 1:], axis=1, out=energy[:, 1:])
+    d = energy[:, span : span + 1] + (energy[:, span:] - energy[:, : tau_max + 1]) - 2.0 * r
+    np.maximum(d, 0.0, out=d)
+    d[:, 0] = 0.0
+    return d
+
+
 def estimate_f0(
     clip: AudioClip,
     f0_min: float = 200.0,
@@ -178,8 +209,13 @@ def estimate_f0(
 ) -> F0Contour:
     """Fundamental frequency tracking via the normalized difference function.
 
-    Per frame, a cumulative-mean-normalized difference is computed over
-    candidate lags; the first dip under an absolute threshold (walked down
+    Per frame, the difference function d(tau) = sum_j (x_j - x_{j+tau})^2
+    comes from YIN's identity d(tau) = r_t(0) + r_{t+tau}(0) - 2 r_t(tau)
+    (de Cheveigne & Kawahara, JASA 2002, eq. 7) in one pass over all lags;
+    on PCM16 input every term is exact in float64, so the result equals
+    the direct lag-by-lag sum bit for bit (see difference_function). It is
+    turned into a cumulative-mean-normalized difference over candidate
+    lags; the first dip under an absolute threshold (walked down
     to its local minimum) wins, which is what keeps subharmonic minima from
     causing octave-down errors. The chosen lag is refined by parabolic
     interpolation. A frame counts as voiced when the periodicity
@@ -197,14 +233,8 @@ def estimate_f0(
         raise ValueError(f"window of {win} samples is too short to resolve f0_min {f0_min} Hz")
 
     frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples)
-    span = win - tau_max  # integration window per lag
-    base = frames[:, :span]
+    d = difference_function(frames, tau_max)
     num = frames.shape[0]
-    d = np.empty((num, tau_max + 1))
-    d[:, 0] = 0.0
-    for tau in range(1, tau_max + 1):
-        diff = base - frames[:, tau : tau + span]
-        d[:, tau] = np.einsum("ij,ij->i", diff, diff)
 
     running = np.cumsum(d[:, 1:], axis=1)
     cmndf = np.ones_like(d)

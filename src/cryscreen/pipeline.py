@@ -99,8 +99,16 @@ def unit_flags_for(front: FrontEnd, seg: CrySegmentation, config: PipelineConfig
 
 
 def extract_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple[dict[str, float], CrySegmentation]:
-    """Full per-recording feature vector, or CurationError when unusable."""
+    """Full per-recording feature vector, or CurationError when unusable.
+
+    Raises ValueError when the clip holds NaN or inf samples: they would
+    poison every statistic of the segmentation, which would then report
+    the recording as holding no cry.
+    """
     config = config if config is not None else PipelineConfig()
+    if not np.isfinite(clip.samples).all():
+        bad = int(np.count_nonzero(~np.isfinite(clip.samples)))
+        raise ValueError(f"recording holds {bad} non-finite samples (NaN or inf)")
     if clip.sample_rate != config.sample_rate:
         clip = resample(clip, config.sample_rate)
     seg, front = segment_clip(clip, config)
@@ -183,6 +191,10 @@ def read_features_csv(path: str) -> list[FeatureRow]:
             raise ValueError(f"{path}: unexpected feature CSV header")
         rows = []
         for rec in reader:
+            if len(rec) != len(header):
+                raise ValueError(
+                    f"{path}:{reader.line_num}: row has {len(rec)} fields where the header has {len(header)}"
+                )
             entry = ManifestEntry(*rec[:5])
             values = {name: float(v) for name, v in zip(FEATURE_COLUMNS, rec[5:])}
             rows.append(FeatureRow(entry, values))
@@ -198,12 +210,18 @@ def write_skipped_csv(skipped: list[SkippedRecording], path: str) -> None:
 
 
 def to_feature_matrix(rows: list[FeatureRow], feature_names: list[str] | None = None) -> FeatureMatrix:
-    """Labeled rows as a matrix; unlabeled rows are left out."""
+    """Labeled rows as a matrix; unlabeled rows are left out.
+
+    Raises ValueError when a selected value is NaN or inf.
+    """
     names = feature_names if feature_names is not None else FEATURE_COLUMNS
     labeled = [r for r in rows if r.entry.binary_label is not None]
     if not labeled:
         raise ValueError("no labeled rows to build a feature matrix from")
     X = np.array([[r.features[n] for n in names] for r in labeled], dtype=np.float64)
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"{labeled[row].entry.path}: feature {names[col]} is {X[row, col]}, not a finite number")
     return FeatureMatrix(
         feature_names=list(names),
         X=X,

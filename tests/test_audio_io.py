@@ -41,6 +41,16 @@ def test_float32_round_trip(tmp_path):
     assert np.allclose(back.samples, clip.samples, atol=1e-7)
 
 
+def test_float_non_finite_samples_raise(tmp_path):
+    for bad in (np.nan, np.inf, -np.inf):
+        clip = sine(440.0)
+        clip.samples[100] = bad
+        path = str(tmp_path / "bad.wav")
+        write_wav(clip, path, bit_depth=32)
+        with pytest.raises(WavFormatError, match="1 non-finite float samples"):
+            load_wav(path)
+
+
 def test_write_rejects_other_depths(tmp_path):
     with pytest.raises(ValueError, match="bit depth"):
         write_wav(sine(440.0), str(tmp_path / "a.wav"), bit_depth=24)

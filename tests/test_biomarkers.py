@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cryscreen import biomarkers
 from cryscreen.biomarkers import (
     CRY_FEATURE_NAMES,
     MELODY_TYPES,
@@ -229,6 +230,42 @@ def test_unit_flags_tally_matches_detectors():
     assert flags.glide_frames == int(detect_glide(f0, unit).sum())
     assert flags.vibrato_present == detect_vibrato(f0, unit)
     assert flags.melody == classify_melody(f0, unit)
+
+
+def varied_contour(n=200, seed=8):
+    """Vibrato, glides, a hyperphonated stretch and scattered unvoiced frames."""
+    rng = np.random.default_rng(seed)
+    t = np.arange(n) * HOP
+    vals = 500.0 + 80.0 * np.sin(2 * np.pi * 8.0 * t) + rng.normal(0.0, 5.0, n)
+    vals[40:60] += 700.0
+    vals[120:150] = 1250.0
+    vals[170:] += np.linspace(0.0, 300.0, n - 170)
+    return contour(vals, voiced=rng.random(n) > 0.15)
+
+
+# (onset, offset) in seconds on the 10 ms grid: a unit from frame 0, one
+# ending on the last frame, a 1-frame and a 2-frame unit, and two units
+# separated by a one-frame gap
+EDGE_UNITS = [(0.0, 0.3), (1.6, 2.0), (0.35, 0.36), (0.39, 0.41), (0.6, 0.9), (0.91, 1.5)]
+
+
+@pytest.mark.parametrize("unit", EDGE_UNITS)
+def test_unit_window_smoothing_matches_whole_clip(unit):
+    f0 = varied_contour()
+    sl = f0.grid.frame_slice(*unit)
+    assert np.array_equal(biomarkers._smoothed_in_unit(f0, sl), smooth_f0(f0)[sl])
+
+
+def test_unit_flags_match_whole_clip_smoothing(monkeypatch):
+    f0 = varied_contour()
+    flat = series(np.where(np.arange(200) % 50 < 15, 0.5, 0.05))
+    got = [unit_biomarker_flags(f0, flat, unit) for unit in EDGE_UNITS]
+    # the detectors as they ran when every call smoothed the whole clip
+    monkeypatch.setattr(biomarkers, "_smoothed_in_unit", lambda f0, sl: smooth_f0(f0)[sl])
+    want = [unit_biomarker_flags(f0, flat, unit) for unit in EDGE_UNITS]
+    assert got == want
+    assert any(f.glide_frames for f in got) and any(f.vibrato_present for f in got)
+    assert {f.melody for f in got} != {"flat"}
 
 
 def test_durational_features_exact():

@@ -109,3 +109,26 @@ def test_error_exit_path(tmp_path, capsys):
     assert "cry: error:" in capsys.readouterr().err
     assert main(["extract", "--manifest", str(tmp_path / "none.csv"), "--out", str(tmp_path / "o.csv")]) == 1
     assert "cry: error:" in capsys.readouterr().err
+
+
+def test_malformed_feature_csv_is_a_clean_error(chain, tmp_path, capsys):
+    lines = chain["features"].read_text().splitlines()
+    short = tmp_path / "short.csv"
+    short.write_text("\n".join(lines[:3] + [",".join(lines[3].split(",")[:15])] + lines[4:]) + "\n")
+    assert main(["select", "--features", str(short), "--out", str(tmp_path / "sel.json")]) == 1
+    err = capsys.readouterr().err
+    assert "cry: error:" in err and "short.csv:4: row has 15 fields" in err
+    assert "Traceback" not in err
+
+    fields = lines[1].split(",")
+    fields[-1] = "nan"
+    nan = tmp_path / "nan.csv"
+    nan.write_text("\n".join([lines[0], ",".join(fields)] + lines[2:]) + "\n")
+    code = main([
+        "train-eval", "--features", str(nan), "--split", str(chain["split"]),
+        "--model-out", str(tmp_path / "m.json"), "--metrics-out", str(tmp_path / "x.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "cry: error:" in err and "is nan, not a finite number" in err
+    assert not (tmp_path / "m.json").exists()

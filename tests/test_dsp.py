@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 from scipy import signal as sps
 
-from cryscreen.audio_io import AudioClip
+from cryscreen import dsp
+from cryscreen.audio_io import AudioClip, load_wav, resample, write_wav
 from cryscreen.dsp import (
     FrameGrid,
     Spectrogram,
+    difference_function,
     estimate_f0,
     frame_signal,
     log_mel,
@@ -25,6 +27,7 @@ from cryscreen.dsp import (
     spectral_slope_band,
     stft,
 )
+from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
 
 SR = 16000
 
@@ -166,6 +169,96 @@ def test_f0_range_validation():
         estimate_f0(clip, 500.0, 400.0)
     with pytest.raises(ValueError, match="too short"):
         estimate_f0(clip, 50.0, 1600.0)
+
+
+def loop_difference_function(frames, tau_max):
+    """Reference: the difference function summed lag by lag, term by term."""
+    span = frames.shape[1] - tau_max
+    base = frames[:, :span]
+    d = np.empty((frames.shape[0], tau_max + 1))
+    d[:, 0] = 0.0
+    for tau in range(1, tau_max + 1):
+        diff = base - frames[:, tau : tau + span]
+        d[:, tau] = np.einsum("ij,ij->i", diff, diff)
+    return d
+
+
+def reference_f0(clip, *args):
+    """estimate_f0 with the reference difference function swapped in."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dsp, "difference_function", loop_difference_function)
+        return estimate_f0(clip, *args)
+
+
+def planted_cry(sample_rate=SR, seed=5):
+    units = [
+        UnitSpec(0.6, 0.2, base_f0_hz=420.0, melody="rising_falling"),
+        UnitSpec(0.6, 0.2, event="glide", event_start_s=0.2, event_duration_s=0.08),
+        UnitSpec(0.6, 0.2, event="vibrato", event_start_s=0.1, event_duration_s=0.4),
+        UnitSpec(0.6, 0.2, event="hyperphonation", event_start_s=0.1, event_duration_s=0.3),
+        UnitSpec(0.6, 0.2, event="dysphonation", event_start_s=0.1, event_duration_s=0.3),
+    ]
+    clip, _ = synth_cry(SynthSpec(units=units, sample_rate=sample_rate, seed=seed))
+    return clip
+
+
+def pcm16_round_trip(clip, tmp_path):
+    path = str(tmp_path / "clip.wav")
+    write_wav(clip, path)
+    return load_wav(path)
+
+
+def noisy_stack(seed=2):
+    rng = np.random.default_rng(seed)
+    clip = harmonic_stack(530.0, dur_s=0.8)
+    return AudioClip(clip.samples + 0.05 * rng.standard_normal(len(clip.samples)), SR)
+
+
+@pytest.mark.parametrize(
+    "make_clip, f0_range",
+    [
+        (planted_cry, (250.0, 1600.0)),
+        (planted_cry, (200.0, 2000.0)),
+        (noisy_stack, (250.0, 1600.0)),
+        (lambda: AudioClip(0.3 * np.random.default_rng(4).standard_normal(SR // 2), SR), (250.0, 1600.0)),
+    ],
+)
+def test_f0_pcm16_matches_loop_reference_exactly(make_clip, f0_range, tmp_path):
+    clip = pcm16_round_trip(make_clip(), tmp_path)
+    got = estimate_f0(clip, *f0_range)
+    want = reference_f0(clip, *f0_range)
+    assert got.grid == want.grid
+    for field in ("f0_hz", "voiced", "confidence"):
+        assert np.array_equal(getattr(got, field), getattr(want, field)), field
+
+
+@pytest.mark.parametrize(
+    "make_clip",
+    [noisy_stack, lambda: resample(planted_cry(sample_rate=44100), SR)],
+)
+def test_f0_float_matches_loop_reference_to_rounding(make_clip):
+    clip = make_clip()
+    got = estimate_f0(clip, 250.0, 1600.0)
+    want = reference_f0(clip, 250.0, 1600.0)
+    assert np.array_equal(got.voiced, want.voiced)
+    assert got.voiced.any()
+    assert np.all(np.abs(got.f0_hz - want.f0_hz) <= 1e-9 * want.f0_hz)
+
+
+def test_difference_function_never_negative():
+    # on exactly periodic float input the identity rounds d(period) to
+    # about -1e-14 before clamping
+    frames = np.vstack([
+        frame_signal(harmonic_stack(500.0, dur_s=0.3).samples, 400, 160),
+        frame_signal(harmonic_stack(800.0, dur_s=0.3).samples, 400, 160),
+        frame_signal(noisy_stack().samples, 400, 160),
+        np.zeros((2, 400)),
+    ])
+    d = difference_function(frames, 64)
+    assert d.shape == (len(frames), 65)
+    assert np.all(d >= 0.0)
+    assert np.all(d[:, 0] == 0.0)
+    assert np.allclose(d, loop_difference_function(frames, 64), rtol=1e-12, atol=1e-12)
 
 
 def test_flatness_tone_vs_noise():

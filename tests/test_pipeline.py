@@ -90,6 +90,22 @@ def test_extract_manifest_collects_good_and_bad(tmp_path):
     assert len(logged) == 4
 
 
+def test_non_finite_samples_are_not_reported_as_short_cry(tmp_path):
+    clip, _ = cry_clip(n_units=6, seed=5)  # 4.8 s of cry
+    clip.samples[len(clip.samples) // 2] = np.nan
+    with pytest.raises(ValueError, match="1 non-finite samples") as info:
+        extract_clip(clip)
+    assert not isinstance(info.value, CurationError)
+
+    write_wav(clip, str(tmp_path / "nan.wav"), bit_depth=32)
+    save_manifest([ManifestEntry("nan.wav", "p0", "ESUTH", "birth", "mild")], str(tmp_path / "manifest.csv"))
+    result = extract_manifest(str(tmp_path / "manifest.csv"))
+    assert result.rows == []
+    (skip,) = result.skipped
+    assert skip.reason != SKIP_REASON_SHORT_CRY
+    assert "non-finite" in skip.reason
+
+
 def test_features_csv_round_trip_and_bytes(tmp_path):
     clip, _ = cry_clip(seed=3)
     features, _ = extract_clip(clip)
@@ -107,6 +123,18 @@ def test_read_features_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("path,who\na.wav,x\n")
     with pytest.raises(ValueError, match="unexpected feature CSV header"):
+        read_features_csv(str(path))
+
+
+def test_read_features_csv_rejects_wrong_width(tmp_path):
+    header = ",".join(ID_COLUMNS + FEATURE_COLUMNS)
+    good = ",".join(["a.wav", "p0", "ESUTH", "birth", "mild"] + ["0.5"] * 38)
+    path = tmp_path / "short.csv"
+    path.write_text(f"{header}\n{good}\n" + ",".join(["b.wav"] + ["1.0"] * 14) + "\n")
+    with pytest.raises(ValueError, match=r"short\.csv:3: row has 15 fields where the header has 43"):
+        read_features_csv(str(path))
+    path.write_text(f"{header}\n{good},0.5\n")
+    with pytest.raises(ValueError, match=r":2: row has 44 fields"):
         read_features_csv(str(path))
 
 
@@ -136,6 +164,22 @@ def test_to_feature_matrix_drops_unlabeled():
     assert sub.X.shape == (2, 4)
     with pytest.raises(ValueError, match="no labeled rows"):
         to_feature_matrix(rows[2:])
+
+
+def test_to_feature_matrix_rejects_non_finite():
+    feats = {name: 1.0 for name in FEATURE_COLUMNS}
+    bad = dict(feats, F2_amean=float("nan"))
+    rows = [
+        FeatureRow(ManifestEntry("a.wav", "p0", "ESUTH", "birth", "normal"), feats),
+        FeatureRow(ManifestEntry("b.wav", "p1", "SCDM", "birth", "severe"), bad),
+    ]
+    with pytest.raises(ValueError, match="b.wav: feature F2_amean is nan"):
+        to_feature_matrix(rows)
+    # a column left out of the matrix is not checked
+    assert to_feature_matrix(rows, feature_names=FEATURE_COLUMNS[:4]).X.shape == (2, 4)
+    rows[1].features["F2_amean"] = float("-inf")
+    with pytest.raises(ValueError, match="is -inf"):
+        to_feature_matrix(rows)
 
 
 def test_load_split(tmp_path):
