@@ -78,18 +78,28 @@ def smooth_f0(f0: F0Contour) -> np.ndarray:
     """3-frame median over voiced frames; unvoiced frames stay at 0.
 
     Unvoiced neighbors are ignored rather than treated as zeros, so a
-    voiced frame next to a gap is not dragged down.
+    voiced frame next to a gap is not dragged down. Each voiced frame
+    takes the median of itself and its voiced neighbours: the middle of
+    three, the mean of two, or itself alone. These are the values a
+    NaN-skipping median gives, selected elementwise without one.
     """
-    vals = np.where(f0.voiced, f0.f0_hz, np.nan)
-    stack = np.full((3, len(vals)), np.nan)
-    stack[0, :] = vals
-    stack[1, 1:] = vals[:-1]
-    stack[2, :-1] = vals[1:]
+    x = np.asarray(f0.f0_hz, dtype=np.float64)
     voiced = np.asarray(f0.voiced, dtype=bool)
-    med = np.zeros(len(vals))
-    if voiced.any():
-        med[voiced] = np.nanmedian(stack[:, voiced], axis=0)
-    return med
+    prev_v = np.zeros_like(voiced)
+    prev_v[1:] = voiced[:-1]
+    next_v = np.zeros_like(voiced)
+    next_v[:-1] = voiced[1:]
+    prev = np.zeros_like(x)
+    prev[1:] = x[:-1]
+    nxt = np.zeros_like(x)
+    nxt[:-1] = x[1:]
+
+    # a median of two is (lo + hi) / 2; IEEE addition commutes, so the
+    # order of the pair does not matter
+    pair = (x + np.where(prev_v, prev, nxt)) / 2.0
+    triple = np.maximum(np.minimum(prev, nxt), np.minimum(np.maximum(prev, nxt), x))
+    med = np.where(prev_v & next_v, triple, np.where(prev_v | next_v, pair, x))
+    return np.where(voiced, med, 0.0)
 
 
 def _smoothed_in_unit(f0: F0Contour, sl: slice) -> np.ndarray:

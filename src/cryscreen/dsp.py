@@ -7,7 +7,7 @@ from the same clip line up index for index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -73,9 +73,19 @@ class Spectrogram:
     values: np.ndarray
     freqs_hz: np.ndarray
     grid: FrameGrid
+    _power: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def power(self) -> np.ndarray:
-        return np.abs(self.values) ** 2
+        """|values|**2, computed once per spectrogram and returned read-only.
+
+        log_mel, spectral_flatness and spectral_slope_band all read it, so
+        the first call pays for it and the rest share it; a write into the
+        shared array would change what the others see, hence read-only.
+        """
+        if self._power is None:
+            self._power = np.abs(self.values) ** 2
+            self._power.flags.writeable = False
+        return self._power
 
 
 @dataclass
@@ -296,8 +306,9 @@ def spectral_flatness(spec: Spectrogram) -> FrameSeries:
     Values live in [0, 1]; near 0 for line spectra, toward 1 for noise.
     """
     p = np.maximum(spec.power(), POWER_FLOOR)
-    geo = np.exp(np.mean(np.log(p), axis=1))
     arith = np.mean(p, axis=1)
+    # p is already a copy of the shared power, so the log may overwrite it
+    geo = np.exp(np.mean(np.log(p, out=p), axis=1))
     return FrameSeries(geo / arith, spec.grid)
 
 
@@ -329,11 +340,15 @@ def lpc_formants(
 ) -> np.ndarray:
     """Per-frame formant estimates from linear prediction.
 
-    Fits an all-pole model by the autocorrelation method (Levinson
-    recursion), takes the complex roots in the upper half plane with
-    bandwidth under max_bandwidth_hz, and reports their frequencies sorted
-    ascending. Output is (num_frames, num_formants) with zeros standing in
-    where a frame is degenerate or yields too few narrow resonances.
+    Fits an all-pole model by the autocorrelation method (Makhoul, Proc.
+    IEEE 1975): the order + 1 lags r_k = sum_{j < win - k} x_j x_{j+k} of
+    each Hann-windowed frame are direct lag products, one dot product per
+    lag, and the Levinson recursion solves for the predictor. Of the
+    complex roots in the upper half plane with bandwidth under
+    max_bandwidth_hz, the lowest num_formants frequencies are reported in
+    ascending order. Output is (num_frames, num_formants) with zeros
+    standing in where a frame is degenerate or yields too few narrow
+    resonances.
     """
     grid = make_grid(len(clip.samples), clip.sample_rate, window_s, hop_s)
     win = grid.window_samples
@@ -342,11 +357,11 @@ def lpc_formants(
     sr = clip.sample_rate
     frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples) * np.hanning(win)
 
-    nfft = _next_pow2(2 * win)
-    spectrum = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
-    autocorr = np.fft.irfft(spectrum, axis=1)[:, : order + 1]
-
     num = frames.shape[0]
+    autocorr = np.empty((num, order + 1))
+    for k in range(order + 1):
+        autocorr[:, k] = np.einsum("ij,ij->i", frames[:, : win - k], frames[:, k:])
+
     a = np.zeros((num, order + 1))
     a[:, 0] = 1.0
     err = autocorr[:, 0].copy()
@@ -375,14 +390,21 @@ def lpc_formants(
     with np.errstate(divide="ignore"):
         bandwidths = -(sr / np.pi) * np.log(np.maximum(np.abs(roots), 1e-12))
     keep = (roots.imag > 0) & (bandwidths < max_bandwidth_hz)
+    return pick_formants(freqs, keep, degenerate, num_formants)
 
-    out = np.zeros((num, num_formants))
-    for t in range(num):
-        if degenerate[t]:
-            continue
-        cand = np.sort(freqs[t][keep[t]])
-        n = min(len(cand), num_formants)
-        out[t, :n] = cand[:n]
+
+def pick_formants(freqs: np.ndarray, keep: np.ndarray, degenerate: np.ndarray, num_formants: int) -> np.ndarray:
+    """Lowest num_formants kept frequencies of each row, ascending, 0-padded.
+
+    freqs and keep are (num_frames, num_roots); a degenerate row gives all
+    zeros. Roots that are not kept sort last as inf and come back as 0.
+    """
+    cand = np.where(keep & ~degenerate[:, None], freqs, np.inf)
+    cand.sort(axis=1)
+    out = np.zeros((len(freqs), num_formants))
+    n = min(num_formants, cand.shape[1])
+    out[:, :n] = cand[:, :n]
+    out[np.isinf(out)] = 0.0
     return out
 
 

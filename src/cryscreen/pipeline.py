@@ -25,7 +25,14 @@ from .voicefeat import VOICE_FEATURE_NAMES, compute_generic_features, concat_exp
 FEATURE_COLUMNS = CRY_FEATURE_NAMES + VOICE_FEATURE_NAMES
 ID_COLUMNS = ["path", "patient_id", "site", "period", "label"]
 
-SKIP_REASON_SHORT_CRY = "below 3s cry"
+
+
+def short_cry_reason(min_total_cry_s: float) -> str:
+    """Skip reason of a recording that holds less cry than min_total_cry_s."""
+    return f"below {min_total_cry_s:g}s cry"
+
+
+SKIP_REASON_SHORT_CRY = short_cry_reason(PipelineConfig().min_total_cry_s)
 
 
 class CurationError(ValueError):
@@ -48,8 +55,8 @@ class FrontEnd:
 
 
 def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
-    spec = dsp.stft(clip, config.window_s, config.hop_s)
-    logmel = dsp.log_mel(spec, config.num_mel_bands)
+    # F0 first: its difference function is the largest buffer of the front
+    # end, and the spectrogram and its power need not be alive beside it
     f0 = dsp.estimate_f0(
         clip,
         f0_min=config.f0_min_hz,
@@ -58,6 +65,8 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
         hop_s=config.hop_s,
         voicing_threshold=config.voicing_threshold,
     )
+    spec = dsp.stft(clip, config.window_s, config.hop_s)
+    logmel = dsp.log_mel(spec, config.num_mel_bands)
     return FrontEnd(f0=f0, loudness=dsp.loudness(logmel), flatness=dsp.spectral_flatness(spec))
 
 
@@ -147,6 +156,7 @@ def extract_manifest(manifest_path: str, config: PipelineConfig | None = None, l
     features of the good ones.
     """
     config = config if config is not None else PipelineConfig()
+    short_reason = short_cry_reason(config.min_total_cry_s)
     rows: list[FeatureRow] = []
     skipped: list[SkippedRecording] = []
     for entry in load_manifest(manifest_path):
@@ -154,9 +164,9 @@ def extract_manifest(manifest_path: str, config: PipelineConfig | None = None, l
             clip = load_wav(relative_to_manifest(manifest_path, entry.path))
             features, _ = extract_clip(clip, config)
         except CurationError:
-            skipped.append(SkippedRecording(entry, SKIP_REASON_SHORT_CRY))
+            skipped.append(SkippedRecording(entry, short_reason))
             if log is not None:
-                log(f"skip {entry.path}: {SKIP_REASON_SHORT_CRY}")
+                log(f"skip {entry.path}: {short_reason}")
             continue
         except (OSError, ValueError) as exc:
             skipped.append(SkippedRecording(entry, str(exc)))
@@ -233,7 +243,11 @@ def to_feature_matrix(rows: list[FeatureRow], feature_names: list[str] | None = 
 
 
 def load_split(path: str) -> dict[str, str]:
-    """path -> train|val|test assignments from a two-column CSV."""
+    """path -> train|val|test assignments from a two-column CSV.
+
+    Raises ValueError when a path is listed twice: one recording must not
+    land in two splits.
+    """
     out: dict[str, str] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -243,5 +257,7 @@ def load_split(path: str) -> dict[str, str]:
         for i, rec in enumerate(reader, start=2):
             if len(rec) != 2 or rec[1] not in ("train", "val", "test"):
                 raise ValueError(f"{path}:{i}: bad split row {rec!r}")
+            if rec[0] in out:
+                raise ValueError(f"{path}:{i}: {rec[0]} is listed again")
             out[rec[0]] = rec[1]
     return out

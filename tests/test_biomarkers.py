@@ -53,6 +53,44 @@ def test_smooth_f0_skips_unvoiced_neighbors():
     assert out[2] == pytest.approx(450.0)
 
 
+def nanmedian_smooth_f0(f0):
+    """Reference: smooth_f0 as a NaN-skipping median over the (3, n) stack."""
+    vals = np.where(f0.voiced, f0.f0_hz, np.nan)
+    stack = np.full((3, len(vals)), np.nan)
+    stack[0, :] = vals
+    stack[1, 1:] = vals[:-1]
+    stack[2, :-1] = vals[1:]
+    voiced = np.asarray(f0.voiced, dtype=bool)
+    med = np.zeros(len(vals))
+    if voiced.any():
+        med[voiced] = np.nanmedian(stack[:, voiced], axis=0)
+    return med
+
+
+def test_smooth_f0_matches_nanmedian_reference_bit_for_bit():
+    rng = np.random.default_rng(17)
+    edges = np.array([True, False, True, True, False, False, True, False, True])
+    cases = [
+        contour([450.0, 451.0, 449.5], [True, True, True]),
+        contour([450.0, 0.0, 700.0], [True, False, True]),  # isolated voiced frames
+        contour(np.full(5, 450.0), np.zeros(5, dtype=bool)),  # all unvoiced
+        contour([612.3], [True]),
+        contour([612.3, 998.1], [True, True]),
+        contour(rng.uniform(200.0, 2000.0, 9), edges),  # voiced at both clip edges
+        contour(rng.uniform(200.0, 2000.0, 9), ~edges),  # unvoiced at both edges
+    ]
+    for n in (2, 3, 10, 80, 250, 1000):
+        for density in (0.1, 0.5, 0.9, 1.0):
+            values = rng.uniform(200.0, 2000.0, n)
+            values[rng.random(n) < 0.2] = 450.0  # ties
+            cases.append(contour(values, rng.random(n) < density))
+    for f0 in cases:
+        got = smooth_f0(f0)
+        want = nanmedian_smooth_f0(f0)
+        assert np.array_equal(got, want), (f0.f0_hz, f0.voiced)
+        assert np.all(got[~f0.voiced] == 0.0)
+
+
 def run_contour(base, hi, start, length, n=60):
     vals = np.full(n, base)
     vals[start : start + length] = hi

@@ -132,3 +132,18 @@ def test_malformed_feature_csv_is_a_clean_error(chain, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "cry: error:" in err and "is nan, not a finite number" in err
     assert not (tmp_path / "m.json").exists()
+
+
+def test_split_listing_a_path_twice_is_a_clean_error(chain, tmp_path, capsys):
+    lines = chain["split"].read_text().splitlines()
+    dup = tmp_path / "dup.csv"
+    dup.write_text("\n".join(lines + [lines[1].split(",")[0] + ",test"]) + "\n")
+    code = main([
+        "train-eval", "--features", str(chain["features"]), "--split", str(dup),
+        "--model-out", str(tmp_path / "m.json"), "--metrics-out", str(tmp_path / "x.json"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"cry: error: {dup}:{len(lines) + 1}: " in err and "is listed again" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m.json").exists()

@@ -23,6 +23,7 @@ from cryscreen.dsp import (
     make_grid,
     mel_filterbank,
     mfcc,
+    pick_formants,
     spectral_flatness,
     spectral_slope_band,
     stft,
@@ -303,16 +304,18 @@ def test_loudness_follows_power():
     assert abs(ratio - 16.0 ** 0.3) < 0.05
 
 
-def test_lpc_formants_find_planted_resonances():
-    planted = [1000.0, 2500.0, 4000.0]
+def resonant_noise(freqs_hz, bandwidth_hz, n, seed):
+    """White noise through one two-pole resonator per frequency, peak 0.4."""
     a = np.array([1.0])
-    for f in planted:
-        r = np.exp(-np.pi * 100.0 / SR)
+    r = np.exp(-np.pi * bandwidth_hz / SR)
+    for f in freqs_hz:
         a = np.convolve(a, [1.0, -2.0 * r * np.cos(2 * np.pi * f / SR), r * r])
-    rng = np.random.default_rng(0)
-    x = sps.lfilter([1.0], a, rng.standard_normal(SR))
-    x = 0.4 * x / np.max(np.abs(x))
-    out = lpc_formants(AudioClip(x, SR))
+    x = sps.lfilter([1.0], a, np.random.default_rng(seed).standard_normal(n))
+    return 0.4 * x / np.max(np.abs(x))
+
+
+def test_lpc_formants_find_planted_resonances():
+    out = lpc_formants(AudioClip(resonant_noise([1000.0, 2500.0, 4000.0], 100.0, SR, 0), SR))
     assert out.shape == (make_grid(SR, SR).num_frames, 3)
     found = np.median(out[np.all(out > 0, axis=1)], axis=0)
     assert abs(found[0] - 1000.0) < 150.0
@@ -323,6 +326,122 @@ def test_lpc_formants_find_planted_resonances():
 def test_lpc_formants_silence_degenerate():
     out = lpc_formants(AudioClip(np.zeros(SR // 4), SR))
     assert np.all(out == 0.0)
+
+
+def loop_pick_formants(freqs, keep, degenerate, num_formants):
+    """Reference: the per-frame formant pick, one row at a time."""
+    out = np.zeros((len(freqs), num_formants))
+    for t in range(len(freqs)):
+        if degenerate[t]:
+            continue
+        cand = np.sort(freqs[t][keep[t]])
+        n = min(len(cand), num_formants)
+        out[t, :n] = cand[:n]
+    return out
+
+
+def fft_lpc_formants(clip, order=12, num_formants=3, max_bandwidth_hz=400.0):
+    """Reference: lpc_formants with autocorrelation by an FFT round trip."""
+    grid = make_grid(len(clip.samples), clip.sample_rate)
+    win = grid.window_samples
+    sr = clip.sample_rate
+    frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples) * np.hanning(win)
+    nfft = dsp._next_pow2(2 * win)
+    spectrum = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
+    autocorr = np.fft.irfft(spectrum, axis=1)[:, : order + 1]
+
+    num = frames.shape[0]
+    a = np.zeros((num, order + 1))
+    a[:, 0] = 1.0
+    err = autocorr[:, 0].copy()
+    degenerate = err < 1e-10
+    err[degenerate] = 1.0
+    for i in range(1, order + 1):
+        acc = np.einsum("ij,ij->i", a[:, 1:i], autocorr[:, i - 1 : 0 : -1]) if i > 1 else 0.0
+        k = -(autocorr[:, i] + acc) / err
+        a_prev = a[:, 1:i].copy()
+        a[:, 1:i] = a_prev + k[:, None] * a_prev[:, ::-1]
+        a[:, i] = k
+        err = err * (1.0 - k * k)
+        bad = err <= 1e-12
+        degenerate |= bad
+        err[bad] = 1.0
+
+    comp = np.zeros((num, order, order))
+    comp[:, 0, :] = -a[:, 1:]
+    idx = np.arange(order - 1)
+    comp[:, idx + 1, idx] = 1.0
+    roots = np.linalg.eigvals(comp)
+    freqs = np.angle(roots) * sr / (2.0 * np.pi)
+    with np.errstate(divide="ignore"):
+        bandwidths = -(sr / np.pi) * np.log(np.maximum(np.abs(roots), 1e-12))
+    keep = (roots.imag > 0) & (bandwidths < max_bandwidth_hz)
+    return loop_pick_formants(freqs, keep, degenerate, num_formants)
+
+
+def silence_noise_tone_resonance():
+    """0.5 s each of silence, white noise, a faint tone and a one-resonance noise.
+
+    The faint 700 Hz tone is loud enough to pass the energy floor but so
+    predictable that the Levinson error collapses: its frames are
+    degenerate. The resonance sits at 1500 Hz with a 60 Hz bandwidth.
+    """
+    half = SR // 2
+    noise = 0.3 * np.random.default_rng(3).standard_normal(half)
+    tone = 1e-4 * np.sin(2 * np.pi * 700.0 * np.arange(half) / SR)
+    return AudioClip(np.concatenate([np.zeros(half), noise, tone, resonant_noise([1500.0], 60.0, half, 4)]), SR)
+
+
+@pytest.mark.parametrize(
+    "make_clip",
+    [
+        lambda: AudioClip(resonant_noise([1000.0, 2500.0, 4000.0], 100.0, SR, 0), SR),
+        lambda: resample(planted_cry(sample_rate=44100), SR),
+        noisy_stack,
+        silence_noise_tone_resonance,
+    ],
+)
+def test_lpc_formants_match_fft_reference(make_clip):
+    clip = make_clip()
+    got = lpc_formants(clip)
+    want = fft_lpc_formants(clip)
+    assert got.shape == want.shape
+    assert np.array_equal(got > 0, want > 0)
+    assert (got > 0).any()
+    assert np.all(np.abs(got - want) <= 1e-9 * want)
+
+
+@pytest.mark.parametrize("num_formants", [1, 3, 12, 14])
+def test_pick_formants_matches_loop_bit_for_bit(num_formants):
+    rng = np.random.default_rng(num_formants)
+    freqs = rng.uniform(-8000.0, 8000.0, (500, 12))
+    freqs[:, 6:] = freqs[:, :6]  # ties
+    keep = rng.random((500, 12)) < rng.random((500, 1))
+    degenerate = rng.random(500) < 0.2
+    got = pick_formants(freqs, keep, degenerate, num_formants)
+    assert np.array_equal(got, loop_pick_formants(freqs, keep, degenerate, num_formants))
+
+
+def test_lpc_formants_zero_rows_and_zero_padding():
+    out = lpc_formants(silence_noise_tone_resonance())
+    assert out.shape == (198, 3)
+    # silence and the faint tone are degenerate; white noise has no narrow resonance
+    assert np.all(out[:48] == 0.0)
+    assert np.all(out[50:98] == 0.0)
+    assert np.all(out[100:148] == 0.0)
+    # one narrow resonance fills the first column and pads the rest with zeros
+    tail = out[151:]
+    assert np.all(np.abs(tail[:, 0] - 1500.0) < 100.0)
+    assert np.all(tail[:, 1:] == 0.0)
+
+
+def test_spectrogram_power_is_computed_once_and_read_only():
+    spec = stft(harmonic_stack(450.0, dur_s=0.2))
+    p = spec.power()
+    assert spec.power() is p
+    assert np.array_equal(p, np.abs(spec.values) ** 2)
+    with pytest.raises(ValueError, match="read-only"):
+        p[0, 0] = 0.0
 
 
 def test_spectral_slope_exact():

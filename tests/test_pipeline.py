@@ -18,6 +18,7 @@ from cryscreen.pipeline import (
     load_split,
     read_features_csv,
     segment_clip,
+    short_cry_reason,
     to_feature_matrix,
     write_features_csv,
     write_skipped_csv,
@@ -194,6 +195,23 @@ def test_load_split(tmp_path):
     wrong.write_text("file,fold\na.wav,train\n")
     with pytest.raises(ValueError, match="expected header"):
         load_split(str(wrong))
+
+
+def test_load_split_rejects_a_path_listed_twice(tmp_path):
+    path = tmp_path / "dup.csv"
+    path.write_text("path,split\na.wav,train\nb.wav,val\na.wav,test\n")
+    with pytest.raises(ValueError, match=r"dup\.csv:4: a\.wav is listed again"):
+        load_split(str(path))
+
+
+def test_skip_reason_follows_min_total_cry(tmp_path):
+    assert SKIP_REASON_SHORT_CRY == short_cry_reason(3.0) == "below 3s cry"
+    clip, _ = cry_clip(seed=4)
+    mpath = make_manifest(tmp_path, [("long.wav", clip)])
+    assert extract_manifest(mpath).skipped == []
+    result = extract_manifest(mpath, PipelineConfig().override(min_total_cry_s=10.0))
+    assert [(s.entry.path, s.reason) for s in result.skipped] == [("long.wav", "below 10s cry")]
+    assert short_cry_reason(2.5) == "below 2.5s cry"
 
 
 def test_config_threshold_changes_flow_through():
