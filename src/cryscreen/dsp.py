@@ -156,15 +156,16 @@ def hz_from_mel(m):
 
 
 def mel_filterbank(freqs_hz: np.ndarray, num_bands: int, fmin: float, fmax: float) -> np.ndarray:
-    """Triangular filters on the HTK Mel scale, one row per band."""
+    """Triangular filters on the HTK Mel scale, one row per band.
+
+    Band b rises from edge b to edge b + 1 and falls to edge b + 2; all
+    bands are built in one broadcast over (band, bin).
+    """
     edges = hz_from_mel(np.linspace(mel_from_hz(fmin), mel_from_hz(fmax), num_bands + 2))
-    fb = np.zeros((num_bands, len(freqs_hz)))
-    for b in range(num_bands):
-        lo, ctr, hi = edges[b], edges[b + 1], edges[b + 2]
-        up = (freqs_hz - lo) / max(ctr - lo, 1e-12)
-        down = (hi - freqs_hz) / max(hi - ctr, 1e-12)
-        fb[b] = np.clip(np.minimum(up, down), 0.0, None)
-    return fb
+    lo, ctr, hi = edges[:-2, None], edges[1:-1, None], edges[2:, None]
+    up = (freqs_hz - lo) / np.maximum(ctr - lo, 1e-12)
+    down = (hi - freqs_hz) / np.maximum(hi - ctr, 1e-12)
+    return np.clip(np.minimum(up, down), 0.0, None)
 
 
 def log_mel(spec: Spectrogram, num_bands: int = 80, fmin: float = 0.0, fmax: float | None = None) -> LogMelSpectrogram:

@@ -47,14 +47,27 @@ class CurationError(ValueError):
 
 @dataclass
 class FrontEnd:
-    """Per-frame descriptors shared by segmentation and the biomarker pass."""
+    """Per-frame descriptors of one recording, computed once on one grid.
+
+    Segmentation reads f0 and loudness, the biomarker pass f0 and flatness,
+    and the voice functionals the voicing, loudness, the 0-500 Hz spectral
+    slope and MFCC 2, 3 and 4 (the three columns of mfcc2_4) at the unit
+    frames.
+    """
 
     f0: dsp.F0Contour
     loudness: dsp.FrameSeries
     flatness: dsp.FrameSeries
+    slope0_500: dsp.FrameSeries
+    mfcc2_4: np.ndarray
 
 
 def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
+    """The one analysis front end of a recording already at config.sample_rate.
+
+    The spectrogram and log-Mel plane are reduced to per-frame series here
+    and dropped on return.
+    """
     # F0 first: its difference function is the largest buffer of the front
     # end, and the spectrogram and its power need not be alive beside it
     f0 = dsp.estimate_f0(
@@ -67,13 +80,25 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
     )
     spec = dsp.stft(clip, config.window_s, config.hop_s)
     logmel = dsp.log_mel(spec, config.num_mel_bands)
-    return FrontEnd(f0=f0, loudness=dsp.loudness(logmel), flatness=dsp.spectral_flatness(spec))
+    return FrontEnd(
+        f0=f0,
+        loudness=dsp.loudness(logmel),
+        flatness=dsp.spectral_flatness(spec),
+        slope0_500=dsp.spectral_slope_band(spec, 0.0, 500.0),
+        # a copy: a slice would keep the whole DCT of the log-Mel plane alive
+        mfcc2_4=dsp.mfcc(logmel)[:, 1:4].copy(),
+    )
 
 
-def segment_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple[CrySegmentation, FrontEnd]:
-    config = config if config is not None else PipelineConfig()
+def canonical_clip(clip: AudioClip, config: PipelineConfig) -> AudioClip:
+    """The clip at config.sample_rate: the one resample decision of a recording."""
     if clip.sample_rate != config.sample_rate:
-        clip = resample(clip, config.sample_rate)
+        return resample(clip, config.sample_rate)
+    return clip
+
+
+def segment_canonical(clip: AudioClip, config: PipelineConfig) -> tuple[CrySegmentation, FrontEnd]:
+    """Front end and cry units of a clip already at config.sample_rate."""
     front = analyze_frames(clip, config)
     seg = detect_cry_units(
         front.f0,
@@ -84,6 +109,11 @@ def segment_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple
         active_fraction=config.active_fraction,
     )
     return seg, front
+
+
+def segment_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple[CrySegmentation, FrontEnd]:
+    config = config if config is not None else PipelineConfig()
+    return segment_canonical(canonical_clip(clip, config), config)
 
 
 def unit_flags_for(front: FrontEnd, seg: CrySegmentation, config: PipelineConfig) -> list[UnitFlags]:
@@ -118,15 +148,14 @@ def extract_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple
     if not np.isfinite(clip.samples).all():
         bad = int(np.count_nonzero(~np.isfinite(clip.samples)))
         raise ValueError(f"recording holds {bad} non-finite samples (NaN or inf)")
-    if clip.sample_rate != config.sample_rate:
-        clip = resample(clip, config.sample_rate)
-    seg, front = segment_clip(clip, config)
+    clip = canonical_clip(clip, config)
+    seg, front = segment_canonical(clip, config)
     if not meets_curation_rule(seg, config.min_total_cry_s):
         raise CurationError(seg.total_cry_seconds, config.min_total_cry_s)
 
     flags = unit_flags_for(front, seg, config)
     features = aggregate_biomarkers(seg, flags)
-    features.update(compute_generic_features(concat_expirations(clip, seg)))
+    features.update(compute_generic_features(front, seg, concat_expirations(clip, seg)))
     return {name: features[name] for name in FEATURE_COLUMNS}, seg
 
 

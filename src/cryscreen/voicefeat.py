@@ -1,7 +1,11 @@
-"""Generic voice functionals over the concatenated cry.
+"""Generic voice functionals over the cry units.
 
-Expiration segments are spliced into one waveform and summarized by a
-small set of spectral/cepstral functionals. Names follow the usual
+The per-frame descriptors of the recording's one analysis front end
+(voicing, loudness, 0-500 Hz spectral slope, MFCC 2-4) are read at the
+frames of the expiration segments and joined in unit order; only the
+formants need the waveform, which is spliced from the same segments.
+The joined series are summarized by a small set of spectral/cepstral
+functionals. Names follow the usual
 low-level-descriptor conventions: a V suffix marks voiced-frames-only
 statistics, UV unvoiced-only, amean an arithmetic mean, and stddevNorm a
 coefficient of variation (population std over |mean|).
@@ -9,11 +13,16 @@ coefficient of variation (population std over |mean|).
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from .audio_io import AudioClip
 from . import dsp
 from .segmenter import CrySegmentation, runs_of
+
+if TYPE_CHECKING:
+    from .pipeline import FrontEnd
 
 VOICE_FEATURE_NAMES = [
     "slopeUV0_500_amean",
@@ -41,6 +50,20 @@ def concat_expirations(clip: AudioClip, seg: CrySegmentation) -> AudioClip:
     sr = clip.sample_rate
     parts = [clip.samples[int(round(a * sr)) : int(round(b * sr))] for a, b in seg.expirations]
     return AudioClip(np.concatenate(parts), sr)
+
+
+def unit_frames(grid: dsp.FrameGrid, seg: CrySegmentation) -> np.ndarray:
+    """Indices of the frames of every expiration on grid, in unit order.
+
+    Segmentation gives each unit as whole frames, (s * hop, (e + 1) * hop),
+    so frame i of the concat_expirations waveform on the same window and
+    hop starts on the same sample as frame idx[i] of the recording. The two
+    hold the same samples except where the concatenated frame runs over a
+    splice into the next unit: the frames starting less than one window
+    before it.
+    """
+    slices = [grid.frame_slice(a, b) for a, b in seg.expirations]
+    return np.concatenate([np.arange(s.start, s.stop) for s in slices])
 
 
 def moving_average3(x: np.ndarray) -> np.ndarray:
@@ -80,39 +103,48 @@ def stddev_falling_slope(x: np.ndarray, hop_s: float) -> float:
     return float(np.std(slopes)) if slopes else 0.0
 
 
-def compute_generic_features(concat: AudioClip, min_duration_s: float = MIN_CONCAT_S) -> dict[str, float]:
-    """The 12 generic functionals of a concatenated cry.
+def compute_generic_features(
+    front: FrontEnd, seg: CrySegmentation, concat: AudioClip, min_duration_s: float = MIN_CONCAT_S
+) -> dict[str, float]:
+    """The 12 generic functionals of the cry units of one recording.
 
+    front is the recording's front end and concat its expirations spliced
+    by concat_expirations. Voicing, slope, MFCC and loudness are the front
+    end's at unit_frames; formants come from LPC over concat on the front
+    end's window and hop, frame i of which is paired with unit frame i.
     Every low-level descriptor is smoothed with a 3-frame moving average
     before the functionals. Formant statistics skip frames where no
-    narrow-bandwidth resonance was found. Raises when the input is
-    shorter than min_duration_s or contains no voiced frames at all
-    (every V feature would be undefined).
+    narrow-bandwidth resonance was found. Raises when concat is shorter
+    than min_duration_s or the units hold no voiced frames at all (every V
+    feature would be undefined).
     """
     if concat.duration_seconds < min_duration_s:
         raise ValueError(
             f"concatenated cry of {concat.duration_seconds:.3f}s is shorter than {min_duration_s}s"
         )
-    spec = dsp.stft(concat)
-    logmel = dsp.log_mel(spec)
-    f0 = dsp.estimate_f0(concat)
-    voiced = np.asarray(f0.voiced, dtype=bool)
+    grid = front.f0.grid
+    idx = unit_frames(grid, seg)
+    voiced = front.f0.voiced[idx]
     unvoiced = ~voiced
     if not voiced.any():
         raise ValueError(
             "no voiced frames: slopeV0_500, F2, F3, mfcc3V, mfcc4V features are undefined"
         )
 
-    slope = moving_average3(dsp.spectral_slope_band(spec, 0.0, 500.0).values)
-    loud = moving_average3(dsp.loudness(logmel).values)
-    ceps = dsp.mfcc(logmel)
-    mfcc2 = moving_average3(ceps[:, 1])
-    mfcc3 = moving_average3(ceps[:, 2])
-    mfcc4 = moving_average3(ceps[:, 3])
+    slope = moving_average3(front.slope0_500.values[idx])
+    loud = moving_average3(front.loudness.values[idx])
+    mfcc2 = moving_average3(front.mfcc2_4[idx, 0])
+    mfcc3 = moving_average3(front.mfcc2_4[idx, 1])
+    mfcc4 = moving_average3(front.mfcc2_4[idx, 2])
 
-    formants = dsp.lpc_formants(concat)
-    f2_valid = voiced & (formants[:, 1] > 0)
-    f3_valid = voiced & (formants[:, 2] > 0)
+    formants = dsp.lpc_formants(concat, window_s=grid.window_seconds, hop_s=grid.hop_seconds)
+    # LPC frame i pairs with unit frame i. The spliced waveform has fewer
+    # frames than its units on the frame grid, as its last windows would run
+    # past its end; units off the grid can give it more
+    n = min(len(formants), len(idx))
+    formants, formant_voiced = formants[:n], voiced[:n]
+    f2_valid = formant_voiced & (formants[:, 1] > 0)
+    f3_valid = formant_voiced & (formants[:, 2] > 0)
     f2 = masked_moving_average3(formants[:, 1], f2_valid)
     f3 = masked_moving_average3(formants[:, 2], f3_valid)
 
@@ -127,7 +159,7 @@ def compute_generic_features(concat: AudioClip, min_duration_s: float = MIN_CONC
         "mfcc3_amean": _amean(mfcc3, allf),
         "mfcc3V_amean": _amean(mfcc3, voiced),
         "mfcc3V_stddevNorm": _stddev_norm(mfcc3, voiced),
-        "loudness_stddevFallingSlope": stddev_falling_slope(loud, spec.grid.hop_seconds),
+        "loudness_stddevFallingSlope": stddev_falling_slope(loud, grid.hop_seconds),
         "mfcc2_stddevNorm": _stddev_norm(mfcc2, allf),
         "mfcc4V_stddevNorm": _stddev_norm(mfcc4, voiced),
     }

@@ -110,6 +110,28 @@ def test_mel_filterbank_shape_and_coverage():
     assert np.all(coverage[inside] > 0.0)
 
 
+def loop_mel_filterbank(freqs_hz, num_bands, fmin, fmax):
+    """Reference: the triangular filters built one band at a time."""
+    edges = dsp.hz_from_mel(np.linspace(dsp.mel_from_hz(fmin), dsp.mel_from_hz(fmax), num_bands + 2))
+    fb = np.zeros((num_bands, len(freqs_hz)))
+    for b in range(num_bands):
+        lo, ctr, hi = edges[b], edges[b + 1], edges[b + 2]
+        up = (freqs_hz - lo) / max(ctr - lo, 1e-12)
+        down = (hi - freqs_hz) / max(hi - ctr, 1e-12)
+        fb[b] = np.clip(np.minimum(up, down), 0.0, None)
+    return fb
+
+
+@pytest.mark.parametrize(
+    "nfft, sr, num_bands, fmin, fmax",
+    [(512, SR, 80, 0.0, 8000.0), (512, SR, 40, 0.0, 8000.0), (1024, 44100, 64, 50.0, 11000.0), (256, 8000, 300, 0.0, 4000.0)],
+)
+def test_mel_filterbank_matches_loop_bit_for_bit(nfft, sr, num_bands, fmin, fmax):
+    # 300 bands over 129 bins puts edges closer than one bin apart
+    freqs = np.fft.rfftfreq(nfft, 1.0 / sr)
+    assert np.array_equal(mel_filterbank(freqs, num_bands, fmin, fmax), loop_mel_filterbank(freqs, num_bands, fmin, fmax))
+
+
 def test_log_mel_floor_on_silence():
     clip = AudioClip(np.zeros(SR // 2), SR)
     lm = log_mel(stft(clip), num_bands=40)

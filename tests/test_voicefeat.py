@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
 
+from cryscreen import dsp
 from cryscreen.audio_io import AudioClip
+from cryscreen.config import PipelineConfig
+from cryscreen.pipeline import analyze_frames, extract_clip, segment_clip
 from cryscreen.segmenter import CrySegmentation
+from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
 from cryscreen.voicefeat import (
     MIN_CONCAT_S,
     VOICE_FEATURE_NAMES,
@@ -11,6 +15,7 @@ from cryscreen.voicefeat import (
     masked_moving_average3,
     moving_average3,
     stddev_falling_slope,
+    unit_frames,
 )
 
 SR = 16000
@@ -62,8 +67,14 @@ def harmonic_clip(f0=450.0, dur_s=1.0, amp=0.4):
     return AudioClip(amp * x / np.max(np.abs(x)), SR)
 
 
+def whole_clip_features(clip):
+    """Voice functionals of a clip taken as one cry unit."""
+    seg = CrySegmentation.from_expirations([(0.0, clip.duration_seconds)])
+    return compute_generic_features(analyze_frames(clip, PipelineConfig()), seg, concat_expirations(clip, seg))
+
+
 def test_generic_features_schema_and_finiteness():
-    feats = compute_generic_features(harmonic_clip())
+    feats = whole_clip_features(harmonic_clip())
     assert list(feats) == VOICE_FEATURE_NAMES
     assert len(feats) == 12
     assert all(np.isfinite(v) for v in feats.values())
@@ -72,7 +83,7 @@ def test_generic_features_schema_and_finiteness():
 def test_generic_features_slope_sign():
     # a 450 Hz fundamental parks all band energy at the top of 0..500 Hz,
     # so the voiced low-band slope must tilt upward
-    feats = compute_generic_features(harmonic_clip())
+    feats = whole_clip_features(harmonic_clip())
     assert feats["slopeV0_500_amean"] > 0.0
 
 
@@ -90,19 +101,86 @@ def noisy_harmonic_clip(amp):
 def test_mfcc_features_ignore_gain():
     # a pure gain shifts every Mel band by the same constant, which only
     # the discarded DC cepstral term can see
-    lo = compute_generic_features(noisy_harmonic_clip(amp=0.2))
-    hi = compute_generic_features(noisy_harmonic_clip(amp=0.4))
+    lo = whole_clip_features(noisy_harmonic_clip(amp=0.2))
+    hi = whole_clip_features(noisy_harmonic_clip(amp=0.4))
     assert lo["mfcc3_amean"] == pytest.approx(hi["mfcc3_amean"], abs=1e-6)
     assert lo["mfcc2_stddevNorm"] == pytest.approx(hi["mfcc2_stddevNorm"], abs=1e-6)
 
 
+def test_generic_features_on_units_off_the_frame_grid():
+    # hand-made units that start just after and end just before a frame
+    # boundary splice into more frames than the grid gives them
+    clip = harmonic_clip(dur_s=2.0)
+    seg = CrySegmentation.from_expirations([(0.0101 + 0.4 * k, 0.2099 + 0.4 * k) for k in range(4)])
+    front = analyze_frames(clip, PipelineConfig())
+    concat = concat_expirations(clip, seg)
+    assert dsp.make_grid(len(concat.samples), SR).num_frames > len(unit_frames(front.f0.grid, seg))
+    feats = compute_generic_features(front, seg, concat)
+    assert all(np.isfinite(v) for v in feats.values())
+
+
 def test_generic_features_too_short_raises():
     with pytest.raises(ValueError, match="shorter than"):
-        compute_generic_features(harmonic_clip(dur_s=0.3))
+        whole_clip_features(harmonic_clip(dur_s=0.3))
     assert MIN_CONCAT_S == 0.5
 
 
 def test_generic_features_unvoiced_raises():
     clip = AudioClip(np.zeros(SR), SR)
     with pytest.raises(ValueError, match="no voiced frames"):
-        compute_generic_features(clip)
+        whole_clip_features(clip)
+
+
+def three_unit_clip():
+    spec = SynthSpec(
+        units=[
+            UnitSpec(duration_s=1.3, pause_after_s=0.4, melody="falling", base_f0_hz=430.0),
+            UnitSpec(duration_s=1.2, pause_after_s=0.35, melody="rising_falling", base_f0_hz=470.0),
+            UnitSpec(duration_s=1.1, pause_after_s=0.0, melody="flat", base_f0_hz=400.0),
+        ],
+        seed=21,
+    )
+    return synth_cry(spec)[0]
+
+
+def test_voice_features_follow_the_config():
+    # the front-end F0 range and window reach the voice columns
+    clip = three_unit_clip()
+    base, _ = extract_clip(clip)
+    other, _ = extract_clip(clip, PipelineConfig(f0_min_hz=300.0, window_s=0.03))
+    assert any(base[name] != other[name] for name in VOICE_FEATURE_NAMES)
+
+
+def test_extract_clip_runs_one_front_end(monkeypatch):
+    calls = {"estimate_f0": 0, "stft": 0, "log_mel": 0}
+    for name in calls:
+        original = getattr(dsp, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(dsp, name, counted)
+    extract_clip(three_unit_clip())
+    assert calls == {"estimate_f0": 1, "stft": 1, "log_mel": 1}
+
+
+def test_concat_frames_start_on_unit_frames():
+    clip = three_unit_clip()
+    seg, front = segment_clip(clip)
+    assert len(seg.expirations) >= 2
+    grid = front.f0.grid
+    win, hop = grid.window_samples, grid.hop_samples
+    concat = concat_expirations(clip, seg)
+    idx = unit_frames(grid, seg)
+    frames = dsp.frame_signal(clip.samples, win, hop)
+    concat_frames = dsp.frame_signal(concat.samples, win, hop)
+    assert len(idx) == sum(int(round((b - a) / grid.hop_seconds)) for a, b in seg.expirations)
+    assert len(concat_frames) <= len(idx)
+
+    splices = np.cumsum([int(round(b * clip.sample_rate)) - int(round(a * clip.sample_rate)) for a, b in seg.expirations])[:-1]
+    starts = np.arange(len(concat_frames)) * hop
+    straddling = np.any((starts[:, None] < splices) & (splices < starts[:, None] + win), axis=1)
+    assert np.count_nonzero(straddling) == 2 * len(splices)
+    for i in np.flatnonzero(~straddling):
+        assert np.array_equal(concat_frames[i], frames[idx[i]])
