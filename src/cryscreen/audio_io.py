@@ -81,10 +81,13 @@ def load_wav(path: str) -> AudioClip:
     fmt = None
     payload = None
     pos = 12
+    # chunk bodies are views into raw: slicing bytes would copy the data
+    # chunk, the largest buffer of the load
+    view = memoryview(raw)
     while pos + 8 <= len(raw):
         chunk_id = raw[pos : pos + 4]
         (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8 : pos + 8 + chunk_size]
+        body = view[pos + 8 : pos + 8 + chunk_size]
         if chunk_id == b"fmt ":
             if len(body) < 16:
                 raise WavFormatError(f"{path}: fmt chunk truncated ({len(body)} bytes)")

@@ -122,13 +122,15 @@ def _min_run_frames(min_run_s: float, hop_s: float) -> int:
 
 
 def _flag_sustained(condition: np.ndarray, sl: slice, min_frames: int, total: int) -> np.ndarray:
-    """Full-grid mask of frames inside runs of `condition` (within sl) of at least min_frames."""
+    """Full-grid mask of frames inside runs of at least min_frames where condition holds.
+
+    condition holds one value per frame of the unit sl, so the runs never
+    reach past the unit.
+    """
     out = np.zeros(total, dtype=bool)
-    local = np.zeros(total, dtype=bool)
-    local[sl] = condition[sl]
-    for start, end in runs_of(local):
+    for start, end in runs_of(condition):
         if end - start + 1 >= min_frames:
-            out[start : end + 1] = True
+            out[sl.start + start : sl.start + end + 1] = True
     return out
 
 
@@ -140,7 +142,7 @@ def detect_hyperphonation(
 ) -> np.ndarray:
     """Flag frames in sustained voiced runs with f0 above threshold_hz."""
     sl = f0.grid.frame_slice(*unit)
-    cond = f0.voiced & (f0.f0_hz > threshold_hz)
+    cond = f0.voiced[sl] & (f0.f0_hz[sl] > threshold_hz)
     return _flag_sustained(cond, sl, _min_run_frames(min_run_s, f0.grid.hop_seconds), f0.grid.num_frames)
 
 
@@ -159,10 +161,9 @@ def detect_dysphonation(
     outlier frame neither breaks a sustained run nor fakes one.
     """
     sl = flatness.grid.frame_slice(*unit)
-    vals = np.asarray(flatness.values, dtype=np.float64)
-    if sl.stop - sl.start >= 3:
-        vals = vals.copy()
-        vals[sl] = median_filter(vals[sl], size=3, mode="nearest")
+    vals = np.asarray(flatness.values[sl], dtype=np.float64)
+    if len(vals) >= 3:
+        vals = median_filter(vals, size=3, mode="nearest")
     cond = vals > threshold
     return _flag_sustained(cond, sl, _min_run_frames(min_run_s, flatness.grid.hop_seconds), flatness.grid.num_frames)
 
@@ -182,13 +183,12 @@ def detect_glide(
     grid = f0.grid
     sl = grid.frame_slice(*unit)
     seg = _smoothed_in_unit(f0, sl)
-    voiced = f0.voiced.astype(bool)
     max_k = int(np.floor(max_span_s / grid.hop_seconds + _EPS))
     out = np.zeros(grid.num_frames, dtype=bool)
     t0, t1 = sl.start, sl.stop
     if t1 - t0 < 2:
         return out
-    v = voiced[t0:t1]
+    v = f0.voiced[t0:t1].astype(bool)
     n = t1 - t0
     for k in range(1, min(max_k, n - 1) + 1):
         jump = (np.abs(seg[k:] - seg[:-k]) >= delta_hz) & v[k:] & v[:-k]

@@ -23,6 +23,14 @@ DEFAULT_HOP_S = 0.010
 MEL_FLOOR = 1e-10
 POWER_FLOOR = 1e-12
 
+# Frames per block of the per-frame kernels. estimate_f0 and lpc_formants
+# hold the work of at most this many frames at once, and frame_blocks cuts
+# a recording into sub-clips of about this many frames for the spectral
+# pass, so their memory stays fixed whatever the recording's length. Keep
+# it at BLAS_ROWS or more: see frame_blocks.
+FRAME_BLOCK = 1024
+BLAS_ROWS = 16
+
 
 @dataclass
 class FrameGrid:
@@ -113,6 +121,26 @@ def frame_signal(x: np.ndarray, window_samples: int, hop_samples: int) -> np.nda
     if len(x) < window_samples:
         raise ValueError(f"signal of {len(x)} samples is shorter than one {window_samples}-sample window")
     return sliding_window_view(x, window_samples)[::hop_samples]
+
+
+def frame_blocks(num_frames: int) -> list[tuple[int, int]]:
+    """Near-equal runs [start, stop) of frames covering 0..num_frames.
+
+    There are num_frames // FRAME_BLOCK of them (one when that is 0), each
+    starting on a multiple of BLAS_ROWS, so each holds about FRAME_BLOCK
+    to 2 * FRAME_BLOCK frames unless it is the whole clip. Per-frame
+    results on a block then equal those on the whole clip bit for bit.
+    OpenBLAS computes matrix products in groups of rows counted from the
+    first: a matrix-vector product (spectral_slope_band) takes the rows
+    left over after the last group of 4 by another kernel, and a
+    matrix-matrix product (log_mel) takes a small-matrix path for 15 rows
+    or fewer. Either differs from the whole clip in the last bits unless
+    every block but the last is a whole number of groups, and none is a
+    runt.
+    """
+    n = max(num_frames // FRAME_BLOCK, 1)
+    bounds = [num_frames * i // n // BLAS_ROWS * BLAS_ROWS for i in range(n)] + [num_frames]
+    return list(zip(bounds[:-1], bounds[1:]))
 
 
 def make_grid(n_samples: int, sample_rate: int, window_s: float = DEFAULT_WINDOW_S, hop_s: float = DEFAULT_HOP_S) -> FrameGrid:
@@ -217,6 +245,7 @@ def estimate_f0(
     window_s: float = DEFAULT_WINDOW_S,
     hop_s: float = DEFAULT_HOP_S,
     voicing_threshold: float = 0.5,
+    frames: np.ndarray | None = None,
 ) -> F0Contour:
     """Fundamental frequency tracking via the normalized difference function.
 
@@ -232,6 +261,12 @@ def estimate_f0(
     interpolation. A frame counts as voiced when the periodicity
     confidence, 1 minus the normalized difference at the chosen lag,
     reaches voicing_threshold.
+
+    Pitch is tracked on the frames listed in frames (every frame when it
+    is None); the others come back unvoiced with f0 and confidence 0.
+    Every frame's result depends on that frame alone, and the work runs in
+    blocks of at most FRAME_BLOCK frames, so memory beyond the clip stays
+    fixed and the result does not depend on the block size.
     """
     if f0_min >= f0_max:
         raise ValueError(f"f0_min {f0_min} must be below f0_max {f0_max}")
@@ -243,7 +278,24 @@ def estimate_f0(
     if tau_max > win // 2:
         raise ValueError(f"window of {win} samples is too short to resolve f0_min {f0_min} Hz")
 
-    frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples)
+    all_frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples)
+    num = grid.num_frames
+    picked = np.arange(num) if frames is None else np.asarray(frames, dtype=np.intp)
+    f0 = np.zeros(num)
+    voiced = np.zeros(num, dtype=bool)
+    confidence = np.zeros(num)
+    for start in range(0, len(picked), FRAME_BLOCK):
+        rows = picked[start : start + FRAME_BLOCK]
+        f0[rows], voiced[rows], confidence[rows] = _track_f0(
+            all_frames[rows], sr, tau_min, tau_max, voicing_threshold
+        )
+    return F0Contour(f0, voiced, confidence, grid)
+
+
+def _track_f0(
+    frames: np.ndarray, sr: int, tau_min: int, tau_max: int, voicing_threshold: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """f0, voicing and confidence of each row of frames (see estimate_f0)."""
     d = difference_function(frames, tau_max)
     num = frames.shape[0]
 
@@ -298,7 +350,7 @@ def estimate_f0(
     confidence = np.clip(1.0 - np.minimum(mid, floor_val), 0.0, 1.0)
     voiced = confidence >= voicing_threshold
     f0 = np.where(voiced, sr / tau_refined, 0.0)
-    return F0Contour(f0, voiced, confidence, grid)
+    return f0, voiced, confidence
 
 
 def spectral_flatness(spec: Spectrogram) -> FrameSeries:
@@ -349,16 +401,25 @@ def lpc_formants(
     max_bandwidth_hz, the lowest num_formants frequencies are reported in
     ascending order. Output is (num_frames, num_formants) with zeros
     standing in where a frame is degenerate or yields too few narrow
-    resonances.
+    resonances. Frames are fitted in blocks of at most FRAME_BLOCK, so
+    memory beyond the clip stays fixed.
     """
     grid = make_grid(len(clip.samples), clip.sample_rate, window_s, hop_s)
     win = grid.window_samples
     if order >= win:
         raise ValueError(f"LPC order {order} must be below the window length {win}")
-    sr = clip.sample_rate
-    frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples) * np.hanning(win)
+    frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples)
+    window = np.hanning(win)
+    out = np.empty((grid.num_frames, num_formants))
+    for start in range(0, grid.num_frames, FRAME_BLOCK):
+        block = frames[start : start + FRAME_BLOCK] * window
+        out[start : start + FRAME_BLOCK] = _fit_formants(block, order, num_formants, max_bandwidth_hz, clip.sample_rate)
+    return out
 
-    num = frames.shape[0]
+
+def _fit_formants(frames: np.ndarray, order: int, num_formants: int, max_bandwidth_hz: float, sr: int) -> np.ndarray:
+    """Formants of each row of windowed frames (see lpc_formants)."""
+    num, win = frames.shape
     autocorr = np.empty((num, order + 1))
     for k in range(order + 1):
         autocorr[:, k] = np.einsum("ij,ij->i", frames[:, : win - k], frames[:, k:])
@@ -379,7 +440,7 @@ def lpc_formants(
         degenerate |= bad
         err[bad] = 1.0
 
-    # batched companion-matrix eigenvalues for all frames at once
+    # batched companion-matrix eigenvalues for all frames of the block
     comp = np.zeros((num, order, order))
     comp[:, 0, :] = -a[:, 1:]
     idx = np.arange(order - 1)

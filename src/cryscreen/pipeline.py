@@ -19,7 +19,7 @@ from .analytics import FeatureMatrix
 from .audio_io import AudioClip, ManifestEntry, load_manifest, load_wav, relative_to_manifest, resample
 from .biomarkers import CRY_FEATURE_NAMES, UnitFlags, aggregate_biomarkers, unit_biomarker_flags
 from .config import PipelineConfig
-from .segmenter import CrySegmentation, detect_cry_units, meets_curation_rule
+from .segmenter import CrySegmentation, detect_cry_units, meets_curation_rule, pitch_frames
 from .voicefeat import VOICE_FEATURE_NAMES, compute_generic_features, concat_expirations
 
 FEATURE_COLUMNS = CRY_FEATURE_NAMES + VOICE_FEATURE_NAMES
@@ -52,7 +52,12 @@ class FrontEnd:
     Segmentation reads f0 and loudness, the biomarker pass f0 and flatness,
     and the voice functionals the voicing, loudness, the 0-500 Hz spectral
     slope and MFCC 2, 3 and 4 (the three columns of mfcc2_4) at the unit
-    frames.
+    frames. Pitch is tracked only on the frames of segmenter.pitch_frames,
+    the ones near a frame loud enough to hold a cry unit; every other frame
+    is unvoiced with f0 and confidence 0, which changes neither the units
+    nor anything read from them. analyze_frames builds it in the memory of
+    the clip plus one block of dsp.FRAME_BLOCK frames, and the series it
+    keeps take a few numbers per frame.
     """
 
     f0: dsp.F0Contour
@@ -65,11 +70,30 @@ class FrontEnd:
 def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
     """The one analysis front end of a recording already at config.sample_rate.
 
-    The spectrogram and log-Mel plane are reduced to per-frame series here
-    and dropped on return.
+    The spectral descriptors come from dsp.stft and dsp.log_mel over
+    sub-clips holding the frames of each dsp.frame_blocks block, reduced
+    to per-frame series block by block; then pitch is tracked once, on the
+    frames that loudness leaves within reach of a cry unit. So the memory
+    a recording needs is its clip plus one block, whatever its length.
     """
-    # F0 first: its difference function is the largest buffer of the front
-    # end, and the spectrogram and its power need not be alive beside it
+    grid = dsp.make_grid(len(clip.samples), clip.sample_rate, config.window_s, config.hop_s)
+    hop, win = grid.hop_samples, grid.window_samples
+    loud = np.empty(grid.num_frames)
+    flatness = np.empty(grid.num_frames)
+    slope = np.empty(grid.num_frames)
+    mfcc2_4 = np.empty((grid.num_frames, 3))
+    for start, stop in dsp.frame_blocks(grid.num_frames):
+        # the sub-clip's frames are the clip's frames start..stop-1
+        part = AudioClip(clip.samples[start * hop : (stop - 1) * hop + win], clip.sample_rate)
+        spec = dsp.stft(part, config.window_s, config.hop_s)
+        logmel = dsp.log_mel(spec, config.num_mel_bands)
+        loud[start:stop] = dsp.loudness(logmel).values
+        flatness[start:stop] = dsp.spectral_flatness(spec).values
+        slope[start:stop] = dsp.spectral_slope_band(spec, 0.0, 500.0).values
+        mfcc2_4[start:stop] = dsp.mfcc(logmel)[:, 1:4]
+    # the last block's planes need not be alive beside the pitch tracker
+    del spec, logmel
+    loudness = dsp.FrameSeries(loud, grid)
     f0 = dsp.estimate_f0(
         clip,
         f0_min=config.f0_min_hz,
@@ -77,16 +101,19 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
         window_s=config.window_s,
         hop_s=config.hop_s,
         voicing_threshold=config.voicing_threshold,
+        frames=pitch_frames(
+            loudness,
+            min_pause_s=config.min_pause_s,
+            voicing_halfwidth=config.voicing_halfwidth_frames,
+            active_fraction=config.active_fraction,
+        ),
     )
-    spec = dsp.stft(clip, config.window_s, config.hop_s)
-    logmel = dsp.log_mel(spec, config.num_mel_bands)
     return FrontEnd(
         f0=f0,
-        loudness=dsp.loudness(logmel),
-        flatness=dsp.spectral_flatness(spec),
-        slope0_500=dsp.spectral_slope_band(spec, 0.0, 500.0),
-        # a copy: a slice would keep the whole DCT of the log-Mel plane alive
-        mfcc2_4=dsp.mfcc(logmel)[:, 1:4].copy(),
+        loudness=loudness,
+        flatness=dsp.FrameSeries(flatness, grid),
+        slope0_500=dsp.FrameSeries(slope, grid),
+        mfcc2_4=mfcc2_4,
     )
 
 
@@ -190,8 +217,9 @@ def extract_manifest(manifest_path: str, config: PipelineConfig | None = None, l
     skipped: list[SkippedRecording] = []
     for entry in load_manifest(manifest_path):
         try:
-            clip = load_wav(relative_to_manifest(manifest_path, entry.path))
-            features, _ = extract_clip(clip, config)
+            # no name holds the loaded clip, so it is freed as soon as
+            # extract_clip replaces it with the resampled one
+            features, _ = extract_clip(load_wav(relative_to_manifest(manifest_path, entry.path)), config)
         except CurationError:
             skipped.append(SkippedRecording(entry, short_reason))
             if log is not None:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.ndimage import maximum_filter1d
 
 from .dsp import F0Contour, FrameSeries
 
@@ -81,11 +82,7 @@ def detect_cry_units(
         raise ValueError("f0 and loudness were computed on different frame grids")
     L = np.asarray(loud.values, dtype=np.float64)
     hop = loud.grid.hop_seconds
-
-    lo = np.percentile(L, 10)
-    hi = np.percentile(L, 90)
-    active_high = lo + active_fraction * (hi - lo)
-    release_low = lo + 0.5 * active_fraction * (hi - lo)
+    active_high, release_low = loudness_levels(L, active_fraction)
 
     near_voiced = bridge_voicing_gaps(f0.voiced.astype(bool), voicing_halfwidth)
     core = (L >= active_high) & near_voiced
@@ -107,6 +104,42 @@ def detect_cry_units(
     kept = [(s, e) for s, e in merged if (e - s + 1) * hop >= min_unit_s - _EPS]
     expirations = [(float(s * hop), float((e + 1) * hop)) for s, e in kept]
     return CrySegmentation.from_expirations(expirations)
+
+
+def loudness_levels(loud: np.ndarray, active_fraction: float) -> tuple[float, float]:
+    """Activation and release loudness levels of a clip for detect_cry_units.
+
+    Both sit a fixed fraction of the way up the clip's loudness span (10th
+    to 90th percentile): activation at active_fraction, release at half
+    of it.
+    """
+    lo = np.percentile(loud, 10)
+    hi = np.percentile(loud, 90)
+    return lo + active_fraction * (hi - lo), lo + 0.5 * active_fraction * (hi - lo)
+
+
+def pitch_frames(
+    loud: FrameSeries,
+    min_pause_s: float = MIN_PAUSE_S,
+    voicing_halfwidth: int = VOICING_HALFWIDTH_FRAMES,
+    active_fraction: float = ACTIVE_FRACTION,
+) -> np.ndarray:
+    """Indices of the only frames whose pitch detect_cry_units or a unit reads.
+
+    Every frame of a unit lies at or above the release level, or in a gap
+    shorter than min_pause_s between two such frames. detect_cry_units
+    reads voicing only through bridge_voicing_gaps at frames at or above
+    the release level, which looks 2 * voicing_halfwidth frames to each
+    side; the detectors read a unit's frames and one neighbour on each
+    side. So the frames within 2 * voicing_halfwidth + 1 of a frame at or
+    above the release level, or within a merged gap's length of one, hold
+    every voicing value that can change the segmentation or a unit.
+    """
+    L = np.asarray(loud.values, dtype=np.float64)
+    _, release_low = loudness_levels(L, active_fraction)
+    reach = max(2 * voicing_halfwidth + 1, int(np.ceil(min_pause_s / loud.grid.hop_seconds)))
+    near = maximum_filter1d((L >= release_low).astype(np.uint8), size=2 * reach + 1, mode="constant")
+    return np.flatnonzero(near)
 
 
 def meets_curation_rule(seg: CrySegmentation, min_total_cry_s: float = MIN_TOTAL_CRY_S) -> bool:

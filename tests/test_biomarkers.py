@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import median_filter
 
 from cryscreen import biomarkers
 from cryscreen.biomarkers import (
@@ -19,7 +20,7 @@ from cryscreen.biomarkers import (
     unit_biomarker_flags,
 )
 from cryscreen.dsp import F0Contour, FrameGrid, FrameSeries
-from cryscreen.segmenter import CrySegmentation
+from cryscreen.segmenter import CrySegmentation, runs_of
 
 HOP = 0.010
 
@@ -304,6 +305,32 @@ def test_unit_flags_match_whole_clip_smoothing(monkeypatch):
     assert got == want
     assert any(f.glide_frames for f in got) and any(f.vibrato_present for f in got)
     assert {f.melody for f in got} != {"flat"}
+
+
+def whole_clip_sustained(condition, sl, min_frames):
+    """Reference: runs of condition over the whole grid, masked to the unit first."""
+    local = np.zeros(len(condition), dtype=bool)
+    local[sl] = condition[sl]
+    out = np.zeros(len(condition), dtype=bool)
+    for start, end in runs_of(local):
+        if end - start + 1 >= min_frames:
+            out[start : end + 1] = True
+    return out
+
+
+@pytest.mark.parametrize("min_run_s, min_frames", [(0.1, 10), (0.02, 2)])
+@pytest.mark.parametrize("unit", EDGE_UNITS)
+def test_sustained_detectors_match_whole_clip_reference(unit, min_run_s, min_frames):
+    f0 = varied_contour()
+    flat = series(np.random.default_rng(3).uniform(0.0, 0.6, 200))
+    sl = f0.grid.frame_slice(*unit)
+    smoothed = flat.values.copy()
+    if sl.stop - sl.start >= 3:
+        smoothed[sl] = median_filter(smoothed[sl], size=3, mode="nearest")
+    hyper = whole_clip_sustained(f0.voiced & (f0.f0_hz > 1000.0), sl, min_frames)
+    dys = whole_clip_sustained(smoothed > 0.3, sl, min_frames)
+    assert np.array_equal(detect_hyperphonation(f0, unit, 1000.0, min_run_s), hyper)
+    assert np.array_equal(detect_dysphonation(flat, unit, 0.3, min_run_s), dys)
 
 
 def test_durational_features_exact():

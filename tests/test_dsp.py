@@ -268,6 +268,47 @@ def test_f0_float_matches_loop_reference_to_rounding(make_clip):
     assert np.all(np.abs(got.f0_hz - want.f0_hz) <= 1e-9 * want.f0_hz)
 
 
+def long_float_cry():
+    """Three planted cries resampled from 44.1 kHz: about 1500 frames, over one FRAME_BLOCK."""
+    clip = resample(planted_cry(sample_rate=44100), SR)
+    return AudioClip(np.tile(clip.samples, 3), SR)
+
+
+@pytest.mark.parametrize("pcm16", [False, True])
+@pytest.mark.parametrize("block", [1, 7, 1024])
+def test_f0_and_formants_do_not_depend_on_the_block_size(block, pcm16, tmp_path, monkeypatch):
+    clip = long_float_cry()
+    if pcm16:
+        clip = pcm16_round_trip(clip, tmp_path)
+    assert make_grid(len(clip.samples), SR).num_frames > 1024
+    monkeypatch.setattr(dsp, "FRAME_BLOCK", 10**9)
+    want_f0, want_formants = estimate_f0(clip, 250.0, 1600.0), lpc_formants(clip)
+    monkeypatch.setattr(dsp, "FRAME_BLOCK", block)
+    got_f0, got_formants = estimate_f0(clip, 250.0, 1600.0), lpc_formants(clip)
+    for field in ("f0_hz", "voiced", "confidence"):
+        assert np.array_equal(getattr(got_f0, field), getattr(want_f0, field)), field
+    assert got_f0.voiced.any()
+    assert np.array_equal(got_formants, want_formants)
+
+
+def test_f0_tracks_only_the_listed_frames():
+    clip = planted_cry()
+    full = estimate_f0(clip, 250.0, 1600.0)
+    num = full.grid.num_frames
+    picked = np.array([0, 3, 4, 5, 60, 61, 150, 151, 152, num - 1])
+    listed = np.zeros(num, dtype=bool)
+    listed[picked] = True
+    part = estimate_f0(clip, 250.0, 1600.0, frames=picked)
+    assert part.grid == full.grid
+    for field in ("f0_hz", "voiced", "confidence"):
+        assert np.array_equal(getattr(part, field)[listed], getattr(full, field)[listed]), field
+        assert not getattr(part, field)[~listed].any(), field
+    assert part.voiced.any()
+    # a zero voicing threshold makes every tracked frame voiced, and only those
+    assert np.array_equal(estimate_f0(clip, 250.0, 1600.0, voicing_threshold=0.0, frames=picked).voiced, listed)
+    assert not estimate_f0(clip, 250.0, 1600.0, frames=np.array([], dtype=int)).voiced.any()
+
+
 def test_difference_function_never_negative():
     # on exactly periodic float input the identity rounds d(period) to
     # about -1e-14 before clamping

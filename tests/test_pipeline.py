@@ -1,10 +1,12 @@
 """Recording-to-features pipeline: curation, resilience, CSV contracts."""
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cryscreen import dsp, pipeline
 from cryscreen.audio_io import AudioClip, ManifestEntry, save_manifest, write_wav
 from cryscreen.config import PipelineConfig
 from cryscreen.pipeline import (
@@ -13,6 +15,7 @@ from cryscreen.pipeline import (
     SKIP_REASON_SHORT_CRY,
     CurationError,
     FeatureRow,
+    analyze_frames,
     extract_clip,
     extract_manifest,
     load_split,
@@ -20,10 +23,13 @@ from cryscreen.pipeline import (
     segment_clip,
     short_cry_reason,
     to_feature_matrix,
+    unit_flags_for,
     write_features_csv,
     write_skipped_csv,
 )
+from cryscreen.segmenter import pitch_frames
 from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
+from cryscreen.voicefeat import compute_generic_features, concat_expirations
 
 
 def cry_clip(n_units=5, unit_s=0.8, seed=0):
@@ -219,3 +225,112 @@ def test_config_threshold_changes_flow_through():
     strict = PipelineConfig().override(min_total_cry_s=10.0)
     with pytest.raises(CurationError):
         extract_clip(clip, strict)
+
+
+def front_series(front):
+    return {
+        "f0_hz": front.f0.f0_hz,
+        "voiced": front.f0.voiced,
+        "confidence": front.f0.confidence,
+        "loudness": front.loudness.values,
+        "flatness": front.flatness.values,
+        "slope0_500": front.slope0_500.values,
+        "mfcc2_4": front.mfcc2_4,
+    }
+
+
+def edge_to_edge_cry():
+    """Units from the first frame to the last, split by long silences and short pauses."""
+    units = [
+        UnitSpec(0.6, 2.0, melody="falling", event="glide", event_start_s=0.2, event_duration_s=0.08),
+        UnitSpec(0.5, 0.04, base_f0_hz=500.0),
+        UnitSpec(0.5, 0.06, event="vibrato", event_start_s=0.05, event_duration_s=0.4),
+        UnitSpec(0.7, 1.5, event="hyperphonation", event_start_s=0.1, event_duration_s=0.4),
+        UnitSpec(0.6, 0.3, event="dysphonation", event_start_s=0.1, event_duration_s=0.4),
+        UnitSpec(0.6, 0.0, melody="rising"),
+    ]
+    clip, _ = synth_cry(SynthSpec(units=units, lead_silence_s=0.0, tail_silence_s=0.0, seed=6))
+    return clip
+
+
+@pytest.mark.parametrize("block", [16, 40])
+def test_analyze_frames_in_blocks_matches_one_block(block, monkeypatch):
+    # 243 frames: fixed runs of 16 or 40 frames would leave a 3-frame tail
+    clip = edge_to_edge_cry()
+    clip = AudioClip(clip.samples[: 242 * 160 + 400], clip.sample_rate)
+    config = PipelineConfig()
+    monkeypatch.setattr(dsp, "FRAME_BLOCK", 10**9)
+    want = front_series(analyze_frames(clip, config))
+    monkeypatch.setattr(dsp, "FRAME_BLOCK", block)
+    assert len(dsp.frame_blocks(243)) == 243 // block
+    got = front_series(analyze_frames(clip, config))
+    assert len(got["loudness"]) == 243
+    assert got["voiced"].any()
+    for name in want:
+        assert np.array_equal(got[name], want[name]), name
+
+
+def gate_every_frame(loud, **kwargs):
+    return np.arange(loud.grid.num_frames)
+
+
+def assert_gate_changes_no_unit(clip, config, monkeypatch):
+    """Units, unit flags and voice columns equal those of pitch on every frame."""
+
+    def units_of(clip):
+        seg, front = segment_clip(clip, config)
+        flags = unit_flags_for(front, seg, config)
+        return seg, flags, compute_generic_features(front, seg, concat_expirations(clip, seg))
+
+    loud = analyze_frames(clip, config).loudness
+    kwargs = dict(
+        min_pause_s=config.min_pause_s,
+        voicing_halfwidth=config.voicing_halfwidth_frames,
+        active_fraction=config.active_fraction,
+    )
+    assert len(pitch_frames(loud, **kwargs)) < loud.grid.num_frames
+    gated = units_of(clip)
+    monkeypatch.setattr(pipeline, "pitch_frames", gate_every_frame)
+    assert units_of(clip) == gated
+    return gated[0], loud.grid
+
+
+def test_gated_pitch_changes_no_unit(monkeypatch):
+    seg, grid = assert_gate_changes_no_unit(edge_to_edge_cry(), PipelineConfig(), monkeypatch)
+    assert len(seg.expirations) >= 4
+    assert min(b - a for a, b in seg.pauses) < 0.1
+    assert seg.expirations[0][0] == 0.0
+    assert seg.expirations[-1][1] == pytest.approx(grid.num_frames * grid.hop_seconds)
+
+
+def test_gated_pitch_reaches_across_merged_pauses(monkeypatch):
+    # loud tone bursts split by 0.25 s of the same tone 40 dB down: voiced
+    # frames under the release level, which a 0.3 s min_pause_s merges
+    # into one unit, then a silent tail
+    sr = 16000
+    t = np.arange(4 * sr) / sr
+    tone = sum(np.sin(2 * np.pi * k * 450.0 * t) / k for k in range(1, 6))
+    samples = np.where(t % 1.0 < 0.75, 0.4, 0.004) * tone / np.max(np.abs(tone))
+    samples = np.concatenate([samples, np.zeros(2 * sr)])
+    samples += 1e-5 * np.random.default_rng(9).standard_normal(len(samples))
+    seg, _ = assert_gate_changes_no_unit(AudioClip(samples, sr), PipelineConfig(min_pause_s=0.3), monkeypatch)
+    assert len(seg.expirations) == 1
+
+
+def test_extract_clip_memory_does_not_grow_with_length():
+    # tracing starts after the clip exists, so the peak is what extraction
+    # needs beyond the clip's own bytes
+    units = [UnitSpec(0.8, 0.6, base_f0_hz=380.0 + 40.0 * (k % 5)) for k in range(20)]
+    cry, _ = synth_cry(SynthSpec(units=units, seed=3))
+
+    def traced_peak(seconds):
+        n = int(seconds * cry.sample_rate)
+        clip = AudioClip(np.resize(cry.samples, n), cry.sample_rate)
+        tracemalloc.start()
+        try:
+            extract_clip(clip)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(120.0) < 1.5 * traced_peak(30.0)

@@ -165,6 +165,38 @@ def test_extract_clip_runs_one_front_end(monkeypatch):
     assert calls == {"estimate_f0": 1, "stft": 1, "log_mel": 1}
 
 
+def test_extract_clip_front_end_in_blocks(monkeypatch):
+    # on a clip of several blocks, the sub-clips given to stft hold every
+    # frame of the grid once, in order, and pitch is still tracked in one call
+    clip = three_unit_clip()
+    grid = dsp.make_grid(len(clip.samples), SR)
+    monkeypatch.setattr(dsp, "FRAME_BLOCK", 100)
+    parts, f0_calls = [], []
+    stft, estimate_f0 = dsp.stft, dsp.estimate_f0
+
+    def recorded_stft(part, *args, **kwargs):
+        parts.append(part.samples)
+        return stft(part, *args, **kwargs)
+
+    def counted_f0(*args, **kwargs):
+        f0_calls.append(args)
+        return estimate_f0(*args, **kwargs)
+
+    monkeypatch.setattr(dsp, "stft", recorded_stft)
+    monkeypatch.setattr(dsp, "estimate_f0", counted_f0)
+    extract_clip(clip)
+    assert len(f0_calls) == 1
+    assert len(parts) == grid.num_frames // 100 > 1
+    hop, win = grid.hop_samples, grid.window_samples
+    first = 0
+    for samples in parts:
+        num = dsp.make_grid(len(samples), SR).num_frames
+        assert len(samples) == (num - 1) * hop + win
+        assert np.array_equal(samples, clip.samples[first * hop : first * hop + len(samples)])
+        first += num
+    assert first == grid.num_frames
+
+
 def test_concat_frames_start_on_unit_frames():
     clip = three_unit_clip()
     seg, front = segment_clip(clip)
