@@ -8,6 +8,9 @@ Detectors operate on per-frame series restricted to one cry unit:
 * vibrato:        at least four rapid alternating pitch swings
 * melody:         the coarse shape of the unit's pitch contour
 
+The figures above are the defaults; every detector reads its thresholds
+from the PipelineConfig it is passed.
+
 Per recording, each biomarker is summarized as the fraction of units where
 it occurs and the fraction of in-unit frames it covers, alongside basic
 duration statistics of units and pauses. That yields the fixed 26-value
@@ -22,19 +25,10 @@ import numpy as np
 from scipy.ndimage import median_filter
 from scipy.signal import find_peaks
 
+from .config import PipelineConfig
 from .dsp import F0Contour, FrameSeries
 from .segmenter import CrySegmentation, runs_of
 
-HYPERPHONATION_F0_HZ = 1000.0
-HYPERPHONATION_MIN_RUN_S = 0.1
-DYSPHONATION_FLATNESS = 0.30
-DYSPHONATION_MIN_RUN_S = 0.1
-GLIDE_DELTA_HZ = 600.0
-GLIDE_MAX_SPAN_S = 0.1
-VIBRATO_MIN_EXTREMA = 4
-VIBRATO_PROMINENCE_HZ = 40.0
-VIBRATO_MAX_SPACING_S = 0.1
-MELODY_FLAT_RATIO = 0.15
 MELODY_EDGE_FRACTION = 0.2
 MELODY_MIN_VOICED_FRAMES = 5
 
@@ -135,24 +129,21 @@ def _flag_sustained(condition: np.ndarray, sl: slice, min_frames: int, total: in
 
 
 def detect_hyperphonation(
-    f0: F0Contour,
-    unit: tuple[float, float],
-    threshold_hz: float = HYPERPHONATION_F0_HZ,
-    min_run_s: float = HYPERPHONATION_MIN_RUN_S,
+    f0: F0Contour, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()
 ) -> np.ndarray:
-    """Flag frames in sustained voiced runs with f0 above threshold_hz."""
+    """Flag frames in voiced runs of at least config.hyperphonation_min_run_s
+    with f0 above config.hyperphonation_f0_hz."""
     sl = f0.grid.frame_slice(*unit)
-    cond = f0.voiced[sl] & (f0.f0_hz[sl] > threshold_hz)
-    return _flag_sustained(cond, sl, _min_run_frames(min_run_s, f0.grid.hop_seconds), f0.grid.num_frames)
+    cond = f0.voiced[sl] & (f0.f0_hz[sl] > config.hyperphonation_f0_hz)
+    min_frames = _min_run_frames(config.hyperphonation_min_run_s, f0.grid.hop_seconds)
+    return _flag_sustained(cond, sl, min_frames, f0.grid.num_frames)
 
 
 def detect_dysphonation(
-    flatness: FrameSeries,
-    unit: tuple[float, float],
-    threshold: float = DYSPHONATION_FLATNESS,
-    min_run_s: float = DYSPHONATION_MIN_RUN_S,
+    flatness: FrameSeries, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()
 ) -> np.ndarray:
-    """Flag frames in sustained runs of high spectral flatness within the unit.
+    """Flag frames in runs of at least config.dysphonation_min_run_s within
+    the unit whose spectral flatness is above config.dysphonation_flatness.
 
     No voicing gate here: heavily dysphonic frames often defeat pitch
     tracking, and requiring voicing would hide exactly the frames this
@@ -164,26 +155,23 @@ def detect_dysphonation(
     vals = np.asarray(flatness.values[sl], dtype=np.float64)
     if len(vals) >= 3:
         vals = median_filter(vals, size=3, mode="nearest")
-    cond = vals > threshold
-    return _flag_sustained(cond, sl, _min_run_frames(min_run_s, flatness.grid.hop_seconds), flatness.grid.num_frames)
+    cond = vals > config.dysphonation_flatness
+    min_frames = _min_run_frames(config.dysphonation_min_run_s, flatness.grid.hop_seconds)
+    return _flag_sustained(cond, sl, min_frames, flatness.grid.num_frames)
 
 
-def detect_glide(
-    f0: F0Contour,
-    unit: tuple[float, float],
-    delta_hz: float = GLIDE_DELTA_HZ,
-    max_span_s: float = GLIDE_MAX_SPAN_S,
-) -> np.ndarray:
+def detect_glide(f0: F0Contour, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()) -> np.ndarray:
     """Flag frames that start a rapid pitch jump.
 
     Frame t is flagged when the smoothed contour moves by at least
-    delta_hz between t and some voiced frame at most max_span_s later,
-    with both endpoints voiced and inside the unit.
+    config.glide_delta_hz between t and some voiced frame at most
+    config.glide_max_span_s later, with both endpoints voiced and inside
+    the unit.
     """
     grid = f0.grid
     sl = grid.frame_slice(*unit)
     seg = _smoothed_in_unit(f0, sl)
-    max_k = int(np.floor(max_span_s / grid.hop_seconds + _EPS))
+    max_k = int(np.floor(config.glide_max_span_s / grid.hop_seconds + _EPS))
     out = np.zeros(grid.num_frames, dtype=bool)
     t0, t1 = sl.start, sl.stop
     if t1 - t0 < 2:
@@ -191,21 +179,15 @@ def detect_glide(
     v = f0.voiced[t0:t1].astype(bool)
     n = t1 - t0
     for k in range(1, min(max_k, n - 1) + 1):
-        jump = (np.abs(seg[k:] - seg[:-k]) >= delta_hz) & v[k:] & v[:-k]
+        jump = (np.abs(seg[k:] - seg[:-k]) >= config.glide_delta_hz) & v[k:] & v[:-k]
         out[t0 : t1 - k][jump] = True
     return out
 
 
-def detect_vibrato(
-    f0: F0Contour,
-    unit: tuple[float, float],
-    min_extrema: int = VIBRATO_MIN_EXTREMA,
-    prominence_hz: float = VIBRATO_PROMINENCE_HZ,
-    max_spacing_s: float = VIBRATO_MAX_SPACING_S,
-) -> bool:
-    """True when the unit carries at least min_extrema alternating pitch
-    extrema of sufficient prominence, each following the last within
-    max_spacing_s."""
+def detect_vibrato(f0: F0Contour, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()) -> bool:
+    """True when the unit carries at least config.vibrato_min_extrema
+    alternating pitch extrema of config.vibrato_prominence_hz prominence,
+    each following the last within config.vibrato_max_spacing_s."""
     grid = f0.grid
     sl = grid.frame_slice(*unit)
     smoothed = _smoothed_in_unit(f0, sl)
@@ -213,82 +195,65 @@ def detect_vibrato(
     if len(vpos) < 3:
         return False
     contour = smoothed[vpos - sl.start]
-    peaks, _ = find_peaks(contour, prominence=prominence_hz)
-    troughs, _ = find_peaks(-contour, prominence=prominence_hz)
+    peaks, _ = find_peaks(contour, prominence=config.vibrato_prominence_hz)
+    troughs, _ = find_peaks(-contour, prominence=config.vibrato_prominence_hz)
     extrema = sorted([(p, 1) for p in peaks] + [(t, -1) for t in troughs])
-    if len(extrema) < min_extrema:
+    if len(extrema) < config.vibrato_min_extrema:
         return False
-    max_gap = max_spacing_s / grid.hop_seconds + _EPS
+    max_gap = config.vibrato_max_spacing_s / grid.hop_seconds + _EPS
     best = run = 1
     for i in range(1, len(extrema)):
         alternates = extrema[i][1] != extrema[i - 1][1]
         close = (vpos[extrema[i][0]] - vpos[extrema[i - 1][0]]) <= max_gap
         run = run + 1 if (alternates and close) else 1
         best = max(best, run)
-    return best >= min_extrema
+    return best >= config.vibrato_min_extrema
 
 
-def classify_melody(
-    f0: F0Contour,
-    unit: tuple[float, float],
-    flat_ratio: float = MELODY_FLAT_RATIO,
-    edge_fraction: float = MELODY_EDGE_FRACTION,
-    min_voiced_frames: int = MELODY_MIN_VOICED_FRAMES,
-) -> str:
+def classify_melody(f0: F0Contour, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()) -> str:
     """Label the unit's pitch contour shape.
 
-    The contour is flat when its relative range is small. Otherwise the
-    positions of the global extremes decide: a late maximum on a net rise
-    is rising, an early maximum on a net fall is falling, an interior
-    maximum is rising_falling, and an interior minimum (with the maximum
-    at an edge) is falling_rising. Units with too few voiced frames for a
-    meaningful shape default to flat.
+    The contour is flat when its range is under config.melody_flat_ratio
+    of its mean. Otherwise the positions of the global extremes decide: a
+    late maximum on a net rise is rising, an early maximum on a net fall
+    is falling, an interior maximum is rising_falling, and an interior
+    minimum (with the maximum at an edge) is falling_rising, where the
+    edges are the first and last MELODY_EDGE_FRACTION of the contour. Units with fewer than
+    MELODY_MIN_VOICED_FRAMES voiced frames, too few for a meaningful
+    shape, default to flat.
     """
     sl = f0.grid.frame_slice(*unit)
     contour = _smoothed_in_unit(f0, sl)[f0.voiced[sl]]
     n = len(contour)
-    if n < min_voiced_frames:
+    if n < MELODY_MIN_VOICED_FRAMES:
         return "flat"
     hi, lo = float(contour.max()), float(contour.min())
-    if (hi - lo) / contour.mean() < flat_ratio:
+    if (hi - lo) / contour.mean() < config.melody_flat_ratio:
         return "flat"
     p = int(np.argmax(contour)) / (n - 1)
     q = int(np.argmin(contour)) / (n - 1)
     net = contour[-1] - contour[0]
-    if p >= 1.0 - edge_fraction and net > 0:
+    if p >= 1.0 - MELODY_EDGE_FRACTION and net > 0:
         return "rising"
-    if p <= edge_fraction and net < 0:
+    if p <= MELODY_EDGE_FRACTION and net < 0:
         return "falling"
-    if edge_fraction < p < 1.0 - edge_fraction:
+    if MELODY_EDGE_FRACTION < p < 1.0 - MELODY_EDGE_FRACTION:
         return "rising_falling"
-    if edge_fraction < q < 1.0 - edge_fraction:
+    if MELODY_EDGE_FRACTION < q < 1.0 - MELODY_EDGE_FRACTION:
         return "falling_rising"
     return "flat"
 
 
 def unit_biomarker_flags(
-    f0: F0Contour,
-    flatness: FrameSeries,
-    unit: tuple[float, float],
-    hyperphonation_f0_hz: float = HYPERPHONATION_F0_HZ,
-    hyperphonation_min_run_s: float = HYPERPHONATION_MIN_RUN_S,
-    dysphonation_flatness: float = DYSPHONATION_FLATNESS,
-    dysphonation_min_run_s: float = DYSPHONATION_MIN_RUN_S,
-    glide_delta_hz: float = GLIDE_DELTA_HZ,
-    glide_max_span_s: float = GLIDE_MAX_SPAN_S,
-    vibrato_min_extrema: int = VIBRATO_MIN_EXTREMA,
-    vibrato_prominence_hz: float = VIBRATO_PROMINENCE_HZ,
-    vibrato_max_spacing_s: float = VIBRATO_MAX_SPACING_S,
-    melody_flat_ratio: float = MELODY_FLAT_RATIO,
-    melody_edge_fraction: float = MELODY_EDGE_FRACTION,
+    f0: F0Contour, flatness: FrameSeries, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()
 ) -> UnitFlags:
     """Run every detector for one unit and tally the results."""
     sl = f0.grid.frame_slice(*unit)
-    hyper = detect_hyperphonation(f0, unit, hyperphonation_f0_hz, hyperphonation_min_run_s)
-    dys = detect_dysphonation(flatness, unit, dysphonation_flatness, dysphonation_min_run_s)
-    glide = detect_glide(f0, unit, glide_delta_hz, glide_max_span_s)
-    vib = detect_vibrato(f0, unit, vibrato_min_extrema, vibrato_prominence_hz, vibrato_max_spacing_s)
-    melody = classify_melody(f0, unit, melody_flat_ratio, melody_edge_fraction)
+    hyper = detect_hyperphonation(f0, unit, config)
+    dys = detect_dysphonation(flatness, unit, config)
+    glide = detect_glide(f0, unit, config)
+    vib = detect_vibrato(f0, unit, config)
+    melody = classify_melody(f0, unit, config)
     return UnitFlags(
         num_frames=sl.stop - sl.start,
         hyperphonation_frames=int(hyper.sum()),

@@ -1,15 +1,17 @@
 """Pipeline configuration.
 
 All tunables in one flat dataclass, loadable from a plain ``key=value``
-text file. Unknown keys are rejected so a typo cannot silently fall back
-to a default.
+text file. This is the only place their defaults live: the segmenter and
+the biomarker detectors take a PipelineConfig and read their thresholds
+from it. Unknown keys are rejected so a typo cannot silently fall back
+to a default, and values no analysis grid can use are rejected by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
 
-from . import analytics, biomarkers, segmenter
+from . import analytics
 from .dsp import CANONICAL_SAMPLE_RATE, DEFAULT_HOP_S, DEFAULT_WINDOW_S
 
 
@@ -24,24 +26,36 @@ class PipelineConfig:
     f0_min_hz: float = 250.0
     f0_max_hz: float = 1600.0
     voicing_threshold: float = 0.5
-    active_fraction: float = segmenter.ACTIVE_FRACTION
-    voicing_halfwidth_frames: int = segmenter.VOICING_HALFWIDTH_FRAMES
-    min_unit_s: float = segmenter.MIN_UNIT_S
-    min_pause_s: float = segmenter.MIN_PAUSE_S
-    min_total_cry_s: float = segmenter.MIN_TOTAL_CRY_S
-    hyperphonation_f0_hz: float = biomarkers.HYPERPHONATION_F0_HZ
-    dysphonation_flatness: float = biomarkers.DYSPHONATION_FLATNESS
-    glide_delta_hz: float = biomarkers.GLIDE_DELTA_HZ
-    glide_max_span_s: float = biomarkers.GLIDE_MAX_SPAN_S
-    vibrato_prominence_hz: float = biomarkers.VIBRATO_PROMINENCE_HZ
-    vibrato_min_extrema: int = biomarkers.VIBRATO_MIN_EXTREMA
-    vibrato_max_spacing_s: float = biomarkers.VIBRATO_MAX_SPACING_S
-    hyperphonation_min_run_s: float = biomarkers.HYPERPHONATION_MIN_RUN_S
-    dysphonation_min_run_s: float = biomarkers.DYSPHONATION_MIN_RUN_S
-    melody_flat_ratio: float = biomarkers.MELODY_FLAT_RATIO
+    active_fraction: float = 0.5
+    voicing_halfwidth_frames: int = 3
+    min_unit_s: float = 0.2
+    min_pause_s: float = 0.05
+    min_total_cry_s: float = 3.0
+    hyperphonation_f0_hz: float = 1000.0
+    dysphonation_flatness: float = 0.30
+    glide_delta_hz: float = 600.0
+    glide_max_span_s: float = 0.1
+    vibrato_prominence_hz: float = 40.0
+    vibrato_min_extrema: int = 4
+    vibrato_max_spacing_s: float = 0.1
+    hyperphonation_min_run_s: float = 0.1
+    dysphonation_min_run_s: float = 0.1
+    melody_flat_ratio: float = 0.15
     cv_folds: int = analytics.DEFAULT_FOLDS
     reg_grid: tuple[float, ...] = analytics.DEFAULT_REG_GRID
     selection_sites: tuple[str, ...] = ("ESUTH", "LASUTH", "SCDM")
+
+    def __post_init__(self) -> None:
+        for key in ("sample_rate", "num_mel_bands"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+        for key in ("window_s", "hop_s"):
+            # dsp.make_grid rounds to whole samples, and round(x) >= 1
+            # exactly when x > 0.5; NaN fails the test too
+            if not getattr(self, key) * self.sample_rate > 0.5:
+                raise ValueError(
+                    f"{key}={getattr(self, key)!r} is under one sample at sample_rate={self.sample_rate}"
+                )
 
     def override(self, **kwargs) -> "PipelineConfig":
         return replace(self, **kwargs)
@@ -76,7 +90,10 @@ def load_config(path: str) -> PipelineConfig:
                 overrides[key] = _FIELD_PARSER[key](value)
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
-    return PipelineConfig(**overrides)
+    try:
+        return PipelineConfig(**overrides)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def save_config(config: PipelineConfig, path: str) -> None:

@@ -101,12 +101,7 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
         window_s=config.window_s,
         hop_s=config.hop_s,
         voicing_threshold=config.voicing_threshold,
-        frames=pitch_frames(
-            loudness,
-            min_pause_s=config.min_pause_s,
-            voicing_halfwidth=config.voicing_halfwidth_frames,
-            active_fraction=config.active_fraction,
-        ),
+        frames=pitch_frames(loudness, config),
     )
     return FrontEnd(
         f0=f0,
@@ -127,15 +122,7 @@ def canonical_clip(clip: AudioClip, config: PipelineConfig) -> AudioClip:
 def segment_canonical(clip: AudioClip, config: PipelineConfig) -> tuple[CrySegmentation, FrontEnd]:
     """Front end and cry units of a clip already at config.sample_rate."""
     front = analyze_frames(clip, config)
-    seg = detect_cry_units(
-        front.f0,
-        front.loudness,
-        min_unit_s=config.min_unit_s,
-        min_pause_s=config.min_pause_s,
-        voicing_halfwidth=config.voicing_halfwidth_frames,
-        active_fraction=config.active_fraction,
-    )
-    return seg, front
+    return detect_cry_units(front.f0, front.loudness, config), front
 
 
 def segment_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple[CrySegmentation, FrontEnd]:
@@ -144,24 +131,7 @@ def segment_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple
 
 
 def unit_flags_for(front: FrontEnd, seg: CrySegmentation, config: PipelineConfig) -> list[UnitFlags]:
-    return [
-        unit_biomarker_flags(
-            front.f0,
-            front.flatness,
-            unit,
-            hyperphonation_f0_hz=config.hyperphonation_f0_hz,
-            hyperphonation_min_run_s=config.hyperphonation_min_run_s,
-            dysphonation_flatness=config.dysphonation_flatness,
-            dysphonation_min_run_s=config.dysphonation_min_run_s,
-            glide_delta_hz=config.glide_delta_hz,
-            glide_max_span_s=config.glide_max_span_s,
-            vibrato_min_extrema=config.vibrato_min_extrema,
-            vibrato_prominence_hz=config.vibrato_prominence_hz,
-            vibrato_max_spacing_s=config.vibrato_max_spacing_s,
-            melody_flat_ratio=config.melody_flat_ratio,
-        )
-        for unit in seg.expirations
-    ]
+    return [unit_biomarker_flags(front.f0, front.flatness, unit, config) for unit in seg.expirations]
 
 
 def extract_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple[dict[str, float], CrySegmentation]:
@@ -177,7 +147,7 @@ def extract_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple
         raise ValueError(f"recording holds {bad} non-finite samples (NaN or inf)")
     clip = canonical_clip(clip, config)
     seg, front = segment_canonical(clip, config)
-    if not meets_curation_rule(seg, config.min_total_cry_s):
+    if not meets_curation_rule(seg, config):
         raise CurationError(seg.total_cry_seconds, config.min_total_cry_s)
 
     flags = unit_flags_for(front, seg, config)

@@ -4,8 +4,10 @@ A cry recording alternates between expiratory phonation (the cry units)
 and pauses. Units are found where the frame loudness clears an adaptive
 threshold and voicing is present; brief voicing dropouts inside a unit are
 bridged, sub-perceptual gaps are merged away and too-short fragments are
-dropped. All thresholds adapt to the clip so recording gain does not need
-per-file calibration.
+dropped. The loudness levels adapt to the clip so recording gain does not
+need per-file calibration; the fractions, durations and the voicing
+neighbourhood behind them come from the PipelineConfig each stage is
+passed.
 """
 
 from __future__ import annotations
@@ -15,13 +17,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.ndimage import maximum_filter1d
 
+from .config import PipelineConfig
 from .dsp import F0Contour, FrameSeries
-
-MIN_UNIT_S = 0.2
-MIN_PAUSE_S = 0.05
-VOICING_HALFWIDTH_FRAMES = 3
-ACTIVE_FRACTION = 0.5
-MIN_TOTAL_CRY_S = 3.0
 
 _EPS = 1e-9
 
@@ -60,31 +57,26 @@ def bridge_voicing_gaps(voiced: np.ndarray, halfwidth: int) -> np.ndarray:
     return out
 
 
-def detect_cry_units(
-    f0: F0Contour,
-    loud: FrameSeries,
-    min_unit_s: float = MIN_UNIT_S,
-    min_pause_s: float = MIN_PAUSE_S,
-    voicing_halfwidth: int = VOICING_HALFWIDTH_FRAMES,
-    active_fraction: float = ACTIVE_FRACTION,
-) -> CrySegmentation:
+def detect_cry_units(f0: F0Contour, loud: FrameSeries, config: PipelineConfig = PipelineConfig()) -> CrySegmentation:
     """Segment a clip into expiratory cry units.
 
     Frames are candidates when loudness clears an adaptive level set a
     fixed fraction of the way up the clip's own loudness span (10th to
     90th percentile) and voicing is present nearby. Anchoring the level to
     the span rather than to a percentile keeps it valid whatever share of
-    the clip is phonation. Activation needs the full level, while a unit
-    stays open down to half that fraction (hysteresis). Gaps shorter than
-    min_pause_s merge, fragments shorter than min_unit_s drop.
+    the clip is phonation. Activation needs the full level
+    (config.active_fraction of the span), while a unit stays open down to
+    half that fraction (hysteresis). Voicing counts as present across
+    dropouts bridged by config.voicing_halfwidth_frames. Gaps shorter than
+    config.min_pause_s merge, fragments shorter than config.min_unit_s drop.
     """
     if f0.grid.num_frames != loud.grid.num_frames:
         raise ValueError("f0 and loudness were computed on different frame grids")
     L = np.asarray(loud.values, dtype=np.float64)
     hop = loud.grid.hop_seconds
-    active_high, release_low = loudness_levels(L, active_fraction)
+    active_high, release_low = loudness_levels(L, config.active_fraction)
 
-    near_voiced = bridge_voicing_gaps(f0.voiced.astype(bool), voicing_halfwidth)
+    near_voiced = bridge_voicing_gaps(f0.voiced.astype(bool), config.voicing_halfwidth_frames)
     core = (L >= active_high) & near_voiced
     sustain = (L >= release_low) & near_voiced
 
@@ -96,12 +88,12 @@ def detect_cry_units(
     # merge gaps shorter than the minimum audible pause
     merged: list[list[int]] = []
     for seg in regions:
-        if merged and (seg[0] - merged[-1][1] - 1) * hop < min_pause_s - _EPS:
+        if merged and (seg[0] - merged[-1][1] - 1) * hop < config.min_pause_s - _EPS:
             merged[-1][1] = seg[1]
         else:
             merged.append(seg)
 
-    kept = [(s, e) for s, e in merged if (e - s + 1) * hop >= min_unit_s - _EPS]
+    kept = [(s, e) for s, e in merged if (e - s + 1) * hop >= config.min_unit_s - _EPS]
     expirations = [(float(s * hop), float((e + 1) * hop)) for s, e in kept]
     return CrySegmentation.from_expirations(expirations)
 
@@ -118,33 +110,29 @@ def loudness_levels(loud: np.ndarray, active_fraction: float) -> tuple[float, fl
     return lo + active_fraction * (hi - lo), lo + 0.5 * active_fraction * (hi - lo)
 
 
-def pitch_frames(
-    loud: FrameSeries,
-    min_pause_s: float = MIN_PAUSE_S,
-    voicing_halfwidth: int = VOICING_HALFWIDTH_FRAMES,
-    active_fraction: float = ACTIVE_FRACTION,
-) -> np.ndarray:
+def pitch_frames(loud: FrameSeries, config: PipelineConfig = PipelineConfig()) -> np.ndarray:
     """Indices of the only frames whose pitch detect_cry_units or a unit reads.
 
     Every frame of a unit lies at or above the release level, or in a gap
-    shorter than min_pause_s between two such frames. detect_cry_units
-    reads voicing only through bridge_voicing_gaps at frames at or above
-    the release level, which looks 2 * voicing_halfwidth frames to each
-    side; the detectors read a unit's frames and one neighbour on each
-    side. So the frames within 2 * voicing_halfwidth + 1 of a frame at or
-    above the release level, or within a merged gap's length of one, hold
-    every voicing value that can change the segmentation or a unit.
+    shorter than config.min_pause_s between two such frames.
+    detect_cry_units reads voicing only through bridge_voicing_gaps at
+    frames at or above the release level, which looks 2 * halfwidth frames
+    to each side (halfwidth being config.voicing_halfwidth_frames); the
+    detectors read a unit's frames and one neighbour on each side. So the
+    frames within 2 * halfwidth + 1 of a frame at or above the release
+    level, or within a merged gap's length of one, hold every voicing value
+    that can change the segmentation or a unit.
     """
     L = np.asarray(loud.values, dtype=np.float64)
-    _, release_low = loudness_levels(L, active_fraction)
-    reach = max(2 * voicing_halfwidth + 1, int(np.ceil(min_pause_s / loud.grid.hop_seconds)))
+    _, release_low = loudness_levels(L, config.active_fraction)
+    reach = max(2 * config.voicing_halfwidth_frames + 1, int(np.ceil(config.min_pause_s / loud.grid.hop_seconds)))
     near = maximum_filter1d((L >= release_low).astype(np.uint8), size=2 * reach + 1, mode="constant")
     return np.flatnonzero(near)
 
 
-def meets_curation_rule(seg: CrySegmentation, min_total_cry_s: float = MIN_TOTAL_CRY_S) -> bool:
-    """Recordings need at least min_total_cry_s of summed cry to be usable."""
-    return seg.total_cry_seconds >= min_total_cry_s - _EPS
+def meets_curation_rule(seg: CrySegmentation, config: PipelineConfig = PipelineConfig()) -> bool:
+    """Recordings need at least config.min_total_cry_s of summed cry to be usable."""
+    return seg.total_cry_seconds >= config.min_total_cry_s - _EPS
 
 
 def runs_of(mask: np.ndarray) -> list[tuple[int, int]]:

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 from scipy import signal as sps
 
-from . import biomarkers
 from .audio_io import AudioClip, ManifestEntry, save_manifest, write_wav
-from .biomarkers import MELODY_TYPES, UnitFlags
+from .biomarkers import MELODY_TYPES, UnitFlags, classify_melody
+from .config import PipelineConfig
 from .dsp import DEFAULT_HOP_S, DEFAULT_WINDOW_S, F0Contour, make_grid
 from .segmenter import CrySegmentation
 
@@ -274,7 +274,11 @@ def _ground_truth(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples:
     contour = true_contour(spec, boundaries, n_samples)
     grid = contour.grid
     hop = grid.hop_seconds
-    min_run = int(np.ceil(0.1 / hop - 1e-9))
+    # the detectors' thresholds, read once: the glide loop below runs per
+    # pair of frames, where building a config each time would be slow
+    config = PipelineConfig()
+    hyper_run = int(np.ceil(config.hyperphonation_min_run_s / hop - 1e-9))
+    dys_run = int(np.ceil(config.dysphonation_min_run_s / hop - 1e-9))
 
     flags: list[UnitFlags] = []
     for unit, (on, off) in zip(spec.units, seg.expirations):
@@ -283,20 +287,20 @@ def _ground_truth(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples:
         f0_u = contour.f0_hz[sl]
         voiced_u = contour.voiced[sl]
 
-        hyper = _count_run_frames(voiced_u & (f0_u > biomarkers.HYPERPHONATION_F0_HZ), min_run)
+        hyper = _count_run_frames(voiced_u & (f0_u > config.hyperphonation_f0_hz), hyper_run)
 
         dys = 0
         if unit.event == "dysphonation":
             centers = (np.arange(sl.start, sl.stop) * hop) + grid.window_seconds / 2.0
             rel = centers - on
             in_noise = (rel >= unit.event_start_s) & (rel < unit.event_start_s + unit.event_duration_s)
-            dys = _count_run_frames(in_noise, min_run)
+            dys = _count_run_frames(in_noise, dys_run)
 
         glide = 0
-        max_k = int(np.floor(biomarkers.GLIDE_MAX_SPAN_S / hop + 1e-9))
+        max_k = int(np.floor(config.glide_max_span_s / hop + 1e-9))
         for t in range(n_frames):
             for k in range(1, min(max_k, n_frames - 1 - t) + 1):
-                if voiced_u[t] and voiced_u[t + k] and abs(f0_u[t + k] - f0_u[t]) >= biomarkers.GLIDE_DELTA_HZ:
+                if voiced_u[t] and voiced_u[t + k] and abs(f0_u[t + k] - f0_u[t]) >= config.glide_delta_hz:
                     glide += 1
                     break
 
@@ -307,7 +311,7 @@ def _ground_truth(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples:
                 dysphonation_frames=dys,
                 glide_frames=glide,
                 vibrato_present=unit.event == "vibrato",
-                melody=biomarkers.classify_melody(contour, (on, off)),
+                melody=classify_melody(contour, (on, off), config),
             )
         )
 

@@ -170,7 +170,7 @@ def test_manifest_unknown_label_names_row(tmp_path):
         "a.wav,p1,ESUTH,birth,normal\n"
         "b.wav,p2,ESUTH,birth,sick\n"
     )
-    with pytest.raises(ValueError, match=r"row 1: unknown label 'sick'"):
+    with pytest.raises(ValueError, match=r"m.csv:3: unknown label 'sick'"):
         load_manifest(str(path))
 
 

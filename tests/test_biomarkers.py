@@ -19,6 +19,7 @@ from cryscreen.biomarkers import (
     smooth_f0,
     unit_biomarker_flags,
 )
+from cryscreen.config import PipelineConfig
 from cryscreen.dsp import F0Contour, FrameGrid, FrameSeries
 from cryscreen.segmenter import CrySegmentation, runs_of
 
@@ -329,8 +330,9 @@ def test_sustained_detectors_match_whole_clip_reference(unit, min_run_s, min_fra
         smoothed[sl] = median_filter(smoothed[sl], size=3, mode="nearest")
     hyper = whole_clip_sustained(f0.voiced & (f0.f0_hz > 1000.0), sl, min_frames)
     dys = whole_clip_sustained(smoothed > 0.3, sl, min_frames)
-    assert np.array_equal(detect_hyperphonation(f0, unit, 1000.0, min_run_s), hyper)
-    assert np.array_equal(detect_dysphonation(flat, unit, 0.3, min_run_s), dys)
+    config = PipelineConfig(hyperphonation_min_run_s=min_run_s, dysphonation_min_run_s=min_run_s)
+    assert np.array_equal(detect_hyperphonation(f0, unit, config), hyper)
+    assert np.array_equal(detect_dysphonation(flat, unit, config), dys)
 
 
 def test_durational_features_exact():

@@ -147,3 +147,17 @@ def test_split_listing_a_path_twice_is_a_clean_error(chain, tmp_path, capsys):
     assert f"cry: error: {dup}:{len(lines) + 1}: " in err and "is listed again" in err
     assert "Traceback" not in err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("line, key", [("hop_s=0", "hop_s"), ("window_s=0", "window_s"),
+                                       ("sample_rate=0", "sample_rate"), ("num_mel_bands=0", "num_mel_bands")])
+def test_unusable_config_is_a_clean_error(chain, tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\n")
+    out = tmp_path / "f.csv"
+    code = main(["extract", "--manifest", str(chain["corpus"] / "manifest.csv"), "--out", str(out), "--config", str(cfg)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"cry: error: {cfg}: {key}" in err
+    assert "Traceback" not in err
+    assert not out.exists()

@@ -1,6 +1,41 @@
+from dataclasses import fields
+
+import numpy as np
 import pytest
 
+from cryscreen.biomarkers import unit_biomarker_flags
 from cryscreen.config import PipelineConfig, load_config, save_config
+from cryscreen.dsp import F0Contour, FrameGrid, FrameSeries
+from cryscreen.segmenter import CrySegmentation, detect_cry_units, meets_curation_rule, pitch_frames
+
+# the defaults, spelled out so that moving them cannot change one
+DEFAULTS_TEXT = """\
+sample_rate=16000
+window_s=0.025
+hop_s=0.01
+num_mel_bands=80
+f0_min_hz=250.0
+f0_max_hz=1600.0
+voicing_threshold=0.5
+active_fraction=0.5
+voicing_halfwidth_frames=3
+min_unit_s=0.2
+min_pause_s=0.05
+min_total_cry_s=3.0
+hyperphonation_f0_hz=1000.0
+dysphonation_flatness=0.3
+glide_delta_hz=600.0
+glide_max_span_s=0.1
+vibrato_prominence_hz=40.0
+vibrato_min_extrema=4
+vibrato_max_spacing_s=0.1
+hyperphonation_min_run_s=0.1
+dysphonation_min_run_s=0.1
+melody_flat_ratio=0.15
+cv_folds=10
+reg_grid=0.1,1.0,10.0,100.0
+selection_sites=ESUTH,LASUTH,SCDM
+"""
 
 
 def test_save_load_round_trip(tmp_path):
@@ -64,3 +99,150 @@ def test_override_does_not_mutate():
     changed = base.override(hop_s=0.02)
     assert base.hop_s == 0.010
     assert changed.hop_s == 0.02
+
+
+def test_default_file_text_is_fixed(tmp_path):
+    path = tmp_path / "cfg.txt"
+    save_config(PipelineConfig(), str(path))
+    assert path.read_text() == DEFAULTS_TEXT
+
+
+UNUSABLE_GRID = [
+    ("sample_rate=0", "sample_rate must be positive, got 0"),
+    ("sample_rate=-16000", "sample_rate must be positive"),
+    ("num_mel_bands=0", "num_mel_bands must be positive, got 0"),
+    ("hop_s=0", "hop_s=0.0 is under one sample at sample_rate=16000"),
+    ("hop_s=-0.01", "hop_s=-0.01 is under one sample"),
+    ("window_s=0", "window_s=0.0 is under one sample"),
+    # half a sample rounds down to none, as dsp.make_grid rounds it
+    ("window_s=0.00003125", "window_s=3.125e-05 is under one sample"),
+    ("hop_s=nan", "hop_s=nan is under one sample"),
+]
+
+
+@pytest.mark.parametrize("line, message", UNUSABLE_GRID, ids=[line for line, _ in UNUSABLE_GRID])
+def test_unusable_grid_value_names_the_key(tmp_path, line, message):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{line}\n")
+    with pytest.raises(ValueError, match=rf"cfg.txt: {message}"):
+        load_config(str(path))
+
+
+def test_grid_values_are_checked_in_code_too():
+    with pytest.raises(ValueError, match="hop_s=0 is under one sample"):
+        PipelineConfig(hop_s=0)
+    with pytest.raises(ValueError, match="window_s=0.0001 is under one sample at sample_rate=4000"):
+        PipelineConfig().override(sample_rate=4000, window_s=0.0001)
+    # one whole sample is enough
+    assert PipelineConfig(hop_s=1 / 16000).hop_s == 1 / 16000
+
+
+HOP = 0.010
+
+
+def grid_of(n):
+    return FrameGrid(HOP, 0.025, n, 16000)
+
+
+def segmenter_series():
+    """Loudness and voicing of three units with 8-frame loudness ramps.
+
+    The first two units are 0.06 s apart and the first holds a 0.06 s
+    voicing dropout; the third spans 0.15 s. Voiced wherever loud.
+    """
+    n = 320
+    x = np.arange(n)
+    loud = np.zeros(n)
+    for start, stop in [(20, 80), (86, 146), (200, 215)]:
+        loud = np.maximum(loud, np.clip(np.minimum(x - start + 1, stop - x) / 8.0, 0.0, 1.0))
+    voiced = loud > 0
+    voiced[45:51] = False
+    grid = grid_of(n)
+    return F0Contour(np.where(voiced, 450.0, 0.0), voiced, voiced.astype(float), grid), FrameSeries(loud, grid)
+
+
+def detector_series():
+    """A contour and flatness with one unit per second or so, each made to
+    sit on the far side of some detector threshold:
+
+    U1 0.0-1.0 s: 0.15 s hyperphonated at 1200 Hz, entered and left by a
+       700 Hz jump; U2 1.0-1.8 s: 8 Hz vibrato of 15 Hz amplitude;
+    U3 1.8-2.8 s: 4 Hz vibrato of 60 Hz amplitude; U4 2.8-4.0 s: a rise
+       from 450 to 700 Hz with 0.15 s of flatness 0.45.
+    """
+    n = 400
+    t = np.arange(n) * HOP
+    f0 = np.full(n, 500.0)
+    f0[50:65] = 1200.0
+    f0[100:180] += 15.0 * np.sin(2 * np.pi * 8.0 * t[100:180])
+    f0[180:280] += 60.0 * np.sin(2 * np.pi * 4.0 * t[180:280])
+    f0[280:] = np.linspace(450.0, 700.0, n - 280)
+    flat = np.full(n, 0.05)
+    flat[300:315] = 0.45
+    voiced = np.ones(n, dtype=bool)
+    grid = grid_of(n)
+    return F0Contour(f0, voiced, voiced.astype(float), grid), FrameSeries(flat, grid)
+
+
+SEG_F0, SEG_LOUD = segmenter_series()
+DET_F0, DET_FLAT = detector_series()
+U1, U2, U3, U4 = (0.0, 1.0), (1.0, 1.8), (1.8, 2.8), (2.8, 4.0)
+
+
+def units(config):
+    return detect_cry_units(SEG_F0, SEG_LOUD, config).expirations
+
+
+def tracked_frames(config):
+    return pitch_frames(SEG_LOUD, config).tolist()
+
+
+def usable(config):
+    return meets_curation_rule(CrySegmentation.from_expirations([(0.0, 1.0), (1.5, 2.5)]), config)
+
+
+def flags_of(unit):
+    def unit_flags(config):
+        return unit_biomarker_flags(DET_F0, DET_FLAT, unit, config)
+
+    return unit_flags
+
+
+# Each changed value makes its stage differ from the defaults; set back to
+# its default in any one place the stage reads it, the key would leave the
+# default output. Where a stage reads a key twice (vibrato's prominence and
+# minimum extrema), the value turns an outcome on, which needs both reads.
+KEY_STAGES = [
+    ("active_fraction", 0.8, units),
+    ("active_fraction", 0.8, tracked_frames),
+    ("voicing_halfwidth_frames", 1, units),
+    ("voicing_halfwidth_frames", 1, tracked_frames),
+    ("min_unit_s", 0.1, units),
+    ("min_pause_s", 0.3, units),
+    ("min_pause_s", 0.3, tracked_frames),
+    ("min_total_cry_s", 1.5, usable),
+    ("hyperphonation_f0_hz", 1300.0, flags_of(U1)),
+    ("hyperphonation_min_run_s", 0.2, flags_of(U1)),
+    ("dysphonation_flatness", 0.5, flags_of(U4)),
+    ("dysphonation_min_run_s", 0.2, flags_of(U4)),
+    ("glide_delta_hz", 800.0, flags_of(U1)),
+    ("glide_max_span_s", 0.05, flags_of(U1)),
+    ("vibrato_prominence_hz", 20.0, flags_of(U2)),
+    ("vibrato_min_extrema", 1, flags_of(U1)),
+    ("vibrato_max_spacing_s", 0.2, flags_of(U3)),
+    ("melody_flat_ratio", 0.5, flags_of(U4)),
+]
+
+
+def test_key_stages_cover_the_segmenter_and_detector_keys():
+    names = [f.name for f in fields(PipelineConfig)]
+    tunables = names[names.index("active_fraction") : names.index("melody_flat_ratio") + 1]
+    assert len(tunables) == 15
+    assert {key for key, _, _ in KEY_STAGES} == set(tunables)
+
+
+@pytest.mark.parametrize(
+    "key, value, stage", KEY_STAGES, ids=[f"{key}-{stage.__name__}" for key, _, stage in KEY_STAGES]
+)
+def test_each_key_changes_its_stage(key, value, stage):
+    assert stage(PipelineConfig().override(**{key: value})) != stage(PipelineConfig())

@@ -270,7 +270,7 @@ def test_analyze_frames_in_blocks_matches_one_block(block, monkeypatch):
         assert np.array_equal(got[name], want[name]), name
 
 
-def gate_every_frame(loud, **kwargs):
+def gate_every_frame(loud, config):
     return np.arange(loud.grid.num_frames)
 
 
@@ -283,12 +283,7 @@ def assert_gate_changes_no_unit(clip, config, monkeypatch):
         return seg, flags, compute_generic_features(front, seg, concat_expirations(clip, seg))
 
     loud = analyze_frames(clip, config).loudness
-    kwargs = dict(
-        min_pause_s=config.min_pause_s,
-        voicing_halfwidth=config.voicing_halfwidth_frames,
-        active_fraction=config.active_fraction,
-    )
-    assert len(pitch_frames(loud, **kwargs)) < loud.grid.num_frames
+    assert len(pitch_frames(loud, config)) < loud.grid.num_frames
     gated = units_of(clip)
     monkeypatch.setattr(pipeline, "pitch_frames", gate_every_frame)
     assert units_of(clip) == gated
