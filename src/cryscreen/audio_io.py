@@ -200,13 +200,22 @@ def load_manifest(path: str) -> list[ManifestEntry]:
             )
         entries = []
         for row in reader:
+            check_label_and_period(row["label"], row["period"], path, reader.line_num)
             site = row["site"] if row["site"] in SITES else "OTHER"
-            if row["label"] not in LABELS:
-                raise ValueError(f"{path}:{reader.line_num}: unknown label {row['label']!r}")
-            if row["period"] not in PERIODS:
-                raise ValueError(f"{path}:{reader.line_num}: unknown period {row['period']!r}")
             entries.append(ManifestEntry(row["path"], row["patient_id"], site, row["period"], row["label"]))
     return entries
+
+
+def check_label_and_period(label: str, period: str, path: str, line: int) -> None:
+    """Raise ValueError naming path:line unless label is in LABELS and period in PERIODS.
+
+    Any label but normal and unlabeled reads as abnormal, so a mistyped
+    one must not get through.
+    """
+    if label not in LABELS:
+        raise ValueError(f"{path}:{line}: unknown label {label!r}")
+    if period not in PERIODS:
+        raise ValueError(f"{path}:{line}: unknown period {period!r}")
 
 
 def save_manifest(entries: list[ManifestEntry], path: str) -> None:

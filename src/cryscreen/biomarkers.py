@@ -1,6 +1,9 @@
 """Clinically interpretable cry biomarkers and their per-recording summary.
 
-Detectors operate on per-frame series restricted to one cry unit:
+Each detector reads one cry unit's per-frame arrays and returns a
+unit-length mask or a unit-level call. unit_biomarker_flags slices those
+arrays out of the recording's series once per unit, and smooths the
+unit's pitch once for the glide, vibrato and melody detectors:
 
 * hyperphonation: sustained voiced phonation above 1000 Hz
 * dysphonation:   sustained noisy phonation (high spectral flatness)
@@ -19,7 +22,7 @@ vector in CRY_FEATURE_NAMES.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import median_filter
@@ -68,7 +71,7 @@ class UnitFlags:
     melody: str = "flat"
 
 
-def smooth_f0(f0: F0Contour) -> np.ndarray:
+def smooth_f0(f0_hz: np.ndarray, voiced: np.ndarray) -> np.ndarray:
     """3-frame median over voiced frames; unvoiced frames stay at 0.
 
     Unvoiced neighbors are ignored rather than treated as zeros, so a
@@ -77,8 +80,8 @@ def smooth_f0(f0: F0Contour) -> np.ndarray:
     three, the mean of two, or itself alone. These are the values a
     NaN-skipping median gives, selected elementwise without one.
     """
-    x = np.asarray(f0.f0_hz, dtype=np.float64)
-    voiced = np.asarray(f0.voiced, dtype=bool)
+    x = np.asarray(f0_hz, dtype=np.float64)
+    voiced = np.asarray(voiced, dtype=bool)
     prev_v = np.zeros_like(voiced)
     prev_v[1:] = voiced[:-1]
     next_v = np.zeros_like(voiced)
@@ -104,10 +107,8 @@ def _smoothed_in_unit(f0: F0Contour, sl: slice) -> np.ndarray:
     value while the cost follows the unit's length, not the clip's.
     """
     lo = max(sl.start - 1, 0)
-    hi = max(min(sl.stop + 1, f0.grid.num_frames), lo)
-    grid = replace(f0.grid, num_frames=hi - lo)
-    window = F0Contour(f0.f0_hz[lo:hi], f0.voiced[lo:hi], f0.confidence[lo:hi], grid)
-    return smooth_f0(window)[sl.start - lo : sl.stop - lo]
+    hi = max(min(sl.stop + 1, len(f0.f0_hz)), lo)
+    return smooth_f0(f0.f0_hz[lo:hi], f0.voiced[lo:hi])[sl.start - lo : sl.stop - lo]
 
 
 def _min_run_frames(min_run_s: float, hop_s: float) -> int:
@@ -115,35 +116,27 @@ def _min_run_frames(min_run_s: float, hop_s: float) -> int:
     return max(int(np.ceil(min_run_s / hop_s - _EPS)), 1)
 
 
-def _flag_sustained(condition: np.ndarray, sl: slice, min_frames: int, total: int) -> np.ndarray:
-    """Full-grid mask of frames inside runs of at least min_frames where condition holds.
-
-    condition holds one value per frame of the unit sl, so the runs never
-    reach past the unit.
-    """
-    out = np.zeros(total, dtype=bool)
+def _flag_sustained(condition: np.ndarray, min_frames: int) -> np.ndarray:
+    """Mask of the frames inside runs of at least min_frames where condition holds."""
+    out = np.zeros(len(condition), dtype=bool)
     for start, end in runs_of(condition):
         if end - start + 1 >= min_frames:
-            out[sl.start + start : sl.start + end + 1] = True
+            out[start : end + 1] = True
     return out
 
 
 def detect_hyperphonation(
-    f0: F0Contour, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()
+    f0_hz: np.ndarray, voiced: np.ndarray, hop_s: float, config: PipelineConfig = PipelineConfig()
 ) -> np.ndarray:
     """Flag frames in voiced runs of at least config.hyperphonation_min_run_s
     with f0 above config.hyperphonation_f0_hz."""
-    sl = f0.grid.frame_slice(*unit)
-    cond = f0.voiced[sl] & (f0.f0_hz[sl] > config.hyperphonation_f0_hz)
-    min_frames = _min_run_frames(config.hyperphonation_min_run_s, f0.grid.hop_seconds)
-    return _flag_sustained(cond, sl, min_frames, f0.grid.num_frames)
+    cond = voiced & (f0_hz > config.hyperphonation_f0_hz)
+    return _flag_sustained(cond, _min_run_frames(config.hyperphonation_min_run_s, hop_s))
 
 
-def detect_dysphonation(
-    flatness: FrameSeries, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()
-) -> np.ndarray:
-    """Flag frames in runs of at least config.dysphonation_min_run_s within
-    the unit whose spectral flatness is above config.dysphonation_flatness.
+def detect_dysphonation(flatness: np.ndarray, hop_s: float, config: PipelineConfig = PipelineConfig()) -> np.ndarray:
+    """Flag frames in runs of at least config.dysphonation_min_run_s whose
+    spectral flatness is above config.dysphonation_flatness.
 
     No voicing gate here: heavily dysphonic frames often defeat pitch
     tracking, and requiring voicing would hide exactly the frames this
@@ -151,56 +144,45 @@ def detect_dysphonation(
     mirroring the pitch smoothing of the contour detectors, so a single
     outlier frame neither breaks a sustained run nor fakes one.
     """
-    sl = flatness.grid.frame_slice(*unit)
-    vals = np.asarray(flatness.values[sl], dtype=np.float64)
+    vals = np.asarray(flatness, dtype=np.float64)
     if len(vals) >= 3:
         vals = median_filter(vals, size=3, mode="nearest")
-    cond = vals > config.dysphonation_flatness
-    min_frames = _min_run_frames(config.dysphonation_min_run_s, flatness.grid.hop_seconds)
-    return _flag_sustained(cond, sl, min_frames, flatness.grid.num_frames)
+    return _flag_sustained(vals > config.dysphonation_flatness, _min_run_frames(config.dysphonation_min_run_s, hop_s))
 
 
-def detect_glide(f0: F0Contour, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()) -> np.ndarray:
+def detect_glide(
+    smoothed: np.ndarray, voiced: np.ndarray, hop_s: float, config: PipelineConfig = PipelineConfig()
+) -> np.ndarray:
     """Flag frames that start a rapid pitch jump.
 
     Frame t is flagged when the smoothed contour moves by at least
     config.glide_delta_hz between t and some voiced frame at most
-    config.glide_max_span_s later, with both endpoints voiced and inside
-    the unit.
+    config.glide_max_span_s later, with both endpoints voiced.
     """
-    grid = f0.grid
-    sl = grid.frame_slice(*unit)
-    seg = _smoothed_in_unit(f0, sl)
-    max_k = int(np.floor(config.glide_max_span_s / grid.hop_seconds + _EPS))
-    out = np.zeros(grid.num_frames, dtype=bool)
-    t0, t1 = sl.start, sl.stop
-    if t1 - t0 < 2:
-        return out
-    v = f0.voiced[t0:t1].astype(bool)
-    n = t1 - t0
+    n = len(smoothed)
+    max_k = int(np.floor(config.glide_max_span_s / hop_s + _EPS))
+    out = np.zeros(n, dtype=bool)
     for k in range(1, min(max_k, n - 1) + 1):
-        jump = (np.abs(seg[k:] - seg[:-k]) >= config.glide_delta_hz) & v[k:] & v[:-k]
-        out[t0 : t1 - k][jump] = True
+        out[:-k] |= (np.abs(smoothed[k:] - smoothed[:-k]) >= config.glide_delta_hz) & voiced[k:] & voiced[:-k]
     return out
 
 
-def detect_vibrato(f0: F0Contour, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()) -> bool:
-    """True when the unit carries at least config.vibrato_min_extrema
+def detect_vibrato(
+    smoothed: np.ndarray, voiced: np.ndarray, hop_s: float, config: PipelineConfig = PipelineConfig()
+) -> bool:
+    """True when the voiced frames carry at least config.vibrato_min_extrema
     alternating pitch extrema of config.vibrato_prominence_hz prominence,
     each following the last within config.vibrato_max_spacing_s."""
-    grid = f0.grid
-    sl = grid.frame_slice(*unit)
-    smoothed = _smoothed_in_unit(f0, sl)
-    vpos = np.flatnonzero(f0.voiced[sl]) + sl.start
+    vpos = np.flatnonzero(voiced)
     if len(vpos) < 3:
         return False
-    contour = smoothed[vpos - sl.start]
+    contour = smoothed[vpos]
     peaks, _ = find_peaks(contour, prominence=config.vibrato_prominence_hz)
     troughs, _ = find_peaks(-contour, prominence=config.vibrato_prominence_hz)
     extrema = sorted([(p, 1) for p in peaks] + [(t, -1) for t in troughs])
     if len(extrema) < config.vibrato_min_extrema:
         return False
-    max_gap = config.vibrato_max_spacing_s / grid.hop_seconds + _EPS
+    max_gap = config.vibrato_max_spacing_s / hop_s + _EPS
     best = run = 1
     for i in range(1, len(extrema)):
         alternates = extrema[i][1] != extrema[i - 1][1]
@@ -210,8 +192,8 @@ def detect_vibrato(f0: F0Contour, unit: tuple[float, float], config: PipelineCon
     return best >= config.vibrato_min_extrema
 
 
-def classify_melody(f0: F0Contour, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()) -> str:
-    """Label the unit's pitch contour shape.
+def classify_melody(contour: np.ndarray, config: PipelineConfig = PipelineConfig()) -> str:
+    """Label the shape of a unit's pitch contour: its smoothed f0 at its voiced frames.
 
     The contour is flat when its range is under config.melody_flat_ratio
     of its mean. Otherwise the positions of the global extremes decide: a
@@ -222,8 +204,6 @@ def classify_melody(f0: F0Contour, unit: tuple[float, float], config: PipelineCo
     MELODY_MIN_VOICED_FRAMES voiced frames, too few for a meaningful
     shape, default to flat.
     """
-    sl = f0.grid.frame_slice(*unit)
-    contour = _smoothed_in_unit(f0, sl)[f0.voiced[sl]]
     n = len(contour)
     if n < MELODY_MIN_VOICED_FRAMES:
         return "flat"
@@ -247,20 +227,22 @@ def classify_melody(f0: F0Contour, unit: tuple[float, float], config: PipelineCo
 def unit_biomarker_flags(
     f0: F0Contour, flatness: FrameSeries, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()
 ) -> UnitFlags:
-    """Run every detector for one unit and tally the results."""
+    """Run every detector on the frames of one unit and tally the results.
+
+    The unit's frames, their pitch, voicing and flatness, and their
+    smoothed pitch are taken here once and shared by the detectors.
+    """
     sl = f0.grid.frame_slice(*unit)
-    hyper = detect_hyperphonation(f0, unit, config)
-    dys = detect_dysphonation(flatness, unit, config)
-    glide = detect_glide(f0, unit, config)
-    vib = detect_vibrato(f0, unit, config)
-    melody = classify_melody(f0, unit, config)
+    hop_s = f0.grid.hop_seconds
+    f0_hz, voiced = f0.f0_hz[sl], f0.voiced[sl]
+    smoothed = _smoothed_in_unit(f0, sl)
     return UnitFlags(
         num_frames=sl.stop - sl.start,
-        hyperphonation_frames=int(hyper.sum()),
-        dysphonation_frames=int(dys.sum()),
-        glide_frames=int(glide.sum()),
-        vibrato_present=bool(vib),
-        melody=melody,
+        hyperphonation_frames=int(detect_hyperphonation(f0_hz, voiced, hop_s, config).sum()),
+        dysphonation_frames=int(detect_dysphonation(flatness.values[sl], hop_s, config).sum()),
+        glide_frames=int(detect_glide(smoothed, voiced, hop_s, config).sum()),
+        vibrato_present=detect_vibrato(smoothed, voiced, hop_s, config),
+        melody=classify_melody(smoothed[voiced], config),
     )
 
 

@@ -4,15 +4,18 @@ All tunables in one flat dataclass, loadable from a plain ``key=value``
 text file. This is the only place their defaults live: the segmenter and
 the biomarker detectors take a PipelineConfig and read their thresholds
 from it. Unknown keys are rejected so a typo cannot silently fall back
-to a default, and values no analysis grid can use are rejected by name.
+to a default, and values that no run can use (no analysis grid, Mel
+filterbank, pitch range or cross-validation fits them) are rejected by
+name.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 
 from . import analytics
-from .dsp import CANONICAL_SAMPLE_RATE, DEFAULT_HOP_S, DEFAULT_WINDOW_S
+from .dsp import CANONICAL_SAMPLE_RATE, DEFAULT_HOP_S, DEFAULT_WINDOW_S, FrameGrid, check_mel_bands, f0_lag_range
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,23 @@ class PipelineConfig:
                 raise ValueError(
                     f"{key}={getattr(self, key)!r} is under one sample at sample_rate={self.sample_rate}"
                 )
+        # the analysis front end would reject these for every recording
+        win = FrameGrid(self.hop_s, self.window_s, 0, self.sample_rate).window_samples
+        try:
+            check_mel_bands(self.num_mel_bands, win)
+        except ValueError as exc:
+            raise ValueError(f"num_mel_bands={self.num_mel_bands!r}: {exc}") from None
+        try:
+            f0_lag_range(self.sample_rate, self.f0_min_hz, self.f0_max_hz, win)
+        except ValueError as exc:
+            raise ValueError(f"f0_min_hz={self.f0_min_hz!r}, f0_max_hz={self.f0_max_hz!r}: {exc}") from None
+        if not self.cv_folds >= 2:
+            raise ValueError(f"cv_folds={self.cv_folds!r}: cross-validation needs at least 2 folds")
+        if not self.reg_grid:
+            raise ValueError("reg_grid is empty: cross-validation needs at least one penalty strength")
+        for strength in self.reg_grid:
+            if not 0.0 < strength < math.inf:
+                raise ValueError(f"reg_grid holds {strength!r}: a penalty strength must be positive and finite")
 
     def override(self, **kwargs) -> "PipelineConfig":
         return replace(self, **kwargs)

@@ -159,6 +159,33 @@ def _next_pow2(n: int) -> int:
     return p
 
 
+def check_mel_bands(num_bands: int, window_samples: int) -> None:
+    """Raise ValueError when stft's spectrum of a window_samples window has
+    fewer bins than num_bands; its FFT size is the next power of two at or
+    above the window, as stft picks it."""
+    bins = _next_pow2(window_samples) // 2 + 1
+    if num_bands > bins:
+        raise ValueError(f"{num_bands} Mel bands exceed the {bins} FFT bins of a {window_samples}-sample window")
+
+
+def f0_lag_range(sample_rate: int, f0_min: float, f0_max: float, window_samples: int) -> tuple[int, int]:
+    """The lags (tau_min, tau_max) in samples that estimate_f0 searches.
+
+    Raises ValueError unless 0 < f0_min < f0_max and the longest lag, one
+    period of f0_min, is at most half the window, so that the difference
+    function sums over at least as many samples as it lags.
+    """
+    if not f0_min > 0:
+        raise ValueError(f"f0_min {f0_min} must be positive")
+    if not f0_min < f0_max:
+        raise ValueError(f"f0_min {f0_min} must be below f0_max {f0_max}")
+    # ceil(x) > n exactly when x > n for a whole n; testing first keeps an
+    # overflowing period out of int()
+    if sample_rate / f0_min > window_samples // 2:
+        raise ValueError(f"window of {window_samples} samples is too short to resolve f0_min {f0_min} Hz")
+    return max(int(np.floor(sample_rate / f0_max)), 2), int(np.ceil(sample_rate / f0_min))
+
+
 def stft(clip: AudioClip, window_s: float = DEFAULT_WINDOW_S, hop_s: float = DEFAULT_HOP_S) -> Spectrogram:
     """Short-time Fourier transform with a Hann window.
 
@@ -200,8 +227,7 @@ def log_mel(spec: Spectrogram, num_bands: int = 80, fmin: float = 0.0, fmax: flo
     """Log-energy Mel spectrogram (natural log, energies floored at 1e-10)."""
     if fmax is None:
         fmax = spec.grid.sample_rate / 2.0
-    if num_bands > len(spec.freqs_hz):
-        raise ValueError(f"{num_bands} Mel bands exceed the {len(spec.freqs_hz)} available FFT bins")
+    check_mel_bands(num_bands, spec.grid.window_samples)
     fb = mel_filterbank(spec.freqs_hz, num_bands, fmin, fmax)
     energy = spec.power() @ fb.T
     return LogMelSpectrogram(np.log(np.maximum(energy, MEL_FLOOR)), spec.grid)
@@ -268,16 +294,10 @@ def estimate_f0(
     blocks of at most FRAME_BLOCK frames, so memory beyond the clip stays
     fixed and the result does not depend on the block size.
     """
-    if f0_min >= f0_max:
-        raise ValueError(f"f0_min {f0_min} must be below f0_max {f0_max}")
     sr = clip.sample_rate
     grid = make_grid(len(clip.samples), sr, window_s, hop_s)
-    tau_min = max(int(np.floor(sr / f0_max)), 2)
-    tau_max = int(np.ceil(sr / f0_min))
     win = grid.window_samples
-    if tau_max > win // 2:
-        raise ValueError(f"window of {win} samples is too short to resolve f0_min {f0_min} Hz")
-
+    tau_min, tau_max = f0_lag_range(sr, f0_min, f0_max, win)
     all_frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples)
     num = grid.num_frames
     picked = np.arange(num) if frames is None else np.asarray(frames, dtype=np.intp)

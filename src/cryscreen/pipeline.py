@@ -16,7 +16,15 @@ import numpy as np
 
 from . import dsp
 from .analytics import FeatureMatrix
-from .audio_io import AudioClip, ManifestEntry, load_manifest, load_wav, relative_to_manifest, resample
+from .audio_io import (
+    AudioClip,
+    ManifestEntry,
+    check_label_and_period,
+    load_manifest,
+    load_wav,
+    relative_to_manifest,
+    resample,
+)
 from .biomarkers import CRY_FEATURE_NAMES, UnitFlags, aggregate_biomarkers, unit_biomarker_flags
 from .config import PipelineConfig
 from .segmenter import CrySegmentation, detect_cry_units, meets_curation_rule, pitch_frames
@@ -221,6 +229,12 @@ def write_features_csv(rows: list[FeatureRow], path: str) -> None:
 
 
 def read_features_csv(path: str) -> list[FeatureRow]:
+    """Rows of a features CSV as write_features_csv writes it.
+
+    Raises ValueError naming the file and line of a row of the wrong
+    width, an unknown label or period, or a feature value that is not a
+    number, which it also names by column.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -233,7 +247,16 @@ def read_features_csv(path: str) -> list[FeatureRow]:
                     f"{path}:{reader.line_num}: row has {len(rec)} fields where the header has {len(header)}"
                 )
             entry = ManifestEntry(*rec[:5])
-            values = {name: float(v) for name, v in zip(FEATURE_COLUMNS, rec[5:])}
+            check_label_and_period(entry.label, entry.period, path, reader.line_num)
+            try:
+                values = {name: float(v) for name, v in zip(FEATURE_COLUMNS, rec[5:])}
+            except ValueError:
+                # only a failing row pays for finding the column
+                for name, v in zip(FEATURE_COLUMNS, rec[5:]):
+                    try:
+                        float(v)
+                    except ValueError:
+                        raise ValueError(f"{path}:{reader.line_num}: {name}: {v!r} is not a number") from None
             rows.append(FeatureRow(entry, values))
     return rows
 

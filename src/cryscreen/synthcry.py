@@ -18,7 +18,7 @@ import numpy as np
 from scipy import signal as sps
 
 from .audio_io import AudioClip, ManifestEntry, save_manifest, write_wav
-from .biomarkers import MELODY_TYPES, UnitFlags, classify_melody
+from .biomarkers import MELODY_TYPES, UnitFlags, classify_melody, smooth_f0
 from .config import PipelineConfig
 from .dsp import DEFAULT_HOP_S, DEFAULT_WINDOW_S, F0Contour, make_grid
 from .segmenter import CrySegmentation
@@ -272,6 +272,7 @@ def _ground_truth(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples:
     sr = spec.sample_rate
     seg = CrySegmentation.from_expirations([(s0 / sr, s1 / sr) for s0, s1 in boundaries])
     contour = true_contour(spec, boundaries, n_samples)
+    smoothed = smooth_f0(contour.f0_hz, contour.voiced)
     grid = contour.grid
     hop = grid.hop_seconds
     # the detectors' thresholds, read once: the glide loop below runs per
@@ -311,7 +312,7 @@ def _ground_truth(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples:
                 dysphonation_frames=dys,
                 glide_frames=glide,
                 vibrato_present=unit.event == "vibrato",
-                melody=classify_melody(contour, (on, off), config),
+                melody=classify_melody(smoothed[sl][voiced_u], config),
             )
         )
 

@@ -42,14 +42,25 @@ def series(values):
     return FrameSeries(np.asarray(values, dtype=np.float64), grid_of(len(values)))
 
 
+def smoothed(f0_values, voiced=None):
+    """Smoothed pitch and voicing of a contour that is one whole unit."""
+    f0 = contour(f0_values, voiced)
+    return smooth_f0(f0.f0_hz, f0.voiced), f0.voiced
+
+
+def melody_of(f0_values):
+    pitch, voiced = smoothed(f0_values)
+    return classify_melody(pitch[voiced])
+
+
 def test_smooth_f0_kills_lone_spike():
     f0 = contour([100.0] * 5 + [500.0] + [100.0] * 5)
-    assert np.all(smooth_f0(f0) == 100.0)
+    assert np.all(smooth_f0(f0.f0_hz, f0.voiced) == 100.0)
 
 
 def test_smooth_f0_skips_unvoiced_neighbors():
     f0 = contour([0.0, 400.0, 500.0], voiced=[False, True, True])
-    out = smooth_f0(f0)
+    out = smooth_f0(f0.f0_hz, f0.voiced)
     assert out[0] == 0.0
     assert out[1] == pytest.approx(450.0)
     assert out[2] == pytest.approx(450.0)
@@ -87,7 +98,7 @@ def test_smooth_f0_matches_nanmedian_reference_bit_for_bit():
             values[rng.random(n) < 0.2] = 450.0  # ties
             cases.append(contour(values, rng.random(n) < density))
     for f0 in cases:
-        got = smooth_f0(f0)
+        got = smooth_f0(f0.f0_hz, f0.voiced)
         want = nanmedian_smooth_f0(f0)
         assert np.array_equal(got, want), (f0.f0_hz, f0.voiced)
         assert np.all(got[~f0.voiced] == 0.0)
@@ -101,22 +112,24 @@ def run_contour(base, hi, start, length, n=60):
 
 def test_hyperphonation_counts_sustained_run():
     f0 = run_contour(900.0, 1200.0, 20, 15)
-    mask = detect_hyperphonation(f0, (0.0, 0.6))
+    mask = detect_hyperphonation(f0.f0_hz, f0.voiced, HOP)
     assert mask.sum() == 15
     assert np.flatnonzero(mask).tolist() == list(range(20, 35))
 
 
 def test_hyperphonation_min_run_boundary():
     # 0.1 s at a 10 ms hop is exactly 10 frames: 10 counts, 9 does not
-    ok = detect_hyperphonation(run_contour(900.0, 1200.0, 20, 10), (0.0, 0.6))
+    f0 = run_contour(900.0, 1200.0, 20, 10)
+    ok = detect_hyperphonation(f0.f0_hz, f0.voiced, HOP)
     assert ok.sum() == 10
-    short = detect_hyperphonation(run_contour(900.0, 1200.0, 20, 9), (0.0, 0.6))
+    f0 = run_contour(900.0, 1200.0, 20, 9)
+    short = detect_hyperphonation(f0.f0_hz, f0.voiced, HOP)
     assert short.sum() == 0
 
 
 def test_hyperphonation_threshold_strict():
     f0 = run_contour(900.0, 1000.0, 20, 15)  # exactly at the bar
-    assert detect_hyperphonation(f0, (0.0, 0.6)).sum() == 0
+    assert detect_hyperphonation(f0.f0_hz, f0.voiced, HOP).sum() == 0
 
 
 def test_hyperphonation_needs_voicing():
@@ -125,18 +138,20 @@ def test_hyperphonation_needs_voicing():
     voiced = np.ones(60, dtype=bool)
     voiced[20:35] = False
     f0 = contour(vals, voiced)
-    assert detect_hyperphonation(f0, (0.0, 0.6)).sum() == 0
+    assert detect_hyperphonation(f0.f0_hz, f0.voiced, HOP).sum() == 0
 
 
 def test_hyperphonation_respects_unit_bounds():
     f0 = run_contour(900.0, 1200.0, 20, 15)
-    assert detect_hyperphonation(f0, (0.0, 0.22)).sum() == 0
+    # a unit of 0.22 s holds frames 0-21, two frames of the run
+    sl = f0.grid.frame_slice(0.0, 0.22)
+    assert detect_hyperphonation(f0.f0_hz[sl], f0.voiced[sl], HOP).sum() == 0
 
 
 def test_dysphonation_counts_run():
     flat = np.full(60, 0.10)
     flat[10:25] = 0.50
-    mask = detect_dysphonation(series(flat), (0.0, 0.6))
+    mask = detect_dysphonation(flat, HOP)
     assert np.flatnonzero(mask).tolist() == list(range(10, 25))
 
 
@@ -145,7 +160,7 @@ def test_dysphonation_median_bridges_single_dip():
     flat = np.full(60, 0.10)
     flat[10:32] = 0.45
     flat[17] = 0.29
-    mask = detect_dysphonation(series(flat), (0.0, 0.6))
+    mask = detect_dysphonation(flat, HOP)
     assert mask.sum() == 22
 
 
@@ -153,17 +168,17 @@ def test_dysphonation_median_removes_lone_spike():
     flat = np.full(60, 0.10)
     flat[30] = 0.90
     flat[40:49] = 0.50  # 9 frames: below the minimum run
-    assert detect_dysphonation(series(flat), (0.0, 0.6)).sum() == 0
+    assert detect_dysphonation(flat, HOP).sum() == 0
 
 
 def test_dysphonation_threshold_strict():
     flat = np.full(60, 0.30)  # exactly at the bar, not above
-    assert detect_dysphonation(series(flat), (0.0, 0.6)).sum() == 0
+    assert detect_dysphonation(flat, HOP).sum() == 0
 
 
 def test_glide_window_of_start_frames():
     vals = np.concatenate([np.full(20, 300.0), np.full(20, 950.0)])
-    mask = detect_glide(contour(vals), (0.0, 0.4))
+    mask = detect_glide(*smoothed(vals), HOP)
     # every frame within 0.1 s before the jump sees a 650 Hz move
     assert np.flatnonzero(mask).tolist() == list(range(10, 20))
 
@@ -172,37 +187,37 @@ def test_glide_needs_voiced_endpoints():
     vals = np.concatenate([np.full(20, 300.0), np.full(20, 950.0)])
     voiced = np.ones(40, dtype=bool)
     voiced[20:32] = False  # the landing side is too far to reach when unvoiced
-    assert detect_glide(contour(vals, voiced), (0.0, 0.4)).sum() == 0
+    assert detect_glide(*smoothed(vals, voiced), HOP).sum() == 0
 
 
 def test_glide_slow_rise_not_flagged():
     vals = np.concatenate([np.full(10, 300.0), np.linspace(300.0, 950.0, 30), np.full(10, 950.0)])
-    assert detect_glide(contour(vals), (0.0, 0.5)).sum() == 0
+    assert detect_glide(*smoothed(vals), HOP).sum() == 0
 
 
 def test_vibrato_modulated_contour():
     t = np.arange(80) * HOP
     vals = 450.0 + 80.0 * np.sin(2 * np.pi * 8.0 * t)
-    assert detect_vibrato(contour(vals), (0.0, 0.8))
+    assert detect_vibrato(*smoothed(vals), HOP)
 
 
 def test_vibrato_shallow_not_detected():
     t = np.arange(80) * HOP
     vals = 450.0 + 15.0 * np.sin(2 * np.pi * 8.0 * t)
-    assert not detect_vibrato(contour(vals), (0.0, 0.8))
+    assert not detect_vibrato(*smoothed(vals), HOP)
 
 
 def test_vibrato_slow_wobble_not_detected():
     # 2 Hz puts successive extrema 0.25 s apart, far over the spacing cap
     t = np.arange(150) * HOP
     vals = 450.0 + 80.0 * np.sin(2 * np.pi * 2.0 * t)
-    assert not detect_vibrato(contour(vals), (0.0, 1.5))
+    assert not detect_vibrato(*smoothed(vals), HOP)
 
 
 def test_vibrato_needs_four_extrema():
     t = np.arange(20) * HOP  # 1.5 cycles at 8 Hz: three extrema
     vals = 450.0 + 80.0 * np.sin(2 * np.pi * 8.0 * t)
-    assert not detect_vibrato(contour(vals), (0.0, 0.2))
+    assert not detect_vibrato(*smoothed(vals), HOP)
 
 
 def test_melody_five_shapes():
@@ -221,7 +236,7 @@ def test_melody_five_shapes():
         "falling_rising": dip,
     }
     for want, vals in cases.items():
-        got = classify_melody(contour(vals), (0.0, n * HOP))
+        got = melody_of(vals)
         assert got == want, f"{want}: got {got}"
     assert set(cases) == set(MELODY_TYPES)
 
@@ -230,28 +245,28 @@ def test_melody_flat_band_is_relative():
     n = 50
     u = np.linspace(0.0, 1.0, n)
     # 7% swing around the mean stays flat; 20% does not
-    assert classify_melody(contour(500.0 + 35.0 * u), (0.0, n * HOP)) == "flat"
-    assert classify_melody(contour(500.0 + 100.0 * u), (0.0, n * HOP)) == "rising"
+    assert melody_of(500.0 + 35.0 * u) == "flat"
+    assert melody_of(500.0 + 100.0 * u) == "rising"
 
 
 def test_melody_edge_fraction_rule():
     n = 51
     u = np.linspace(0.0, 1.0, n)
     late_peak = 400.0 + 200.0 * np.interp(u, [0.0, 0.85, 1.0], [0.0, 1.0, 0.9])
-    assert classify_melody(contour(late_peak), (0.0, n * HOP)) == "rising"
+    assert melody_of(late_peak) == "rising"
     mid_peak = 400.0 + 200.0 * np.interp(u, [0.0, 0.5, 1.0], [0.0, 1.0, 0.9])
-    assert classify_melody(contour(mid_peak), (0.0, n * HOP)) == "rising_falling"
+    assert melody_of(mid_peak) == "rising_falling"
 
 
 def test_melody_too_few_voiced_frames():
     vals = np.array([300.0, 500.0, 700.0, 900.0])
-    assert classify_melody(contour(vals), (0.0, 0.04)) == "flat"
+    assert melody_of(vals) == "flat"
 
 
 def test_melody_degenerate_falls_back_flat():
     # early dip at the very edge with max near the start: no shape rule fits
     vals = np.concatenate([[500.0, 400.0, 400.0], np.full(18, 500.0)])
-    assert classify_melody(contour(vals), (0.0, 0.21)) == "flat"
+    assert melody_of(vals) == "flat"
 
 
 def test_unit_flags_tally_matches_detectors():
@@ -264,12 +279,13 @@ def test_unit_flags_tally_matches_detectors():
     fs = series(flat)
     unit = (0.0, 1.2)
     flags = unit_biomarker_flags(f0, fs, unit)
+    pitch, voiced = smoothed(vals)
     assert flags.num_frames == 120
     assert flags.hyperphonation_frames == 15
     assert flags.dysphonation_frames == 15
-    assert flags.glide_frames == int(detect_glide(f0, unit).sum())
-    assert flags.vibrato_present == detect_vibrato(f0, unit)
-    assert flags.melody == classify_melody(f0, unit)
+    assert flags.glide_frames == int(detect_glide(pitch, voiced, HOP).sum())
+    assert flags.vibrato_present == detect_vibrato(pitch, voiced, HOP)
+    assert flags.melody == classify_melody(pitch[voiced])
 
 
 def varied_contour(n=200, seed=8):
@@ -293,7 +309,7 @@ EDGE_UNITS = [(0.0, 0.3), (1.6, 2.0), (0.35, 0.36), (0.39, 0.41), (0.6, 0.9), (0
 def test_unit_window_smoothing_matches_whole_clip(unit):
     f0 = varied_contour()
     sl = f0.grid.frame_slice(*unit)
-    assert np.array_equal(biomarkers._smoothed_in_unit(f0, sl), smooth_f0(f0)[sl])
+    assert np.array_equal(biomarkers._smoothed_in_unit(f0, sl), smooth_f0(f0.f0_hz, f0.voiced)[sl])
 
 
 def test_unit_flags_match_whole_clip_smoothing(monkeypatch):
@@ -301,11 +317,23 @@ def test_unit_flags_match_whole_clip_smoothing(monkeypatch):
     flat = series(np.where(np.arange(200) % 50 < 15, 0.5, 0.05))
     got = [unit_biomarker_flags(f0, flat, unit) for unit in EDGE_UNITS]
     # the detectors as they ran when every call smoothed the whole clip
-    monkeypatch.setattr(biomarkers, "_smoothed_in_unit", lambda f0, sl: smooth_f0(f0)[sl])
+    monkeypatch.setattr(biomarkers, "_smoothed_in_unit", lambda f0, sl: smooth_f0(f0.f0_hz, f0.voiced)[sl])
     want = [unit_biomarker_flags(f0, flat, unit) for unit in EDGE_UNITS]
     assert got == want
     assert any(f.glide_frames for f in got) and any(f.vibrato_present for f in got)
     assert {f.melody for f in got} != {"flat"}
+
+
+def test_unit_flags_smooth_the_unit_once(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return smooth_f0(*args)
+
+    monkeypatch.setattr(biomarkers, "smooth_f0", counted)
+    unit_biomarker_flags(varied_contour(), series(np.full(200, 0.05)), (0.6, 0.9))
+    assert len(calls) == 1
 
 
 def whole_clip_sustained(condition, sl, min_frames):
@@ -331,8 +359,11 @@ def test_sustained_detectors_match_whole_clip_reference(unit, min_run_s, min_fra
     hyper = whole_clip_sustained(f0.voiced & (f0.f0_hz > 1000.0), sl, min_frames)
     dys = whole_clip_sustained(smoothed > 0.3, sl, min_frames)
     config = PipelineConfig(hyperphonation_min_run_s=min_run_s, dysphonation_min_run_s=min_run_s)
-    assert np.array_equal(detect_hyperphonation(f0, unit, config), hyper)
-    assert np.array_equal(detect_dysphonation(flat, unit, config), dys)
+    assert np.array_equal(detect_hyperphonation(f0.f0_hz[sl], f0.voiced[sl], HOP, config), hyper[sl])
+    assert np.array_equal(detect_dysphonation(flat.values[sl], HOP, config), dys[sl])
+    outside = np.ones(200, dtype=bool)
+    outside[sl] = False
+    assert not hyper[outside].any() and not dys[outside].any()
 
 
 def test_durational_features_exact():

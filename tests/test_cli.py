@@ -149,8 +149,27 @@ def test_split_listing_a_path_twice_is_a_clean_error(chain, tmp_path, capsys):
     assert not (tmp_path / "m.json").exists()
 
 
+@pytest.mark.parametrize("line, key", [("cv_folds=0", "cv_folds"), ("cv_folds=1", "cv_folds"),
+                                       ("reg_grid=-1", "reg_grid"), ("reg_grid=", "reg_grid")])
+def test_unusable_model_config_is_a_clean_error(chain, tmp_path, capsys, line, key):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"{line}\n")
+    metrics = tmp_path / "x.json"
+    code = main([
+        "train-eval", "--features", str(chain["features"]), "--split", str(chain["split"]),
+        "--model-out", str(tmp_path / "m.json"), "--metrics-out", str(metrics), "--config", str(cfg),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert f"cry: error: {cfg}: {key}" in err
+    assert "Traceback" not in err
+    assert not metrics.exists()
+
+
 @pytest.mark.parametrize("line, key", [("hop_s=0", "hop_s"), ("window_s=0", "window_s"),
-                                       ("sample_rate=0", "sample_rate"), ("num_mel_bands=0", "num_mel_bands")])
+                                       ("sample_rate=0", "sample_rate"), ("num_mel_bands=0", "num_mel_bands"),
+                                       ("num_mel_bands=300", "num_mel_bands"), ("f0_min_hz=0", "f0_min_hz"),
+                                       ("f0_min_hz=50", "f0_min_hz"), ("f0_min_hz=2000", "f0_min_hz")])
 def test_unusable_config_is_a_clean_error(chain, tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\n")

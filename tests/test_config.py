@@ -128,6 +128,38 @@ def test_unusable_grid_value_names_the_key(tmp_path, line, message):
         load_config(str(path))
 
 
+UNUSABLE_RUN = [
+    ("f0_min_hz=0", "f0_min_hz=0.0, f0_max_hz=1600.0: f0_min 0.0 must be positive"),
+    ("f0_min_hz=2000", "f0_min_hz=2000.0, f0_max_hz=1600.0: f0_min 2000.0 must be below f0_max 1600.0"),
+    # a 400-sample window resolves periods of up to 200 samples: 80 Hz
+    ("f0_min_hz=50", "f0_min_hz=50.0, .*: window of 400 samples is too short to resolve f0_min 50.0 Hz"),
+    ("f0_max_hz=nan", "f0_min_hz=250.0, f0_max_hz=nan: f0_min 250.0 must be below f0_max nan"),
+    ("num_mel_bands=300", "num_mel_bands=300: 300 Mel bands exceed the 257 FFT bins of a 400-sample window"),
+    ("cv_folds=0", "cv_folds=0: cross-validation needs at least 2 folds"),
+    ("cv_folds=1", "cv_folds=1: cross-validation needs at least 2 folds"),
+    ("reg_grid=-1", "reg_grid holds -1.0: a penalty strength must be positive and finite"),
+    ("reg_grid=1,inf", "reg_grid holds inf"),
+    ("reg_grid=", "reg_grid is empty"),
+]
+
+
+@pytest.mark.parametrize("line, message", UNUSABLE_RUN, ids=[line for line, _ in UNUSABLE_RUN])
+def test_value_no_run_can_use_names_the_key(tmp_path, line, message):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{line}\n")
+    with pytest.raises(ValueError, match=rf"cfg.txt: {message}"):
+        load_config(str(path))
+
+
+def test_run_values_follow_the_grid():
+    # the same limits move with the window they are checked against
+    assert PipelineConfig(window_s=0.05, f0_min_hz=50.0).f0_min_hz == 50.0
+    assert PipelineConfig(window_s=0.05, num_mel_bands=300).num_mel_bands == 300
+    assert PipelineConfig(num_mel_bands=257, cv_folds=2, reg_grid=(1e-6,)).num_mel_bands == 257
+    with pytest.raises(ValueError, match="num_mel_bands=258"):
+        PipelineConfig(num_mel_bands=258)
+
+
 def test_grid_values_are_checked_in_code_too():
     with pytest.raises(ValueError, match="hop_s=0 is under one sample"):
         PipelineConfig(hop_s=0)

@@ -145,6 +145,23 @@ def test_read_features_csv_rejects_wrong_width(tmp_path):
         read_features_csv(str(path))
 
 
+@pytest.mark.parametrize("column, value, message", [
+    (4, "Normal", r"bad\.csv:3: unknown label 'Normal'"),
+    (3, "Birth", r"bad\.csv:3: unknown period 'Birth'"),
+    (5 + 7, "abc", r"bad\.csv:3: pause_dur_min: 'abc' is not a number"),
+    (5 + 37, "", r"bad\.csv:3: mfcc4V_stddevNorm: '' is not a number"),
+])
+def test_read_features_csv_names_a_bad_value(tmp_path, column, value, message):
+    header = ",".join(ID_COLUMNS + FEATURE_COLUMNS)
+    good = ["a.wav", "p0", "ESUTH", "birth", "normal"] + ["0.5"] * 38
+    bad = list(good)
+    bad[column] = value
+    path = tmp_path / "bad.csv"
+    path.write_text(f"{header}\n{','.join(good)}\n{','.join(bad)}\n")
+    with pytest.raises(ValueError, match=message):
+        read_features_csv(str(path))
+
+
 def test_skipped_csv(tmp_path):
     from cryscreen.pipeline import SkippedRecording
 

@@ -125,9 +125,10 @@ def test_planted_hyper_detected_in_rendered_audio():
     clip, truth = synth_cry(one_unit_spec(unit, seed=5))
     f0 = estimate_f0(clip, 250.0, 1600.0)
     on, off = truth.segmentation.expirations[0]
-    mask = biomarkers.detect_hyperphonation(f0, (on, off))
     grid = f0.grid
-    centers = grid.frame_times() + grid.window_seconds / 2.0
+    sl = grid.frame_slice(on, off)
+    mask = biomarkers.detect_hyperphonation(f0.f0_hz[sl], f0.voiced[sl], grid.hop_seconds)
+    centers = (grid.frame_times() + grid.window_seconds / 2.0)[sl]
     inside = (centers >= on + 0.5) & (centers < on + 0.8)
     assert mask[inside].mean() >= 0.8
     # the trapezoid ramps up over 0.18 s, crossing 1000 Hz well before the
