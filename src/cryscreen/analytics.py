@@ -4,7 +4,9 @@ The modeling pipeline is deliberately plain: features are standardized,
 an L2-regularized logistic regression is fit by iteratively reweighted
 least squares, the regularization weight is picked by patient-grouped
 stratified cross-validation, and discrimination is reported as the
-Mann-Whitney AUC plus sensitivity at a fixed specificity.
+Mann-Whitney AUC plus sensitivity at a fixed specificity. Cross-validation
+standardizes each fold's training rows once, and every penalty of the grid
+is fit on that one design.
 """
 
 from __future__ import annotations
@@ -38,13 +40,14 @@ class FeatureMatrix:
 
     def subset_rows(self, mask: np.ndarray) -> "FeatureMatrix":
         idx = np.flatnonzero(mask)
+        rows = idx.tolist()
         return FeatureMatrix(
             self.feature_names,
             self.X[idx],
             self.labels[idx],
-            [self.sites[i] for i in idx],
-            [self.patient_ids[i] for i in idx],
-            [self.paths[i] for i in idx] if self.paths else [],
+            [self.sites[i] for i in rows],
+            [self.patient_ids[i] for i in rows],
+            [self.paths[i] for i in rows] if self.paths else [],
         )
 
     def subset_features(self, names: list[str]) -> "FeatureMatrix":
@@ -168,23 +171,27 @@ class ScreeningModel:
         )
 
 
-def train_logreg(matrix: FeatureMatrix, reg_strength: float = 1.0) -> ScreeningModel:
-    """Fit L2-regularized logistic regression by Newton/IRLS steps.
+def _standardized_design(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Design matrix [(X - mean) / std, 1] of training rows, with mean and std.
 
-    Features are standardized by their training mean and population std
-    (constant columns fall back to std 1). reg_strength is the penalty
-    weight on the squared standardized coefficients; the bias is never
-    penalized. Iterates until the gradient norm drops under 1e-6, at most
-    500 steps.
+    Columns are standardized by their mean and population std; constant
+    columns fall back to std 1.
     """
-    X = np.asarray(matrix.X, dtype=np.float64)
-    y = np.asarray(matrix.labels, dtype=np.float64)
-    n, d = X.shape
+    X = np.asarray(X, dtype=np.float64)
     mean = X.mean(axis=0)
     std = X.std(axis=0)
     std = np.where(std > 0, std, 1.0)
-    Z = np.column_stack([(X - mean) / std, np.ones(n)])
+    return np.column_stack([(X - mean) / std, np.ones(len(X))]), mean, std
 
+
+def _fit_irls(Z: np.ndarray, y: np.ndarray, reg_strength: float) -> np.ndarray:
+    """Weights of an L2 logistic fit on a design whose last column is the bias.
+
+    Newton/IRLS steps from zero until the gradient norm drops under 1e-6,
+    at most 500 steps. Every column but the bias carries reg_strength as
+    its penalty weight.
+    """
+    d = Z.shape[1] - 1
     w = np.zeros(d + 1)
     penalty = np.full(d + 1, float(reg_strength))
     penalty[d] = 0.0  # bias stays unpenalized
@@ -207,6 +214,21 @@ def train_logreg(matrix: FeatureMatrix, reg_strength: float = 1.0) -> ScreeningM
     loss = -np.sum(y * np.log(pc) + (1 - y) * np.log(1 - pc)) + 0.5 * reg_strength * np.dot(w[:d], w[:d])
     if not np.isfinite(loss):
         raise ValueError("logistic regression reached a non-finite loss")
+    return w
+
+
+def train_logreg(matrix: FeatureMatrix, reg_strength: float = 1.0) -> ScreeningModel:
+    """Fit L2-regularized logistic regression by Newton/IRLS steps.
+
+    Features are standardized by their training mean and population std
+    (constant columns fall back to std 1). reg_strength is the penalty
+    weight on the squared standardized coefficients; the bias is never
+    penalized. Iterates until the gradient norm drops under 1e-6, at most
+    500 steps.
+    """
+    Z, mean, std = _standardized_design(matrix.X)
+    w = _fit_irls(Z, np.asarray(matrix.labels, dtype=np.float64), reg_strength)
+    d = len(mean)
     return ScreeningModel(list(matrix.feature_names), w[:d], float(w[d]), mean, std, float(reg_strength))
 
 
@@ -244,20 +266,29 @@ def cross_validate(
 ) -> CrossValidationResult:
     """Pick the regularization weight by grouped, stratified CV.
 
+    Each fold's training rows are standardized once, and every penalty of
+    reg_grid is fit on that one design and scored on the fold's validation
+    rows, standardized once by the same mean and std; each fit and score
+    is the one train_logreg and predict_proba would make on those rows.
     Mean validation AUC decides; exact ties go to the strongest
     regularization (largest penalty).
     """
     assignment = assign_patient_folds(matrix.patient_ids, matrix.labels, folds)
     row_fold = np.array([assignment[p] for p in matrix.patient_ids])
+    X = np.asarray(matrix.X, dtype=np.float64)
+    labels = np.asarray(matrix.labels)
 
     fold_aucs: dict[float, list[float]] = {lam: [] for lam in reg_grid}
-    for lam in reg_grid:
-        for f in range(folds):
-            val_mask = row_fold == f
-            model = train_logreg(matrix.subset_rows(~val_mask), lam)
-            val = matrix.subset_rows(val_mask)
-            curve = roc_auc(model.predict_proba(val.X), val.labels)
-            fold_aucs[lam].append(curve.auc)
+    for f in range(folds):
+        val_mask = row_fold == f
+        train_idx, val_idx = np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
+        Z, mean, std = _standardized_design(X[train_idx])
+        y = labels[train_idx].astype(np.float64)
+        Z_val = (X[val_idx] - mean) / std
+        d = len(mean)
+        for lam in reg_grid:
+            w = _fit_irls(Z, y, lam)
+            fold_aucs[lam].append(roc_auc(_sigmoid(Z_val @ w[:d] + float(w[d])), labels[val_idx]).auc)
     mean_aucs = {lam: float(np.mean(v)) for lam, v in fold_aucs.items()}
     best = max(reg_grid, key=lambda lam: (mean_aucs[lam], lam))
     return CrossValidationResult(float(best), fold_aucs, mean_aucs)

@@ -122,8 +122,9 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
     else:
         names = base
 
-    cv = cross_validate(trainval.subset_features(names), folds=cfg.cv_folds, reg_grid=cfg.reg_grid)
-    model = train_logreg(trainval.subset_features(names), cv.best_reg_strength)
+    design = trainval.subset_features(names)
+    cv = cross_validate(design, folds=cfg.cv_folds, reg_grid=cfg.reg_grid)
+    model = train_logreg(design, cv.best_reg_strength)
 
     test = matrix.subset_rows(test_mask).subset_features(names)
     curve = roc_auc(model.predict_proba(test.X), test.labels)

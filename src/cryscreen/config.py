@@ -15,7 +15,16 @@ import math
 from dataclasses import dataclass, fields, replace
 
 from . import analytics
-from .dsp import CANONICAL_SAMPLE_RATE, DEFAULT_HOP_S, DEFAULT_WINDOW_S, FrameGrid, check_mel_bands, f0_lag_range
+from .dsp import (
+    CANONICAL_SAMPLE_RATE,
+    DEFAULT_HOP_S,
+    DEFAULT_WINDOW_S,
+    FRONT_END_MFCC_COEFFS,
+    FrameGrid,
+    check_mel_bands,
+    check_mfcc_coeffs,
+    f0_lag_range,
+)
 
 
 @dataclass(frozen=True)
@@ -63,12 +72,16 @@ class PipelineConfig:
         win = FrameGrid(self.hop_s, self.window_s, 0, self.sample_rate).window_samples
         try:
             check_mel_bands(self.num_mel_bands, win)
+            check_mfcc_coeffs(FRONT_END_MFCC_COEFFS, self.num_mel_bands)
         except ValueError as exc:
             raise ValueError(f"num_mel_bands={self.num_mel_bands!r}: {exc}") from None
         try:
             f0_lag_range(self.sample_rate, self.f0_min_hz, self.f0_max_hz, win)
         except ValueError as exc:
             raise ValueError(f"f0_min_hz={self.f0_min_hz!r}, f0_max_hz={self.f0_max_hz!r}: {exc}") from None
+        # a YIN confidence lies in [0, 1]; a threshold above 1 voices no frame
+        if not 0.0 <= self.voicing_threshold <= 1.0:
+            raise ValueError(f"voicing_threshold={self.voicing_threshold!r} must lie within [0, 1]")
         if not self.cv_folds >= 2:
             raise ValueError(f"cv_folds={self.cv_folds!r}: cross-validation needs at least 2 folds")
         if not self.reg_grid:

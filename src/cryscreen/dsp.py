@@ -23,6 +23,10 @@ DEFAULT_HOP_S = 0.010
 MEL_FLOOR = 1e-10
 POWER_FLOOR = 1e-12
 
+# The analysis front end keeps MFCC 2, 3 and 4, so it asks mfcc for 4
+# coefficients, which takes at least 5 Mel bands.
+FRONT_END_MFCC_COEFFS = 4
+
 # Frames per block of the per-frame kernels. estimate_f0 and lpc_formants
 # hold the work of at most this many frames at once, and frame_blocks cuts
 # a recording into sub-clips of about this many frames for the spectral
@@ -166,6 +170,14 @@ def check_mel_bands(num_bands: int, window_samples: int) -> None:
     bins = _next_pow2(window_samples) // 2 + 1
     if num_bands > bins:
         raise ValueError(f"{num_bands} Mel bands exceed the {bins} FFT bins of a {window_samples}-sample window")
+
+
+def check_mfcc_coeffs(num_coeffs: int, num_bands: int) -> None:
+    """Raise ValueError when num_bands Mel bands cannot give mfcc num_coeffs
+    coefficients: the DCT of num_bands bands has num_bands terms, and mfcc
+    drops the first."""
+    if num_coeffs >= num_bands:
+        raise ValueError(f"{num_coeffs} coefficients need more than {num_bands} Mel bands")
 
 
 def f0_lag_range(sample_rate: int, f0_min: float, f0_max: float, window_samples: int) -> tuple[int, int]:
@@ -391,8 +403,7 @@ def mfcc(logmel: LogMelSpectrogram, num_coeffs: int = 13) -> np.ndarray:
     Returns an array of shape (num_frames, num_coeffs) where column j holds
     coefficient j+1; the DC term is dropped, so column 0 is mfcc1.
     """
-    if num_coeffs >= logmel.num_bands:
-        raise ValueError(f"{num_coeffs} coefficients need more than {logmel.num_bands} Mel bands")
+    check_mfcc_coeffs(num_coeffs, logmel.num_bands)
     coef = dct(logmel.values, type=2, norm="ortho", axis=1)
     return coef[:, 1 : num_coeffs + 1]
 

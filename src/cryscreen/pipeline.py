@@ -10,6 +10,7 @@ reason instead of failing the whole run.
 from __future__ import annotations
 
 import csv
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,7 +99,7 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
         loud[start:stop] = dsp.loudness(logmel).values
         flatness[start:stop] = dsp.spectral_flatness(spec).values
         slope[start:stop] = dsp.spectral_slope_band(spec, 0.0, 500.0).values
-        mfcc2_4[start:stop] = dsp.mfcc(logmel)[:, 1:4]
+        mfcc2_4[start:stop] = dsp.mfcc(logmel, dsp.FRONT_END_MFCC_COEFFS)[:, 1:4]
     # the last block's planes need not be alive beside the pitch tracker
     del spec, logmel
     loudness = dsp.FrameSeries(loud, grid)
@@ -249,7 +250,7 @@ def read_features_csv(path: str) -> list[FeatureRow]:
             entry = ManifestEntry(*rec[:5])
             check_label_and_period(entry.label, entry.period, path, reader.line_num)
             try:
-                values = {name: float(v) for name, v in zip(FEATURE_COLUMNS, rec[5:])}
+                values = dict(zip(FEATURE_COLUMNS, map(float, rec[5:])))
             except ValueError:
                 # only a failing row pays for finding the column
                 for name, v in zip(FEATURE_COLUMNS, rec[5:]):
@@ -275,10 +276,14 @@ def to_feature_matrix(rows: list[FeatureRow], feature_names: list[str] | None = 
     Raises ValueError when a selected value is NaN or inf.
     """
     names = feature_names if feature_names is not None else FEATURE_COLUMNS
+    if not names:
+        raise ValueError("no feature names to build a feature matrix from")
     labeled = [r for r in rows if r.entry.binary_label is not None]
     if not labeled:
         raise ValueError("no labeled rows to build a feature matrix from")
-    X = np.array([[r.features[n] for n in names] for r in labeled], dtype=np.float64)
+    values = operator.itemgetter(*names)
+    # itemgetter of one name gives a bare value, not a one-value tuple
+    X = np.array([values(r.features) for r in labeled], dtype=np.float64).reshape(len(labeled), len(names))
     if not np.isfinite(X).all():
         row, col = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"{labeled[row].entry.path}: feature {names[col]} is {X[row, col]}, not a finite number")

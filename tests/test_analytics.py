@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 
 from cryscreen.analytics import (
+    IRLS_MAX_ITER,
+    IRLS_TOL,
     FeatureMatrix,
     ScreeningModel,
     UndefinedCorrelationError,
+    _sigmoid,
     assign_patient_folds,
     cross_validate,
     pearson,
@@ -15,6 +18,7 @@ from cryscreen.analytics import (
     sensitivity_at_specificity,
     train_logreg,
 )
+from cryscreen.pipeline import FEATURE_COLUMNS
 
 
 def matrix_of(X, y, patients=None, sites=None, names=None):
@@ -189,6 +193,103 @@ def test_cross_validate_tie_goes_to_strongest_penalty():
     assert result.best_reg_strength == 10.0
     assert all(a == 1.0 for aucs in result.fold_aucs.values() for a in aucs)
     assert result.mean_aucs[10.0] == 1.0
+
+
+def planted_matrix(seed, n_patients=120):
+    """Patients of one label with one or two rows at one of three sites.
+
+    A few columns shift with the label, the rest are noise; every column
+    has its own scale and offset, so standardization matters.
+    """
+    rng = np.random.default_rng([seed, 9])
+    d = len(FEATURE_COLUMNS)
+    shift = np.where(rng.random(d) < 0.3, rng.choice([-0.8, 0.8], size=d), 0.0)
+    scale = 10.0 ** rng.uniform(-1.0, 3.0, size=d)
+    offset = rng.uniform(-3.0, 3.0, size=d) * scale
+    X, y, patients, sites = [], [], [], []
+    for p in range(n_patients):
+        label = int(rng.random() < 0.5)
+        for _ in range(int(rng.integers(1, 3))):
+            X.append((label * shift + rng.standard_normal(d)) * scale + offset)
+            y.append(label)
+            patients.append(f"pt{p:03d}")
+            sites.append(("ESUTH", "LASUTH", "SCDM")[p % 3])
+    return matrix_of(np.array(X), np.array(y), patients=patients, sites=sites, names=list(FEATURE_COLUMNS))
+
+
+def reference_cross_validate(matrix, folds, reg_grid):
+    """The one-fit-at-a-time loop: train_logreg on each (penalty, fold)."""
+    assignment = assign_patient_folds(matrix.patient_ids, matrix.labels, folds)
+    row_fold = np.array([assignment[p] for p in matrix.patient_ids])
+    fold_aucs = {lam: [] for lam in reg_grid}
+    for lam in reg_grid:
+        for f in range(folds):
+            val_mask = row_fold == f
+            model = train_logreg(matrix.subset_rows(~val_mask), lam)
+            val = matrix.subset_rows(val_mask)
+            fold_aucs[lam].append(roc_auc(model.predict_proba(val.X), val.labels).auc)
+    mean_aucs = {lam: float(np.mean(v)) for lam, v in fold_aucs.items()}
+    return max(reg_grid, key=lambda lam: (mean_aucs[lam], lam)), fold_aucs, mean_aucs
+
+
+def reference_train_logreg(X, labels, reg_strength):
+    """Standardization and IRLS written out in one piece: weights, bias, mean, std."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(labels, dtype=np.float64)
+    n, d = X.shape
+    mean = X.mean(axis=0)
+    std = X.std(axis=0)
+    std = np.where(std > 0, std, 1.0)
+    Z = np.column_stack([(X - mean) / std, np.ones(n)])
+    w = np.zeros(d + 1)
+    penalty = np.full(d + 1, float(reg_strength))
+    penalty[d] = 0.0
+    for _ in range(IRLS_MAX_ITER):
+        p = _sigmoid(Z @ w)
+        grad = Z.T @ (p - y) + penalty * w
+        if np.linalg.norm(grad) < IRLS_TOL:
+            break
+        r = np.clip(p * (1.0 - p), 1e-10, None)
+        hess = (Z * r[:, None]).T @ Z + np.diag(penalty)
+        w = w - np.linalg.solve(hess, grad)
+    return w[:d], float(w[d]), mean, std
+
+
+PLANTED_CASES = [(seed, cols) for seed in (1, 2) for cols in ("all", "eight")]
+
+
+def planted_case(seed, cols):
+    matrix = planted_matrix(seed)
+    if cols == "eight":
+        matrix = matrix.subset_features(FEATURE_COLUMNS[2::4][:8])
+        assert matrix.X.shape[1] == 8
+    return matrix
+
+
+@pytest.mark.parametrize("seed, cols", PLANTED_CASES)
+def test_cross_validate_equals_one_fit_per_penalty_and_fold(seed, cols):
+    matrix = planted_case(seed, cols)
+    reg_grid = (10.0, 0.1, 100.0, 1.0)
+    best, fold_aucs, mean_aucs = reference_cross_validate(matrix, 10, reg_grid)
+    result = cross_validate(matrix, folds=10, reg_grid=reg_grid)
+    assert result.fold_aucs == fold_aucs
+    assert list(result.fold_aucs) == list(reg_grid)
+    assert result.mean_aucs == mean_aucs
+    assert result.best_reg_strength == best
+    # the folds are not trivially separable, so the scores carry information
+    assert 0.6 < max(mean_aucs.values()) < 1.0
+
+
+@pytest.mark.parametrize("seed, cols", PLANTED_CASES)
+def test_train_logreg_equals_the_formula_bit_for_bit(seed, cols):
+    matrix = planted_case(seed, cols)
+    for lam in (0.1, 10.0):
+        model = train_logreg(matrix, lam)
+        weights, bias, mean, std = reference_train_logreg(matrix.X, matrix.labels, lam)
+        assert model.weights.tobytes() == weights.tobytes()
+        assert model.bias == bias
+        assert model.mean.tobytes() == mean.tobytes()
+        assert model.std.tobytes() == std.tobytes()
 
 
 def test_roc_hand_cases():

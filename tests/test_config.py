@@ -135,6 +135,14 @@ UNUSABLE_RUN = [
     ("f0_min_hz=50", "f0_min_hz=50.0, .*: window of 400 samples is too short to resolve f0_min 50.0 Hz"),
     ("f0_max_hz=nan", "f0_min_hz=250.0, f0_max_hz=nan: f0_min 250.0 must be below f0_max nan"),
     ("num_mel_bands=300", "num_mel_bands=300: 300 Mel bands exceed the 257 FFT bins of a 400-sample window"),
+    # the front end keeps MFCC 2-4, which take at least 5 bands
+    ("num_mel_bands=4", "num_mel_bands=4: 4 coefficients need more than 4 Mel bands"),
+    ("num_mel_bands=1", "num_mel_bands=1: 4 coefficients need more than 1 Mel bands"),
+    # a YIN confidence never exceeds 1, so no frame would be voiced
+    ("voicing_threshold=2", r"voicing_threshold=2.0 must lie within \[0, 1\]"),
+    ("voicing_threshold=1.01", r"voicing_threshold=1.01 must lie within \[0, 1\]"),
+    ("voicing_threshold=-0.1", r"voicing_threshold=-0.1 must lie within \[0, 1\]"),
+    ("voicing_threshold=nan", r"voicing_threshold=nan must lie within \[0, 1\]"),
     ("cv_folds=0", "cv_folds=0: cross-validation needs at least 2 folds"),
     ("cv_folds=1", "cv_folds=1: cross-validation needs at least 2 folds"),
     ("reg_grid=-1", "reg_grid holds -1.0: a penalty strength must be positive and finite"),
@@ -158,6 +166,9 @@ def test_run_values_follow_the_grid():
     assert PipelineConfig(num_mel_bands=257, cv_folds=2, reg_grid=(1e-6,)).num_mel_bands == 257
     with pytest.raises(ValueError, match="num_mel_bands=258"):
         PipelineConfig(num_mel_bands=258)
+    assert PipelineConfig(num_mel_bands=5).num_mel_bands == 5
+    assert PipelineConfig(voicing_threshold=0.0).voicing_threshold == 0.0
+    assert PipelineConfig(voicing_threshold=1.0).voicing_threshold == 1.0
 
 
 def test_grid_values_are_checked_in_code_too():

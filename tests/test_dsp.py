@@ -351,12 +351,22 @@ def test_mfcc_recovers_cosine_basis():
     assert np.allclose(c, np.tile(expect, (7, 1)), atol=1e-12)
 
 
+def test_mfcc_keeps_leading_coeffs_whatever_the_count():
+    # fewer coefficients are the first columns of more, bit for bit
+    from cryscreen.dsp import LogMelSpectrogram
+
+    rng = np.random.default_rng(3)
+    lm = LogMelSpectrogram(rng.standard_normal((9, 80)), FrameGrid(0.010, 0.025, 9, SR))
+    assert np.array_equal(mfcc(lm, num_coeffs=4), mfcc(lm, num_coeffs=13)[:, :4])
+
+
 def test_mfcc_rejects_excess_coeffs():
     from cryscreen.dsp import LogMelSpectrogram
 
     lm = LogMelSpectrogram(np.zeros((3, 10)), FrameGrid(0.010, 0.025, 3, SR))
-    with pytest.raises(ValueError, match="coefficients"):
+    with pytest.raises(ValueError, match="10 coefficients need more than 10 Mel bands"):
         mfcc(lm, num_coeffs=10)
+    assert mfcc(lm, num_coeffs=9).shape == (3, 9)
 
 
 def test_loudness_follows_power():

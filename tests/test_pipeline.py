@@ -186,6 +186,11 @@ def test_to_feature_matrix_drops_unlabeled():
     assert m.paths == ["a.wav", "b.wav"]
     sub = to_feature_matrix(rows, feature_names=FEATURE_COLUMNS[:4])
     assert sub.X.shape == (2, 4)
+    one = to_feature_matrix(rows, feature_names=["F2_amean"])
+    assert one.X.shape == (2, 1)
+    assert one.X[:, 0].tolist() == [feats["F2_amean"]] * 2
+    with pytest.raises(ValueError, match="no feature names"):
+        to_feature_matrix(rows, feature_names=[])
     with pytest.raises(ValueError, match="no labeled rows"):
         to_feature_matrix(rows[2:])
 
@@ -235,6 +240,18 @@ def test_skip_reason_follows_min_total_cry(tmp_path):
     result = extract_manifest(mpath, PipelineConfig().override(min_total_cry_s=10.0))
     assert [(s.entry.path, s.reason) for s in result.skipped] == [("long.wav", "below 10s cry")]
     assert short_cry_reason(2.5) == "below 2.5s cry"
+
+
+def test_few_mel_bands_still_extract_rows(tmp_path):
+    # the front end asks mfcc only for the 4 coefficients it keeps, so any
+    # band count that the config accepts serves it
+    clip, _ = cry_clip(seed=4)
+    mpath = make_manifest(tmp_path, [("a.wav", clip)])
+    for bands in (13, 5):
+        result = extract_manifest(mpath, PipelineConfig(num_mel_bands=bands))
+        assert result.skipped == []
+        (row,) = result.rows
+        assert all(np.isfinite(v) for v in row.features.values())
 
 
 def test_config_threshold_changes_flow_through():
