@@ -18,7 +18,7 @@ from cryscreen.analytics import (
     sensitivity_at_specificity,
     train_logreg,
 )
-from cryscreen.pipeline import extract_manifest, to_feature_matrix
+from cryscreen.pipeline import FeatureTable, extract_manifest, to_feature_matrix
 from cryscreen.synthcry import make_corpus
 
 out = tempfile.mkdtemp(prefix="cryscreen_demo_")
@@ -27,7 +27,7 @@ make_corpus(out, n_per_class=30, seed=4)
 
 result = extract_manifest(os.path.join(out, "manifest.csv"))
 print(f"extracted {len(result.rows)} recordings ({len(result.skipped)} skipped)")
-matrix = to_feature_matrix(result.rows)
+matrix = to_feature_matrix(FeatureTable.from_rows(result.rows))
 
 # held-out test: every fourth recording
 test_mask = np.arange(len(matrix.labels)) % 4 == 3

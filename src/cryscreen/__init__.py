@@ -24,6 +24,7 @@ from .config import PipelineConfig, load_config, save_config
 from .pipeline import (
     FEATURE_COLUMNS,
     CurationError,
+    FeatureTable,
     extract_clip,
     extract_manifest,
     read_features_csv,
@@ -53,6 +54,7 @@ __all__ = [
     "CurationError",
     "FEATURE_COLUMNS",
     "FeatureMatrix",
+    "FeatureTable",
     "GroundTruth",
     "ManifestEntry",
     "PipelineConfig",

@@ -120,12 +120,12 @@ def select_consistent_features(matrix: FeatureMatrix, sites: list[str]) -> Selec
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
+    # each element takes its own branch: 1 / (1 + exp(-z)) where z >= 0,
+    # exp(z) / (1 + exp(z)) elsewhere (NaN included), so exp never
+    # overflows; exp(-abs(z)) would flip the sign bit of a NaN
     pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(np.where(pos, -z, z))
+    return np.where(pos, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 @dataclass

@@ -10,7 +10,7 @@ reason instead of failing the whole run.
 from __future__ import annotations
 
 import csv
-import operator
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +18,8 @@ import numpy as np
 from . import dsp
 from .analytics import FeatureMatrix
 from .audio_io import (
+    LABELS,
+    PERIODS,
     AudioClip,
     ManifestEntry,
     check_label_and_period,
@@ -33,7 +35,7 @@ from .voicefeat import VOICE_FEATURE_NAMES, compute_generic_features, concat_exp
 
 FEATURE_COLUMNS = CRY_FEATURE_NAMES + VOICE_FEATURE_NAMES
 ID_COLUMNS = ["path", "patient_id", "site", "period", "label"]
-
+_COLUMN_INDEX = {name: i for i, name in enumerate(FEATURE_COLUMNS)}
 
 
 def short_cry_reason(min_total_cry_s: float) -> str:
@@ -183,6 +185,22 @@ class ExtractionResult:
     skipped: list[SkippedRecording]
 
 
+@dataclass
+class FeatureTable:
+    """Feature rows in columns: one ManifestEntry and one row of X per recording.
+
+    X is an (n, 38) float64 array whose columns follow FEATURE_COLUMNS.
+    """
+
+    entries: list[ManifestEntry]
+    X: np.ndarray
+
+    @classmethod
+    def from_rows(cls, rows: list[FeatureRow]) -> "FeatureTable":
+        X = np.array([[row.features[name] for name in FEATURE_COLUMNS] for row in rows], dtype=np.float64)
+        return cls([row.entry for row in rows], X.reshape(len(rows), len(FEATURE_COLUMNS)))
+
+
 def extract_manifest(manifest_path: str, config: PipelineConfig | None = None, log=None) -> ExtractionResult:
     """Extract every recording in a manifest.
 
@@ -229,19 +247,100 @@ def write_features_csv(rows: list[FeatureRow], path: str) -> None:
             )
 
 
-def read_features_csv(path: str) -> list[FeatureRow]:
-    """Rows of a features CSV as write_features_csv writes it.
+# bytes read at a time by the scan that precedes the parse in C
+SCAN_CHUNK_BYTES = 1 << 16
+# one record of a features CSV: the five ID fields as str, then the values
+_RECORD = np.dtype([(name, object) for name in ID_COLUMNS] + [("values", np.float64, (len(FEATURE_COLUMNS),))])
 
-    Raises ValueError naming the file and line of a row of the wrong
-    width, an unknown label or period, or a feature value that is not a
-    number, which it also names by column.
+
+def read_features_csv(path: str) -> FeatureTable:
+    """The table of a features CSV as write_features_csv writes it.
+
+    Raises ValueError naming the file of a wrong header, and the file and
+    line (csv's count, which a quoted newline advances) of a row of the
+    wrong width, a blank line (a row of 0 fields), an unknown label or
+    period, or a feature value that float() does not read, which it also
+    names by column.
+
+    The file is parsed in C, by np.loadtxt, into one array. A file that
+    parse declines (a faulty one, or one it might read otherwise than csv
+    and float() do) is read row by row, which gives the same table or
+    names the fault.
     """
+    table = _parse_in_c(path)
+    return table if table is not None else _read_row_by_row(path)
+
+
+def _loadtxt_reads_as_csv(path: str) -> bool:
+    """False when the bytes of the file hold what np.loadtxt reads otherwise than csv.
+
+    That is a blank line, which loadtxt skips and csv reads as a row of
+    0 fields; a NUL, which Python 3.10's csv rejects; or a run of more
+    than half of csv.field_size_limit() bytes with no comma, which may
+    hold a field too long for csv. Each may also stand in a quoted field
+    of a good file, which is then read row by row.
+    """
+    block = max(1, csv.field_size_limit() // 2)
+    chunk_bytes = block * max(1, SCAN_CHUNK_BYTES // block)
+    with open(path, "rb") as fh:
+        last = b"\n"  # a file that opens on a line end opens on a blank line
+        while chunk := fh.read(chunk_bytes):
+            if b"\0" in chunk:
+                return False
+            a = np.frombuffer(last + chunk, np.uint8)
+            ends = np.flatnonzero((a == ord("\n")) | (a == ord("\r")))
+            second = ends[1:][np.diff(ends) == 1]  # a line end right after another
+            if np.any((a[second - 1] != ord("\r")) | (a[second] != ord("\n"))):
+                return False
+            # blocks start at multiples of block in the file, so a run of
+            # more than two blocks' bytes with no comma covers one whole
+            blocks = a[1 : 1 + len(chunk) // block * block].reshape(-1, block)
+            if not (blocks == ord(",")).any(axis=1).all():
+                return False
+            last = chunk[-1:]
+    return True
+
+
+def _parse_in_c(path: str) -> FeatureTable | None:
+    """The table that _read_row_by_row reads, or None for a file this parse declines."""
+    if not _loadtxt_reads_as_csv(path):
+        return None
+    try:
+        with open(path, newline="") as fh:
+            if next(csv.reader(fh), None) != ID_COLUMNS + FEATURE_COLUMNS:
+                return None
+            first = next(fh, None)
+            if first is None:  # loadtxt warns on empty input
+                return FeatureTable([], np.empty((0, len(FEATURE_COLUMNS))))
+            # a record of the wrong width is an error here, since _RECORD
+            # takes every column
+            rec = np.loadtxt(
+                itertools.chain([first], fh),
+                dtype=_RECORD,
+                delimiter=",",
+                comments=None,
+                quotechar='"',
+                ndmin=1,
+            )
+    except (ValueError, csv.Error):
+        return None
+    ids = [rec[name].tolist() for name in ID_COLUMNS]
+    *_, periods, labels = ids
+    if not (set(labels) <= LABELS and set(periods) <= PERIODS):
+        return None
+    if max(map(len, itertools.chain.from_iterable(ids))) > csv.field_size_limit():
+        return None
+    return FeatureTable(list(map(ManifestEntry, *ids)), np.ascontiguousarray(rec["values"]))
+
+
+def _read_row_by_row(path: str) -> FeatureTable:
+    """csv rows and a float() of each value: the reference reader, which names a fault's line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ID_COLUMNS + FEATURE_COLUMNS:
             raise ValueError(f"{path}: unexpected feature CSV header")
-        rows = []
+        entries, values = [], []
         for rec in reader:
             if len(rec) != len(header):
                 raise ValueError(
@@ -250,7 +349,7 @@ def read_features_csv(path: str) -> list[FeatureRow]:
             entry = ManifestEntry(*rec[:5])
             check_label_and_period(entry.label, entry.period, path, reader.line_num)
             try:
-                values = dict(zip(FEATURE_COLUMNS, map(float, rec[5:])))
+                values.append(list(map(float, rec[5:])))
             except ValueError:
                 # only a failing row pays for finding the column
                 for name, v in zip(FEATURE_COLUMNS, rec[5:]):
@@ -258,8 +357,8 @@ def read_features_csv(path: str) -> list[FeatureRow]:
                         float(v)
                     except ValueError:
                         raise ValueError(f"{path}:{reader.line_num}: {name}: {v!r} is not a number") from None
-            rows.append(FeatureRow(entry, values))
-    return rows
+            entries.append(entry)
+    return FeatureTable(entries, np.array(values, dtype=np.float64).reshape(len(values), len(FEATURE_COLUMNS)))
 
 
 def write_skipped_csv(skipped: list[SkippedRecording], path: str) -> None:
@@ -270,30 +369,32 @@ def write_skipped_csv(skipped: list[SkippedRecording], path: str) -> None:
             writer.writerow([s.entry.path, s.reason])
 
 
-def to_feature_matrix(rows: list[FeatureRow], feature_names: list[str] | None = None) -> FeatureMatrix:
-    """Labeled rows as a matrix; unlabeled rows are left out.
+def to_feature_matrix(table: FeatureTable, feature_names: list[str] | None = None) -> FeatureMatrix:
+    """The labeled rows and the named columns of a table, by one index of table.X.
 
-    Raises ValueError when a selected value is NaN or inf.
+    Unlabeled rows are left out. Raises ValueError when feature_names is
+    empty, when no row is labeled, and when a selected value is NaN or
+    inf, naming the recording's path and the feature.
     """
     names = feature_names if feature_names is not None else FEATURE_COLUMNS
     if not names:
         raise ValueError("no feature names to build a feature matrix from")
-    labeled = [r for r in rows if r.entry.binary_label is not None]
-    if not labeled:
+    binary = [e.binary_label for e in table.entries]
+    keep = [i for i, b in enumerate(binary) if b is not None]
+    if not keep:
         raise ValueError("no labeled rows to build a feature matrix from")
-    values = operator.itemgetter(*names)
-    # itemgetter of one name gives a bare value, not a one-value tuple
-    X = np.array([values(r.features) for r in labeled], dtype=np.float64).reshape(len(labeled), len(names))
+    X = table.X[np.ix_(keep, [_COLUMN_INDEX[name] for name in names])]
+    entries = [table.entries[i] for i in keep]
     if not np.isfinite(X).all():
         row, col = np.argwhere(~np.isfinite(X))[0]
-        raise ValueError(f"{labeled[row].entry.path}: feature {names[col]} is {X[row, col]}, not a finite number")
+        raise ValueError(f"{entries[row].path}: feature {names[col]} is {X[row, col]}, not a finite number")
     return FeatureMatrix(
         feature_names=list(names),
         X=X,
-        labels=np.array([r.entry.binary_label for r in labeled], dtype=np.int64),
-        sites=[r.entry.site for r in labeled],
-        patient_ids=[r.entry.patient_id for r in labeled],
-        paths=[r.entry.path for r in labeled],
+        labels=np.array([binary[i] for i in keep], dtype=np.int64),
+        sites=[e.site for e in entries],
+        patient_ids=[e.patient_id for e in entries],
+        paths=[e.path for e in entries],
     )
 
 

@@ -30,6 +30,7 @@ from cryscreen.pipeline import (
     FEATURE_COLUMNS,
     ID_COLUMNS,
     SKIP_REASON_SHORT_CRY,
+    FeatureTable,
     extract_manifest,
     read_features_csv,
     segment_clip,
@@ -73,11 +74,11 @@ def extraction200(corpus200):
     return {"result": result, "csv": features_csv, "extract_s": extract_s}
 
 
-def _index_split_csv(rows, path):
+def _index_split_csv(entries, path):
     """test/val/train by row index mod 4, one quarter each for test and val."""
     kinds = {3: "test", 2: "val"}
     path.write_text(
-        "path,split\n" + "".join(f"{r.entry.path},{kinds.get(i % 4, 'train')}\n" for i, r in enumerate(rows))
+        "path,split\n" + "".join(f"{e.path},{kinds.get(i % 4, 'train')}\n" for i, e in enumerate(entries))
     )
 
 
@@ -290,7 +291,7 @@ def test_c08_end_to_end_screening(corpus200, extraction200, tmp_path):
     result = extraction200["result"]
     assert len(result.rows) == 200 and not result.skipped
     split = tmp_path / "split.csv"
-    _index_split_csv(result.rows, split)
+    _index_split_csv([r.entry for r in result.rows], split)
     model_out, metrics_out = tmp_path / "model.json", tmp_path / "metrics.json"
     t0 = time.perf_counter()
     code = main([
@@ -304,7 +305,8 @@ def test_c08_end_to_end_screening(corpus200, extraction200, tmp_path):
     # the same pipeline on a corpus whose classes share one profile
     null_dir = str(tmp_path / "null")
     make_corpus(null_dir, n_per_class=60, positive=DEFAULT_NEGATIVE_PROFILE, seed=22)
-    null_matrix = to_feature_matrix(extract_manifest(os.path.join(null_dir, "manifest.csv")).rows)
+    null_rows = extract_manifest(os.path.join(null_dir, "manifest.csv")).rows
+    null_matrix = to_feature_matrix(FeatureTable.from_rows(null_rows))
     test_mask = np.array([i % 4 == 3 for i in range(len(null_matrix.labels))])
     trainval, test = null_matrix.subset_rows(~test_mask), null_matrix.subset_rows(test_mask)
     cv = cross_validate(trainval, folds=10)
@@ -374,7 +376,7 @@ def test_c10_cli_byte_reproducibility(tmp_path, capsys):
     assert sel_bytes[0] == sel_bytes[1]
 
     split = tmp_path / "split.csv"
-    _index_split_csv(read_features_csv(feats[0]), split)
+    _index_split_csv(read_features_csv(feats[0]).entries, split)
     cfg = tmp_path / "cry.cfg"
     cfg.write_text("cv_folds=3\n")
     run_bytes = []

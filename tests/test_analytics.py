@@ -135,6 +135,28 @@ def test_logreg_probabilities_bounded():
     assert np.all((p >= 0.0) & (p <= 1.0))
 
 
+def two_mask_sigmoid(z):
+    """The logistic function by the two boolean masks the model first used."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+@pytest.mark.parametrize("n", [1, 7, 64, 2401])
+def test_sigmoid_equals_the_two_mask_form_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, 700.5, -700.5, 745.2, -745.2, 1e308, -1e308,
+                      5e-324, -5e-324, 36.8, -36.8])
+    z = np.concatenate([rng.standard_normal(n) * 10.0, rng.standard_normal(n) * 800.0, edges])
+    got, want = _sigmoid(z), two_mask_sigmoid(z)
+    # int64 views compare NaN payloads and the sign of zero too
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert np.signbit(got[np.isnan(z)]).tolist() == [False, True]
+
+
 def test_model_json_round_trip():
     rng = np.random.default_rng(4)
     X = rng.standard_normal((60, 3))

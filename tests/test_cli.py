@@ -17,15 +17,15 @@ def chain(tmp_path_factory):
     assert main(["synth", "--out", str(corpus), "--n-per-class", "8", "--seed", "11"]) == 0
     features = root / "features.csv"
     assert main(["extract", "--manifest", str(corpus / "manifest.csv"), "--out", str(features)]) == 0
-    rows = read_features_csv(str(features))
+    table = read_features_csv(str(features))
     split = root / "split.csv"
     kinds = {3: "test", 2: "val"}
     split.write_text(
-        "path,split\n" + "".join(f"{r.entry.path},{kinds.get(i % 4, 'train')}\n" for i, r in enumerate(rows))
+        "path,split\n" + "".join(f"{e.path},{kinds.get(i % 4, 'train')}\n" for i, e in enumerate(table.entries))
     )
     cfg = root / "cry.cfg"
     cfg.write_text("cv_folds=3\n")
-    return {"root": root, "corpus": corpus, "features": features, "split": split, "cfg": cfg, "rows": rows}
+    return {"root": root, "corpus": corpus, "features": features, "split": split, "cfg": cfg, "table": table}
 
 
 def test_parser_surface():
@@ -47,7 +47,7 @@ def test_synth_and_extract_outputs(chain):
     wavs = sorted(p.name for p in chain["corpus"].glob("*.wav"))
     assert len(wavs) == 16 and wavs[0] == "rec0000.wav"
     assert (chain["corpus"] / "ground_truth.json").exists()
-    assert len(chain["rows"]) == 16
+    assert len(chain["table"].entries) == 16 and chain["table"].X.shape == (16, 38)
     skipped = (chain["root"] / "features.skipped.csv").read_text()
     assert skipped.splitlines()[0] == "path,reason"
 

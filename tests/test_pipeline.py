@@ -1,7 +1,9 @@
 """Recording-to-features pipeline: curation, resilience, CSV contracts."""
 
+import csv
 import os
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from cryscreen.pipeline import (
     SKIP_REASON_SHORT_CRY,
     CurationError,
     FeatureRow,
+    FeatureTable,
     analyze_frames,
     extract_clip,
     extract_manifest,
@@ -113,6 +116,15 @@ def test_non_finite_samples_are_not_reported_as_short_cry(tmp_path):
     assert "non-finite" in skip.reason
 
 
+def rows_of(table):
+    return [FeatureRow(e, dict(zip(FEATURE_COLUMNS, x))) for e, x in zip(table.entries, table.X.tolist())]
+
+
+def same_table(a, b):
+    """Equal entries and values equal bit for bit, NaN and the sign of zero included."""
+    return a.entries == b.entries and a.X.shape == b.X.shape and np.array_equal(a.X.view(np.int64), b.X.view(np.int64))
+
+
 def test_features_csv_round_trip_and_bytes(tmp_path):
     clip, _ = cry_clip(seed=3)
     features, _ = extract_clip(clip)
@@ -120,10 +132,31 @@ def test_features_csv_round_trip_and_bytes(tmp_path):
     p1, p2 = str(tmp_path / "f1.csv"), str(tmp_path / "f2.csv")
     write_features_csv(rows, p1)
     back = read_features_csv(p1)
-    assert back[0].entry == rows[0].entry
-    assert back[0].features == rows[0].features  # repr round-trips floats exactly
-    write_features_csv(back, p2)
+    assert back.entries == [rows[0].entry]
+    assert back.X.dtype == np.float64 and back.X.shape == (1, 38)
+    assert same_table(back, FeatureTable.from_rows(rows))  # repr round-trips floats exactly
+    write_features_csv(rows_of(back), p2)
     assert open(p1, "rb").read() == open(p2, "rb").read()
+
+
+def test_quoted_paths_round_trip(tmp_path):
+    # csv quotes a field holding a comma, a quote or a line end, and a
+    # quoted line end advances csv's line count
+    paths = ["a,b.wav", 'say "hi".wav', "two\nlines.wav", "cr\r\nlf.wav", "plain.wav", '"', " spaced .wav"]
+    values = {name: j / 8 for j, name in enumerate(FEATURE_COLUMNS)}
+    rows = [
+        FeatureRow(ManifestEntry(path, f"p,{i}", "ESUTH", "birth", "normal"), values) for i, path in enumerate(paths)
+    ]
+    path = str(tmp_path / "quoted.csv")
+    write_features_csv(rows, path)
+    table = read_features_csv(path)
+    assert [e.path for e in table.entries] == paths
+    assert same_table(table, FeatureTable.from_rows(rows))
+    # the parse in C reads quoting itself rather than declining the file
+    assert same_table(pipeline._parse_in_c(path), table)
+    again = str(tmp_path / "again.csv")
+    write_features_csv(rows_of(table), again)
+    assert open(path, "rb").read() == open(again, "rb").read()
 
 
 def test_read_features_csv_rejects_wrong_header(tmp_path):
@@ -145,21 +178,178 @@ def test_read_features_csv_rejects_wrong_width(tmp_path):
         read_features_csv(str(path))
 
 
+HEADER = ",".join(ID_COLUMNS + FEATURE_COLUMNS)
+GOOD = ["a.wav", "p0", "ESUTH", "birth", "normal"] + ["0.5"] * 38
+
+
 @pytest.mark.parametrize("column, value, message", [
     (4, "Normal", r"bad\.csv:3: unknown label 'Normal'"),
     (3, "Birth", r"bad\.csv:3: unknown period 'Birth'"),
     (5 + 7, "abc", r"bad\.csv:3: pause_dur_min: 'abc' is not a number"),
     (5 + 37, "", r"bad\.csv:3: mfcc4V_stddevNorm: '' is not a number"),
+    (5 + 2, "1.5.0", r"bad\.csv:3: cry_unit_dur_max: '1\.5\.0' is not a number"),
+    # Arabic-Indic one, the Arabic decimal separator (which float() does not
+    # read), five
+    (5 + 2, "\u0661\u066b5", "bad\\.csv:3: cry_unit_dur_max: '\u0661\u066b5' is not a number"),
 ])
 def test_read_features_csv_names_a_bad_value(tmp_path, column, value, message):
-    header = ",".join(ID_COLUMNS + FEATURE_COLUMNS)
-    good = ["a.wav", "p0", "ESUTH", "birth", "normal"] + ["0.5"] * 38
-    bad = list(good)
+    bad = list(GOOD)
     bad[column] = value
     path = tmp_path / "bad.csv"
-    path.write_text(f"{header}\n{','.join(good)}\n{','.join(bad)}\n")
-    with pytest.raises(ValueError, match=message):
+    path.write_text(f"{HEADER}\n{','.join(GOOD)}\n{','.join(bad)}\n")
+    with pytest.raises(ValueError, match=message + "$"):
         read_features_csv(str(path))
+
+
+@pytest.mark.parametrize("body, message", [
+    # csv reads a blank line as a row of 0 fields; np.loadtxt skips it
+    ("{good}\n\n{good}\n", "{path}:3: row has 0 fields where the header has 43"),
+    ("{good}\r\n\r\n", "{path}:3: row has 0 fields where the header has 43"),
+    ("{good}\r\r{good}\r", "{path}:3: row has 0 fields where the header has 43"),
+    ("{good}\n{good},0.5\n", "{path}:3: row has 44 fields where the header has 43"),
+    ("{good}\n{good},\n", "{path}:3: row has 44 fields where the header has 43"),
+    ("{good}\n{short}\n", "{path}:3: row has 42 fields where the header has 43"),
+    ("{good}\n \n", "{path}:3: row has 1 fields where the header has 43"),
+    # the quoted line end puts the bad label on csv's line 4
+    ('"two\nlines.wav",{rest}\n{mistyped}\n', "{path}:4: unknown label 'Normal'"),
+])
+def test_read_features_csv_rejects_a_faulty_row(tmp_path, body, message):
+    path = tmp_path / "bad.csv"
+    good = ",".join(GOOD)
+    text = body.format(
+        good=good,
+        short=",".join(GOOD[:-1]),
+        rest=",".join(GOOD[1:]),
+        mistyped=",".join(GOOD[:4] + ["Normal"] + GOOD[5:]),
+    )
+    path.write_bytes(f"{HEADER}\r\n{text}".encode())
+    with pytest.raises(ValueError) as info:
+        read_features_csv(str(path))
+    assert str(info.value) == message.format(path=path)
+
+
+@pytest.mark.parametrize("text", [
+    "0.5", " 2.5 ", "1_0", "\uff11.\uff15", "\u0663", "1e308", "1.7976931348623157e+308", "1e400", "-1e400",
+    "2.2250738585072014e-308", repr(2.2250738585072014e-308 / 3), "5e-324", "1e-330", "-0.0", "0.0",
+    "nan", "-nan", "NaN", "inf", "-inf", "Infinity", "-iNF", repr(0.1 + 0.2), '"7.25"',
+])
+def test_read_features_csv_reads_what_float_reads(tmp_path, text):
+    # the parse in C declines what it does not read as float() does (an
+    # underscore, non-ASCII digits), and the row loop reads it
+    values = list(GOOD)
+    values[5 + 9] = text
+    path = tmp_path / "values.csv"
+    path.write_text(f"{HEADER}\n{','.join(values)}\n")
+    table = read_features_csv(str(path))
+    want = np.float64(float(text.strip('"')))
+    assert table.X.shape == (1, 38)
+    assert table.X[0, 9].view(np.int64) == want.view(np.int64)
+    assert same_table(table, pipeline._read_row_by_row(str(path)))
+
+
+def test_header_only_file_is_an_empty_table(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text(HEADER + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.loadtxt warns on empty input
+        table = read_features_csv(str(path))
+        assert table.entries == [] and table.X.shape == (0, 38)
+        with pytest.raises(ValueError, match="^no labeled rows to build a feature matrix from$"):
+            to_feature_matrix(table)
+
+
+def test_nan_read_from_csv_is_rejected_by_the_matrix(tmp_path):
+    values = list(GOOD)
+    values[5 + FEATURE_COLUMNS.index("F2_amean")] = "nan"
+    path = tmp_path / "nan.csv"
+    path.write_text(f"{HEADER}\n{','.join(GOOD)}\n{','.join(['b.wav'] + values[1:])}\n")
+    table = read_features_csv(str(path))
+    assert np.isnan(table.X[1]).sum() == 1
+    with pytest.raises(ValueError, match="^b.wav: feature F2_amean is nan, not a finite number$"):
+        to_feature_matrix(table)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64])
+def test_scan_finds_a_blank_line_across_chunks(tmp_path, monkeypatch, chunk):
+    monkeypatch.setattr(pipeline, "SCAN_CHUNK_BYTES", chunk)
+    good = ",".join(GOOD)
+    path = tmp_path / "f.csv"
+    for body, plain in [
+        (f"{good}\r\n{good}\r\n", True),
+        (f"{good}\r{good}\n{good}", True),
+        (f"{good}\r\n\r\n", False),
+        (f"{good}\n\r{good}", False),
+        (f"{good}\r\r{good}", False),
+        (f"{good}\n\n{good}", False),
+    ]:
+        path.write_text(f"{HEADER}\r\n{body}", newline="")
+        assert pipeline._loadtxt_reads_as_csv(str(path)) is plain, repr(body)
+    path.write_text(f"\n{HEADER}\n{good}\n")
+    assert not pipeline._loadtxt_reads_as_csv(str(path))
+
+
+@pytest.mark.parametrize("column, value", [
+    (0, '"' + ",".join(["b" * 30] * 4) + '"'),  # only the parsed length shows this one
+    (0, "c" * 81),
+    (5, "0.5" + " " * 78),
+])
+def test_a_field_over_csvs_limit_is_left_to_csv(tmp_path, column, value):
+    # csv raises on a field longer than csv.field_size_limit(); the parse in
+    # C must not read that file either
+    row = list(GOOD)
+    row[column] = value
+    path = tmp_path / "long.csv"
+    path.write_text(f"{HEADER}\n{','.join(GOOD)}\n{','.join(row)}\n")
+    old = csv.field_size_limit(80)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            read_features_csv(str(path))
+        assert pipeline._parse_in_c(str(path)) is None
+    finally:
+        csv.field_size_limit(old)
+    assert read_features_csv(str(path)).X.shape == (2, 38)
+
+
+# bytes the fuzz below splices into a good file: quoting, delimiters and
+# line ends, and what float() reads but np.loadtxt does not
+FUZZ_PIECES = [
+    '"', ",", "\n", "\r", "\r\n", " ", "\t", "\0",
+    "_", "e", "-", ".", "1", "x", "\u0663", "nan", "inf", '""', '","', "normal",
+]
+
+
+def test_parse_in_c_returns_nothing_but_the_row_loop_table(tmp_path):
+    # every file is either declined by the parse in C or read by it into
+    # the table of the reference row loop; a file the loop rejects is
+    # always declined
+    rng = np.random.default_rng(21)
+    good = f"{HEADER}\r\n" + "".join(
+        f'"r{i},{i}.wav",p{i},SCDM,discharge,{label},' + ",".join(map(repr, rng.normal(size=38).tolist())) + "\r\n"
+        for i, label in enumerate(["normal", "mild", "unlabeled"])
+    )
+    head = len(HEADER) + 2
+    taken = declined = 0
+    path = tmp_path / "fuzz.csv"
+    for _ in range(400):
+        text = good
+        for _ in range(rng.integers(1, 3)):
+            at = int(rng.integers(head, len(text) + 1))
+            cut = int(rng.integers(0, 2))
+            text = text[:at] + FUZZ_PIECES[rng.integers(len(FUZZ_PIECES))] + text[at + cut :]
+        path.write_bytes(text.encode())
+        fast = pipeline._parse_in_c(str(path))
+        try:
+            want = pipeline._read_row_by_row(str(path))
+        except (ValueError, csv.Error):
+            assert fast is None, repr(text)
+            declined += 1
+            continue
+        if fast is None:
+            declined += 1
+        else:
+            assert same_table(fast, want), repr(text)
+            taken += 1
+    assert taken > 20 and declined > 20
 
 
 def test_skipped_csv(tmp_path):
@@ -180,19 +370,27 @@ def test_to_feature_matrix_drops_unlabeled():
         FeatureRow(ManifestEntry("b.wav", "p1", "SCDM", "birth", "severe"), feats),
         FeatureRow(ManifestEntry("c.wav", "p2", "SCDM", "birth", "unlabeled"), feats),
     ]
-    m = to_feature_matrix(rows)
+    table = FeatureTable.from_rows(rows)
+    assert table.X.shape == (3, 38)
+    m = to_feature_matrix(table)
     assert m.X.shape == (2, 38)
     assert m.labels.tolist() == [0, 1]
     assert m.paths == ["a.wav", "b.wav"]
-    sub = to_feature_matrix(rows, feature_names=FEATURE_COLUMNS[:4])
+    assert m.sites == ["ESUTH", "SCDM"] and m.patient_ids == ["p0", "p1"]
+    sub = to_feature_matrix(table, feature_names=FEATURE_COLUMNS[:4])
     assert sub.X.shape == (2, 4)
-    one = to_feature_matrix(rows, feature_names=["F2_amean"])
+    one = to_feature_matrix(table, feature_names=["F2_amean"])
     assert one.X.shape == (2, 1)
     assert one.X[:, 0].tolist() == [feats["F2_amean"]] * 2
-    with pytest.raises(ValueError, match="no feature names"):
-        to_feature_matrix(rows, feature_names=[])
+    # columns come in the order they are named
+    picked = to_feature_matrix(table, feature_names=["F2_amean", FEATURE_COLUMNS[0]])
+    assert picked.X[0].tolist() == [feats["F2_amean"], 0.0]
+    with pytest.raises(ValueError, match="^no feature names to build a feature matrix from$"):
+        to_feature_matrix(table, feature_names=[])
+    with pytest.raises(ValueError, match="^no labeled rows to build a feature matrix from$"):
+        to_feature_matrix(FeatureTable.from_rows(rows[2:]))
     with pytest.raises(ValueError, match="no labeled rows"):
-        to_feature_matrix(rows[2:])
+        to_feature_matrix(FeatureTable.from_rows([]))
 
 
 def test_to_feature_matrix_rejects_non_finite():
@@ -202,13 +400,17 @@ def test_to_feature_matrix_rejects_non_finite():
         FeatureRow(ManifestEntry("a.wav", "p0", "ESUTH", "birth", "normal"), feats),
         FeatureRow(ManifestEntry("b.wav", "p1", "SCDM", "birth", "severe"), bad),
     ]
-    with pytest.raises(ValueError, match="b.wav: feature F2_amean is nan"):
-        to_feature_matrix(rows)
+    with pytest.raises(ValueError, match="^b.wav: feature F2_amean is nan, not a finite number$"):
+        to_feature_matrix(FeatureTable.from_rows(rows))
     # a column left out of the matrix is not checked
-    assert to_feature_matrix(rows, feature_names=FEATURE_COLUMNS[:4]).X.shape == (2, 4)
+    assert to_feature_matrix(FeatureTable.from_rows(rows), feature_names=FEATURE_COLUMNS[:4]).X.shape == (2, 4)
     rows[1].features["F2_amean"] = float("-inf")
     with pytest.raises(ValueError, match="is -inf"):
-        to_feature_matrix(rows)
+        to_feature_matrix(FeatureTable.from_rows(rows))
+    # nor is an unlabeled row
+    rows[0] = FeatureRow(ManifestEntry("c.wav", "p2", "SCDM", "birth", "unlabeled"), bad)
+    rows[1].features["F2_amean"] = 2.0
+    assert to_feature_matrix(FeatureTable.from_rows(rows)).paths == ["b.wav"]
 
 
 def test_load_split(tmp_path):
