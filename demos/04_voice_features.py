@@ -1,5 +1,6 @@
 """The 12 generic voice features, computed over the cry units."""
 
+from cryscreen.config import PipelineConfig
 from cryscreen.pipeline import segment_clip
 from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
 from cryscreen.voicefeat import compute_generic_features, concat_expirations, unit_frames
@@ -15,7 +16,8 @@ spec = SynthSpec(
 clip, _ = synth_cry(spec)
 # one analysis front end per recording: segmentation, biomarkers and the
 # voice functionals all read the same per-frame descriptors
-seg, front = segment_clip(clip)
+cfg = PipelineConfig()
+seg, front = segment_clip(clip, cfg)
 
 # pauses are left out: functionals describe phonation, not silence
 frames = unit_frames(front.f0.grid, seg)
@@ -25,7 +27,7 @@ print(f"{front.f0.grid.num_frames} front-end frames -> {len(frames)} frames in {
 voiced_only = concat_expirations(clip, seg)
 print(f"{clip.duration_seconds:.2f}s recording -> {voiced_only.duration_seconds:.2f}s of concatenated cry")
 
-features = compute_generic_features(front, seg, voiced_only)
+features = compute_generic_features(front, seg, voiced_only, cfg)
 print("\nname                            value")
 for name, value in features.items():
     print(f"{name:30s} {value: .4f}")

@@ -18,6 +18,7 @@ from cryscreen.analytics import (
     sensitivity_at_specificity,
     train_logreg,
 )
+from cryscreen.config import PipelineConfig
 from cryscreen.pipeline import FeatureTable, extract_manifest, to_feature_matrix
 from cryscreen.synthcry import make_corpus
 
@@ -43,7 +44,7 @@ if len(report.selected) > 8:
     print(f"  ... and {len(report.selected) - 8} more")
 
 trainval = trainval.subset_features(report.selected)
-cv = cross_validate(trainval, folds=5)
+cv = cross_validate(trainval, folds=5, reg_grid=PipelineConfig().reg_grid)
 print(f"\ncross-validated penalty grid: " + ", ".join(
     f"{lam:g} -> {auc:.3f}" for lam, auc in cv.mean_aucs.items()))
 model = train_logreg(trainval, cv.best_reg_strength)

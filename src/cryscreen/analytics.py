@@ -16,8 +16,6 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import rankdata
 
-DEFAULT_REG_GRID = (0.1, 1.0, 10.0, 100.0)
-DEFAULT_FOLDS = 10
 IRLS_TOL = 1e-6
 IRLS_MAX_ITER = 500
 _NORM_GUARD = 1e-8
@@ -259,11 +257,7 @@ def assign_patient_folds(patient_ids: list[str], labels: np.ndarray, folds: int)
     return assignment
 
 
-def cross_validate(
-    matrix: FeatureMatrix,
-    folds: int = DEFAULT_FOLDS,
-    reg_grid: tuple[float, ...] = DEFAULT_REG_GRID,
-) -> CrossValidationResult:
+def cross_validate(matrix: FeatureMatrix, folds: int, reg_grid: tuple[float, ...]) -> CrossValidationResult:
     """Pick the regularization weight by grouped, stratified CV.
 
     Each fold's training rows are standardized once, and every penalty of

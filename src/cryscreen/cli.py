@@ -87,30 +87,40 @@ def _selection_json(report) -> dict:
     }
 
 
+def _read_matrix(path: str):
+    """The labeled rows of a features CSV; a table that has none is an error naming the file."""
+    table = read_features_csv(path)
+    try:
+        return to_feature_matrix(table)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_select(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args.config)
-    sites = [s.strip() for s in args.sites.split(",") if s.strip()] if args.sites else list(cfg.selection_sites)
-    matrix = to_feature_matrix(read_features_csv(args.features))
-    report = select_consistent_features(matrix, sites)
+    matrix = _read_matrix(args.features)
+    report = select_consistent_features(matrix, list(cfg.selection_sites))
     _dump_json(_selection_json(report), args.out)
     print(f"selected {len(report.selected)} of {len(matrix.feature_names)} features", file=sys.stderr)
     return 0
 
 
-def _split_masks(matrix, assignment: dict[str, str]) -> tuple[np.ndarray, np.ndarray]:
+def _split_masks(matrix, path: str) -> tuple[np.ndarray, np.ndarray]:
+    """Train-and-val and test masks of matrix's rows from the split file at path."""
+    assignment = load_split(path)
     missing = [p for p in matrix.paths if p not in assignment]
     if missing:
-        raise ValueError(f"split file does not assign {len(missing)} labeled rows (first: {missing[0]})")
+        raise ValueError(f"{path}: does not assign {len(missing)} labeled rows (first: {missing[0]})")
     split = np.array([assignment[p] for p in matrix.paths])
+    if not (split == "test").any():
+        raise ValueError(f"{path}: assigns no labeled rows to test")
     return np.isin(split, ("train", "val")), split == "test"
 
 
 def cmd_train_eval(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args.config)
-    matrix = to_feature_matrix(read_features_csv(args.features))
-    trainval_mask, test_mask = _split_masks(matrix, load_split(args.split))
-    if not test_mask.any():
-        raise ValueError("split assigns no labeled rows to test")
+    matrix = _read_matrix(args.features)
+    trainval_mask, test_mask = _split_masks(matrix, args.split)
     trainval = matrix.subset_rows(trainval_mask)
 
     base = _BASE_SETS[args.feature_set.removeprefix("selected-")]
@@ -185,7 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("select", help="sign-consistent feature selection across sites")
     p.add_argument("--features", required=True)
-    p.add_argument("--sites", help="comma-separated site list (default: config selection_sites)")
     p.add_argument("--out", required=True)
     p.add_argument("--config")
     p.set_defaults(func=cmd_select)

@@ -1,12 +1,14 @@
 """Pipeline configuration.
 
 All tunables in one flat dataclass, loadable from a plain ``key=value``
-text file. This is the only place their defaults live: the segmenter and
-the biomarker detectors take a PipelineConfig and read their thresholds
-from it. Unknown keys are rejected so a typo cannot silently fall back
-to a default, and values that no run can use (no analysis grid, Mel
-filterbank, pitch range or cross-validation fits them) are rejected by
-name.
+text file. This is the only place their defaults live: the dsp kernels
+read the sample rate, frame grid, Mel bands, pitch range and voicing
+threshold from the PipelineConfig they are passed, the segmenter and the
+biomarker detectors their thresholds, and the command line the
+cross-validation folds, penalty grid and selection sites. Unknown keys
+are rejected so a typo cannot silently fall back to a default, and
+values that no run can use (no analysis grid, Mel filterbank, pitch
+range or cross-validation fits them) are rejected by name.
 """
 
 from __future__ import annotations
@@ -14,11 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields, replace
 
-from . import analytics
 from .dsp import (
-    CANONICAL_SAMPLE_RATE,
-    DEFAULT_HOP_S,
-    DEFAULT_WINDOW_S,
     FRONT_END_MFCC_COEFFS,
     FrameGrid,
     check_mel_bands,
@@ -29,9 +27,9 @@ from .dsp import (
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    sample_rate: int = CANONICAL_SAMPLE_RATE
-    window_s: float = DEFAULT_WINDOW_S
-    hop_s: float = DEFAULT_HOP_S
+    sample_rate: int = 16000
+    window_s: float = 0.025
+    hop_s: float = 0.010
     num_mel_bands: int = 80
     # newborn cry F0 stays in the hundreds of Hz; a floor of 250 keeps the
     # subharmonic lags that noise favors out of the search range entirely
@@ -53,8 +51,8 @@ class PipelineConfig:
     hyperphonation_min_run_s: float = 0.1
     dysphonation_min_run_s: float = 0.1
     melody_flat_ratio: float = 0.15
-    cv_folds: int = analytics.DEFAULT_FOLDS
-    reg_grid: tuple[float, ...] = analytics.DEFAULT_REG_GRID
+    cv_folds: int = 10
+    reg_grid: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0)
     selection_sites: tuple[str, ...] = ("ESUTH", "LASUTH", "SCDM")
 
     def __post_init__(self) -> None:

@@ -1,13 +1,16 @@
 """Frame-level signal analysis: STFT, log-Mel, F0, flatness, MFCC, formants.
 
-Everything here runs on the canonical 16 kHz mono representation and a
-shared 25 ms / 10 ms frame grid, so that any two per-frame series computed
-from the same clip line up index for index.
+The kernels that frame a clip (stft, estimate_f0, lpc_formants) take the
+window and hop of the PipelineConfig they are passed, and log_mel and
+estimate_f0 its Mel bands, pitch range and voicing threshold, so that any
+two per-frame series computed from the same clip line up index for index.
+The pipeline passes them clips already at the config's sample rate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -15,10 +18,8 @@ from scipy.fft import dct
 
 from .audio_io import AudioClip
 
-CANONICAL_SAMPLE_RATE = 16000
-
-DEFAULT_WINDOW_S = 0.025
-DEFAULT_HOP_S = 0.010
+if TYPE_CHECKING:
+    from .config import PipelineConfig
 
 MEL_FLOOR = 1e-10
 POWER_FLOOR = 1e-12
@@ -34,6 +35,12 @@ FRONT_END_MFCC_COEFFS = 4
 # it at BLAS_ROWS or more: see frame_blocks.
 FRAME_BLOCK = 1024
 BLAS_ROWS = 16
+
+# The all-pole model of lpc_formants: its order, the formants it reports and
+# the widest resonance it counts as one.
+LPC_ORDER = 12
+NUM_FORMANTS = 3
+MAX_FORMANT_BANDWIDTH_HZ = 400.0
 
 
 @dataclass
@@ -80,24 +87,11 @@ class FrameSeries:
 
 @dataclass
 class Spectrogram:
-    """Complex STFT, frames along axis 0 and frequency bins along axis 1."""
+    """STFT power |X|**2, frames along axis 0 and frequency bins along axis 1."""
 
     values: np.ndarray
     freqs_hz: np.ndarray
     grid: FrameGrid
-    _power: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-
-    def power(self) -> np.ndarray:
-        """|values|**2, computed once per spectrogram and returned read-only.
-
-        log_mel, spectral_flatness and spectral_slope_band all read it, so
-        the first call pays for it and the rest share it; a write into the
-        shared array would change what the others see, hence read-only.
-        """
-        if self._power is None:
-            self._power = np.abs(self.values) ** 2
-            self._power.flags.writeable = False
-        return self._power
 
 
 @dataclass
@@ -147,7 +141,7 @@ def frame_blocks(num_frames: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
-def make_grid(n_samples: int, sample_rate: int, window_s: float = DEFAULT_WINDOW_S, hop_s: float = DEFAULT_HOP_S) -> FrameGrid:
+def make_grid(n_samples: int, sample_rate: int, window_s: float, hop_s: float) -> FrameGrid:
     win = int(round(window_s * sample_rate))
     hop = int(round(hop_s * sample_rate))
     if n_samples < win:
@@ -198,19 +192,19 @@ def f0_lag_range(sample_rate: int, f0_min: float, f0_max: float, window_samples:
     return max(int(np.floor(sample_rate / f0_max)), 2), int(np.ceil(sample_rate / f0_min))
 
 
-def stft(clip: AudioClip, window_s: float = DEFAULT_WINDOW_S, hop_s: float = DEFAULT_HOP_S) -> Spectrogram:
-    """Short-time Fourier transform with a Hann window.
+def stft(clip: AudioClip, config: PipelineConfig) -> Spectrogram:
+    """Power spectrum of each Hann-windowed frame on config's window and hop.
 
     The FFT size is the next power of two at or above the window length,
     and only nonnegative frequencies are kept.
     """
-    grid = make_grid(len(clip.samples), clip.sample_rate, window_s, hop_s)
+    grid = make_grid(len(clip.samples), clip.sample_rate, config.window_s, config.hop_s)
     frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), grid.window_samples, grid.hop_samples)
     window = np.hanning(grid.window_samples)
     nfft = _next_pow2(grid.window_samples)
-    values = np.fft.rfft(frames * window, n=nfft, axis=1)
+    power = np.abs(np.fft.rfft(frames * window, n=nfft, axis=1)) ** 2
     freqs = np.fft.rfftfreq(nfft, 1.0 / clip.sample_rate)
-    return Spectrogram(values, freqs, grid)
+    return Spectrogram(power, freqs, grid)
 
 
 def mel_from_hz(f):
@@ -235,13 +229,14 @@ def mel_filterbank(freqs_hz: np.ndarray, num_bands: int, fmin: float, fmax: floa
     return np.clip(np.minimum(up, down), 0.0, None)
 
 
-def log_mel(spec: Spectrogram, num_bands: int = 80, fmin: float = 0.0, fmax: float | None = None) -> LogMelSpectrogram:
-    """Log-energy Mel spectrogram (natural log, energies floored at 1e-10)."""
-    if fmax is None:
-        fmax = spec.grid.sample_rate / 2.0
-    check_mel_bands(num_bands, spec.grid.window_samples)
-    fb = mel_filterbank(spec.freqs_hz, num_bands, fmin, fmax)
-    energy = spec.power() @ fb.T
+def log_mel(spec: Spectrogram, config: PipelineConfig) -> LogMelSpectrogram:
+    """Log-energy Mel spectrogram (natural log, energies floored at 1e-10).
+
+    config.num_mel_bands bands span 0 Hz to the Nyquist frequency.
+    """
+    check_mel_bands(config.num_mel_bands, spec.grid.window_samples)
+    fb = mel_filterbank(spec.freqs_hz, config.num_mel_bands, 0.0, spec.grid.sample_rate / 2.0)
+    energy = spec.values @ fb.T
     return LogMelSpectrogram(np.log(np.maximum(energy, MEL_FLOOR)), spec.grid)
 
 
@@ -276,15 +271,7 @@ def difference_function(frames: np.ndarray, tau_max: int) -> np.ndarray:
     return d
 
 
-def estimate_f0(
-    clip: AudioClip,
-    f0_min: float = 200.0,
-    f0_max: float = 2000.0,
-    window_s: float = DEFAULT_WINDOW_S,
-    hop_s: float = DEFAULT_HOP_S,
-    voicing_threshold: float = 0.5,
-    frames: np.ndarray | None = None,
-) -> F0Contour:
+def estimate_f0(clip: AudioClip, config: PipelineConfig, frames: np.ndarray | None = None) -> F0Contour:
     """Fundamental frequency tracking via the normalized difference function.
 
     Per frame, the difference function d(tau) = sum_j (x_j - x_{j+tau})^2
@@ -298,7 +285,8 @@ def estimate_f0(
     causing octave-down errors. The chosen lag is refined by parabolic
     interpolation. A frame counts as voiced when the periodicity
     confidence, 1 minus the normalized difference at the chosen lag,
-    reaches voicing_threshold.
+    reaches config.voicing_threshold. Lags cover periods of
+    config.f0_max_hz down to config.f0_min_hz.
 
     Pitch is tracked on the frames listed in frames (every frame when it
     is None); the others come back unvoiced with f0 and confidence 0.
@@ -307,9 +295,9 @@ def estimate_f0(
     fixed and the result does not depend on the block size.
     """
     sr = clip.sample_rate
-    grid = make_grid(len(clip.samples), sr, window_s, hop_s)
+    grid = make_grid(len(clip.samples), sr, config.window_s, config.hop_s)
     win = grid.window_samples
-    tau_min, tau_max = f0_lag_range(sr, f0_min, f0_max, win)
+    tau_min, tau_max = f0_lag_range(sr, config.f0_min_hz, config.f0_max_hz, win)
     all_frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples)
     num = grid.num_frames
     picked = np.arange(num) if frames is None else np.asarray(frames, dtype=np.intp)
@@ -319,7 +307,7 @@ def estimate_f0(
     for start in range(0, len(picked), FRAME_BLOCK):
         rows = picked[start : start + FRAME_BLOCK]
         f0[rows], voiced[rows], confidence[rows] = _track_f0(
-            all_frames[rows], sr, tau_min, tau_max, voicing_threshold
+            all_frames[rows], sr, tau_min, tau_max, config.voicing_threshold
         )
     return F0Contour(f0, voiced, confidence, grid)
 
@@ -390,9 +378,9 @@ def spectral_flatness(spec: Spectrogram) -> FrameSeries:
 
     Values live in [0, 1]; near 0 for line spectra, toward 1 for noise.
     """
-    p = np.maximum(spec.power(), POWER_FLOOR)
+    p = np.maximum(spec.values, POWER_FLOOR)
     arith = np.mean(p, axis=1)
-    # p is already a copy of the shared power, so the log may overwrite it
+    # p is a copy of the spectrogram's power, so the log may overwrite it
     geo = np.exp(np.mean(np.log(p, out=p), axis=1))
     return FrameSeries(geo / arith, spec.grid)
 
@@ -414,42 +402,36 @@ def loudness(logmel: LogMelSpectrogram) -> FrameSeries:
     return FrameSeries(total ** 0.3, logmel.grid)
 
 
-def lpc_formants(
-    clip: AudioClip,
-    order: int = 12,
-    num_formants: int = 3,
-    max_bandwidth_hz: float = 400.0,
-    window_s: float = DEFAULT_WINDOW_S,
-    hop_s: float = DEFAULT_HOP_S,
-) -> np.ndarray:
-    """Per-frame formant estimates from linear prediction.
+def lpc_formants(clip: AudioClip, config: PipelineConfig) -> np.ndarray:
+    """Per-frame formant estimates from linear prediction on config's window and hop.
 
-    Fits an all-pole model by the autocorrelation method (Makhoul, Proc.
-    IEEE 1975): the order + 1 lags r_k = sum_{j < win - k} x_j x_{j+k} of
-    each Hann-windowed frame are direct lag products, one dot product per
-    lag, and the Levinson recursion solves for the predictor. Of the
-    complex roots in the upper half plane with bandwidth under
-    max_bandwidth_hz, the lowest num_formants frequencies are reported in
-    ascending order. Output is (num_frames, num_formants) with zeros
-    standing in where a frame is degenerate or yields too few narrow
-    resonances. Frames are fitted in blocks of at most FRAME_BLOCK, so
-    memory beyond the clip stays fixed.
+    Fits an all-pole model of order LPC_ORDER by the autocorrelation
+    method (Makhoul, Proc. IEEE 1975): the order + 1 lags
+    r_k = sum_{j < win - k} x_j x_{j+k} of each Hann-windowed frame are
+    direct lag products, one dot product per lag, and the Levinson
+    recursion solves for the predictor. Of the complex roots in the upper
+    half plane with bandwidth under MAX_FORMANT_BANDWIDTH_HZ, the lowest
+    NUM_FORMANTS frequencies are reported in ascending order. Output is
+    (num_frames, NUM_FORMANTS) with zeros standing in where a frame is
+    degenerate or yields too few narrow resonances. Frames are fitted in
+    blocks of at most FRAME_BLOCK, so memory beyond the clip stays fixed.
     """
-    grid = make_grid(len(clip.samples), clip.sample_rate, window_s, hop_s)
+    grid = make_grid(len(clip.samples), clip.sample_rate, config.window_s, config.hop_s)
     win = grid.window_samples
-    if order >= win:
-        raise ValueError(f"LPC order {order} must be below the window length {win}")
+    if LPC_ORDER >= win:
+        raise ValueError(f"LPC order {LPC_ORDER} must be below the window length {win}")
     frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples)
     window = np.hanning(win)
-    out = np.empty((grid.num_frames, num_formants))
+    out = np.empty((grid.num_frames, NUM_FORMANTS))
     for start in range(0, grid.num_frames, FRAME_BLOCK):
         block = frames[start : start + FRAME_BLOCK] * window
-        out[start : start + FRAME_BLOCK] = _fit_formants(block, order, num_formants, max_bandwidth_hz, clip.sample_rate)
+        out[start : start + FRAME_BLOCK] = _fit_formants(block, clip.sample_rate)
     return out
 
 
-def _fit_formants(frames: np.ndarray, order: int, num_formants: int, max_bandwidth_hz: float, sr: int) -> np.ndarray:
+def _fit_formants(frames: np.ndarray, sr: int) -> np.ndarray:
     """Formants of each row of windowed frames (see lpc_formants)."""
+    order = LPC_ORDER
     num, win = frames.shape
     autocorr = np.empty((num, order + 1))
     for k in range(order + 1):
@@ -482,8 +464,8 @@ def _fit_formants(frames: np.ndarray, order: int, num_formants: int, max_bandwid
     freqs = angles * sr / (2.0 * np.pi)
     with np.errstate(divide="ignore"):
         bandwidths = -(sr / np.pi) * np.log(np.maximum(np.abs(roots), 1e-12))
-    keep = (roots.imag > 0) & (bandwidths < max_bandwidth_hz)
-    return pick_formants(freqs, keep, degenerate, num_formants)
+    keep = (roots.imag > 0) & (bandwidths < MAX_FORMANT_BANDWIDTH_HZ)
+    return pick_formants(freqs, keep, degenerate, NUM_FORMANTS)
 
 
 def pick_formants(freqs: np.ndarray, keep: np.ndarray, degenerate: np.ndarray, num_formants: int) -> np.ndarray:
@@ -501,14 +483,14 @@ def pick_formants(freqs: np.ndarray, keep: np.ndarray, degenerate: np.ndarray, n
     return out
 
 
-def spectral_slope_band(spec: Spectrogram, fmin_hz: float = 0.0, fmax_hz: float = 500.0) -> FrameSeries:
+def spectral_slope_band(spec: Spectrogram, fmin_hz: float, fmax_hz: float) -> FrameSeries:
     """Per-frame OLS slope of log power (dB) against frequency over a band."""
     sel = (spec.freqs_hz >= fmin_hz) & (spec.freqs_hz <= fmax_hz)
     n_bins = int(np.count_nonzero(sel))
     if n_bins < 3:
         raise ValueError(f"band [{fmin_hz}, {fmax_hz}] Hz covers {n_bins} bins; need at least 3")
     x = spec.freqs_hz[sel]
-    y = 10.0 * np.log10(np.maximum(spec.power()[:, sel], POWER_FLOOR))
+    y = 10.0 * np.log10(np.maximum(spec.values[:, sel], POWER_FLOOR))
     xc = x - x.mean()
     slope = (y - y.mean(axis=1, keepdims=True)) @ xc / np.dot(xc, xc)
     return FrameSeries(slope, spec.grid)

@@ -96,8 +96,8 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
     for start, stop in dsp.frame_blocks(grid.num_frames):
         # the sub-clip's frames are the clip's frames start..stop-1
         part = AudioClip(clip.samples[start * hop : (stop - 1) * hop + win], clip.sample_rate)
-        spec = dsp.stft(part, config.window_s, config.hop_s)
-        logmel = dsp.log_mel(spec, config.num_mel_bands)
+        spec = dsp.stft(part, config)
+        logmel = dsp.log_mel(spec, config)
         loud[start:stop] = dsp.loudness(logmel).values
         flatness[start:stop] = dsp.spectral_flatness(spec).values
         slope[start:stop] = dsp.spectral_slope_band(spec, 0.0, 500.0).values
@@ -105,15 +105,7 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
     # the last block's planes need not be alive beside the pitch tracker
     del spec, logmel
     loudness = dsp.FrameSeries(loud, grid)
-    f0 = dsp.estimate_f0(
-        clip,
-        f0_min=config.f0_min_hz,
-        f0_max=config.f0_max_hz,
-        window_s=config.window_s,
-        hop_s=config.hop_s,
-        voicing_threshold=config.voicing_threshold,
-        frames=pitch_frames(loudness, config),
-    )
+    f0 = dsp.estimate_f0(clip, config, frames=pitch_frames(loudness, config))
     return FrontEnd(
         f0=f0,
         loudness=loudness,
@@ -163,7 +155,7 @@ def extract_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple
 
     flags = unit_flags_for(front, seg, config)
     features = aggregate_biomarkers(seg, flags)
-    features.update(compute_generic_features(front, seg, concat_expirations(clip, seg)))
+    features.update(compute_generic_features(front, seg, concat_expirations(clip, seg), config))
     return {name: features[name] for name in FEATURE_COLUMNS}, seg
 
 

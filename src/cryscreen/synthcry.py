@@ -20,7 +20,7 @@ from scipy import signal as sps
 from .audio_io import AudioClip, ManifestEntry, save_manifest, write_wav
 from .biomarkers import MELODY_TYPES, UnitFlags, classify_melody, smooth_f0
 from .config import PipelineConfig
-from .dsp import DEFAULT_HOP_S, DEFAULT_WINDOW_S, F0Contour, make_grid
+from .dsp import F0Contour, make_grid
 from .segmenter import CrySegmentation
 
 EVENTS = ("none", "hyperphonation", "dysphonation", "glide", "vibrato")
@@ -230,7 +230,7 @@ def _add_dysphonation_noise(x: np.ndarray, unit: UnitSpec, sr: int, rng: np.rand
     spectrum, and band-limited noise would leave near-empty bins that
     crush the geometric mean.
     """
-    pad = DEFAULT_WINDOW_S / 2.0
+    pad = PipelineConfig().window_s / 2.0
     i0 = max(int(round((unit.event_start_s - pad) * sr)), 0)
     i1 = min(int(round((unit.event_start_s + unit.event_duration_s + pad) * sr)), len(x))
     if i1 <= i0:
@@ -257,7 +257,8 @@ def _add_dysphonation_noise(x: np.ndarray, unit: UnitSpec, sr: int, rng: np.rand
 def true_contour(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples: int) -> F0Contour:
     """The planted F0 sampled at analysis-frame centers, 0 between units."""
     sr = spec.sample_rate
-    grid = make_grid(n_samples, sr, DEFAULT_WINDOW_S, DEFAULT_HOP_S)
+    config = PipelineConfig()
+    grid = make_grid(n_samples, sr, config.window_s, config.hop_s)
     centers = grid.frame_times() + grid.window_seconds / 2.0
     f0 = np.zeros(grid.num_frames)
     voiced = np.zeros(grid.num_frames, dtype=bool)

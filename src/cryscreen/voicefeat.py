@@ -22,6 +22,7 @@ from . import dsp
 from .segmenter import CrySegmentation, runs_of
 
 if TYPE_CHECKING:
+    from .config import PipelineConfig
     from .pipeline import FrontEnd
 
 VOICE_FEATURE_NAMES = [
@@ -104,23 +105,23 @@ def stddev_falling_slope(x: np.ndarray, hop_s: float) -> float:
 
 
 def compute_generic_features(
-    front: FrontEnd, seg: CrySegmentation, concat: AudioClip, min_duration_s: float = MIN_CONCAT_S
+    front: FrontEnd, seg: CrySegmentation, concat: AudioClip, config: PipelineConfig
 ) -> dict[str, float]:
     """The 12 generic functionals of the cry units of one recording.
 
-    front is the recording's front end and concat its expirations spliced
-    by concat_expirations. Voicing, slope, MFCC and loudness are the front
-    end's at unit_frames; formants come from LPC over concat on the front
-    end's window and hop, frame i of which is paired with unit frame i.
-    Every low-level descriptor is smoothed with a 3-frame moving average
-    before the functionals. Formant statistics skip frames where no
-    narrow-bandwidth resonance was found. Raises when concat is shorter
-    than min_duration_s or the units hold no voiced frames at all (every V
-    feature would be undefined).
+    front is the recording's front end, built with config, and concat its
+    expirations spliced by concat_expirations. Voicing, slope, MFCC and
+    loudness are the front end's at unit_frames; formants come from LPC
+    over concat on config's window and hop, the front end's grid, frame i
+    of which is paired with unit frame i. Every low-level descriptor is
+    smoothed with a 3-frame moving average before the functionals. Formant
+    statistics skip frames where no narrow-bandwidth resonance was found.
+    Raises when concat is shorter than MIN_CONCAT_S or the units hold no
+    voiced frames at all (every V feature would be undefined).
     """
-    if concat.duration_seconds < min_duration_s:
+    if concat.duration_seconds < MIN_CONCAT_S:
         raise ValueError(
-            f"concatenated cry of {concat.duration_seconds:.3f}s is shorter than {min_duration_s}s"
+            f"concatenated cry of {concat.duration_seconds:.3f}s is shorter than {MIN_CONCAT_S}s"
         )
     grid = front.f0.grid
     idx = unit_frames(grid, seg)
@@ -137,7 +138,7 @@ def compute_generic_features(
     mfcc3 = moving_average3(front.mfcc2_4[idx, 1])
     mfcc4 = moving_average3(front.mfcc2_4[idx, 2])
 
-    formants = dsp.lpc_formants(concat, window_s=grid.window_seconds, hop_s=grid.hop_seconds)
+    formants = dsp.lpc_formants(concat, config)
     # LPC frame i pairs with unit frame i. The spliced waveform has fewer
     # frames than its units on the frame grid, as its last windows would run
     # past its end; units off the grid can give it more

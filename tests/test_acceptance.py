@@ -84,13 +84,14 @@ def _index_split_csv(entries, path):
 
 def test_c01_f0_oracle():
     rng = np.random.default_rng(424)
+    f0_cfg = PipelineConfig(f0_min_hz=200.0, f0_max_hz=2000.0)
     t0 = time.perf_counter()
     rel_errs, gross = [], 0
     for _ in range(50):
         f0 = float(rng.uniform(250.0, 1500.0))
         t = (np.arange(int(0.5 * SR)) + 0.5) / SR
         x = sum(np.sin(2 * np.pi * k * f0 * t) / k for k in range(1, 6))
-        track = estimate_f0(AudioClip(0.3 * x / np.max(np.abs(x)), SR))
+        track = estimate_f0(AudioClip(0.3 * x / np.max(np.abs(x)), SR), f0_cfg)
         est = float(np.median(track.f0_hz[track.voiced]))
         rel_errs.append(abs(est - f0) / f0)
         gross += rel_errs[-1] > 0.2  # halving or doubling lands far beyond 20%
@@ -309,7 +310,7 @@ def test_c08_end_to_end_screening(corpus200, extraction200, tmp_path):
     null_matrix = to_feature_matrix(FeatureTable.from_rows(null_rows))
     test_mask = np.array([i % 4 == 3 for i in range(len(null_matrix.labels))])
     trainval, test = null_matrix.subset_rows(~test_mask), null_matrix.subset_rows(test_mask)
-    cv = cross_validate(trainval, folds=10)
+    cv = cross_validate(trainval, folds=10, reg_grid=(0.1, 1.0, 10.0, 100.0))
     null_model = train_logreg(trainval, cv.best_reg_strength)
     null_auc = roc_auc(null_model.predict_proba(test.X), test.labels).auc
 

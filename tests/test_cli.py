@@ -41,6 +41,9 @@ def test_parser_surface():
                            "--metrics-out", "x", "--feature-set", "all"])
     with pytest.raises(SystemExit):
         parser.parse_args([])
+    # select takes its sites from the config's selection_sites only
+    with pytest.raises(SystemExit):
+        parser.parse_args(["select", "--features", "f", "--out", "o", "--sites", "ESUTH,SCDM"])
 
 
 def test_synth_and_extract_outputs(chain):
@@ -180,3 +183,49 @@ def test_unusable_config_is_a_clean_error(chain, tmp_path, capsys, line, key):
     assert f"cry: error: {cfg}: {key}" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rows", ["none", "unlabeled"])
+@pytest.mark.parametrize("command", ["select", "train-eval"])
+def test_table_without_labeled_rows_names_the_file(chain, tmp_path, capsys, rows, command):
+    lines = chain["features"].read_text().splitlines()
+    if rows == "unlabeled":
+        lines[1:] = [",".join(line.split(",")[:4] + ["unlabeled"] + line.split(",")[5:]) for line in lines[1:]]
+    else:
+        lines = lines[:1]
+    table = tmp_path / "table.csv"
+    table.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out.json"
+    argv = {
+        "select": ["select", "--features", str(table), "--out", str(out)],
+        "train-eval": ["train-eval", "--features", str(table), "--split", str(chain["split"]),
+                       "--model-out", str(tmp_path / "m.json"), "--metrics-out", str(out)],
+    }[command]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cry: error: {table}: no labeled rows")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault, message", [("unassigned", "does not assign 1 labeled rows"),
+                                            ("no-test", "assigns no labeled rows to test")])
+def test_split_fault_names_the_split_file(chain, tmp_path, capsys, fault, message):
+    lines = chain["split"].read_text().splitlines()
+    if fault == "unassigned":
+        lines = lines[:-1]
+    else:
+        lines = [line.replace(",test", ",val") for line in lines]
+    split = tmp_path / "split.csv"
+    split.write_text("\n".join(lines) + "\n")
+    metrics = tmp_path / "x.json"
+    code = main([
+        "train-eval", "--features", str(chain["features"]), "--split", str(split),
+        "--model-out", str(tmp_path / "m.json"), "--metrics-out", str(metrics),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cry: error: {split}: {message}")
+    assert "Traceback" not in err
+    assert not metrics.exists()
+

@@ -1,12 +1,20 @@
+import inspect
+import json
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cryscreen import analytics, cli, dsp, voicefeat
+from cryscreen.audio_io import ManifestEntry
 from cryscreen.biomarkers import unit_biomarker_flags
 from cryscreen.config import PipelineConfig, load_config, save_config
 from cryscreen.dsp import F0Contour, FrameGrid, FrameSeries
+from cryscreen.pipeline import FEATURE_COLUMNS, FeatureRow, analyze_frames, canonical_clip, write_features_csv
 from cryscreen.segmenter import CrySegmentation, detect_cry_units, meets_curation_rule, pitch_frames
+from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
 
 # the defaults, spelled out so that moving them cannot change one
 DEFAULTS_TEXT = """\
@@ -251,11 +259,107 @@ def flags_of(unit):
     return unit_flags
 
 
+CLIP = synth_cry(SynthSpec(units=[UnitSpec(0.6, 0.2, base_f0_hz=450.0), UnitSpec(0.5, 0.0)], seed=3))[0]
+
+
+def front_end(config):
+    """The spectral series of CLIP's front end, at config.sample_rate."""
+    front = analyze_frames(canonical_clip(CLIP, config), config)
+    return [front.loudness.values.tolist(), front.flatness.values.tolist(),
+            front.slope0_500.values.tolist(), front.mfcc2_4.tolist()]
+
+
+def f0_track(config):
+    f0 = analyze_frames(CLIP, config).f0
+    return f0.f0_hz.tolist(), f0.voiced.tolist()
+
+
+def formants(config):
+    return dsp.lpc_formants(CLIP, config).tolist()
+
+
+def planted_rows():
+    """120 labeled rows over three sites, one patient each, whose first four columns shift with the label."""
+    rng = np.random.default_rng(5)
+    labels = np.arange(120) // 4 % 2
+    X = rng.standard_normal((120, len(FEATURE_COLUMNS)))
+    X[:, :4] += labels[:, None]
+    sites = ("ESUTH", "LASUTH", "SCDM")
+    return [
+        FeatureRow(ManifestEntry(f"r{i}.wav", f"p{i}", sites[i % 3], "birth", ("normal", "severe")[labels[i]]),
+                   dict(zip(FEATURE_COLUMNS, X[i])))
+        for i in range(120)
+    ]
+
+
+MODEL_ROWS = planted_rows()
+
+
+def run_cli(config, command, *argv):
+    """The JSON that a model command of cry writes to {out}/out.json.
+
+    It reads MODEL_ROWS from {out}/f.csv and config from a file, and
+    {out}/split.csv puts every fourth row in test.
+    """
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        write_features_csv(MODEL_ROWS, str(out / "f.csv"))
+        (out / "split.csv").write_text(
+            "path,split\n" + "".join(f"r{i}.wav,{'test' if i % 4 == 3 else 'train'}\n" for i in range(120))
+        )
+        save_config(config, str(out / "cry.cfg"))
+        args = [command, "--features", str(out / "f.csv"), *argv, "--config", str(out / "cry.cfg")]
+        assert cli.main([a.replace("{out}", str(out)) for a in args]) == 0
+        return json.loads((out / "out.json").read_text())
+
+
+def selection_report(config):
+    return run_cli(config, "select", "--out", "{out}/out.json")
+
+
+def selected_model(config):
+    """The features of the model that train-eval fits on its own selection."""
+    model = run_cli(config, "train-eval", "--split", "{out}/split.csv", "--feature-set", "selected-both",
+                    "--model-out", "{out}/out.json", "--metrics-out", "{out}/x.json")
+    return model["features"]
+
+
+def cv_choice(config):
+    """The cross-validation result that train-eval picks its penalty by."""
+    results = []
+
+    def recorded(*args, **kwargs):
+        results.append(analytics.cross_validate(*args, **kwargs))
+        return results[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "cross_validate", recorded)
+        run_cli(config, "train-eval", "--split", "{out}/split.csv", "--model-out", "{out}/m.json",
+                "--metrics-out", "{out}/out.json")
+    (result,) = results
+    return result.best_reg_strength, result.fold_aucs
+
+
 # Each changed value makes its stage differ from the defaults; set back to
 # its default in any one place the stage reads it, the key would leave the
 # default output. Where a stage reads a key twice (vibrato's prominence and
 # minimum extrema), the value turns an outcome on, which needs both reads.
 KEY_STAGES = [
+    ("sample_rate", 8000, front_end),
+    ("window_s", 0.03, front_end),
+    ("window_s", 0.03, f0_track),
+    ("window_s", 0.03, formants),
+    ("hop_s", 0.005, front_end),
+    ("hop_s", 0.005, f0_track),
+    ("hop_s", 0.005, formants),
+    ("num_mel_bands", 40, front_end),
+    ("f0_min_hz", 500.0, f0_track),
+    ("f0_max_hz", 400.0, f0_track),
+    ("voicing_threshold", 0.1, f0_track),
+    ("cv_folds", 5, cv_choice),
+    ("reg_grid", (0.5, 5.0), cv_choice),
+    ("selection_sites", ("ESUTH", "SCDM"), selection_report),
+    ("selection_sites", ("ESUTH", "SCDM"), selected_model),
     ("active_fraction", 0.8, units),
     ("active_fraction", 0.8, tracked_frames),
     ("voicing_halfwidth_frames", 1, units),
@@ -277,11 +381,29 @@ KEY_STAGES = [
 ]
 
 
-def test_key_stages_cover_the_segmenter_and_detector_keys():
+def test_key_stages_cover_every_key():
     names = [f.name for f in fields(PipelineConfig)]
     tunables = names[names.index("active_fraction") : names.index("melody_flat_ratio") + 1]
-    assert len(tunables) == 15
-    assert {key for key, _, _ in KEY_STAGES} == set(tunables)
+    assert len(tunables) == 15 and len(names) == 25
+    assert {key for key, _, _ in KEY_STAGES} == set(names)
+
+
+# the names the kernels gave these values before the config held them
+_CONFIG_VALUE_PARAMS = {f.name for f in fields(PipelineConfig)} | {"f0_min", "f0_max", "num_bands", "folds", "config"}
+
+
+@pytest.mark.parametrize("module", [dsp, analytics, voicefeat], ids=lambda m: m.__name__)
+def test_no_function_defaults_a_config_value(module):
+    functions = [f for _, f in inspect.getmembers(module, inspect.isfunction) if f.__module__ == module.__name__]
+    for cls in (c for _, c in inspect.getmembers(module, inspect.isclass) if c.__module__ == module.__name__):
+        functions += [f for _, f in inspect.getmembers(cls, inspect.isfunction)]
+    assert len(functions) > 5
+    for fn in functions:
+        for param in inspect.signature(fn).parameters.values():
+            if param.default is param.empty:
+                continue
+            assert param.name not in _CONFIG_VALUE_PARAMS, f"{fn.__qualname__}({param.name}=...)"
+            assert not isinstance(param.default, PipelineConfig), fn.__qualname__
 
 
 @pytest.mark.parametrize(

@@ -5,12 +5,15 @@ known in closed form: framing counts, tone bins, DCT orthogonality,
 planted resonances, exact log-spectral slopes.
 """
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from scipy import signal as sps
 
 from cryscreen import dsp
 from cryscreen.audio_io import AudioClip, load_wav, resample, write_wav
+from cryscreen.config import PipelineConfig
 from cryscreen.dsp import (
     FrameGrid,
     Spectrogram,
@@ -31,6 +34,17 @@ from cryscreen.dsp import (
 from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
 
 SR = 16000
+# 25 ms / 10 ms frames, 80 Mel bands, F0 over 250-1600 Hz, voicing at 0.5
+CFG = PipelineConfig()
+
+
+def f0_config(f0_min, f0_max):
+    return PipelineConfig(f0_min_hz=f0_min, f0_max_hz=f0_max)
+
+
+def unchecked_config(**values):
+    """The default config with values a PipelineConfig would reject, for the kernels' own checks."""
+    return SimpleNamespace(**{**vars(CFG), **values})
 
 
 def harmonic_stack(f0, dur_s=1.0, num_harmonics=5, amp=0.4, sr=SR):
@@ -46,7 +60,7 @@ def test_make_grid_frame_count():
     assert grid.window_samples == 400
     assert grid.hop_samples == 160
     # 4 s clip at the default 25 ms / 10 ms framing
-    assert make_grid(4 * SR, SR).num_frames == 398
+    assert make_grid(4 * SR, SR, 0.025, 0.010).num_frames == 398
 
 
 def test_grid_formula_random_triples():
@@ -91,10 +105,10 @@ def test_frame_slice_clamps():
 
 
 def test_stft_peak_bin():
-    spec = stft(harmonic_stack(1000.0, num_harmonics=1))
+    spec = stft(harmonic_stack(1000.0, num_harmonics=1), CFG)
     # 400-sample window pads to a 512-point FFT: 31.25 Hz bins
     assert spec.values.shape[1] == 257
-    peak_hz = spec.freqs_hz[np.argmax(spec.power(), axis=1)]
+    peak_hz = spec.freqs_hz[np.argmax(spec.values, axis=1)]
     assert np.all(np.abs(peak_hz - 1000.0) <= 31.25)
 
 
@@ -134,19 +148,19 @@ def test_mel_filterbank_matches_loop_bit_for_bit(nfft, sr, num_bands, fmin, fmax
 
 def test_log_mel_floor_on_silence():
     clip = AudioClip(np.zeros(SR // 2), SR)
-    lm = log_mel(stft(clip), num_bands=40)
+    lm = log_mel(stft(clip, CFG), PipelineConfig(num_mel_bands=40))
     assert np.allclose(lm.values, np.log(1e-10))
 
 
 def test_log_mel_rejects_excess_bands():
     clip = AudioClip(np.zeros(SR // 2), SR)
     with pytest.raises(ValueError, match="Mel bands"):
-        log_mel(stft(clip), num_bands=400)
+        log_mel(stft(clip, CFG), unchecked_config(num_mel_bands=400))
 
 
 def test_f0_pure_sine_440():
     clip = harmonic_stack(440.0, num_harmonics=1)
-    f0 = estimate_f0(clip, 250.0, 1600.0)
+    f0 = estimate_f0(clip, CFG)
     inner = slice(3, f0.grid.num_frames - 3)
     assert np.all(f0.voiced[inner])
     assert np.all(np.abs(f0.f0_hz[inner] - 440.0) < 2.0)
@@ -154,7 +168,7 @@ def test_f0_pure_sine_440():
 
 def test_f0_flat_stack_accuracy():
     clip = harmonic_stack(450.0)
-    f0 = estimate_f0(clip, 250.0, 1600.0)
+    f0 = estimate_f0(clip, CFG)
     inner = slice(3, f0.grid.num_frames - 3)
     voiced = f0.voiced[inner]
     assert np.mean(voiced) >= 0.95
@@ -164,7 +178,7 @@ def test_f0_flat_stack_accuracy():
 
 def test_f0_stack_500_not_octave():
     clip = harmonic_stack(500.0, dur_s=0.5)
-    f0 = estimate_f0(clip, 250.0, 1600.0)
+    f0 = estimate_f0(clip, CFG)
     est = f0.f0_hz[f0.voiced]
     assert len(est) > 20
     assert np.all(np.abs(est - 500.0) < 3.0)
@@ -173,7 +187,7 @@ def test_f0_stack_500_not_octave():
 @pytest.mark.parametrize("true_f0", [250.0, 480.0, 990.0, 1400.0])
 def test_f0_no_octave_errors(true_f0):
     clip = harmonic_stack(true_f0, dur_s=0.5)
-    f0 = estimate_f0(clip, 250.0, 1600.0)
+    f0 = estimate_f0(clip, CFG)
     est = f0.f0_hz[f0.voiced]
     assert len(est) > 20
     assert np.all(np.abs(est - true_f0) / true_f0 < 0.01)
@@ -182,16 +196,16 @@ def test_f0_no_octave_errors(true_f0):
 def test_f0_noise_is_unvoiced():
     rng = np.random.default_rng(0)
     clip = AudioClip(0.3 * rng.standard_normal(SR // 2), SR)
-    f0 = estimate_f0(clip, 250.0, 1600.0)
+    f0 = estimate_f0(clip, CFG)
     assert np.mean(f0.voiced) < 0.2
 
 
 def test_f0_range_validation():
     clip = harmonic_stack(450.0, dur_s=0.2)
     with pytest.raises(ValueError, match="below f0_max"):
-        estimate_f0(clip, 500.0, 400.0)
+        estimate_f0(clip, unchecked_config(f0_min_hz=500.0, f0_max_hz=400.0))
     with pytest.raises(ValueError, match="too short"):
-        estimate_f0(clip, 50.0, 1600.0)
+        estimate_f0(clip, unchecked_config(f0_min_hz=50.0, f0_max_hz=1600.0))
 
 
 def loop_difference_function(frames, tau_max):
@@ -206,11 +220,11 @@ def loop_difference_function(frames, tau_max):
     return d
 
 
-def reference_f0(clip, *args):
+def reference_f0(clip, config):
     """estimate_f0 with the reference difference function swapped in."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dsp, "difference_function", loop_difference_function)
-        return estimate_f0(clip, *args)
+        return estimate_f0(clip, config)
 
 
 def planted_cry(sample_rate=SR, seed=5):
@@ -248,8 +262,8 @@ def noisy_stack(seed=2):
 )
 def test_f0_pcm16_matches_loop_reference_exactly(make_clip, f0_range, tmp_path):
     clip = pcm16_round_trip(make_clip(), tmp_path)
-    got = estimate_f0(clip, *f0_range)
-    want = reference_f0(clip, *f0_range)
+    got = estimate_f0(clip, f0_config(*f0_range))
+    want = reference_f0(clip, f0_config(*f0_range))
     assert got.grid == want.grid
     for field in ("f0_hz", "voiced", "confidence"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
@@ -261,8 +275,8 @@ def test_f0_pcm16_matches_loop_reference_exactly(make_clip, f0_range, tmp_path):
 )
 def test_f0_float_matches_loop_reference_to_rounding(make_clip):
     clip = make_clip()
-    got = estimate_f0(clip, 250.0, 1600.0)
-    want = reference_f0(clip, 250.0, 1600.0)
+    got = estimate_f0(clip, CFG)
+    want = reference_f0(clip, CFG)
     assert np.array_equal(got.voiced, want.voiced)
     assert got.voiced.any()
     assert np.all(np.abs(got.f0_hz - want.f0_hz) <= 1e-9 * want.f0_hz)
@@ -280,11 +294,11 @@ def test_f0_and_formants_do_not_depend_on_the_block_size(block, pcm16, tmp_path,
     clip = long_float_cry()
     if pcm16:
         clip = pcm16_round_trip(clip, tmp_path)
-    assert make_grid(len(clip.samples), SR).num_frames > 1024
+    assert make_grid(len(clip.samples), SR, 0.025, 0.010).num_frames > 1024
     monkeypatch.setattr(dsp, "FRAME_BLOCK", 10**9)
-    want_f0, want_formants = estimate_f0(clip, 250.0, 1600.0), lpc_formants(clip)
+    want_f0, want_formants = estimate_f0(clip, CFG), lpc_formants(clip, CFG)
     monkeypatch.setattr(dsp, "FRAME_BLOCK", block)
-    got_f0, got_formants = estimate_f0(clip, 250.0, 1600.0), lpc_formants(clip)
+    got_f0, got_formants = estimate_f0(clip, CFG), lpc_formants(clip, CFG)
     for field in ("f0_hz", "voiced", "confidence"):
         assert np.array_equal(getattr(got_f0, field), getattr(want_f0, field)), field
     assert got_f0.voiced.any()
@@ -293,20 +307,20 @@ def test_f0_and_formants_do_not_depend_on_the_block_size(block, pcm16, tmp_path,
 
 def test_f0_tracks_only_the_listed_frames():
     clip = planted_cry()
-    full = estimate_f0(clip, 250.0, 1600.0)
+    full = estimate_f0(clip, CFG)
     num = full.grid.num_frames
     picked = np.array([0, 3, 4, 5, 60, 61, 150, 151, 152, num - 1])
     listed = np.zeros(num, dtype=bool)
     listed[picked] = True
-    part = estimate_f0(clip, 250.0, 1600.0, frames=picked)
+    part = estimate_f0(clip, CFG, frames=picked)
     assert part.grid == full.grid
     for field in ("f0_hz", "voiced", "confidence"):
         assert np.array_equal(getattr(part, field)[listed], getattr(full, field)[listed]), field
         assert not getattr(part, field)[~listed].any(), field
     assert part.voiced.any()
     # a zero voicing threshold makes every tracked frame voiced, and only those
-    assert np.array_equal(estimate_f0(clip, 250.0, 1600.0, voicing_threshold=0.0, frames=picked).voiced, listed)
-    assert not estimate_f0(clip, 250.0, 1600.0, frames=np.array([], dtype=int)).voiced.any()
+    assert np.array_equal(estimate_f0(clip, PipelineConfig(voicing_threshold=0.0), frames=picked).voiced, listed)
+    assert not estimate_f0(clip, CFG, frames=np.array([], dtype=int)).voiced.any()
 
 
 def test_difference_function_never_negative():
@@ -326,10 +340,10 @@ def test_difference_function_never_negative():
 
 
 def test_flatness_tone_vs_noise():
-    tone = spectral_flatness(stft(harmonic_stack(450.0, dur_s=0.5)))
+    tone = spectral_flatness(stft(harmonic_stack(450.0, dur_s=0.5), CFG))
     assert np.median(tone.values) < 0.05
     rng = np.random.default_rng(1)
-    noise = spectral_flatness(stft(AudioClip(0.3 * rng.standard_normal(SR // 2), SR)))
+    noise = spectral_flatness(stft(AudioClip(0.3 * rng.standard_normal(SR // 2), SR), CFG))
     assert np.median(noise.values) > 0.45
     assert np.all((tone.values >= 0.0) & (tone.values <= 1.0))
 
@@ -370,8 +384,9 @@ def test_mfcc_rejects_excess_coeffs():
 
 
 def test_loudness_follows_power():
-    lo = loudness(log_mel(stft(harmonic_stack(450.0, amp=0.1)), 40))
-    hi = loudness(log_mel(stft(harmonic_stack(450.0, amp=0.4)), 40))
+    cfg40 = PipelineConfig(num_mel_bands=40)
+    lo = loudness(log_mel(stft(harmonic_stack(450.0, amp=0.1), CFG), cfg40))
+    hi = loudness(log_mel(stft(harmonic_stack(450.0, amp=0.4), CFG), cfg40))
     ratio = np.median(hi.values / lo.values)
     # energy scales by 16, loudness by 16**0.3
     assert abs(ratio - 16.0 ** 0.3) < 0.05
@@ -388,8 +403,8 @@ def resonant_noise(freqs_hz, bandwidth_hz, n, seed):
 
 
 def test_lpc_formants_find_planted_resonances():
-    out = lpc_formants(AudioClip(resonant_noise([1000.0, 2500.0, 4000.0], 100.0, SR, 0), SR))
-    assert out.shape == (make_grid(SR, SR).num_frames, 3)
+    out = lpc_formants(AudioClip(resonant_noise([1000.0, 2500.0, 4000.0], 100.0, SR, 0), SR), CFG)
+    assert out.shape == (make_grid(SR, SR, 0.025, 0.010).num_frames, 3)
     found = np.median(out[np.all(out > 0, axis=1)], axis=0)
     assert abs(found[0] - 1000.0) < 150.0
     assert abs(found[1] - 2500.0) < 150.0
@@ -397,7 +412,7 @@ def test_lpc_formants_find_planted_resonances():
 
 
 def test_lpc_formants_silence_degenerate():
-    out = lpc_formants(AudioClip(np.zeros(SR // 4), SR))
+    out = lpc_formants(AudioClip(np.zeros(SR // 4), SR), CFG)
     assert np.all(out == 0.0)
 
 
@@ -415,7 +430,7 @@ def loop_pick_formants(freqs, keep, degenerate, num_formants):
 
 def fft_lpc_formants(clip, order=12, num_formants=3, max_bandwidth_hz=400.0):
     """Reference: lpc_formants with autocorrelation by an FFT round trip."""
-    grid = make_grid(len(clip.samples), clip.sample_rate)
+    grid = make_grid(len(clip.samples), clip.sample_rate, 0.025, 0.010)
     win = grid.window_samples
     sr = clip.sample_rate
     frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples) * np.hanning(win)
@@ -476,7 +491,7 @@ def silence_noise_tone_resonance():
 )
 def test_lpc_formants_match_fft_reference(make_clip):
     clip = make_clip()
-    got = lpc_formants(clip)
+    got = lpc_formants(clip, CFG)
     want = fft_lpc_formants(clip)
     assert got.shape == want.shape
     assert np.array_equal(got > 0, want > 0)
@@ -496,7 +511,7 @@ def test_pick_formants_matches_loop_bit_for_bit(num_formants):
 
 
 def test_lpc_formants_zero_rows_and_zero_padding():
-    out = lpc_formants(silence_noise_tone_resonance())
+    out = lpc_formants(silence_noise_tone_resonance(), CFG)
     assert out.shape == (198, 3)
     # silence and the faint tone are degenerate; white noise has no narrow resonance
     assert np.all(out[:48] == 0.0)
@@ -508,26 +523,17 @@ def test_lpc_formants_zero_rows_and_zero_padding():
     assert np.all(tail[:, 1:] == 0.0)
 
 
-def test_spectrogram_power_is_computed_once_and_read_only():
-    spec = stft(harmonic_stack(450.0, dur_s=0.2))
-    p = spec.power()
-    assert spec.power() is p
-    assert np.array_equal(p, np.abs(spec.values) ** 2)
-    with pytest.raises(ValueError, match="read-only"):
-        p[0, 0] = 0.0
-
-
 def test_spectral_slope_exact():
     freqs = np.fft.rfftfreq(512, 1.0 / SR)
     slopes_db_per_hz = np.array([-0.012, 0.004])
     mags = 10.0 ** ((3.0 + slopes_db_per_hz[:, None] * freqs[None, :]) / 20.0)
-    spec = Spectrogram(mags.astype(complex), freqs, FrameGrid(0.010, 0.025, 2, SR))
+    spec = Spectrogram(mags**2, freqs, FrameGrid(0.010, 0.025, 2, SR))
     got = spectral_slope_band(spec, 0.0, 500.0)
     assert np.allclose(got.values, slopes_db_per_hz, atol=1e-9)
 
 
 def test_spectral_slope_needs_bins():
     freqs = np.fft.rfftfreq(512, 1.0 / SR)
-    spec = Spectrogram(np.ones((2, len(freqs)), dtype=complex), freqs, FrameGrid(0.010, 0.025, 2, SR))
+    spec = Spectrogram(np.ones((2, len(freqs))), freqs, FrameGrid(0.010, 0.025, 2, SR))
     with pytest.raises(ValueError, match="at least 3"):
         spectral_slope_band(spec, 100.0, 140.0)

@@ -516,7 +516,7 @@ def assert_gate_changes_no_unit(clip, config, monkeypatch):
     def units_of(clip):
         seg, front = segment_clip(clip, config)
         flags = unit_flags_for(front, seg, config)
-        return seg, flags, compute_generic_features(front, seg, concat_expirations(clip, seg))
+        return seg, flags, compute_generic_features(front, seg, concat_expirations(clip, seg), config)
 
     loud = analyze_frames(clip, config).loudness
     assert len(pitch_frames(loud, config)) < loud.grid.num_frames

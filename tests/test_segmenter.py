@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cryscreen.audio_io import AudioClip
+from cryscreen.config import PipelineConfig
 from cryscreen.dsp import estimate_f0, log_mel, loudness, stft
 from cryscreen.segmenter import (
     CrySegmentation,
@@ -35,8 +36,9 @@ def burst_clip(spans, total_s, f0=450.0, amp=0.4, seed=0):
 
 
 def segment(clip, **kwargs):
-    f0 = estimate_f0(clip, 250.0, 1600.0)
-    loud = loudness(log_mel(stft(clip), 80))
+    cfg = PipelineConfig()
+    f0 = estimate_f0(clip, cfg)
+    loud = loudness(log_mel(stft(clip, cfg), cfg))
     return detect_cry_units(f0, loud, **kwargs)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from cryscreen import biomarkers
 from cryscreen.audio_io import load_manifest, load_wav
+from cryscreen.config import PipelineConfig
 from cryscreen.dsp import estimate_f0
 from cryscreen.synthcry import (
     DEFAULT_NEGATIVE_PROFILE,
@@ -123,7 +124,7 @@ def test_planted_hyper_detected_in_rendered_audio():
         hyper_f0_hz=1200.0,
     )
     clip, truth = synth_cry(one_unit_spec(unit, seed=5))
-    f0 = estimate_f0(clip, 250.0, 1600.0)
+    f0 = estimate_f0(clip, PipelineConfig())
     on, off = truth.segmentation.expirations[0]
     grid = f0.grid
     sl = grid.frame_slice(on, off)

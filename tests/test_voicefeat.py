@@ -70,7 +70,8 @@ def harmonic_clip(f0=450.0, dur_s=1.0, amp=0.4):
 def whole_clip_features(clip):
     """Voice functionals of a clip taken as one cry unit."""
     seg = CrySegmentation.from_expirations([(0.0, clip.duration_seconds)])
-    return compute_generic_features(analyze_frames(clip, PipelineConfig()), seg, concat_expirations(clip, seg))
+    cfg = PipelineConfig()
+    return compute_generic_features(analyze_frames(clip, cfg), seg, concat_expirations(clip, seg), cfg)
 
 
 def test_generic_features_schema_and_finiteness():
@@ -112,10 +113,11 @@ def test_generic_features_on_units_off_the_frame_grid():
     # boundary splice into more frames than the grid gives them
     clip = harmonic_clip(dur_s=2.0)
     seg = CrySegmentation.from_expirations([(0.0101 + 0.4 * k, 0.2099 + 0.4 * k) for k in range(4)])
-    front = analyze_frames(clip, PipelineConfig())
+    cfg = PipelineConfig()
+    front = analyze_frames(clip, cfg)
     concat = concat_expirations(clip, seg)
-    assert dsp.make_grid(len(concat.samples), SR).num_frames > len(unit_frames(front.f0.grid, seg))
-    feats = compute_generic_features(front, seg, concat)
+    assert dsp.make_grid(len(concat.samples), SR, 0.025, 0.010).num_frames > len(unit_frames(front.f0.grid, seg))
+    feats = compute_generic_features(front, seg, concat, cfg)
     assert all(np.isfinite(v) for v in feats.values())
 
 
@@ -169,7 +171,7 @@ def test_extract_clip_front_end_in_blocks(monkeypatch):
     # on a clip of several blocks, the sub-clips given to stft hold every
     # frame of the grid once, in order, and pitch is still tracked in one call
     clip = three_unit_clip()
-    grid = dsp.make_grid(len(clip.samples), SR)
+    grid = dsp.make_grid(len(clip.samples), SR, 0.025, 0.010)
     monkeypatch.setattr(dsp, "FRAME_BLOCK", 100)
     parts, f0_calls = [], []
     stft, estimate_f0 = dsp.stft, dsp.estimate_f0
@@ -190,7 +192,7 @@ def test_extract_clip_front_end_in_blocks(monkeypatch):
     hop, win = grid.hop_samples, grid.window_samples
     first = 0
     for samples in parts:
-        num = dsp.make_grid(len(samples), SR).num_frames
+        num = dsp.make_grid(len(samples), SR, 0.025, 0.010).num_frames
         assert len(samples) == (num - 1) * hop + win
         assert np.array_equal(samples, clip.samples[first * hop : first * hop + len(samples)])
         first += num
