@@ -4,6 +4,13 @@ Recordings arrive as RIFF/WAVE files in whatever encoding the hospital
 recorder produced. Everything downstream works on mono float64 at a
 single canonical rate, so this module owns the conversion plus the
 manifest CSV format that ties recordings to patients, sites and labels.
+
+The conversion works in blocks of WAV_BLOCK samples: load_wav seeks from
+chunk header to chunk header, decodes the data chunk block by block and,
+when asked for another rate, feeds each block to the one polyphase
+resampler that resample also runs. A long recording at 44.1 or 48 kHz is
+therefore never held whole at its source rate; a load holds its output
+and a few blocks.
 """
 
 from __future__ import annotations
@@ -61,90 +68,134 @@ class ManifestEntry:
         return 0 if self.label == "normal" else 1
 
 
-def load_wav(path: str) -> AudioClip:
-    """Read a RIFF/WAVE file into a mono AudioClip.
+# Samples decoded per read of a data chunk, and fed to the resampler per
+# push: a load holds its output and a few blocks, whatever the length.
+WAV_BLOCK = 1 << 16
+
+
+def load_wav(path: str, rate: int | None = None) -> AudioClip:
+    """Read a RIFF/WAVE file into a mono AudioClip at rate (the file's own when None).
 
     Handles PCM at 8/16/24/32 bits and IEEE float32. Multi-channel audio
-    is averaged down to mono. Raises FileNotFoundError, WavFormatError or
-    UnsupportedWavError depending on what is wrong with the file; float
-    data holding NaN or inf samples is a WavFormatError.
+    is averaged down to mono, and a trailing partial sample or frame is
+    dropped. The data chunk is decoded WAV_BLOCK samples at a time; at
+    another rate each block goes straight to the resampler, so the
+    recording never exists whole at the file's rate, and the samples
+    equal resample(load_wav(path), rate). Raises FileNotFoundError,
+    WavFormatError or UnsupportedWavError depending on what is wrong with
+    the file; float data holding NaN or inf samples is a WavFormatError.
     """
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 12:
-        raise WavFormatError(f"{path}: file too short for a RIFF header")
-    if raw[0:4] != b"RIFF":
-        raise WavFormatError(f"{path}: bad chunk id {raw[0:4]!r}, expected b'RIFF'")
-    if raw[8:12] != b"WAVE":
-        raise WavFormatError(f"{path}: bad RIFF form type {raw[8:12]!r}, expected b'WAVE'")
+        fmt, data_start, data_size = _find_chunks(fh, path)
+        audio_format, num_channels, sample_rate, _, _, bits = fmt
+        if num_channels < 1:
+            raise WavFormatError(f"{path}: fmt chunk declares {num_channels} channels")
+        if sample_rate <= 0:
+            raise WavFormatError(f"{path}: fmt chunk declares sample rate {sample_rate}")
+        if audio_format == 1 and bits not in (8, 16, 24, 32):
+            raise UnsupportedWavError(f"{path}: unsupported PCM bit depth {bits}")
+        if audio_format == 3 and bits != 32:
+            raise UnsupportedWavError(f"{path}: unsupported float bit depth {bits}")
+        if audio_format not in (1, 3):
+            raise UnsupportedWavError(f"{path}: unsupported audio format tag {audio_format}")
 
+        # Blocks leave no clip-sized temporary to free, so glibc's mmap
+        # threshold is no longer lifted to a clip's size before the analysis
+        # runs. Minor page faults per recording, over two extract_manifest
+        # passes of the seed-1 benchmark inputs, fell from 523-1069 to
+        # 124-256 on clinic16k (10 s, 16 kHz PCM16) and rose from 1800-1921
+        # to 3322-4180 on ward44k (72-94 s, 44.1 kHz float32); the
+        # benchmark's ops_per_s moved by under 3% on either (2 vCPUs).
+        n = data_size // (num_channels * bits // 8)
+        fh.seek(data_start)
+        blocks = _decode_blocks(fh, path, data_size, audio_format, num_channels, bits)
+        if rate is None or rate == sample_rate:
+            out = np.empty(n)
+            pos = 0
+            for x in blocks:
+                out[pos : pos + len(x)] = x
+                pos += len(x)
+            return AudioClip(out, sample_rate)
+        resampler = _Resampler(n, sample_rate, rate)
+        for x in blocks:
+            resampler.push(x)
+        return AudioClip(resampler.out, rate)
+
+
+def _find_chunks(fh, path: str) -> tuple[tuple, int, int]:
+    """The fmt chunk's fields and the data chunk's offset and size.
+
+    Reads the 8-byte chunk headers and the fmt fields only, seeking over
+    every body. A later fmt or data chunk replaces an earlier one, and
+    the RIFF size field is not trusted: the file's length ends the scan.
+    """
+    head = fh.read(12)
+    if len(head) < 12:
+        raise WavFormatError(f"{path}: file too short for a RIFF header")
+    if head[0:4] != b"RIFF":
+        raise WavFormatError(f"{path}: bad chunk id {head[0:4]!r}, expected b'RIFF'")
+    if head[8:12] != b"WAVE":
+        raise WavFormatError(f"{path}: bad RIFF form type {head[8:12]!r}, expected b'WAVE'")
+
+    size = os.fstat(fh.fileno()).st_size
     fmt = None
-    payload = None
+    data = None
     pos = 12
-    # chunk bodies are views into raw: slicing bytes would copy the data
-    # chunk, the largest buffer of the load
-    view = memoryview(raw)
-    while pos + 8 <= len(raw):
-        chunk_id = raw[pos : pos + 4]
-        (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = view[pos + 8 : pos + 8 + chunk_size]
+    while pos + 8 <= size:
+        fh.seek(pos)
+        chunk_id, chunk_size = struct.unpack("<4sI", fh.read(8))
+        body_size = min(chunk_size, size - pos - 8)
         if chunk_id == b"fmt ":
-            if len(body) < 16:
-                raise WavFormatError(f"{path}: fmt chunk truncated ({len(body)} bytes)")
-            fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if body_size < 16:
+                raise WavFormatError(f"{path}: fmt chunk truncated ({body_size} bytes)")
+            fmt = struct.unpack("<HHIIHH", fh.read(16))
         elif chunk_id == b"data":
-            if len(body) < chunk_size:
+            if body_size < chunk_size:
                 raise WavFormatError(f"{path}: data chunk truncated")
-            payload = body
+            data = (pos + 8, chunk_size)
         # chunks are word-aligned
         pos += 8 + chunk_size + (chunk_size & 1)
 
     if fmt is None:
         raise WavFormatError(f"{path}: missing fmt chunk")
-    if payload is None:
+    if data is None:
         raise WavFormatError(f"{path}: missing data chunk")
+    return (fmt, *data)
 
-    audio_format, num_channels, sample_rate, _, _, bits = fmt
-    if num_channels < 1:
-        raise WavFormatError(f"{path}: fmt chunk declares {num_channels} channels")
-    if sample_rate <= 0:
-        raise WavFormatError(f"{path}: fmt chunk declares sample rate {sample_rate}")
 
-    if audio_format == 1:  # integer PCM
-        if bits == 8:
-            raw, full_scale = np.frombuffer(payload, dtype=np.uint8).astype(np.float64) - 128.0, 128.0
-        elif bits == 16:
-            raw, full_scale = np.frombuffer(payload, dtype="<i2").astype(np.float64), 32768.0
-        elif bits == 24:
-            b = np.frombuffer(payload, dtype=np.uint8)
-            b = b[: len(b) - len(b) % 3].reshape(-1, 3).astype(np.int64)
-            val = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-            val = np.where(val >= 1 << 23, val - (1 << 24), val)
-            raw, full_scale = val.astype(np.float64), float(1 << 23)
-        elif bits == 32:
-            raw, full_scale = np.frombuffer(payload, dtype="<i4").astype(np.float64), float(1 << 31)
-        else:
-            raise UnsupportedWavError(f"{path}: unsupported PCM bit depth {bits}")
-        # A new array, not an in-place divide, so that a clip-sized buffer is
-        # freed here: on glibc that lifts malloc's mmap threshold, and the
-        # analysis's mid-sized arrays then reuse heap pages instead of fresh
-        # ones (about 600 fewer page faults per 10 s 16 kHz recording, a few
-        # per cent of its extraction time).
-        x = raw / full_scale
-    elif audio_format == 3:  # IEEE float
-        if bits != 32:
-            raise UnsupportedWavError(f"{path}: unsupported float bit depth {bits}")
-        x = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-        if not np.isfinite(x).all():
-            bad = int(np.count_nonzero(~np.isfinite(x)))
-            raise WavFormatError(f"{path}: {bad} non-finite float samples (NaN or inf)")
-    else:
-        raise UnsupportedWavError(f"{path}: unsupported audio format tag {audio_format}")
+def _decode_blocks(fh, path: str, size: int, audio_format: int, num_channels: int, bits: int):
+    """Yield the next size bytes of fh as mono float64 blocks of whole frames.
 
-    if num_channels > 1:
-        x = x[: len(x) - len(x) % num_channels]
-        x = x.reshape(-1, num_channels).mean(axis=1)
-    return AudioClip(x, sample_rate)
+    Non-finite float samples are counted in every block, a trailing
+    partial frame's included, and raise after the last one, so the
+    message gives the file's count.
+    """
+    width = bits // 8
+    step = max(1, WAV_BLOCK // num_channels) * num_channels * width
+    bad = 0
+    for start in range(0, size, step):
+        raw = fh.read(min(step, size - start))
+        x = _decode(raw[: len(raw) - len(raw) % width], audio_format, bits)
+        if audio_format == 3:
+            bad += x.size - int(np.count_nonzero(np.isfinite(x)))
+        if num_channels > 1:
+            x = x[: len(x) - len(x) % num_channels].reshape(-1, num_channels).mean(axis=1)
+        yield x
+    if bad:
+        raise WavFormatError(f"{path}: {bad} non-finite float samples (NaN or inf)")
+
+
+def _decode(payload: bytes, audio_format: int, bits: int) -> np.ndarray:
+    """Float64 samples of little-endian whole samples; integer PCM is scaled to [-1, 1)."""
+    if audio_format == 3:
+        return np.frombuffer(payload, dtype="<f4").astype(np.float64)
+    if bits == 8:
+        return (np.frombuffer(payload, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+    if bits == 24:
+        b = np.frombuffer(payload, dtype=np.uint8).reshape(-1, 3).astype(np.int64)
+        val = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+        return np.where(val >= 1 << 23, val - (1 << 24), val).astype(np.float64) / float(1 << 23)
+    return np.frombuffer(payload, dtype=f"<i{bits // 8}").astype(np.float64) / float(1 << (bits - 1))
 
 
 def write_wav(clip: AudioClip, path: str, bit_depth: int = 16) -> None:
@@ -171,16 +222,70 @@ def write_wav(clip: AudioClip, path: str, bit_depth: int = 16) -> None:
 def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     """Band-limited resampling to target_rate (no-op when rates match).
 
-    Uses polyphase filtering with a windowed-sinc kernel, so frequencies
-    below the smaller Nyquist survive and aliasing components are cut.
+    Polyphase filtering with a Kaiser-windowed sinc kernel, so
+    frequencies below the smaller Nyquist survive and aliasing components
+    are cut. The clip is fed to the resampler WAV_BLOCK samples at a time,
+    as load_wav feeds it, and the output equals scipy.signal.resample_poly
+    bit for bit.
     """
-    if target_rate <= 0:
-        raise ValueError(f"target rate must be positive, got {target_rate}")
     if target_rate == clip.sample_rate:
         return clip
-    g = math.gcd(int(target_rate), int(clip.sample_rate))
-    out = signal.resample_poly(clip.samples, target_rate // g, clip.sample_rate // g)
-    return AudioClip(out, target_rate)
+    resampler = _Resampler(len(clip.samples), clip.sample_rate, target_rate)
+    for start in range(0, len(clip.samples), WAV_BLOCK):
+        resampler.push(clip.samples[start : start + WAV_BLOCK])
+    return AudioClip(resampler.out, target_rate)
+
+
+class _Resampler:
+    """scipy.signal.resample_poly's filter, padding and trim, fed by blocks.
+
+    upfirdn over an input that starts on a multiple of down gives the
+    whole signal's outputs from that start on, and each output is the
+    same sum as in the whole signal once the input holds every sample its
+    taps read. A push runs upfirdn on the carried tail plus the new
+    block, keeps the outputs made exact, and carries back the samples,
+    from a multiple of down, that the next outputs reach back to.
+    """
+
+    def __init__(self, n_in: int, rate_in: int, rate_out: int):
+        if rate_out <= 0:
+            raise ValueError(f"target rate must be positive, got {rate_out}")
+        g = math.gcd(rate_out, rate_in)
+        self.up, self.down = up, down = rate_out // g, rate_in // g
+        half_len = 10 * max(up, down)
+        pre_pad = down - half_len % down
+        h = signal.firwin(2 * half_len + 1, 1.0 / max(up, down), window=("kaiser", 5.0)) * up
+        self.skip = (half_len + pre_pad) // down  # outputs the trim drops in front
+        self.out = np.empty(-(-n_in * up // down))
+        # resample_poly pads zeros after the taps until upfirdn's output, of
+        # length ((n_in - 1) * up + len(h) - 1) // down + 1, reaches the
+        # trimmed end; with 2 * half_len + 1 >= 20 * up + 1 taps it always
+        # does, so that padding is empty
+        self.h = np.concatenate((np.zeros(pre_pad), h))
+        self.reach = -(-len(self.h) // up) - 1  # samples an output reads before its newest
+        self.n_in = n_in
+        self.fed = 0
+        self.tail = np.empty(0)
+        self.tail_start = 0  # input index of tail[0], a multiple of down
+        self.next = self.skip  # index in the whole upfirdn output of the next kept output
+
+    def push(self, x: np.ndarray) -> None:
+        if not len(x):
+            return
+        self.fed += len(x)
+        buf = np.concatenate((self.tail, x))
+        y = signal.upfirdn(self.h, buf, self.up, self.down)
+        first = self.tail_start * self.up // self.down  # whole-output index of y[0]
+        end = self.skip + len(self.out)
+        # an output is exact when its newest input sample is in buf, and
+        # all are once the input has ended
+        stop = end if self.fed == self.n_in else min(end, first - (-len(buf) * self.up // self.down))
+        if stop > self.next:
+            self.out[self.next - self.skip : stop - self.skip] = y[self.next - first : stop - first]
+            self.next = stop
+        start = max(0, (self.next * self.down // self.up - self.reach) // self.down * self.down)
+        self.tail = buf[start - self.tail_start :]
+        self.tail_start = start
 
 
 def load_manifest(path: str) -> list[ManifestEntry]:

@@ -57,7 +57,7 @@ def _dump_json(obj, path: str) -> None:
 
 def cmd_segment(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args.config)
-    seg, _ = segment_clip(load_wav(args.wav), cfg)
+    seg, _ = segment_clip(load_wav(args.wav, cfg.sample_rate), cfg)
     doc = {
         "expirations": [[round(a, 3), round(b, 3)] for a, b in seg.expirations],
         "pauses": [[round(a, 3), round(b, 3)] for a, b in seg.pauses],

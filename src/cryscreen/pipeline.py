@@ -117,9 +117,7 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
 
 def canonical_clip(clip: AudioClip, config: PipelineConfig) -> AudioClip:
     """The clip at config.sample_rate: the one resample decision of a recording."""
-    if clip.sample_rate != config.sample_rate:
-        return resample(clip, config.sample_rate)
-    return clip
+    return resample(clip, config.sample_rate)
 
 
 def segment_canonical(clip: AudioClip, config: PipelineConfig) -> tuple[CrySegmentation, FrontEnd]:
@@ -206,9 +204,8 @@ def extract_manifest(manifest_path: str, config: PipelineConfig | None = None, l
     skipped: list[SkippedRecording] = []
     for entry in load_manifest(manifest_path):
         try:
-            # no name holds the loaded clip, so it is freed as soon as
-            # extract_clip replaces it with the resampled one
-            features, _ = extract_clip(load_wav(relative_to_manifest(manifest_path, entry.path)), config)
+            path = relative_to_manifest(manifest_path, entry.path)
+            features, _ = extract_clip(load_wav(path, config.sample_rate), config)
         except CurationError:
             skipped.append(SkippedRecording(entry, short_reason))
             if log is not None:

@@ -1,8 +1,11 @@
+import math
 import struct
 
 import numpy as np
 import pytest
+from scipy import signal
 
+from cryscreen import audio_io
 from cryscreen.audio_io import (
     AudioClip,
     ManifestEntry,
@@ -15,6 +18,88 @@ from cryscreen.audio_io import (
     save_manifest,
     write_wav,
 )
+
+
+def whole_file_load_wav(path, rate=None):
+    """Reference reader: the whole file in memory, decoded in one piece.
+
+    This is load_wav as it was before it decoded by blocks, with one
+    change made on purpose since: a trailing partial sample of a PCM16,
+    PCM32 or float32 data chunk is dropped, as the 24-bit and
+    multichannel branches always did (numpy used to raise "buffer size
+    must be a multiple of element size"). A rate other than the file's
+    is reached by scipy.signal.resample_poly on the whole clip.
+    """
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    if len(raw) < 12:
+        raise WavFormatError(f"{path}: file too short for a RIFF header")
+    if raw[0:4] != b"RIFF":
+        raise WavFormatError(f"{path}: bad chunk id {raw[0:4]!r}, expected b'RIFF'")
+    if raw[8:12] != b"WAVE":
+        raise WavFormatError(f"{path}: bad RIFF form type {raw[8:12]!r}, expected b'WAVE'")
+
+    fmt = None
+    payload = None
+    pos = 12
+    view = memoryview(raw)
+    while pos + 8 <= len(raw):
+        chunk_id = raw[pos : pos + 4]
+        (chunk_size,) = struct.unpack_from("<I", raw, pos + 4)
+        body = view[pos + 8 : pos + 8 + chunk_size]
+        if chunk_id == b"fmt ":
+            if len(body) < 16:
+                raise WavFormatError(f"{path}: fmt chunk truncated ({len(body)} bytes)")
+            fmt = struct.unpack_from("<HHIIHH", body, 0)
+        elif chunk_id == b"data":
+            if len(body) < chunk_size:
+                raise WavFormatError(f"{path}: data chunk truncated")
+            payload = body
+        pos += 8 + chunk_size + (chunk_size & 1)
+
+    if fmt is None:
+        raise WavFormatError(f"{path}: missing fmt chunk")
+    if payload is None:
+        raise WavFormatError(f"{path}: missing data chunk")
+
+    audio_format, num_channels, sample_rate, _, _, bits = fmt
+    if num_channels < 1:
+        raise WavFormatError(f"{path}: fmt chunk declares {num_channels} channels")
+    if sample_rate <= 0:
+        raise WavFormatError(f"{path}: fmt chunk declares sample rate {sample_rate}")
+
+    if audio_format == 1:
+        if bits == 8:
+            x = (np.frombuffer(payload, dtype=np.uint8).astype(np.float64) - 128.0) / 128.0
+        elif bits == 16:
+            x = np.frombuffer(payload[: len(payload) // 2 * 2], dtype="<i2").astype(np.float64) / 32768.0
+        elif bits == 24:
+            b = np.frombuffer(payload, dtype=np.uint8)
+            b = b[: len(b) - len(b) % 3].reshape(-1, 3).astype(np.int64)
+            val = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+            val = np.where(val >= 1 << 23, val - (1 << 24), val)
+            x = val.astype(np.float64) / float(1 << 23)
+        elif bits == 32:
+            x = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<i4").astype(np.float64) / float(1 << 31)
+        else:
+            raise UnsupportedWavError(f"{path}: unsupported PCM bit depth {bits}")
+    elif audio_format == 3:
+        if bits != 32:
+            raise UnsupportedWavError(f"{path}: unsupported float bit depth {bits}")
+        x = np.frombuffer(payload[: len(payload) // 4 * 4], dtype="<f4").astype(np.float64)
+        if not np.isfinite(x).all():
+            bad = int(np.count_nonzero(~np.isfinite(x)))
+            raise WavFormatError(f"{path}: {bad} non-finite float samples (NaN or inf)")
+    else:
+        raise UnsupportedWavError(f"{path}: unsupported audio format tag {audio_format}")
+
+    if num_channels > 1:
+        x = x[: len(x) - len(x) % num_channels]
+        x = x.reshape(-1, num_channels).mean(axis=1)
+    if rate is None or rate == sample_rate:
+        return AudioClip(x, sample_rate)
+    g = math.gcd(rate, sample_rate)
+    return AudioClip(signal.resample_poly(x, rate // g, sample_rate // g), rate)
 
 
 def sine(freq, dur_s=0.5, sr=16000, amp=0.5):
@@ -86,6 +171,20 @@ def test_pcm24_decodes(tmp_path):
     assert np.allclose(clip.samples, [(2**23 - 1) / 2**23, -1.0])
 
 
+@pytest.mark.parametrize("fmt_tag, bits", [(1, 16), (1, 24), (1, 32), (3, 32)])
+def test_ragged_data_chunk_drops_the_partial_sample(tmp_path, fmt_tag, bits):
+    # a data chunk one byte short of a whole sample more (a 3-byte PCM16
+    # chunk, say) keeps its whole samples, as the 24-bit branch always did
+    width = bits // 8
+    whole = np.array([0.25, -0.5]).astype("<f4").tobytes() if fmt_tag == 3 else bytes(range(1, 2 * width + 1))
+    path = tmp_path / "ragged.wav"
+    path.write_bytes(_wav_bytes(fmt_tag, 1, 16000, bits, whole + b"\x7f" * (width - 1)))
+    clip = load_wav(str(path))
+    path.write_bytes(_wav_bytes(fmt_tag, 1, 16000, bits, whole))
+    assert len(clip.samples) == 2
+    assert np.array_equal(clip.samples, load_wav(str(path)).samples)
+
+
 def test_not_riff_raises(tmp_path):
     path = tmp_path / "bad.wav"
     path.write_bytes(b"OggS" + b"\x00" * 40)
@@ -136,6 +235,31 @@ def test_resample_441k_length():
     clip = sine(440.0, dur_s=1.0, sr=44100)
     out = resample(clip, 16000)
     assert abs(len(out.samples) - 16000) <= 1
+
+
+RATE_PAIRS = [(44100, 16000), (48000, 16000), (22050, 16000), (11025, 16000), (8000, 16000), (16000, 44100)]
+
+
+@pytest.mark.parametrize("block", [7, 1000])
+@pytest.mark.parametrize("rate_in, rate_out", RATE_PAIRS)
+def test_block_resampler_equals_resample_poly(monkeypatch, tmp_path, block, rate_in, rate_out):
+    # lengths: none, one sample, fewer than the filter's reach back (20-56
+    # input samples at these rates), one block, whole blocks, blocks and a
+    # remainder; a small block puts block edges everywhere
+    monkeypatch.setattr(audio_io, "WAV_BLOCK", block)
+    g = math.gcd(rate_in, rate_out)
+    rng = np.random.default_rng(rate_in + block)
+    for n in (0, 1, 10, block, 3 * block, 5 * block + 123):
+        x = rng.uniform(-1.0, 1.0, n).astype(np.float32).astype(np.float64)
+        want = signal.resample_poly(x, rate_out // g, rate_in // g)
+        got = resample(AudioClip(x, rate_in), rate_out)
+        assert got.sample_rate == rate_out
+        assert got.samples.shape == want.shape and np.array_equal(got.samples, want), n
+        path = str(tmp_path / "x.wav")
+        write_wav(AudioClip(x, rate_in), path, bit_depth=32)
+        loaded = load_wav(path, rate_out)
+        assert loaded.sample_rate == rate_out
+        assert loaded.samples.shape == want.shape and np.array_equal(loaded.samples, want), n
 
 
 def test_resample_identity_and_validation():

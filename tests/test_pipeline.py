@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from cryscreen import dsp, pipeline
-from cryscreen.audio_io import AudioClip, ManifestEntry, save_manifest, write_wav
+from cryscreen.audio_io import AudioClip, ManifestEntry, load_wav, save_manifest, write_wav
 from cryscreen.config import PipelineConfig
 from cryscreen.pipeline import (
     FEATURE_COLUMNS,
@@ -565,3 +565,22 @@ def test_extract_clip_memory_does_not_grow_with_length():
             tracemalloc.stop()
 
     assert traced_peak(120.0) < 1.5 * traced_peak(30.0)
+
+
+def test_load_wav_resampling_memory_does_not_grow_with_length(tmp_path):
+    # decoding and resampling a 44.1 kHz float file needs, beyond the 16 kHz
+    # output, a few blocks whatever the recording's length: no copy of it
+    # at 44.1 kHz, nor its file bytes, is ever held whole
+    samples = 0.5 * np.random.default_rng(4).uniform(-1.0, 1.0, 30 * 44100)
+
+    def traced_peak(tiles):
+        path = str(tmp_path / f"x{tiles}.wav")
+        write_wav(AudioClip(np.tile(samples, tiles), 44100), path, bit_depth=32)
+        tracemalloc.start()
+        try:
+            clip = load_wav(path, 16000)
+            return tracemalloc.get_traced_memory()[1] - clip.samples.nbytes
+        finally:
+            tracemalloc.stop()
+
+    assert traced_peak(4) < 1.5 * traced_peak(1)
