@@ -292,22 +292,25 @@ def load_manifest(path: str) -> list[ManifestEntry]:
     """Read a recording manifest CSV.
 
     The header must be exactly path,patient_id,site,period,label. Unknown
-    sites collapse to OTHER; unknown labels or periods are an error that
-    names the offending line of the file.
+    sites collapse to OTHER; an unknown label or period, or a row that csv
+    rejects, is an error that names the offending line of the file.
     """
     with open(path, newline="") as fh:
         reader = csv.DictReader(fh)
-        if reader.fieldnames != MANIFEST_COLUMNS:
-            missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or [])]
-            raise ValueError(
-                f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}"
-                + (f" (missing: {', '.join(missing)})" if missing else "")
-            )
-        entries = []
-        for row in reader:
-            check_label_and_period(row["label"], row["period"], path, reader.line_num)
-            site = row["site"] if row["site"] in SITES else "OTHER"
-            entries.append(ManifestEntry(row["path"], row["patient_id"], site, row["period"], row["label"]))
+        try:
+            if reader.fieldnames != MANIFEST_COLUMNS:
+                missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or [])]
+                raise ValueError(
+                    f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}"
+                    + (f" (missing: {', '.join(missing)})" if missing else "")
+                )
+            entries = []
+            for row in reader:
+                check_label_and_period(row["label"], row["period"], path, reader.line_num)
+                site = row["site"] if row["site"] in SITES else "OTHER"
+                entries.append(ManifestEntry(row["path"], row["patient_id"], site, row["period"], row["label"]))
+        except csv.Error as exc:  # DictReader counts a line only once its row parses
+            raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
     return entries
 
 

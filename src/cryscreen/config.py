@@ -14,7 +14,7 @@ range or cross-validation fits them) are rejected by name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 
 from .dsp import (
     FRONT_END_MFCC_COEFFS,
@@ -87,9 +87,6 @@ class PipelineConfig:
         for strength in self.reg_grid:
             if not 0.0 < strength < math.inf:
                 raise ValueError(f"reg_grid holds {strength!r}: a penalty strength must be positive and finite")
-
-    def override(self, **kwargs) -> "PipelineConfig":
-        return replace(self, **kwargs)
 
 
 _PARSERS = {

@@ -147,7 +147,8 @@ def make_grid(n_samples: int, sample_rate: int, window_s: float, hop_s: float) -
     if n_samples < win:
         raise ValueError(f"signal of {n_samples} samples is shorter than one {win}-sample window")
     num = (n_samples - win) // hop + 1
-    return FrameGrid(hop_s, window_s, num, sample_rate)
+    # the seconds of the whole samples framed on, so frame times stay on the audio
+    return FrameGrid(hop / sample_rate, win / sample_rate, num, sample_rate)
 
 
 def _next_pow2(n: int) -> int:

@@ -236,8 +236,6 @@ def write_features_csv(rows: list[FeatureRow], path: str) -> None:
             )
 
 
-# bytes read at a time by the scan that precedes the parse in C
-SCAN_CHUNK_BYTES = 1 << 16
 # one record of a features CSV: the five ID fields as str, then the values
 _RECORD = np.dtype([(name, object) for name in ID_COLUMNS] + [("values", np.float64, (len(FEATURE_COLUMNS),))])
 
@@ -248,8 +246,8 @@ def read_features_csv(path: str) -> FeatureTable:
     Raises ValueError naming the file of a wrong header, and the file and
     line (csv's count, which a quoted newline advances) of a row of the
     wrong width, a blank line (a row of 0 fields), an unknown label or
-    period, or a feature value that float() does not read, which it also
-    names by column.
+    period, a feature value that float() does not read, which it also
+    names by column, or a row that csv rejects (a field too long, say).
 
     The file is parsed in C, by np.loadtxt, into one array. A file that
     parse declines (a faulty one, or one it might read otherwise than csv
@@ -260,51 +258,44 @@ def read_features_csv(path: str) -> FeatureTable:
     return table if table is not None else _read_row_by_row(path)
 
 
-def _loadtxt_reads_as_csv(path: str) -> bool:
-    """False when the bytes of the file hold what np.loadtxt reads otherwise than csv.
+def _lines_read_as_csv(lines, limit: int):
+    """The lines, up to the first that np.loadtxt may read otherwise than csv and float().
 
-    That is a blank line, which loadtxt skips and csv reads as a row of
-    0 fields; a NUL, which Python 3.10's csv rejects; or a run of more
-    than half of csv.field_size_limit() bytes with no comma, which may
-    hold a field too long for csv. Each may also stand in a quoted field
-    of a good file, which is then read row by row.
+    That line raises ValueError. It is blank, which loadtxt skips and csv
+    reads as a row of 0 fields; or it ends more than limit characters
+    after the last comma, so may hold a field too long for csv, quoted
+    line ends and all; or it holds a NUL, which Python 3.10's csv rejects,
+    or an ASCII separator (0x1c-0x1f), which loadtxt strips from a value
+    as white space and float() does not. Each may also stand in a quoted
+    field of a good file, which is then read row by row.
     """
-    block = max(1, csv.field_size_limit() // 2)
-    chunk_bytes = block * max(1, SCAN_CHUNK_BYTES // block)
-    with open(path, "rb") as fh:
-        last = b"\n"  # a file that opens on a line end opens on a blank line
-        while chunk := fh.read(chunk_bytes):
-            if b"\0" in chunk:
-                return False
-            a = np.frombuffer(last + chunk, np.uint8)
-            ends = np.flatnonzero((a == ord("\n")) | (a == ord("\r")))
-            second = ends[1:][np.diff(ends) == 1]  # a line end right after another
-            if np.any((a[second - 1] != ord("\r")) | (a[second] != ord("\n"))):
-                return False
-            # blocks start at multiples of block in the file, so a run of
-            # more than two blocks' bytes with no comma covers one whole
-            blocks = a[1 : 1 + len(chunk) // block * block].reshape(-1, block)
-            if not (blocks == ord(",")).any(axis=1).all():
-                return False
-            last = chunk[-1:]
-    return True
+    run = 0  # characters since the last comma
+    for line in lines:
+        run += len(line)
+        if run > limit or line in ("\n", "\r\n", "\r"):
+            raise ValueError("a blank line, or one that may hold a field too long for csv")
+        if "\0" in line or "\x1c" in line or "\x1d" in line or "\x1e" in line or "\x1f" in line:
+            raise ValueError("a NUL or an ASCII separator")
+        if "," in line:
+            run = len(line) - line.rindex(",") - 1
+        yield line
 
 
 def _parse_in_c(path: str) -> FeatureTable | None:
-    """The table that _read_row_by_row reads, or None for a file this parse declines."""
-    if not _loadtxt_reads_as_csv(path):
-        return None
+    """The table that _read_row_by_row reads, in one pass, or None for a file this parse declines."""
+    limit = csv.field_size_limit()
     try:
         with open(path, newline="") as fh:
             if next(csv.reader(fh), None) != ID_COLUMNS + FEATURE_COLUMNS:
                 return None
-            first = next(fh, None)
+            lines = _lines_read_as_csv(fh, limit)
+            first = next(lines, None)
             if first is None:  # loadtxt warns on empty input
                 return FeatureTable([], np.empty((0, len(FEATURE_COLUMNS))))
             # a record of the wrong width is an error here, since _RECORD
             # takes every column
             rec = np.loadtxt(
-                itertools.chain([first], fh),
+                itertools.chain([first], lines),
                 dtype=_RECORD,
                 delimiter=",",
                 comments=None,
@@ -317,7 +308,7 @@ def _parse_in_c(path: str) -> FeatureTable | None:
     *_, periods, labels = ids
     if not (set(labels) <= LABELS and set(periods) <= PERIODS):
         return None
-    if max(map(len, itertools.chain.from_iterable(ids))) > csv.field_size_limit():
+    if max(map(len, itertools.chain.from_iterable(ids))) > limit:
         return None
     return FeatureTable(list(map(ManifestEntry, *ids)), np.ascontiguousarray(rec["values"]))
 
@@ -326,27 +317,30 @@ def _read_row_by_row(path: str) -> FeatureTable:
     """csv rows and a float() of each value: the reference reader, which names a fault's line."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ID_COLUMNS + FEATURE_COLUMNS:
-            raise ValueError(f"{path}: unexpected feature CSV header")
-        entries, values = [], []
-        for rec in reader:
-            if len(rec) != len(header):
-                raise ValueError(
-                    f"{path}:{reader.line_num}: row has {len(rec)} fields where the header has {len(header)}"
-                )
-            entry = ManifestEntry(*rec[:5])
-            check_label_and_period(entry.label, entry.period, path, reader.line_num)
-            try:
-                values.append(list(map(float, rec[5:])))
-            except ValueError:
-                # only a failing row pays for finding the column
-                for name, v in zip(FEATURE_COLUMNS, rec[5:]):
-                    try:
-                        float(v)
-                    except ValueError:
-                        raise ValueError(f"{path}:{reader.line_num}: {name}: {v!r} is not a number") from None
-            entries.append(entry)
+        try:
+            header = next(reader, None)
+            if header != ID_COLUMNS + FEATURE_COLUMNS:
+                raise ValueError(f"{path}: unexpected feature CSV header")
+            entries, values = [], []
+            for rec in reader:
+                if len(rec) != len(header):
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: row has {len(rec)} fields where the header has {len(header)}"
+                    )
+                entry = ManifestEntry(*rec[:5])
+                check_label_and_period(entry.label, entry.period, path, reader.line_num)
+                try:
+                    values.append(list(map(float, rec[5:])))
+                except ValueError:
+                    # only a failing row pays for finding the column
+                    for name, v in zip(FEATURE_COLUMNS, rec[5:]):
+                        try:
+                            float(v)
+                        except ValueError:
+                            raise ValueError(f"{path}:{reader.line_num}: {name}: {v!r} is not a number") from None
+                entries.append(entry)
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return FeatureTable(entries, np.array(values, dtype=np.float64).reshape(len(values), len(FEATURE_COLUMNS)))
 
 
@@ -391,18 +385,21 @@ def load_split(path: str) -> dict[str, str]:
     """path -> train|val|test assignments from a two-column CSV.
 
     Raises ValueError when a path is listed twice: one recording must not
-    land in two splits.
+    land in two splits. Errors name the file and csv's line of the row.
     """
     out: dict[str, str] = {}
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header != ["path", "split"]:
-            raise ValueError(f"{path}: expected header path,split")
-        for i, rec in enumerate(reader, start=2):
-            if len(rec) != 2 or rec[1] not in ("train", "val", "test"):
-                raise ValueError(f"{path}:{i}: bad split row {rec!r}")
-            if rec[0] in out:
-                raise ValueError(f"{path}:{i}: {rec[0]} is listed again")
-            out[rec[0]] = rec[1]
+        try:
+            header = next(reader, None)
+            if header != ["path", "split"]:
+                raise ValueError(f"{path}: expected header path,split")
+            for rec in reader:
+                if len(rec) != 2 or rec[1] not in ("train", "val", "test"):
+                    raise ValueError(f"{path}:{reader.line_num}: bad split row {rec!r}")
+                if rec[0] in out:
+                    raise ValueError(f"{path}:{reader.line_num}: {rec[0]} is listed again")
+                out[rec[0]] = rec[1]
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
     return out

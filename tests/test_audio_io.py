@@ -1,3 +1,4 @@
+import csv
 import math
 import struct
 
@@ -296,6 +297,22 @@ def test_manifest_unknown_label_names_row(tmp_path):
     )
     with pytest.raises(ValueError, match=r"m.csv:3: unknown label 'sick'"):
         load_manifest(str(path))
+
+
+def test_manifest_field_over_csvs_limit_names_its_line(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_text(
+        "path,patient_id,site,period,label\n"
+        "a.wav,p1,ESUTH,birth,normal\n"
+        f"{'b' * 81}.wav,p2,ESUTH,birth,mild\n"
+    )
+    old = csv.field_size_limit(80)
+    try:
+        with pytest.raises(ValueError) as info:
+            load_manifest(str(path))
+    finally:
+        csv.field_size_limit(old)
+    assert str(info.value) == f"{path}:3: field larger than field limit (80)"
 
 
 def test_manifest_bad_header_raises(tmp_path):

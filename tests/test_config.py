@@ -1,7 +1,7 @@
 import inspect
 import json
 import tempfile
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +47,8 @@ selection_sites=ESUTH,LASUTH,SCDM
 
 
 def test_save_load_round_trip(tmp_path):
-    cfg = PipelineConfig().override(
+    cfg = replace(
+        PipelineConfig(),
         f0_min_hz=300.0,
         cv_folds=5,
         reg_grid=(0.5, 2.0),
@@ -104,7 +105,7 @@ def test_tuple_parsing(tmp_path):
 
 def test_override_does_not_mutate():
     base = PipelineConfig()
-    changed = base.override(hop_s=0.02)
+    changed = replace(base, hop_s=0.02)
     assert base.hop_s == 0.010
     assert changed.hop_s == 0.02
 
@@ -183,7 +184,7 @@ def test_grid_values_are_checked_in_code_too():
     with pytest.raises(ValueError, match="hop_s=0 is under one sample"):
         PipelineConfig(hop_s=0)
     with pytest.raises(ValueError, match="window_s=0.0001 is under one sample at sample_rate=4000"):
-        PipelineConfig().override(sample_rate=4000, window_s=0.0001)
+        replace(PipelineConfig(), sample_rate=4000, window_s=0.0001)
     # one whole sample is enough
     assert PipelineConfig(hop_s=1 / 16000).hop_s == 1 / 16000
 
@@ -410,4 +411,4 @@ def test_no_function_defaults_a_config_value(module):
     "key, value, stage", KEY_STAGES, ids=[f"{key}-{stage.__name__}" for key, _, stage in KEY_STAGES]
 )
 def test_each_key_changes_its_stage(key, value, stage):
-    assert stage(PipelineConfig().override(**{key: value})) != stage(PipelineConfig())
+    assert stage(replace(PipelineConfig(), **{key: value})) != stage(PipelineConfig())

@@ -78,6 +78,16 @@ def test_grid_formula_random_triples():
         assert grid.num_frames == (n - w) // h + 1
 
 
+def test_frame_times_start_where_the_frames_do():
+    # at 22050 Hz a 10 ms hop is 220.5 samples, framed on 220
+    sr = 22050
+    grid = make_grid(20 * sr, sr, 0.025, 0.010)
+    assert grid.hop_samples == 220 and grid.window_samples == 551
+    starts = np.arange(grid.num_frames) * grid.hop_samples
+    np.testing.assert_allclose(grid.frame_times() * sr, starts, rtol=0, atol=1e-6)
+    assert grid.window_seconds * sr == pytest.approx(551)
+
+
 def test_make_grid_too_short():
     with pytest.raises(ValueError, match="shorter than one"):
         make_grid(100, SR, 0.025, 0.010)

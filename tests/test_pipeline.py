@@ -4,6 +4,7 @@ import csv
 import os
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -191,6 +192,9 @@ GOOD = ["a.wav", "p0", "ESUTH", "birth", "normal"] + ["0.5"] * 38
     # Arabic-Indic one, the Arabic decimal separator (which float() does not
     # read), five
     (5 + 2, "\u0661\u066b5", "bad\\.csv:3: cry_unit_dur_max: '\u0661\u066b5' is not a number"),
+    # np.loadtxt strips the ASCII separators 0x1c-0x1f as white space, float() does not
+    (5 + 7, "\x1c0.5", r"bad\.csv:3: pause_dur_min: '\\x1c0\.5' is not a number"),
+    (5 + 7, "0.5\x1f", r"bad\.csv:3: pause_dur_min: '0\.5\\x1f' is not a number"),
 ])
 def test_read_features_csv_names_a_bad_value(tmp_path, column, value, message):
     bad = list(GOOD)
@@ -269,9 +273,37 @@ def test_nan_read_from_csv_is_rejected_by_the_matrix(tmp_path):
         to_feature_matrix(table)
 
 
+def test_parse_in_c_declines_a_blank_line(tmp_path):
+    # np.loadtxt skips a blank line, which csv reads as a row of 0 fields
+    good = ",".join(GOOD)
+    path = tmp_path / "f.csv"
+    for text, plain in [
+        (f"{HEADER}\r\n{good}\r\n{good}\r\n", True),
+        (f"{HEADER}\r\n{good}\r{good}\n{good}", True),
+        (f"{HEADER}\r\n{good}\r\n\r\n", False),
+        (f"{HEADER}\r\n{good}\n\r{good}", False),
+        (f"{HEADER}\r\n{good}\r\r{good}", False),
+        (f"{HEADER}\r\n{good}\n\n{good}", False),
+        (f"\n{HEADER}\n{good}\n", False),
+    ]:
+        path.write_text(text, newline="")
+        table = pipeline._parse_in_c(str(path))
+        if plain:
+            assert same_table(table, pipeline._read_row_by_row(str(path))), repr(text)
+        else:
+            assert table is None, repr(text)
+
+
 @pytest.mark.parametrize("chunk", [1, 2, 3, 64])
 def test_scan_finds_a_blank_line_across_chunks(tmp_path, monkeypatch, chunk):
-    monkeypatch.setattr(pipeline, "SCAN_CHUNK_BYTES", chunk)
+    # the text layer under the line filter reads chunk bytes at a time, so
+    # a \r and the \n after it may come in two reads
+    def open_in_chunks(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        fh._CHUNK_SIZE = chunk
+        return fh
+
+    monkeypatch.setattr(pipeline, "open", open_in_chunks, raising=False)
     good = ",".join(GOOD)
     path = tmp_path / "f.csv"
     for body, plain in [
@@ -283,9 +315,14 @@ def test_scan_finds_a_blank_line_across_chunks(tmp_path, monkeypatch, chunk):
         (f"{good}\n\n{good}", False),
     ]:
         path.write_text(f"{HEADER}\r\n{body}", newline="")
-        assert pipeline._loadtxt_reads_as_csv(str(path)) is plain, repr(body)
+        table = pipeline._parse_in_c(str(path))
+        if plain:
+            assert table is not None and len(table.entries) == body.count(good), repr(body)
+            assert same_table(table, pipeline._read_row_by_row(str(path))), repr(body)
+        else:
+            assert table is None, repr(body)
     path.write_text(f"\n{HEADER}\n{good}\n")
-    assert not pipeline._loadtxt_reads_as_csv(str(path))
+    assert pipeline._parse_in_c(str(path)) is None
 
 
 @pytest.mark.parametrize("column, value", [
@@ -294,28 +331,48 @@ def test_scan_finds_a_blank_line_across_chunks(tmp_path, monkeypatch, chunk):
     (5, "0.5" + " " * 78),
 ])
 def test_a_field_over_csvs_limit_is_left_to_csv(tmp_path, column, value):
-    # csv raises on a field longer than csv.field_size_limit(); the parse in
-    # C must not read that file either
+    # csv rejects a field longer than csv.field_size_limit(), and the row
+    # loop names its line; the parse in C must not read that file either
     row = list(GOOD)
     row[column] = value
     path = tmp_path / "long.csv"
     path.write_text(f"{HEADER}\n{','.join(GOOD)}\n{','.join(row)}\n")
     old = csv.field_size_limit(80)
     try:
-        with pytest.raises(csv.Error, match="field larger than field limit"):
+        with pytest.raises(ValueError) as info:
             read_features_csv(str(path))
+        assert str(info.value) == f"{path}:3: field larger than field limit (80)"
         assert pipeline._parse_in_c(str(path)) is None
     finally:
         csv.field_size_limit(old)
     assert read_features_csv(str(path)).X.shape == (2, 38)
 
 
+def test_a_value_over_csvs_limit_across_quoted_line_ends_is_declined(tmp_path):
+    # float() and np.loadtxt read this value as 0.5, and csv rejects it as
+    # too long, though no line of the file is longer than the limit
+    row = list(GOOD)
+    row[5 + 2] = '"0.5' + "\n         " * 40 + '"'
+    path = tmp_path / "long.csv"
+    path.write_text(f"{HEADER}\n{','.join(GOOD)}\n{','.join(row)}\n")
+    old = csv.field_size_limit(300)
+    try:
+        assert pipeline._parse_in_c(str(path)) is None
+        with pytest.raises(ValueError) as info:
+            read_features_csv(str(path))
+        assert str(info.value) == f"{path}:33: field larger than field limit (300)"
+    finally:
+        csv.field_size_limit(old)
+    assert read_features_csv(str(path)).X[1, 2] == 0.5
+
+
 # bytes the fuzz below splices into a good file: quoting, delimiters and
-# line ends, and what float() reads but np.loadtxt does not
+# line ends, what float() reads but np.loadtxt does not, and every ASCII
+# control character
 FUZZ_PIECES = [
-    '"', ",", "\n", "\r", "\r\n", " ", "\t", "\0",
+    '"', ",", "\n", "\r", "\r\n", " ",
     "_", "e", "-", ".", "1", "x", "\u0663", "nan", "inf", '""', '","', "normal",
-]
+] + [chr(c) for c in [*range(0x20), 0x7F] if chr(c) not in "\r\n"]
 
 
 def test_parse_in_c_returns_nothing_but_the_row_loop_table(tmp_path):
@@ -330,7 +387,7 @@ def test_parse_in_c_returns_nothing_but_the_row_loop_table(tmp_path):
     head = len(HEADER) + 2
     taken = declined = 0
     path = tmp_path / "fuzz.csv"
-    for _ in range(400):
+    for _ in range(1500):
         text = good
         for _ in range(rng.integers(1, 3)):
             at = int(rng.integers(head, len(text) + 1))
@@ -434,12 +491,28 @@ def test_load_split_rejects_a_path_listed_twice(tmp_path):
         load_split(str(path))
 
 
+def test_load_split_names_csvs_line(tmp_path):
+    # a quoted line end advances the count, as it does in the other readers
+    path = tmp_path / "split.csv"
+    path.write_text('path,split\n"two\nlines.wav",train\nb.wav,holdout\n')
+    with pytest.raises(ValueError, match=r"split\.csv:4: bad split row \['b\.wav', 'holdout'\]$"):
+        load_split(str(path))
+    path.write_text(f"path,split\na.wav,train\n{'c' * 81}.wav,test\n")
+    old = csv.field_size_limit(80)
+    try:
+        with pytest.raises(ValueError) as info:
+            load_split(str(path))
+    finally:
+        csv.field_size_limit(old)
+    assert str(info.value) == f"{path}:3: field larger than field limit (80)"
+
+
 def test_skip_reason_follows_min_total_cry(tmp_path):
     assert SKIP_REASON_SHORT_CRY == short_cry_reason(3.0) == "below 3s cry"
     clip, _ = cry_clip(seed=4)
     mpath = make_manifest(tmp_path, [("long.wav", clip)])
     assert extract_manifest(mpath).skipped == []
-    result = extract_manifest(mpath, PipelineConfig().override(min_total_cry_s=10.0))
+    result = extract_manifest(mpath, replace(PipelineConfig(), min_total_cry_s=10.0))
     assert [(s.entry.path, s.reason) for s in result.skipped] == [("long.wav", "below 10s cry")]
     assert short_cry_reason(2.5) == "below 2.5s cry"
 
@@ -458,7 +531,7 @@ def test_few_mel_bands_still_extract_rows(tmp_path):
 
 def test_config_threshold_changes_flow_through():
     clip, _ = cry_clip(seed=4)
-    strict = PipelineConfig().override(min_total_cry_s=10.0)
+    strict = replace(PipelineConfig(), min_total_cry_s=10.0)
     with pytest.raises(CurationError):
         extract_clip(clip, strict)
 
