@@ -19,6 +19,7 @@ import csv
 import math
 import os
 import struct
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -288,29 +289,50 @@ class _Resampler:
         self.tail_start = start
 
 
-def load_manifest(path: str) -> list[ManifestEntry]:
-    """Read a recording manifest CSV.
+def read_csv_rows(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:
+    """Yield (line, fields) of each row of a UTF-8 CSV table whose header is exactly header.
 
-    The header must be exactly path,patient_id,site,period,label. Unknown
-    sites collapse to OTHER; an unknown label or period, or a row that csv
-    rejects, is an error that names the offending line of the file.
+    line is csv's count, which a quoted newline advances. ValueError names
+    the file of a wrong header or of bytes that are not UTF-8 (the text
+    layer decodes ahead of csv, so a line would be wrong), and the file
+    and line of a row that csv rejects (a field too long, say) or whose
+    width is not the header's; a blank line is a row of 0 fields.
     """
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
         try:
-            if reader.fieldnames != MANIFEST_COLUMNS:
-                missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or [])]
-                raise ValueError(
-                    f"{path}: manifest header must be {','.join(MANIFEST_COLUMNS)}"
-                    + (f" (missing: {', '.join(missing)})" if missing else "")
-                )
-            entries = []
+            if next(reader, None) != header:
+                raise ValueError(f"{path}: header must be {','.join(header)}")
             for row in reader:
-                check_label_and_period(row["label"], row["period"], path, reader.line_num)
-                site = row["site"] if row["site"] in SITES else "OTHER"
-                entries.append(ManifestEntry(row["path"], row["patient_id"], site, row["period"], row["label"]))
-        except csv.Error as exc:  # DictReader counts a line only once its row parses
-            raise ValueError(f"{path}:{reader.reader.line_num}: {exc}") from None
+                if len(row) != len(header):
+                    raise ValueError(
+                        f"{path}:{reader.line_num}: row has {len(row)} fields where the header has {len(header)}"
+                    )
+                yield reader.line_num, row
+        except csv.Error as exc:
+            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def write_csv_rows(path: str, header: list[str], rows: Iterable[list[str]]) -> None:
+    """Write header and rows as a UTF-8 CSV table, each line ending in CRLF."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def load_manifest(path: str) -> list[ManifestEntry]:
+    """Read a recording manifest: a read_csv_rows table with header MANIFEST_COLUMNS.
+
+    Unknown sites collapse to OTHER; an unknown label or period is an
+    error that names the offending line of the file.
+    """
+    entries = []
+    for line, (rec_path, patient_id, site, period, label) in read_csv_rows(path, MANIFEST_COLUMNS):
+        check_label_and_period(label, period, path, line)
+        entries.append(ManifestEntry(rec_path, patient_id, site if site in SITES else "OTHER", period, label))
     return entries
 
 
@@ -327,11 +349,7 @@ def check_label_and_period(label: str, period: str, path: str, line: int) -> Non
 
 
 def save_manifest(entries: list[ManifestEntry], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(MANIFEST_COLUMNS)
-        for e in entries:
-            writer.writerow([e.path, e.patient_id, e.site, e.period, e.label])
+    write_csv_rows(path, MANIFEST_COLUMNS, ([e.path, e.patient_id, e.site, e.period, e.label] for e in entries))
 
 
 def relative_to_manifest(manifest_path: str, entry_path: str) -> str:

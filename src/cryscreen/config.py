@@ -99,25 +99,29 @@ _FIELD_PARSER = {f.name: _PARSERS[f.type] for f in fields(PipelineConfig)}
 
 
 def load_config(path: str) -> PipelineConfig:
-    """Read a flat key=value file; blank lines and # comments allowed.
+    """Read a flat UTF-8 key=value file; blank lines and # comments allowed.
 
     Tuple-valued keys take comma-separated items.
     """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            lines = list(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from None
     overrides: dict = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
-            key, value = (part.strip() for part in line.split("=", 1))
-            if key not in _FIELD_PARSER:
-                raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
-            try:
-                overrides[key] = _FIELD_PARSER[key](value)
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in _FIELD_PARSER:
+            raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        try:
+            overrides[key] = _FIELD_PARSER[key](value)
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     try:
         return PipelineConfig(**overrides)
     except ValueError as exc:
@@ -125,7 +129,7 @@ def load_config(path: str) -> PipelineConfig:
 
 
 def save_config(config: PipelineConfig, path: str) -> None:
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for f in fields(PipelineConfig):
             value = getattr(config, f.name)
             if isinstance(value, tuple):

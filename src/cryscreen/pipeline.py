@@ -19,14 +19,17 @@ from . import dsp
 from .analytics import FeatureMatrix
 from .audio_io import (
     LABELS,
+    MANIFEST_COLUMNS,
     PERIODS,
     AudioClip,
     ManifestEntry,
     check_label_and_period,
     load_manifest,
     load_wav,
+    read_csv_rows,
     relative_to_manifest,
     resample,
+    write_csv_rows,
 )
 from .biomarkers import CRY_FEATURE_NAMES, UnitFlags, aggregate_biomarkers, unit_biomarker_flags
 from .config import PipelineConfig
@@ -34,7 +37,7 @@ from .segmenter import CrySegmentation, detect_cry_units, meets_curation_rule, p
 from .voicefeat import VOICE_FEATURE_NAMES, compute_generic_features, concat_expirations
 
 FEATURE_COLUMNS = CRY_FEATURE_NAMES + VOICE_FEATURE_NAMES
-ID_COLUMNS = ["path", "patient_id", "site", "period", "label"]
+ID_COLUMNS = MANIFEST_COLUMNS
 _COLUMN_INDEX = {name: i for i, name in enumerate(FEATURE_COLUMNS)}
 
 
@@ -225,15 +228,15 @@ def extract_manifest(manifest_path: str, config: PipelineConfig | None = None, l
 def write_features_csv(rows: list[FeatureRow], path: str) -> None:
     # repr keeps the shortest round-trippable decimal form, so rewriting
     # the same rows yields byte-identical files
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ID_COLUMNS + FEATURE_COLUMNS)
-        for row in rows:
-            e = row.entry
-            writer.writerow(
-                [e.path, e.patient_id, e.site, e.period, e.label]
-                + [repr(float(row.features[name])) for name in FEATURE_COLUMNS]
-            )
+    write_csv_rows(
+        path,
+        ID_COLUMNS + FEATURE_COLUMNS,
+        (
+            [row.entry.path, row.entry.patient_id, row.entry.site, row.entry.period, row.entry.label]
+            + [repr(float(row.features[name])) for name in FEATURE_COLUMNS]
+            for row in rows
+        ),
+    )
 
 
 # one record of a features CSV: the five ID fields as str, then the values
@@ -243,11 +246,9 @@ _RECORD = np.dtype([(name, object) for name in ID_COLUMNS] + [("values", np.floa
 def read_features_csv(path: str) -> FeatureTable:
     """The table of a features CSV as write_features_csv writes it.
 
-    Raises ValueError naming the file of a wrong header, and the file and
-    line (csv's count, which a quoted newline advances) of a row of the
-    wrong width, a blank line (a row of 0 fields), an unknown label or
-    period, a feature value that float() does not read, which it also
-    names by column, or a row that csv rejects (a field too long, say).
+    The rows follow audio_io.read_csv_rows. Raises ValueError naming the
+    file and line of an unknown label or period, and of a feature value
+    that float() does not read, which it also names by column.
 
     The file is parsed in C, by np.loadtxt, into one array. A file that
     parse declines (a faulty one, or one it might read otherwise than csv
@@ -285,7 +286,7 @@ def _parse_in_c(path: str) -> FeatureTable | None:
     """The table that _read_row_by_row reads, in one pass, or None for a file this parse declines."""
     limit = csv.field_size_limit()
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             if next(csv.reader(fh), None) != ID_COLUMNS + FEATURE_COLUMNS:
                 return None
             lines = _lines_read_as_csv(fh, limit)
@@ -315,41 +316,25 @@ def _parse_in_c(path: str) -> FeatureTable | None:
 
 def _read_row_by_row(path: str) -> FeatureTable:
     """csv rows and a float() of each value: the reference reader, which names a fault's line."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
+    entries, values = [], []
+    for line, rec in read_csv_rows(path, ID_COLUMNS + FEATURE_COLUMNS):
+        entry = ManifestEntry(*rec[:5])
+        check_label_and_period(entry.label, entry.period, path, line)
         try:
-            header = next(reader, None)
-            if header != ID_COLUMNS + FEATURE_COLUMNS:
-                raise ValueError(f"{path}: unexpected feature CSV header")
-            entries, values = [], []
-            for rec in reader:
-                if len(rec) != len(header):
-                    raise ValueError(
-                        f"{path}:{reader.line_num}: row has {len(rec)} fields where the header has {len(header)}"
-                    )
-                entry = ManifestEntry(*rec[:5])
-                check_label_and_period(entry.label, entry.period, path, reader.line_num)
+            values.append(list(map(float, rec[5:])))
+        except ValueError:
+            # only a failing row pays for finding the column
+            for name, v in zip(FEATURE_COLUMNS, rec[5:]):
                 try:
-                    values.append(list(map(float, rec[5:])))
+                    float(v)
                 except ValueError:
-                    # only a failing row pays for finding the column
-                    for name, v in zip(FEATURE_COLUMNS, rec[5:]):
-                        try:
-                            float(v)
-                        except ValueError:
-                            raise ValueError(f"{path}:{reader.line_num}: {name}: {v!r} is not a number") from None
-                entries.append(entry)
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+                    raise ValueError(f"{path}:{line}: {name}: {v!r} is not a number") from None
+        entries.append(entry)
     return FeatureTable(entries, np.array(values, dtype=np.float64).reshape(len(values), len(FEATURE_COLUMNS)))
 
 
 def write_skipped_csv(skipped: list[SkippedRecording], path: str) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "reason"])
-        for s in skipped:
-            writer.writerow([s.entry.path, s.reason])
+    write_csv_rows(path, ["path", "reason"], ([s.entry.path, s.reason] for s in skipped))
 
 
 def to_feature_matrix(table: FeatureTable, feature_names: list[str] | None = None) -> FeatureMatrix:
@@ -382,24 +367,16 @@ def to_feature_matrix(table: FeatureTable, feature_names: list[str] | None = Non
 
 
 def load_split(path: str) -> dict[str, str]:
-    """path -> train|val|test assignments from a two-column CSV.
+    """path -> train|val|test assignments from a read_csv_rows table with header path,split.
 
-    Raises ValueError when a path is listed twice: one recording must not
-    land in two splits. Errors name the file and csv's line of the row.
+    Raises ValueError naming the file and line of any other split, and of
+    a path listed twice: one recording must not land in two splits.
     """
     out: dict[str, str] = {}
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, None)
-            if header != ["path", "split"]:
-                raise ValueError(f"{path}: expected header path,split")
-            for rec in reader:
-                if len(rec) != 2 or rec[1] not in ("train", "val", "test"):
-                    raise ValueError(f"{path}:{reader.line_num}: bad split row {rec!r}")
-                if rec[0] in out:
-                    raise ValueError(f"{path}:{reader.line_num}: {rec[0]} is listed again")
-                out[rec[0]] = rec[1]
-        except csv.Error as exc:
-            raise ValueError(f"{path}:{reader.line_num}: {exc}") from None
+    for line, rec in read_csv_rows(path, ["path", "split"]):
+        if rec[1] not in ("train", "val", "test"):
+            raise ValueError(f"{path}:{line}: bad split row {rec!r}")
+        if rec[0] in out:
+            raise ValueError(f"{path}:{line}: {rec[0]} is listed again")
+        out[rec[0]] = rec[1]
     return out

@@ -67,18 +67,12 @@ def unit_frames(grid: dsp.FrameGrid, seg: CrySegmentation) -> np.ndarray:
     return np.concatenate([np.arange(s.start, s.stop) for s in slices])
 
 
-def moving_average3(x: np.ndarray) -> np.ndarray:
-    """3-frame moving average; edges average over the frames that exist."""
-    kernel = np.ones(3)
-    total = np.convolve(x, kernel, mode="same")
-    count = np.convolve(np.ones(len(x)), kernel, mode="same")
-    return total / count
-
-
 def masked_moving_average3(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
     """3-frame moving average over valid frames only; invalid frames stay 0."""
-    total = np.convolve(np.where(valid, x, 0.0), np.ones(3), mode="same")
-    count = np.convolve(valid.astype(float), np.ones(3), mode="same")
+    # the middle len(x) values of the full convolution; mode="same" would
+    # return 3 for an x of 1 or 2 frames
+    total = np.convolve(np.where(valid, x, 0.0), np.ones(3))[1:-1]
+    count = np.convolve(valid.astype(float), np.ones(3))[1:-1]
     out = np.divide(total, count, out=np.zeros(len(x)), where=count > 0)
     return np.where(valid, out, 0.0)
 
@@ -132,11 +126,12 @@ def compute_generic_features(
             "no voiced frames: slopeV0_500, F2, F3, mfcc3V, mfcc4V features are undefined"
         )
 
-    slope = moving_average3(front.slope0_500.values[idx])
-    loud = moving_average3(front.loudness.values[idx])
-    mfcc2 = moving_average3(front.mfcc2_4[idx, 0])
-    mfcc3 = moving_average3(front.mfcc2_4[idx, 1])
-    mfcc4 = moving_average3(front.mfcc2_4[idx, 2])
+    allf = np.ones(len(idx), dtype=bool)
+    slope = masked_moving_average3(front.slope0_500.values[idx], allf)
+    loud = masked_moving_average3(front.loudness.values[idx], allf)
+    mfcc2 = masked_moving_average3(front.mfcc2_4[idx, 0], allf)
+    mfcc3 = masked_moving_average3(front.mfcc2_4[idx, 1], allf)
+    mfcc4 = masked_moving_average3(front.mfcc2_4[idx, 2], allf)
 
     formants = dsp.lpc_formants(concat, config)
     # LPC frame i pairs with unit frame i. The spliced waveform has fewer
@@ -149,7 +144,6 @@ def compute_generic_features(
     f2 = masked_moving_average3(formants[:, 1], f2_valid)
     f3 = masked_moving_average3(formants[:, 2], f3_valid)
 
-    allf = np.ones(len(slope), dtype=bool)
     return {
         "slopeUV0_500_amean": _amean(slope, unvoiced),
         "slopeV0_500_stddevNorm": _stddev_norm(slope, voiced),

@@ -1,6 +1,9 @@
 import csv
 import math
+import os
 import struct
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -313,6 +316,41 @@ def test_manifest_field_over_csvs_limit_names_its_line(tmp_path):
     finally:
         csv.field_size_limit(old)
     assert str(info.value) == f"{path}:3: field larger than field limit (80)"
+
+
+@pytest.mark.parametrize("row, width", [
+    ("b.wav,p2,ESUTH,birth,normal,extra", 6),
+    ("b.wav,p2,ESUTH,birth", 4),
+    ("", 0),
+])
+def test_manifest_row_of_the_wrong_width_names_its_line(tmp_path, row, width):
+    path = tmp_path / "m.csv"
+    path.write_text(f"path,patient_id,site,period,label\na.wav,p1,ESUTH,birth,normal\n{row}\nc.wav,p3,SCDM,birth,mild\n")
+    with pytest.raises(ValueError) as info:
+        load_manifest(str(path))
+    assert str(info.value) == f"{path}:3: row has {width} fields where the header has 5"
+
+
+def test_manifest_is_utf8_under_an_ascii_locale(tmp_path):
+    # under the C locale, with neither locale coercion nor UTF-8 mode,
+    # open()'s default encoding is ASCII
+    path = tmp_path / "m.csv"
+    code = (
+        "import codecs, locale, sys\n"
+        "from cryscreen.audio_io import ManifestEntry, load_manifest, save_manifest\n"
+        "assert codecs.lookup(locale.getpreferredencoding(False)).name == 'ascii'\n"
+        "entries = [ManifestEntry('b\\xe9b\\xe9.wav', 'p1', 'ESUTH', 'birth', 'normal')]\n"
+        "save_manifest(entries, sys.argv[1])\n"
+        "assert load_manifest(sys.argv[1]) == entries\n"
+    )
+    src = os.path.dirname(os.path.dirname(audio_io.__file__))
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUTF8", "PYTHONIOENCODING")}
+    env.update(LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-X", "utf8=0", "-c", code, str(path)], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert path.read_bytes() == b"path,patient_id,site,period,label\r\nb\xc3\xa9b\xc3\xa9.wav,p1,ESUTH,birth,normal\r\n"
 
 
 def test_manifest_bad_header_raises(tmp_path):

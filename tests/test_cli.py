@@ -229,3 +229,28 @@ def test_split_fault_names_the_split_file(chain, tmp_path, capsys, fault, messag
     assert "Traceback" not in err
     assert not metrics.exists()
 
+
+
+@pytest.mark.parametrize("kind", ["manifest", "features", "split", "config"])
+def test_input_that_is_not_utf8_names_its_file(chain, tmp_path, capsys, kind):
+    bad = tmp_path / f"{kind}.bad"
+    if kind == "manifest":
+        bad.write_bytes(b"path,patient_id,site,period,label\nb\xe9b\xe9.wav,p0,ESUTH,birth,normal\n")
+        argv = ["extract", "--manifest", str(bad), "--out", str(tmp_path / "f.csv")]
+    elif kind == "features":
+        # in the last row, which np.loadtxt reaches past the first block the text layer decodes
+        lines = chain["features"].read_bytes().splitlines(keepends=True)
+        bad.write_bytes(b"".join(lines[:-1] + [b"b\xe9b\xe9" + lines[-1]]))
+        argv = ["select", "--features", str(bad), "--out", str(tmp_path / "sel.json")]
+    elif kind == "split":
+        bad.write_bytes(chain["split"].read_bytes() + b"b\xe9b\xe9.wav,test\n")
+        argv = ["train-eval", "--features", str(chain["features"]), "--split", str(bad),
+                "--model-out", str(tmp_path / "m.json"), "--metrics-out", str(tmp_path / "x.json")]
+    else:
+        bad.write_bytes(b"# b\xe9b\xe9\ncv_folds=3\n")
+        argv = ["extract", "--manifest", str(chain["corpus"] / "manifest.csv"), "--out", str(tmp_path / "f.csv"),
+                "--config", str(bad)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cry: error: {bad}: 'utf-8' codec can't decode byte 0xe9")
+    assert "Traceback" not in err

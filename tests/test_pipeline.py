@@ -163,7 +163,7 @@ def test_quoted_paths_round_trip(tmp_path):
 def test_read_features_csv_rejects_wrong_header(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("path,who\na.wav,x\n")
-    with pytest.raises(ValueError, match="unexpected feature CSV header"):
+    with pytest.raises(ValueError, match=r"bad\.csv: header must be path,patient_id,site,period,label,cry_unit"):
         read_features_csv(str(path))
 
 
@@ -480,8 +480,21 @@ def test_load_split(tmp_path):
         load_split(str(bad))
     wrong = tmp_path / "wrong.csv"
     wrong.write_text("file,fold\na.wav,train\n")
-    with pytest.raises(ValueError, match="expected header"):
+    with pytest.raises(ValueError, match=r"wrong\.csv: header must be path,split$"):
         load_split(str(wrong))
+
+
+@pytest.mark.parametrize("row, message", [
+    ("c.wav,test,extra", "row has 3 fields where the header has 2"),
+    ("c.wav", "row has 1 fields where the header has 2"),
+    ("", "row has 0 fields where the header has 2"),
+])
+def test_load_split_rejects_a_row_of_the_wrong_width(tmp_path, row, message):
+    path = tmp_path / "split.csv"
+    path.write_text(f"path,split\na.wav,train\n{row}\nb.wav,val\n")
+    with pytest.raises(ValueError) as info:
+        load_split(str(path))
+    assert str(info.value) == f"{path}:3: {message}"
 
 
 def test_load_split_rejects_a_path_listed_twice(tmp_path):

@@ -13,7 +13,6 @@ from cryscreen.voicefeat import (
     compute_generic_features,
     concat_expirations,
     masked_moving_average3,
-    moving_average3,
     stddev_falling_slope,
     unit_frames,
 )
@@ -33,8 +32,23 @@ def test_concat_expirations():
 
 
 def test_moving_average3_edges():
-    out = moving_average3(np.array([3.0, 6.0, 9.0, 12.0]))
+    out = masked_moving_average3(np.array([3.0, 6.0, 9.0, 12.0]), np.ones(4, dtype=bool))
     assert np.allclose(out, [4.5, 6.0, 9.0, 10.5])
+
+
+@pytest.mark.parametrize("x, valid, want", [
+    ([3.0], [True], [3.0]),
+    ([3.0], [False], [0.0]),
+    ([3.0, 6.0], [True, True], [4.5, 4.5]),
+    ([3.0, 6.0], [True, False], [3.0, 0.0]),
+    ([3.0, 6.0], [False, True], [0.0, 6.0]),
+])
+def test_moving_average3_of_one_or_two_frames(x, valid, want):
+    # each valid frame is the mean of the valid ones among itself and the
+    # neighbours that exist
+    out = masked_moving_average3(np.array(x), np.array(valid))
+    assert out.shape == (len(x),)
+    assert np.array_equal(out, want)
 
 
 def test_masked_moving_average3():
