@@ -32,10 +32,11 @@ noise = AudioClip(0.3 * rng.standard_normal(int(0.6 * SR)), SR)
 print("\nspectral flatness:")
 for name, clip in (("harmonic", tone), ("white noise", noise)):
     flat = spectral_flatness(stft(clip, CFG))
-    print(f"  {name:12s} median {np.median(flat.values):.3f}")
+    print(f"  {name:12s} median {np.median(flat):.3f}")
 
 spec = stft(tone, CFG)
 print(f"\nSTFT: {spec.values.shape[0]} frames x {spec.values.shape[1]} bins, "
       f"hop {1000 * spec.grid.hop_seconds:.0f} ms")
 lm = log_mel(spec, CFG)
-print(f"log-Mel: {lm.num_bands} bands; loudness of frame 30: {loudness(lm).values[30]:.3f}")
+# log_mel, loudness and spectral_flatness give plain arrays, one row per STFT frame
+print(f"log-Mel: {lm.shape[1]} bands; loudness of frame 30: {loudness(lm)[30]:.3f}")

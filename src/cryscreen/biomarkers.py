@@ -29,7 +29,7 @@ from scipy.ndimage import median_filter
 from scipy.signal import find_peaks
 
 from .config import PipelineConfig
-from .dsp import F0Contour, FrameSeries
+from .dsp import F0Contour
 from .segmenter import CrySegmentation, runs_of
 
 MELODY_EDGE_FRACTION = 0.2
@@ -225,12 +225,13 @@ def classify_melody(contour: np.ndarray, config: PipelineConfig = PipelineConfig
 
 
 def unit_biomarker_flags(
-    f0: F0Contour, flatness: FrameSeries, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()
+    f0: F0Contour, flatness: np.ndarray, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()
 ) -> UnitFlags:
     """Run every detector on the frames of one unit and tally the results.
 
-    The unit's frames, their pitch, voicing and flatness, and their
-    smoothed pitch are taken here once and shared by the detectors.
+    flatness holds one value per frame of f0.grid. The unit's frames, their
+    pitch, voicing and flatness, and their smoothed pitch are taken here
+    once and shared by the detectors.
     """
     sl = f0.grid.frame_slice(*unit)
     hop_s = f0.grid.hop_seconds
@@ -239,7 +240,7 @@ def unit_biomarker_flags(
     return UnitFlags(
         num_frames=sl.stop - sl.start,
         hyperphonation_frames=int(detect_hyperphonation(f0_hz, voiced, hop_s, config).sum()),
-        dysphonation_frames=int(detect_dysphonation(flatness.values[sl], hop_s, config).sum()),
+        dysphonation_frames=int(detect_dysphonation(flatness[sl], hop_s, config).sum()),
         glide_frames=int(detect_glide(smoothed, voiced, hop_s, config).sum()),
         vibrato_present=detect_vibrato(smoothed, voiced, hop_s, config),
         melody=classify_melody(smoothed[voiced], config),

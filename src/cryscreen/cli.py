@@ -165,15 +165,24 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    profile_doc = {}
-    if args.profile:
-        with open(args.profile) as fh:
-            profile_doc = json.load(fh)
-    n_per_class = args.n_per_class if args.n_per_class is not None else int(profile_doc.get("n_per_class", 100))
-    sites = tuple(profile_doc.get("sites", ("ESUTH", "LASUTH", "SCDM")))
-    positive = ClassProfile.from_json_dict(profile_doc["positive"]) if "positive" in profile_doc else None
-    negative = ClassProfile.from_json_dict(profile_doc["negative"]) if "negative" in profile_doc else None
-    records = make_corpus(args.out, n_per_class, positive, negative, seed=args.seed, sites=sites)
+    doc = {}
+    # a --profile fault, UnicodeDecodeError and JSONDecodeError included, ends
+    # in a ValueError naming the file
+    try:
+        if args.profile:
+            with open(args.profile, encoding="utf-8") as fh:
+                doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError(f"a profile must be a JSON object, not {type(doc).__name__}")
+        n_per_class = args.n_per_class if args.n_per_class is not None else int(doc.get("n_per_class", 100))
+        sites = doc.get("sites", ["ESUTH", "LASUTH", "SCDM"])
+        if not (isinstance(sites, list) and sites and all(isinstance(s, str) for s in sites)):
+            raise ValueError(f"sites must be a list of site names, not {sites!r}")
+        positive = ClassProfile.from_json_dict(doc["positive"]) if "positive" in doc else None
+        negative = ClassProfile.from_json_dict(doc["negative"]) if "negative" in doc else None
+    except (TypeError, ValueError) as exc:  # TypeError: int() or float() of a list
+        raise ValueError(f"{args.profile}: {exc}") from None
+    records = make_corpus(args.out, n_per_class, positive, negative, seed=args.seed, sites=tuple(sites))
     print(f"wrote {len(records)} recordings to {args.out}", file=sys.stderr)
     return 0
 

@@ -18,7 +18,6 @@ from dataclasses import dataclass, fields
 
 from .dsp import (
     FRONT_END_MFCC_COEFFS,
-    FrameGrid,
     check_mel_bands,
     check_mfcc_coeffs,
     f0_lag_range,
@@ -67,7 +66,7 @@ class PipelineConfig:
                     f"{key}={getattr(self, key)!r} is under one sample at sample_rate={self.sample_rate}"
                 )
         # the analysis front end would reject these for every recording
-        win = FrameGrid(self.hop_s, self.window_s, 0, self.sample_rate).window_samples
+        win = int(round(self.window_s * self.sample_rate))
         try:
             check_mel_bands(self.num_mel_bands, win)
             check_mfcc_coeffs(FRONT_END_MFCC_COEFFS, self.num_mel_bands)

@@ -4,7 +4,9 @@ The kernels that frame a clip (stft, estimate_f0, lpc_formants) take the
 window and hop of the PipelineConfig they are passed, and log_mel and
 estimate_f0 its Mel bands, pitch range and voicing threshold, so that any
 two per-frame series computed from the same clip line up index for index.
-The pipeline passes them clips already at the config's sample rate.
+The reductions of a Spectrogram (log_mel, loudness, spectral_flatness,
+spectral_slope_band, mfcc) return plain arrays, one row per frame of its
+grid. The pipeline passes the kernels clips at the config's sample rate.
 """
 
 from __future__ import annotations
@@ -45,20 +47,20 @@ MAX_FORMANT_BANDWIDTH_HZ = 400.0
 
 @dataclass
 class FrameGrid:
-    """Mapping between frame indices and time for one analysis pass."""
+    """Mapping between frame indices and time, in the whole samples framed on."""
 
-    hop_seconds: float
-    window_seconds: float
+    hop_samples: int
+    window_samples: int
     num_frames: int
     sample_rate: int
 
     @property
-    def hop_samples(self) -> int:
-        return int(round(self.hop_seconds * self.sample_rate))
+    def hop_seconds(self) -> float:
+        return self.hop_samples / self.sample_rate
 
     @property
-    def window_samples(self) -> int:
-        return int(round(self.window_seconds * self.sample_rate))
+    def window_seconds(self) -> float:
+        return self.window_samples / self.sample_rate
 
     def frame_times(self) -> np.ndarray:
         """Start time of every frame, in seconds."""
@@ -78,30 +80,12 @@ class FrameGrid:
 
 
 @dataclass
-class FrameSeries:
-    """One scalar value per frame on a shared grid."""
-
-    values: np.ndarray
-    grid: FrameGrid
-
-
-@dataclass
 class Spectrogram:
     """STFT power |X|**2, frames along axis 0 and frequency bins along axis 1."""
 
     values: np.ndarray
     freqs_hz: np.ndarray
     grid: FrameGrid
-
-
-@dataclass
-class LogMelSpectrogram:
-    values: np.ndarray
-    grid: FrameGrid
-
-    @property
-    def num_bands(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass
@@ -146,9 +130,7 @@ def make_grid(n_samples: int, sample_rate: int, window_s: float, hop_s: float) -
     hop = int(round(hop_s * sample_rate))
     if n_samples < win:
         raise ValueError(f"signal of {n_samples} samples is shorter than one {win}-sample window")
-    num = (n_samples - win) // hop + 1
-    # the seconds of the whole samples framed on, so frame times stay on the audio
-    return FrameGrid(hop / sample_rate, win / sample_rate, num, sample_rate)
+    return FrameGrid(hop, win, (n_samples - win) // hop + 1, sample_rate)
 
 
 def _next_pow2(n: int) -> int:
@@ -230,15 +212,16 @@ def mel_filterbank(freqs_hz: np.ndarray, num_bands: int, fmin: float, fmax: floa
     return np.clip(np.minimum(up, down), 0.0, None)
 
 
-def log_mel(spec: Spectrogram, config: PipelineConfig) -> LogMelSpectrogram:
+def log_mel(spec: Spectrogram, config: PipelineConfig) -> np.ndarray:
     """Log-energy Mel spectrogram (natural log, energies floored at 1e-10).
 
-    config.num_mel_bands bands span 0 Hz to the Nyquist frequency.
+    A (frames, bands) array; config.num_mel_bands bands span 0 Hz to the
+    Nyquist frequency.
     """
     check_mel_bands(config.num_mel_bands, spec.grid.window_samples)
     fb = mel_filterbank(spec.freqs_hz, config.num_mel_bands, 0.0, spec.grid.sample_rate / 2.0)
     energy = spec.values @ fb.T
-    return LogMelSpectrogram(np.log(np.maximum(energy, MEL_FLOOR)), spec.grid)
+    return np.log(np.maximum(energy, MEL_FLOOR))
 
 
 def difference_function(frames: np.ndarray, tau_max: int) -> np.ndarray:
@@ -374,7 +357,7 @@ def _track_f0(
     return f0, voiced, confidence
 
 
-def spectral_flatness(spec: Spectrogram) -> FrameSeries:
+def spectral_flatness(spec: Spectrogram) -> np.ndarray:
     """Per-frame Wiener entropy: geometric over arithmetic mean of power.
 
     Values live in [0, 1]; near 0 for line spectra, toward 1 for noise.
@@ -383,24 +366,24 @@ def spectral_flatness(spec: Spectrogram) -> FrameSeries:
     arith = np.mean(p, axis=1)
     # p is a copy of the spectrogram's power, so the log may overwrite it
     geo = np.exp(np.mean(np.log(p, out=p), axis=1))
-    return FrameSeries(geo / arith, spec.grid)
+    return geo / arith
 
 
-def mfcc(logmel: LogMelSpectrogram, num_coeffs: int = 13) -> np.ndarray:
+def mfcc(logmel: np.ndarray, num_coeffs: int = 13) -> np.ndarray:
     """Mel-frequency cepstral coefficients via an orthonormal DCT-II.
 
-    Returns an array of shape (num_frames, num_coeffs) where column j holds
-    coefficient j+1; the DC term is dropped, so column 0 is mfcc1.
+    Of log_mel's (frames, bands) array, returns one of shape (frames,
+    num_coeffs) where column j holds coefficient j+1; the DC term is
+    dropped, so column 0 is mfcc1.
     """
-    check_mfcc_coeffs(num_coeffs, logmel.num_bands)
-    coef = dct(logmel.values, type=2, norm="ortho", axis=1)
+    check_mfcc_coeffs(num_coeffs, logmel.shape[1])
+    coef = dct(logmel, type=2, norm="ortho", axis=1)
     return coef[:, 1 : num_coeffs + 1]
 
 
-def loudness(logmel: LogMelSpectrogram) -> FrameSeries:
+def loudness(logmel: np.ndarray) -> np.ndarray:
     """Perceptual-leaning energy proxy: summed Mel energies to the 0.3 power."""
-    total = np.sum(np.exp(logmel.values), axis=1)
-    return FrameSeries(total ** 0.3, logmel.grid)
+    return np.sum(np.exp(logmel), axis=1) ** 0.3
 
 
 def lpc_formants(clip: AudioClip, config: PipelineConfig) -> np.ndarray:
@@ -484,7 +467,7 @@ def pick_formants(freqs: np.ndarray, keep: np.ndarray, degenerate: np.ndarray, n
     return out
 
 
-def spectral_slope_band(spec: Spectrogram, fmin_hz: float, fmax_hz: float) -> FrameSeries:
+def spectral_slope_band(spec: Spectrogram, fmin_hz: float, fmax_hz: float) -> np.ndarray:
     """Per-frame OLS slope of log power (dB) against frequency over a band."""
     sel = (spec.freqs_hz >= fmin_hz) & (spec.freqs_hz <= fmax_hz)
     n_bins = int(np.count_nonzero(sel))
@@ -493,5 +476,4 @@ def spectral_slope_band(spec: Spectrogram, fmin_hz: float, fmax_hz: float) -> Fr
     x = spec.freqs_hz[sel]
     y = 10.0 * np.log10(np.maximum(spec.values[:, sel], POWER_FLOOR))
     xc = x - x.mean()
-    slope = (y - y.mean(axis=1, keepdims=True)) @ xc / np.dot(xc, xc)
-    return FrameSeries(slope, spec.grid)
+    return (y - y.mean(axis=1, keepdims=True)) @ xc / np.dot(xc, xc)

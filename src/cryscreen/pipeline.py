@@ -63,21 +63,21 @@ class CurationError(ValueError):
 class FrontEnd:
     """Per-frame descriptors of one recording, computed once on one grid.
 
-    Segmentation reads f0 and loudness, the biomarker pass f0 and flatness,
-    and the voice functionals the voicing, loudness, the 0-500 Hz spectral
-    slope and MFCC 2, 3 and 4 (the three columns of mfcc2_4) at the unit
-    frames. Pitch is tracked only on the frames of segmenter.pitch_frames,
+    The arrays hold one value or row per frame of f0.grid. Segmentation
+    reads f0 and loudness, the biomarker pass f0 and flatness, and the
+    voice functionals the voicing, loudness, the 0-500 Hz spectral slope
+    and MFCC 2, 3 and 4 (the three columns of mfcc2_4) at the unit frames. Pitch is tracked only on the frames of segmenter.pitch_frames,
     the ones near a frame loud enough to hold a cry unit; every other frame
     is unvoiced with f0 and confidence 0, which changes neither the units
     nor anything read from them. analyze_frames builds it in the memory of
-    the clip plus one block of dsp.FRAME_BLOCK frames, and the series it
+    the clip plus one block of dsp.FRAME_BLOCK frames, and the arrays it
     keeps take a few numbers per frame.
     """
 
     f0: dsp.F0Contour
-    loudness: dsp.FrameSeries
-    flatness: dsp.FrameSeries
-    slope0_500: dsp.FrameSeries
+    loudness: np.ndarray
+    flatness: np.ndarray
+    slope0_500: np.ndarray
     mfcc2_4: np.ndarray
 
 
@@ -86,7 +86,7 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
 
     The spectral descriptors come from dsp.stft and dsp.log_mel over
     sub-clips holding the frames of each dsp.frame_blocks block, reduced
-    to per-frame series block by block; then pitch is tracked once, on the
+    block by block into arrays on the recording's one grid; then pitch is tracked once, on the
     frames that loudness leaves within reach of a cry unit. So the memory
     a recording needs is its clip plus one block, whatever its length.
     """
@@ -101,21 +101,14 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
         part = AudioClip(clip.samples[start * hop : (stop - 1) * hop + win], clip.sample_rate)
         spec = dsp.stft(part, config)
         logmel = dsp.log_mel(spec, config)
-        loud[start:stop] = dsp.loudness(logmel).values
-        flatness[start:stop] = dsp.spectral_flatness(spec).values
-        slope[start:stop] = dsp.spectral_slope_band(spec, 0.0, 500.0).values
+        loud[start:stop] = dsp.loudness(logmel)
+        flatness[start:stop] = dsp.spectral_flatness(spec)
+        slope[start:stop] = dsp.spectral_slope_band(spec, 0.0, 500.0)
         mfcc2_4[start:stop] = dsp.mfcc(logmel, dsp.FRONT_END_MFCC_COEFFS)[:, 1:4]
     # the last block's planes need not be alive beside the pitch tracker
     del spec, logmel
-    loudness = dsp.FrameSeries(loud, grid)
-    f0 = dsp.estimate_f0(clip, config, frames=pitch_frames(loudness, config))
-    return FrontEnd(
-        f0=f0,
-        loudness=loudness,
-        flatness=dsp.FrameSeries(flatness, grid),
-        slope0_500=dsp.FrameSeries(slope, grid),
-        mfcc2_4=mfcc2_4,
-    )
+    f0 = dsp.estimate_f0(clip, config, frames=pitch_frames(loud, grid, config))
+    return FrontEnd(f0=f0, loudness=loud, flatness=flatness, slope0_500=slope, mfcc2_4=mfcc2_4)
 
 
 def canonical_clip(clip: AudioClip, config: PipelineConfig) -> AudioClip:

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d
 
 from .config import PipelineConfig
-from .dsp import F0Contour, FrameSeries
+from .dsp import F0Contour, FrameGrid
 
 _EPS = 1e-9
 
@@ -57,23 +57,23 @@ def bridge_voicing_gaps(voiced: np.ndarray, halfwidth: int) -> np.ndarray:
     return out
 
 
-def detect_cry_units(f0: F0Contour, loud: FrameSeries, config: PipelineConfig = PipelineConfig()) -> CrySegmentation:
+def detect_cry_units(f0: F0Contour, loud: np.ndarray, config: PipelineConfig = PipelineConfig()) -> CrySegmentation:
     """Segment a clip into expiratory cry units.
 
-    Frames are candidates when loudness clears an adaptive level set a
-    fixed fraction of the way up the clip's own loudness span (10th to
-    90th percentile) and voicing is present nearby. Anchoring the level to
-    the span rather than to a percentile keeps it valid whatever share of
-    the clip is phonation. Activation needs the full level
+    loud holds one value per frame of f0.grid. Frames are candidates when
+    loudness clears an adaptive level set a fixed fraction of the way up
+    the clip's own loudness span (10th to 90th percentile) and voicing is
+    present nearby. Anchoring the level to the span rather than to a
+    percentile keeps it valid whatever share of the clip is phonation. Activation needs the full level
     (config.active_fraction of the span), while a unit stays open down to
     half that fraction (hysteresis). Voicing counts as present across
     dropouts bridged by config.voicing_halfwidth_frames. Gaps shorter than
     config.min_pause_s merge, fragments shorter than config.min_unit_s drop.
     """
-    if f0.grid.num_frames != loud.grid.num_frames:
+    if f0.grid.num_frames != len(loud):
         raise ValueError("f0 and loudness were computed on different frame grids")
-    L = np.asarray(loud.values, dtype=np.float64)
-    hop = loud.grid.hop_seconds
+    L = np.asarray(loud, dtype=np.float64)
+    hop = f0.grid.hop_seconds
     active_high, release_low = loudness_levels(L, config.active_fraction)
 
     near_voiced = bridge_voicing_gaps(f0.voiced.astype(bool), config.voicing_halfwidth_frames)
@@ -110,8 +110,10 @@ def loudness_levels(loud: np.ndarray, active_fraction: float) -> tuple[float, fl
     return lo + active_fraction * (hi - lo), lo + 0.5 * active_fraction * (hi - lo)
 
 
-def pitch_frames(loud: FrameSeries, config: PipelineConfig = PipelineConfig()) -> np.ndarray:
+def pitch_frames(loud: np.ndarray, grid: FrameGrid, config: PipelineConfig = PipelineConfig()) -> np.ndarray:
     """Indices of the only frames whose pitch detect_cry_units or a unit reads.
+
+    loud holds one loudness value per frame of grid.
 
     Every frame of a unit lies at or above the release level, or in a gap
     shorter than config.min_pause_s between two such frames.
@@ -123,9 +125,9 @@ def pitch_frames(loud: FrameSeries, config: PipelineConfig = PipelineConfig()) -
     level, or within a merged gap's length of one, hold every voicing value
     that can change the segmentation or a unit.
     """
-    L = np.asarray(loud.values, dtype=np.float64)
+    L = np.asarray(loud, dtype=np.float64)
     _, release_low = loudness_levels(L, config.active_fraction)
-    reach = max(2 * config.voicing_halfwidth_frames + 1, int(np.ceil(config.min_pause_s / loud.grid.hop_seconds)))
+    reach = max(2 * config.voicing_halfwidth_frames + 1, int(np.ceil(config.min_pause_s / grid.hop_seconds)))
     near = maximum_filter1d((L >= release_low).astype(np.uint8), size=2 * reach + 1, mode="constant")
     return np.flatnonzero(near)
 

@@ -386,21 +386,32 @@ class ClassProfile:
 
     @staticmethod
     def from_json_dict(d: dict) -> "ClassProfile":
+        """The profile of a JSON object; keys it leaves out keep their defaults.
+
+        Raises ValueError for an object or melody_probs of the wrong shape,
+        a melody not in MELODY_TYPES and a range that is not two numbers,
+        low to high; float() raises on a probability that is not a number.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"a class profile must be a JSON object, not {d!r}")
         prof = ClassProfile()
-        for key in (
-            "p_hyperphonation",
-            "p_dysphonation",
-            "p_glide",
-            "p_vibrato",
-            "dysphonation_snr_db",
-        ):
+        for key in ("p_hyperphonation", "p_dysphonation", "p_glide", "p_vibrato", "dysphonation_snr_db"):
             if key in d:
                 setattr(prof, key, float(d[key]))
         if "melody_probs" in d:
-            prof.melody_probs = {k: float(v) for k, v in d["melody_probs"].items()}
+            probs = d["melody_probs"]
+            if not (isinstance(probs, dict) and set(probs) <= set(MELODY_TYPES)):
+                raise ValueError(f"melody_probs must map melodies of {MELODY_TYPES} to numbers, not {probs!r}")
+            prof.melody_probs = {k: float(v) for k, v in probs.items()}
         for key in ("num_units_range", "unit_duration_range", "pause_range", "base_f0_range"):
             if key in d:
-                setattr(prof, key, tuple(d[key]))
+                pair = d[key]
+                numbers = isinstance(pair, list) and all(isinstance(v, (int, float)) for v in pair)
+                if not (numbers and len(pair) == 2):
+                    raise ValueError(f"{key} must be a list of two numbers, not {pair!r}")
+                if pair[0] > pair[1]:
+                    raise ValueError(f"{key} must run from low to high, not {pair!r}")
+                setattr(prof, key, tuple(pair))
         return prof
 
 

@@ -127,8 +127,8 @@ def compute_generic_features(
         )
 
     allf = np.ones(len(idx), dtype=bool)
-    slope = masked_moving_average3(front.slope0_500.values[idx], allf)
-    loud = masked_moving_average3(front.loudness.values[idx], allf)
+    slope = masked_moving_average3(front.slope0_500[idx], allf)
+    loud = masked_moving_average3(front.loudness[idx], allf)
     mfcc2 = masked_moving_average3(front.mfcc2_4[idx, 0], allf)
     mfcc3 = masked_moving_average3(front.mfcc2_4[idx, 1], allf)
     mfcc4 = masked_moving_average3(front.mfcc2_4[idx, 2], allf)

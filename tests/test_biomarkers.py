@@ -20,14 +20,14 @@ from cryscreen.biomarkers import (
     unit_biomarker_flags,
 )
 from cryscreen.config import PipelineConfig
-from cryscreen.dsp import F0Contour, FrameGrid, FrameSeries
+from cryscreen.dsp import F0Contour, FrameGrid
 from cryscreen.segmenter import CrySegmentation, runs_of
 
 HOP = 0.010
 
 
 def grid_of(n):
-    return FrameGrid(HOP, 0.025, n, 16000)
+    return FrameGrid(160, 400, n, 16000)
 
 
 def contour(f0_values, voiced=None):
@@ -36,10 +36,6 @@ def contour(f0_values, voiced=None):
         voiced = f0 > 0
     voiced = np.asarray(voiced, dtype=bool)
     return F0Contour(np.where(voiced, f0, 0.0), voiced, voiced.astype(float), grid_of(len(f0)))
-
-
-def series(values):
-    return FrameSeries(np.asarray(values, dtype=np.float64), grid_of(len(values)))
 
 
 def smoothed(f0_values, voiced=None):
@@ -276,9 +272,8 @@ def test_unit_flags_tally_matches_detectors():
     f0 = contour(vals)
     flat = np.full(n, 0.05)
     flat[60:75] = 0.50
-    fs = series(flat)
     unit = (0.0, 1.2)
-    flags = unit_biomarker_flags(f0, fs, unit)
+    flags = unit_biomarker_flags(f0, flat, unit)
     pitch, voiced = smoothed(vals)
     assert flags.num_frames == 120
     assert flags.hyperphonation_frames == 15
@@ -314,7 +309,7 @@ def test_unit_window_smoothing_matches_whole_clip(unit):
 
 def test_unit_flags_match_whole_clip_smoothing(monkeypatch):
     f0 = varied_contour()
-    flat = series(np.where(np.arange(200) % 50 < 15, 0.5, 0.05))
+    flat = np.where(np.arange(200) % 50 < 15, 0.5, 0.05)
     got = [unit_biomarker_flags(f0, flat, unit) for unit in EDGE_UNITS]
     # the detectors as they ran when every call smoothed the whole clip
     monkeypatch.setattr(biomarkers, "_smoothed_in_unit", lambda f0, sl: smooth_f0(f0.f0_hz, f0.voiced)[sl])
@@ -332,7 +327,7 @@ def test_unit_flags_smooth_the_unit_once(monkeypatch):
         return smooth_f0(*args)
 
     monkeypatch.setattr(biomarkers, "smooth_f0", counted)
-    unit_biomarker_flags(varied_contour(), series(np.full(200, 0.05)), (0.6, 0.9))
+    unit_biomarker_flags(varied_contour(), np.full(200, 0.05), (0.6, 0.9))
     assert len(calls) == 1
 
 
@@ -351,16 +346,16 @@ def whole_clip_sustained(condition, sl, min_frames):
 @pytest.mark.parametrize("unit", EDGE_UNITS)
 def test_sustained_detectors_match_whole_clip_reference(unit, min_run_s, min_frames):
     f0 = varied_contour()
-    flat = series(np.random.default_rng(3).uniform(0.0, 0.6, 200))
+    flat = np.random.default_rng(3).uniform(0.0, 0.6, 200)
     sl = f0.grid.frame_slice(*unit)
-    smoothed = flat.values.copy()
+    smoothed = flat.copy()
     if sl.stop - sl.start >= 3:
         smoothed[sl] = median_filter(smoothed[sl], size=3, mode="nearest")
     hyper = whole_clip_sustained(f0.voiced & (f0.f0_hz > 1000.0), sl, min_frames)
     dys = whole_clip_sustained(smoothed > 0.3, sl, min_frames)
     config = PipelineConfig(hyperphonation_min_run_s=min_run_s, dysphonation_min_run_s=min_run_s)
     assert np.array_equal(detect_hyperphonation(f0.f0_hz[sl], f0.voiced[sl], HOP, config), hyper[sl])
-    assert np.array_equal(detect_dysphonation(flat.values[sl], HOP, config), dys[sl])
+    assert np.array_equal(detect_dysphonation(flat[sl], HOP, config), dys[sl])
     outside = np.ones(200, dtype=bool)
     outside[sl] = False
     assert not hyper[outside].any() and not dys[outside].any()

@@ -254,3 +254,28 @@ def test_input_that_is_not_utf8_names_its_file(chain, tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith(f"cry: error: {bad}: 'utf-8' codec can't decode byte 0xe9")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'{"sites": ["b\xe9b\xe9"]}',
+        b'{"n_per_class": 2,',
+        b"[1, 2]",
+        b'{"sites": 5}',
+        b'{"positive": {"num_units_range": 5}}',
+        b'{"positive": {"melody_probs": [1]}}',
+        b'{"negative": {"melody_probs": {"hum": 1.0}}}',
+        b'{"negative": {"pause_range": [0.6, 0.25]}}',
+    ],
+    ids=["not-utf8", "truncated", "list", "sites-number", "range-number", "melody-probs-list", "melody-unknown",
+         "range-reversed"],
+)
+def test_malformed_synth_profile_names_its_file(tmp_path, capsys, content):
+    profile = tmp_path / "profile.json"
+    profile.write_bytes(content)
+    assert main(["synth", "--out", str(tmp_path / "corpus"), "--profile", str(profile), "--n-per-class", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cry: error: {profile}: ")
+    assert "Traceback" not in err
+    assert not (tmp_path / "corpus").exists()

@@ -11,7 +11,7 @@ from cryscreen import analytics, cli, dsp, voicefeat
 from cryscreen.audio_io import ManifestEntry
 from cryscreen.biomarkers import unit_biomarker_flags
 from cryscreen.config import PipelineConfig, load_config, save_config
-from cryscreen.dsp import F0Contour, FrameGrid, FrameSeries
+from cryscreen.dsp import F0Contour, FrameGrid
 from cryscreen.pipeline import FEATURE_COLUMNS, FeatureRow, analyze_frames, canonical_clip, write_features_csv
 from cryscreen.segmenter import CrySegmentation, detect_cry_units, meets_curation_rule, pitch_frames
 from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
@@ -193,7 +193,7 @@ HOP = 0.010
 
 
 def grid_of(n):
-    return FrameGrid(HOP, 0.025, n, 16000)
+    return FrameGrid(160, 400, n, 16000)
 
 
 def segmenter_series():
@@ -210,7 +210,7 @@ def segmenter_series():
     voiced = loud > 0
     voiced[45:51] = False
     grid = grid_of(n)
-    return F0Contour(np.where(voiced, 450.0, 0.0), voiced, voiced.astype(float), grid), FrameSeries(loud, grid)
+    return F0Contour(np.where(voiced, 450.0, 0.0), voiced, voiced.astype(float), grid), loud
 
 
 def detector_series():
@@ -233,7 +233,7 @@ def detector_series():
     flat[300:315] = 0.45
     voiced = np.ones(n, dtype=bool)
     grid = grid_of(n)
-    return F0Contour(f0, voiced, voiced.astype(float), grid), FrameSeries(flat, grid)
+    return F0Contour(f0, voiced, voiced.astype(float), grid), flat
 
 
 SEG_F0, SEG_LOUD = segmenter_series()
@@ -246,7 +246,7 @@ def units(config):
 
 
 def tracked_frames(config):
-    return pitch_frames(SEG_LOUD, config).tolist()
+    return pitch_frames(SEG_LOUD, SEG_F0.grid, config).tolist()
 
 
 def usable(config):
@@ -266,8 +266,8 @@ CLIP = synth_cry(SynthSpec(units=[UnitSpec(0.6, 0.2, base_f0_hz=450.0), UnitSpec
 def front_end(config):
     """The spectral series of CLIP's front end, at config.sample_rate."""
     front = analyze_frames(canonical_clip(CLIP, config), config)
-    return [front.loudness.values.tolist(), front.flatness.values.tolist(),
-            front.slope0_500.values.tolist(), front.mfcc2_4.tolist()]
+    return [front.loudness.tolist(), front.flatness.tolist(),
+            front.slope0_500.tolist(), front.mfcc2_4.tolist()]
 
 
 def f0_track(config):

@@ -554,9 +554,9 @@ def front_series(front):
         "f0_hz": front.f0.f0_hz,
         "voiced": front.f0.voiced,
         "confidence": front.f0.confidence,
-        "loudness": front.loudness.values,
-        "flatness": front.flatness.values,
-        "slope0_500": front.slope0_500.values,
+        "loudness": front.loudness,
+        "flatness": front.flatness,
+        "slope0_500": front.slope0_500,
         "mfcc2_4": front.mfcc2_4,
     }
 
@@ -592,8 +592,8 @@ def test_analyze_frames_in_blocks_matches_one_block(block, monkeypatch):
         assert np.array_equal(got[name], want[name]), name
 
 
-def gate_every_frame(loud, config):
-    return np.arange(loud.grid.num_frames)
+def gate_every_frame(loud, grid, config):
+    return np.arange(grid.num_frames)
 
 
 def assert_gate_changes_no_unit(clip, config, monkeypatch):
@@ -604,12 +604,13 @@ def assert_gate_changes_no_unit(clip, config, monkeypatch):
         flags = unit_flags_for(front, seg, config)
         return seg, flags, compute_generic_features(front, seg, concat_expirations(clip, seg), config)
 
-    loud = analyze_frames(clip, config).loudness
-    assert len(pitch_frames(loud, config)) < loud.grid.num_frames
+    front = analyze_frames(clip, config)
+    grid = front.f0.grid
+    assert len(pitch_frames(front.loudness, grid, config)) < grid.num_frames
     gated = units_of(clip)
     monkeypatch.setattr(pipeline, "pitch_frames", gate_every_frame)
     assert units_of(clip) == gated
-    return gated[0], loud.grid
+    return gated[0], grid
 
 
 def test_gated_pitch_changes_no_unit(monkeypatch):

@@ -93,6 +93,18 @@ def test_silence_yields_nothing():
     assert seg.total_cry_seconds == 0.0
 
 
+@pytest.mark.parametrize("extra", [-1, 1])
+def test_loudness_off_the_pitch_grid_is_rejected(extra):
+    clip = burst_clip([(0.5, 1.5)], 2.0)
+    cfg = PipelineConfig()
+    f0 = estimate_f0(clip, cfg)
+    loud = loudness(log_mel(stft(clip, cfg), cfg))
+    assert len(loud) == f0.grid.num_frames
+    loud = np.resize(loud, len(loud) + extra)
+    with pytest.raises(ValueError, match="different frame grids"):
+        detect_cry_units(f0, loud, cfg)
+
+
 def test_duty_cycle_robustness():
     # segmentation must survive both sparse and dense phonation
     sparse = segment(burst_clip([(1.0, 1.5)], 5.0))
