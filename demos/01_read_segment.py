@@ -3,6 +3,7 @@
 Run with: python3 demos/01_read_segment.py
 """
 
+import os
 import tempfile
 
 from cryscreen.pipeline import segment_clip
@@ -20,10 +21,11 @@ spec = SynthSpec(
 )
 clip, truth = synth_cry(spec)
 
-path = tempfile.mktemp(suffix=".wav")
-write_wav(clip, path)
-clip = load_wav(path)
-print(f"wrote and re-read {path}: {clip.duration_seconds:.2f}s at {clip.sample_rate} Hz")
+with tempfile.TemporaryDirectory(prefix="cry_demo_") as tmp:
+    path = os.path.join(tmp, "cry.wav")
+    write_wav(clip, path)
+    clip = load_wav(path)
+    print(f"wrote and re-read {path}: {clip.duration_seconds:.2f}s at {clip.sample_rate} Hz")
 
 seg, front = segment_clip(clip)
 print(f"\nplanted units        -> detected units")

@@ -22,12 +22,12 @@ from cryscreen.config import PipelineConfig
 from cryscreen.pipeline import FeatureTable, extract_manifest, to_feature_matrix
 from cryscreen.synthcry import make_corpus
 
-out = tempfile.mkdtemp(prefix="cryscreen_demo_")
-print(f"synthesizing 60 labeled recordings in {out}")
-make_corpus(out, n_per_class=30, seed=4)
+with tempfile.TemporaryDirectory(prefix="cryscreen_demo_") as out:
+    print(f"synthesizing 60 labeled recordings in {out}")
+    make_corpus(out, n_per_class=30, seed=4)
 
-result = extract_manifest(os.path.join(out, "manifest.csv"))
-print(f"extracted {len(result.rows)} recordings ({len(result.skipped)} skipped)")
+    result = extract_manifest(os.path.join(out, "manifest.csv"))
+    print(f"extracted {len(result.rows)} recordings ({len(result.skipped)} skipped)")
 matrix = to_feature_matrix(FeatureTable.from_rows(result.rows))
 
 # held-out test: every fourth recording

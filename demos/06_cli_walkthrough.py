@@ -9,9 +9,6 @@ import subprocess
 import sys
 import tempfile
 
-root = tempfile.mkdtemp(prefix="cry_cli_demo_")
-corpus = os.path.join(root, "corpus")
-
 
 def run(*args):
     cmd = [sys.executable, "-m", "cryscreen.cli", *args]
@@ -24,35 +21,37 @@ def run(*args):
     return proc.stdout
 
 
-run("synth", "--out", corpus, "--n-per-class", "8", "--seed", "2")
+with tempfile.TemporaryDirectory(prefix="cry_cli_demo_") as root:
+    corpus = os.path.join(root, "corpus")
+    run("synth", "--out", corpus, "--n-per-class", "8", "--seed", "2")
 
-features = os.path.join(root, "features.csv")
-run("extract", "--manifest", os.path.join(corpus, "manifest.csv"), "--out", features)
+    features = os.path.join(root, "features.csv")
+    run("extract", "--manifest", os.path.join(corpus, "manifest.csv"), "--out", features)
 
-doc = run("segment", os.path.join(corpus, "rec0000.wav"))
-seg = json.loads(doc)
-print(f"segment stdout: {len(seg['expirations'])} units, {seg['total_cry_seconds']}s of cry")
+    doc = run("segment", os.path.join(corpus, "rec0000.wav"))
+    seg = json.loads(doc)
+    print(f"segment stdout: {len(seg['expirations'])} units, {seg['total_cry_seconds']}s of cry")
 
-selection = os.path.join(root, "selection.json")
-run("select", "--features", features, "--out", selection)
+    selection = os.path.join(root, "selection.json")
+    run("select", "--features", features, "--out", selection)
 
-# every fourth row held out for test, the rest train/val
-with open(features) as fh:
-    paths = [line.split(",", 1)[0] for line in fh.read().splitlines()[1:]]
-split = os.path.join(root, "split.csv")
-with open(split, "w") as fh:
-    fh.write("path,split\n")
-    for i, p in enumerate(paths):
-        fh.write(f"{p},{'test' if i % 4 == 3 else 'val' if i % 4 == 2 else 'train'}\n")
-config = os.path.join(root, "cry.cfg")
-with open(config, "w") as fh:
-    fh.write("cv_folds=3\n")
+    # every fourth row held out for test, the rest train/val
+    with open(features) as fh:
+        paths = [line.split(",", 1)[0] for line in fh.read().splitlines()[1:]]
+    split = os.path.join(root, "split.csv")
+    with open(split, "w") as fh:
+        fh.write("path,split\n")
+        for i, p in enumerate(paths):
+            fh.write(f"{p},{'test' if i % 4 == 3 else 'val' if i % 4 == 2 else 'train'}\n")
+    config = os.path.join(root, "cry.cfg")
+    with open(config, "w") as fh:
+        fh.write("cv_folds=3\n")
 
-model, metrics = os.path.join(root, "model.json"), os.path.join(root, "metrics.json")
-run("train-eval", "--features", features, "--split", split, "--feature-set", "both",
-    "--model-out", model, "--metrics-out", metrics, "--config", config)
+    model, metrics = os.path.join(root, "model.json"), os.path.join(root, "metrics.json")
+    run("train-eval", "--features", features, "--split", split, "--feature-set", "both",
+        "--model-out", model, "--metrics-out", metrics, "--config", config)
 
-with open(metrics) as fh:
-    m = json.load(fh)
-print(f"\nmetrics: AUC {m['auc']:.3f} on {m['n_test']} test recordings, "
-      f"penalty {m['reg_strength']:g}, artifacts in {root}")
+    with open(metrics) as fh:
+        m = json.load(fh)
+    print(f"\nmetrics: AUC {m['auc']:.3f} on {m['n_test']} test recordings, "
+          f"penalty {m['reg_strength']:g}")

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import rankdata
 
 IRLS_TOL = 1e-6
 IRLS_MAX_ITER = 500
@@ -298,21 +297,40 @@ class RocCurve:
     auc: float
 
 
+def _midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of x, each tie given the mean of the ranks it spans.
+
+    The same values as scipy.stats.rankdata(x): every rank is a whole or
+    half integer, so sums of them are exact.
+    """
+    order = np.argsort(x, kind="mergesort")
+    sorted_x = x[order]
+    first = np.concatenate(([True], sorted_x[1:] != sorted_x[:-1]))
+    dense = np.empty(len(x), dtype=np.intp)
+    dense[order] = np.cumsum(first)
+    count = np.concatenate((np.flatnonzero(first), [len(x)]))
+    return 0.5 * (count[dense] + count[dense - 1] + 1)
+
+
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     """ROC curve and AUC with exact tie handling.
 
     The AUC equals concordant pairs plus half the tied pairs over all
-    positive-negative pairs, computed through midranks.
+    positive-negative pairs, computed through midranks. Scores must be
+    finite.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
+    bad = int(np.count_nonzero(~np.isfinite(scores)))
+    if bad:
+        raise ValueError(f"ROC needs finite scores, got {bad} NaN or infinite of {len(scores)}")
     pos = labels == 1
     neg = labels == 0
     n1, n0 = int(pos.sum()), int(neg.sum())
     if n1 == 0 or n0 == 0:
         raise ValueError(f"ROC needs both classes, got {n1} positives and {n0} negatives")
 
-    ranks = rankdata(scores)
+    ranks = _midranks(scores)
     auc = float((ranks[pos].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
 
     order = np.argsort(-scores, kind="stable")

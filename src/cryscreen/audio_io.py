@@ -23,7 +23,6 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import signal
 
 
 class WavFormatError(ValueError):
@@ -249,6 +248,10 @@ class _Resampler:
     """
 
     def __init__(self, n_in: int, rate_in: int, rate_out: int):
+        # imported here: scipy.signal costs about half a second and 45 MB to
+        # load, and only audio off the target rate needs it
+        from scipy import signal
+
         if rate_out <= 0:
             raise ValueError(f"target rate must be positive, got {rate_out}")
         g = math.gcd(rate_out, rate_in)
@@ -271,11 +274,13 @@ class _Resampler:
         self.next = self.skip  # index in the whole upfirdn output of the next kept output
 
     def push(self, x: np.ndarray) -> None:
+        from scipy.signal import upfirdn
+
         if not len(x):
             return
         self.fed += len(x)
         buf = np.concatenate((self.tail, x))
-        y = signal.upfirdn(self.h, buf, self.up, self.down)
+        y = upfirdn(self.h, buf, self.up, self.down)
         first = self.tail_start * self.up // self.down  # whole-output index of y[0]
         end = self.skip + len(self.out)
         # an output is exact when its newest input sample is in buf, and

@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import median_filter
-from scipy.signal import find_peaks
 
 from .config import PipelineConfig
 from .dsp import F0Contour
@@ -167,6 +166,42 @@ def detect_glide(
     return out
 
 
+def _prominent_extrema(x: np.ndarray, prominence: float) -> tuple[np.ndarray, np.ndarray]:
+    """Positions of the local maxima and minima of x of at least the given
+    prominence, in order, and whether each is a maximum.
+
+    The maxima are scipy.signal.find_peaks(x, prominence=prominence)[0] and
+    the minima the same of -x: a flat extremum sits at its midpoint, rounded
+    down, and neither end sample is one. An extremum is kept when, on each
+    side, it drops by at least prominence before it meets a sample beyond
+    it, which is find_peaks' test of its prominence as no wlen bounds it.
+    x is finite and not empty.
+    """
+    dx = np.diff(x)
+    moves = np.flatnonzero(dx)
+    rise = dx[moves] > 0
+    turn = np.flatnonzero(rise[1:] != rise[:-1])
+    pos = (moves[turn] + 1 + moves[turn + 1]) // 2
+    is_max = rise[turn]
+    # x is monotone between turning points, so they and the two end samples
+    # hold every sample that can end or bottom a search from an extremum
+    t = x[np.concatenate(([0], pos, [len(x) - 1]))].tolist()
+    keep = []
+    sign = 1.0 if len(turn) and is_max[0] else -1.0
+    for i in range(1, len(t) - 1):
+        for side in (range(i - 1, -1, -1), range(i + 1, len(t))):
+            for j in side:
+                drop = sign * (t[i] - t[j])
+                if drop < 0 or prominence <= drop:
+                    break
+            if not prominence <= drop:
+                break
+        else:
+            keep.append(i - 1)
+        sign = -sign
+    return pos[keep], is_max[keep]
+
+
 def detect_vibrato(
     smoothed: np.ndarray, voiced: np.ndarray, hop_s: float, config: PipelineConfig = PipelineConfig()
 ) -> bool:
@@ -176,19 +211,12 @@ def detect_vibrato(
     vpos = np.flatnonzero(voiced)
     if len(vpos) < 3:
         return False
-    contour = smoothed[vpos]
-    peaks, _ = find_peaks(contour, prominence=config.vibrato_prominence_hz)
-    troughs, _ = find_peaks(-contour, prominence=config.vibrato_prominence_hz)
-    extrema = sorted([(p, 1) for p in peaks] + [(t, -1) for t in troughs])
-    if len(extrema) < config.vibrato_min_extrema:
+    pos, is_max = _prominent_extrema(smoothed[vpos], config.vibrato_prominence_hz)
+    if len(pos) < config.vibrato_min_extrema:
         return False
     max_gap = config.vibrato_max_spacing_s / hop_s + _EPS
-    best = run = 1
-    for i in range(1, len(extrema)):
-        alternates = extrema[i][1] != extrema[i - 1][1]
-        close = (vpos[extrema[i][0]] - vpos[extrema[i - 1][0]]) <= max_gap
-        run = run + 1 if (alternates and close) else 1
-        best = max(best, run)
+    linked = (is_max[1:] != is_max[:-1]) & (np.diff(vpos[pos]) <= max_gap)
+    best = 1 + max((end - start + 1 for start, end in runs_of(linked)), default=0)
     return best >= config.vibrato_min_extrema
 
 

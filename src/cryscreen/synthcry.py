@@ -15,7 +15,6 @@ import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import signal as sps
 
 from .audio_io import AudioClip, ManifestEntry, save_manifest, write_wav
 from .biomarkers import MELODY_TYPES, UnitFlags, classify_melody, smooth_f0

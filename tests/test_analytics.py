@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import rankdata
 
 from cryscreen.analytics import (
     IRLS_MAX_ITER,
@@ -9,6 +10,7 @@ from cryscreen.analytics import (
     FeatureMatrix,
     ScreeningModel,
     UndefinedCorrelationError,
+    _midranks,
     _sigmoid,
     assign_patient_folds,
     cross_validate,
@@ -330,6 +332,26 @@ def test_roc_curve_endpoints():
     assert curve.thresholds[0] == np.inf
     assert np.all(np.diff(curve.fpr) >= 0)
     assert np.all(np.diff(curve.tpr) >= 0)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_roc_auc_midranks_match_rankdata_on_ties(seed):
+    rng = np.random.default_rng(seed)
+    scores = rng.integers(0, 6, 200) / 4.0  # 6 levels: every score is tied
+    labels = rng.integers(0, 2, 200)
+    ranks = rankdata(scores)
+    n1, n0 = int(labels.sum()), int((labels == 0).sum())
+    want = float((ranks[labels == 1].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
+    assert np.array_equal(_midranks(scores), ranks)
+    assert roc_auc(scores, labels).auc == want
+
+
+@pytest.mark.parametrize("bad, count", [([np.nan], 1), ([np.inf, -np.inf], 2), ([np.nan, np.inf, 0.5], 2)])
+def test_roc_rejects_non_finite_scores(bad, count):
+    scores = np.array([0.9, 0.1] + bad)
+    labels = np.array([1, 0] + [i % 2 for i in range(len(bad))])
+    with pytest.raises(ValueError, match=f"finite scores, got {count} NaN or infinite of {len(scores)}"):
+        roc_auc(scores, labels)
 
 
 def test_roc_needs_both_classes():

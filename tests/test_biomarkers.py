@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.ndimage import median_filter
+from scipy.signal import find_peaks
 
 from cryscreen import biomarkers
 from cryscreen.biomarkers import (
@@ -214,6 +217,38 @@ def test_vibrato_needs_four_extrema():
     t = np.arange(20) * HOP  # 1.5 cycles at 8 Hz: three extrema
     vals = 450.0 + 80.0 * np.sin(2 * np.pi * 8.0 * t)
     assert not detect_vibrato(*smoothed(vals), HOP)
+
+
+def test_vibrato_counts_extrema_that_alternate_in_time():
+    # two quick swing pairs 0.3 s apart: four extrema, but the chain breaks at the gap
+    vals = np.full(60, 450.0)
+    vals[[5, 15, 45, 55]] = [530.0, 370.0, 530.0, 370.0]
+    voiced = np.ones(60, dtype=bool)
+    assert not detect_vibrato(vals, voiced, HOP)
+    assert detect_vibrato(vals, voiced, HOP, PipelineConfig(vibrato_max_spacing_s=0.3))
+
+
+@st.composite
+def peak_series(draw):
+    """Integer series with plateaus and ties, or a drifting float walk."""
+    n = draw(st.integers(3, 60))
+    if draw(st.booleans()):
+        levels = draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        return np.array(levels, dtype=np.float64), float(draw(st.sampled_from([0.0, 0.5, 1.0, 2.0, 3.0])))
+    steps = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    drift = draw(st.floats(-0.3, 0.3))
+    x = np.cumsum(np.array(steps) + drift) * 100.0
+    return x, draw(st.floats(0.0, 150.0))
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(case=peak_series())
+def test_prominent_extrema_match_find_peaks(case):
+    x, prominence = case
+    pos, is_max = biomarkers._prominent_extrema(x, prominence)
+    assert np.all(np.diff(pos) > 0)
+    assert np.array_equal(pos[is_max], find_peaks(x, prominence=prominence)[0])
+    assert np.array_equal(pos[~is_max], find_peaks(-x, prominence=prominence)[0])
 
 
 def test_melody_five_shapes():

@@ -279,3 +279,41 @@ def test_malformed_synth_profile_names_its_file(tmp_path, capsys, content):
     assert err.startswith(f"cry: error: {profile}: ")
     assert "Traceback" not in err
     assert not (tmp_path / "corpus").exists()
+
+
+@pytest.mark.parametrize(
+    "count, profile_count, message",
+    [
+        ("0", None, "--n-per-class must be at least 1, got 0"),
+        ("-3", None, "--n-per-class must be at least 1, got -3"),
+        (None, "-1", "n_per_class must be a whole number of at least 1, not -1"),
+        (None, "0", "n_per_class must be a whole number of at least 1, not 0"),
+        (None, "2.7", "n_per_class must be a whole number of at least 1, not 2.7"),
+        (None, "true", "n_per_class must be a whole number of at least 1, not True"),
+        (None, '"5"', "n_per_class must be a whole number of at least 1, not '5'"),
+        ("1", "2.7", "n_per_class must be a whole number of at least 1, not 2.7"),
+    ],
+    ids=["flag-zero", "flag-negative", "profile-negative", "profile-zero", "profile-fraction", "profile-bool",
+         "profile-string", "fraction-under-flag"],
+)
+def test_synth_class_count_must_be_a_whole_number_of_at_least_one(tmp_path, capsys, count, profile_count, message):
+    argv = ["synth", "--out", str(tmp_path / "corpus")]
+    if count is not None:
+        argv += ["--n-per-class", count]
+    prefix = "cry: error: "
+    if profile_count is not None:
+        profile = tmp_path / "profile.json"
+        profile.write_text(f'{{"n_per_class": {profile_count}}}')
+        argv += ["--profile", str(profile)]
+        prefix += f"{profile}: "
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == prefix + message + "\n"
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_synth_takes_a_whole_float_class_count(tmp_path):
+    profile = tmp_path / "profile.json"
+    profile.write_text('{"n_per_class": 1.0}')
+    assert main(["synth", "--out", str(tmp_path / "corpus"), "--profile", str(profile)]) == 0
+    assert len((tmp_path / "corpus" / "manifest.csv").read_text().splitlines()) == 3

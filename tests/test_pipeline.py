@@ -2,6 +2,8 @@
 
 import csv
 import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -671,3 +673,30 @@ def test_load_wav_resampling_memory_does_not_grow_with_length(tmp_path):
             tracemalloc.stop()
 
     assert traced_peak(4) < 1.5 * traced_peak(1)
+
+
+def test_16k_extraction_and_roc_leave_scipy_signal_and_stats_unloaded():
+    # scipy.signal and scipy.stats cost about half a second and 45 MB to
+    # import, and only resampling needs either
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "import cryscreen, cryscreen.cli\n"
+        "from cryscreen.analytics import roc_auc\n"
+        "from cryscreen.audio_io import AudioClip, resample\n"
+        "from cryscreen.pipeline import extract_clip\n"
+        "from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry\n"
+        "units = [UnitSpec(duration_s=0.8, pause_after_s=0.3, event='vibrato') for _ in range(5)]\n"
+        "clip, _ = synth_cry(SynthSpec(units=units, seed=0))\n"
+        "assert clip.sample_rate == 16000\n"
+        "extract_clip(clip)\n"
+        "roc_auc(np.array([0.9, 0.5, 0.5, 0.1]), np.array([1, 1, 0, 0]))\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
+        "resample(AudioClip(np.resize(clip.samples, 44100), 44100), 16000)\n"
+        "print('scipy.signal' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "True"]
