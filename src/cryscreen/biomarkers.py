@@ -25,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import median_filter
 
 from .config import PipelineConfig
 from .dsp import F0Contour
@@ -124,6 +123,18 @@ def _flag_sustained(condition: np.ndarray, min_frames: int) -> np.ndarray:
     return out
 
 
+def _median3(x: np.ndarray) -> np.ndarray:
+    """Median of each sample and its two neighbours, the end samples repeated.
+
+    The same values as scipy.ndimage.median_filter(x, size=3,
+    mode="nearest"), for any length: the median of a sample x and its
+    neighbours a and b is max(min(a, b), min(max(a, b), x)).
+    """
+    prev = np.concatenate((x[:1], x[:-1]))
+    nxt = np.concatenate((x[1:], x[-1:]))
+    return np.maximum(np.minimum(prev, nxt), np.minimum(np.maximum(prev, nxt), x))
+
+
 def detect_hyperphonation(
     f0_hz: np.ndarray, voiced: np.ndarray, hop_s: float, config: PipelineConfig = PipelineConfig()
 ) -> np.ndarray:
@@ -143,9 +154,7 @@ def detect_dysphonation(flatness: np.ndarray, hop_s: float, config: PipelineConf
     mirroring the pitch smoothing of the contour detectors, so a single
     outlier frame neither breaks a sustained run nor fakes one.
     """
-    vals = np.asarray(flatness, dtype=np.float64)
-    if len(vals) >= 3:
-        vals = median_filter(vals, size=3, mode="nearest")
+    vals = _median3(np.asarray(flatness, dtype=np.float64))
     return _flag_sustained(vals > config.dysphonation_flatness, _min_run_frames(config.dysphonation_min_run_s, hop_s))
 
 

@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy.fft import dct
 
 from .audio_io import AudioClip
 
@@ -115,8 +114,8 @@ def frame_blocks(num_frames: int) -> list[tuple[int, int]]:
     OpenBLAS computes matrix products in groups of rows counted from the
     first: a matrix-vector product (spectral_slope_band) takes the rows
     left over after the last group of 4 by another kernel, and a
-    matrix-matrix product (log_mel) takes a small-matrix path for 15 rows
-    or fewer. Either differs from the whole clip in the last bits unless
+    matrix-matrix product (log_mel, mfcc) takes a small-matrix path for 15
+    rows or fewer. Either differs from the whole clip in the last bits unless
     every block but the last is a whole number of groups, and none is a
     runt.
     """
@@ -375,10 +374,21 @@ def mfcc(logmel: np.ndarray, num_coeffs: int = 13) -> np.ndarray:
     Of log_mel's (frames, bands) array, returns one of shape (frames,
     num_coeffs) where column j holds coefficient j+1; the DC term is
     dropped, so column 0 is mfcc1.
+
+    Only the kept coefficients are computed, as a product with their rows
+    of the DCT-II basis, sqrt(2 / N) * cos(pi * k * (2n + 1) / (2N)) over
+    the N bands. That equals scipy.fft.dct(logmel, type=2, norm="ortho")
+    to within a few ulp, not bit for bit. The product is a BLAS matrix
+    product, so a frame's values depend on how its rows are grouped, as
+    with log_mel: frame_blocks cuts blocks so that they equal the whole
+    clip's.
     """
-    check_mfcc_coeffs(num_coeffs, logmel.shape[1])
-    coef = dct(logmel, type=2, norm="ortho", axis=1)
-    return coef[:, 1 : num_coeffs + 1]
+    num_bands = logmel.shape[1]
+    check_mfcc_coeffs(num_coeffs, num_bands)
+    k = np.arange(1, num_coeffs + 1)[:, None]
+    n = np.arange(num_bands)
+    basis = np.sqrt(2.0 / num_bands) * np.cos(np.pi * k * (2 * n + 1) / (2 * num_bands))
+    return logmel @ basis.T
 
 
 def loudness(logmel: np.ndarray) -> np.ndarray:

@@ -15,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d
 
 from .config import PipelineConfig
 from .dsp import F0Contour, FrameGrid
@@ -128,8 +127,20 @@ def pitch_frames(loud: np.ndarray, grid: FrameGrid, config: PipelineConfig = Pip
     L = np.asarray(loud, dtype=np.float64)
     _, release_low = loudness_levels(L, config.active_fraction)
     reach = max(2 * config.voicing_halfwidth_frames + 1, int(np.ceil(config.min_pause_s / grid.hop_seconds)))
-    near = maximum_filter1d((L >= release_low).astype(np.uint8), size=2 * reach + 1, mode="constant")
-    return np.flatnonzero(near)
+    return np.flatnonzero(_dilate(L >= release_low, reach))
+
+
+def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:
+    """Mask of the positions within reach of a True in mask.
+
+    The same as scipy.ndimage.maximum_filter1d(mask, size=2 * reach + 1,
+    mode="constant"): position i is kept when the running count of True
+    rises between i - reach and i + reach + 1, both clipped to the mask.
+    """
+    n = len(mask)
+    count = np.concatenate(([0], np.cumsum(mask)))
+    i = np.arange(n)
+    return count[np.minimum(i + reach + 1, n)] > count[np.maximum(i - reach, 0)]
 
 
 def meets_curation_rule(seg: CrySegmentation, config: PipelineConfig = PipelineConfig()) -> bool:

@@ -396,6 +396,21 @@ def test_sustained_detectors_match_whole_clip_reference(unit, min_run_s, min_fra
     assert not hyper[outside].any() and not dys[outside].any()
 
 
+@st.composite
+def median_series(draw):
+    """Integer series with ties, or float series, of any length from 1."""
+    n = draw(st.integers(1, 60))
+    if draw(st.booleans()):
+        return np.array(draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)), dtype=np.float64)
+    return np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n)))
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(x=median_series())
+def test_median3_matches_median_filter(x):
+    assert np.array_equal(biomarkers._median3(x), median_filter(x, size=3, mode="nearest"))
+
+
 def test_durational_features_exact():
     seg = CrySegmentation.from_expirations([(0.5, 1.5), (2.0, 2.6), (3.0, 4.4)])
     out = durational_features(seg)

@@ -10,6 +10,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from scipy import signal as sps
+from scipy.fft import dct
 
 from cryscreen import dsp
 from cryscreen.audio_io import AudioClip, load_wav, resample, write_wav
@@ -389,6 +390,16 @@ def test_mfcc_keeps_leading_coeffs_whatever_the_count():
     # fewer coefficients are the first columns of more, bit for bit
     lm = np.random.default_rng(3).standard_normal((9, 80))
     assert np.array_equal(mfcc(lm, num_coeffs=4), mfcc(lm, num_coeffs=13)[:, :4])
+
+
+@pytest.mark.parametrize("bands", [5, 13, 40, 80])
+def test_mfcc_matches_scipy_dct_within_a_few_ulp(bands):
+    # mfcc computes only the kept rows of the DCT-II, so it agrees with
+    # scipy's orthonormal DCT to rounding, not bit for bit
+    logmel = np.log(np.random.default_rng(bands).uniform(1e-6, 10.0, (37, bands)))
+    for k in sorted({4, min(13, bands - 1)}):
+        want = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : k + 1]
+        assert np.allclose(mfcc(logmel, num_coeffs=k), want, rtol=0.0, atol=1e-13 * np.abs(logmel).max())
 
 
 def test_mfcc_rejects_excess_coeffs():

@@ -675,28 +675,38 @@ def test_load_wav_resampling_memory_does_not_grow_with_length(tmp_path):
     assert traced_peak(4) < 1.5 * traced_peak(1)
 
 
-def test_16k_extraction_and_roc_leave_scipy_signal_and_stats_unloaded():
-    # scipy.signal and scipy.stats cost about half a second and 45 MB to
-    # import, and only resampling needs either
+def test_16k_extraction_csv_and_model_fitting_leave_scipy_unloaded(tmp_path):
+    # scipy costs about a third of a second and 28 MB to import, and only
+    # resampling needs it
     code = (
-        "import sys\n"
+        "import os, sys\n"
         "import numpy as np\n"
         "import cryscreen, cryscreen.cli\n"
-        "from cryscreen.analytics import roc_auc\n"
-        "from cryscreen.audio_io import AudioClip, resample\n"
-        "from cryscreen.pipeline import extract_clip\n"
+        "from cryscreen.analytics import FeatureMatrix, cross_validate, roc_auc, train_logreg\n"
+        "from cryscreen.audio_io import AudioClip, ManifestEntry, resample\n"
+        "from cryscreen.pipeline import FeatureRow, extract_clip, read_features_csv, write_features_csv\n"
         "from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry\n"
         "units = [UnitSpec(duration_s=0.8, pause_after_s=0.3, event='vibrato') for _ in range(5)]\n"
         "clip, _ = synth_cry(SynthSpec(units=units, seed=0))\n"
         "assert clip.sample_rate == 16000\n"
-        "extract_clip(clip)\n"
+        "features, _ = extract_clip(clip)\n"
         "roc_auc(np.array([0.9, 0.5, 0.5, 0.1]), np.array([1, 1, 0, 0]))\n"
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
+        "path = os.path.join(sys.argv[1], 'features.csv')\n"
+        "write_features_csv([FeatureRow(ManifestEntry('a.wav', 'p0', 'ESUTH', 'birth', 'normal'), features)], path)\n"
+        "assert read_features_csv(path).X.shape == (1, 38)\n"
+        "rng = np.random.default_rng(0)\n"
+        "X = rng.standard_normal((24, 3))\n"
+        "y = np.arange(24) % 2\n"
+        "fm = FeatureMatrix(['a', 'b', 'c'], X + y[:, None], y, ['ESUTH'] * 24, [f'p{i}' for i in range(24)])\n"
+        "train_logreg(fm, cross_validate(fm, 3, (0.1, 1.0)).best_reg_strength)\n"
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         "resample(AudioClip(np.resize(clip.samples, 44100), 44100), 16000)\n"
         "print('scipy.signal' in sys.modules)\n"
     )
     src = os.path.dirname(os.path.dirname(pipeline.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path)], env=env, capture_output=True, text=True, timeout=120
+    )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "True"]

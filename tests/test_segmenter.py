@@ -2,7 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import maximum_filter1d
 
+from cryscreen import segmenter
 from cryscreen.audio_io import AudioClip
 from cryscreen.config import PipelineConfig
 from cryscreen.dsp import estimate_f0, log_mel, loudness, stft
@@ -142,3 +146,23 @@ def test_runs_of():
     mask = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=bool)
     assert runs_of(mask) == [(0, 1), (3, 3), (6, 8)]
     assert runs_of(np.zeros(4, dtype=bool)) == []
+
+
+@st.composite
+def release_masks(draw):
+    """A random, all-false or all-true mask, and a reach up to past its length."""
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["random", "none", "all"]))
+    if kind == "random":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    else:
+        mask = np.full(n, kind == "all")
+    return mask, draw(st.integers(0, n + 3))
+
+
+@settings(max_examples=2000, deadline=None, derandomize=True, database=None)
+@given(case=release_masks())
+def test_dilate_matches_maximum_filter1d(case):
+    mask, reach = case
+    want = maximum_filter1d(mask.astype(np.uint8), size=2 * reach + 1, mode="constant").astype(bool)
+    assert np.array_equal(segmenter._dilate(mask, reach), want)
