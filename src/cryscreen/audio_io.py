@@ -10,7 +10,10 @@ chunk header to chunk header, decodes the data chunk block by block and,
 when asked for another rate, feeds each block to the one polyphase
 resampler that resample also runs. A long recording at 44.1 or 48 kHz is
 therefore never held whole at its source rate; a load holds its output
-and a few blocks.
+and a few blocks. The resampler is scipy.signal.resample_poly's filter
+computed in numpy, as tiles of BLAS products: its output does not
+depend on where the blocks end, bit for bit, and agrees with
+resample_poly to a few ulp.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 class WavFormatError(ValueError):
@@ -225,8 +229,9 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     Polyphase filtering with a Kaiser-windowed sinc kernel, so
     frequencies below the smaller Nyquist survive and aliasing components
     are cut. The clip is fed to the resampler WAV_BLOCK samples at a time,
-    as load_wav feeds it, and the output equals scipy.signal.resample_poly
-    bit for bit.
+    as load_wav feeds it; the output does not depend on the blocks, bit
+    for bit, and agrees with scipy.signal.resample_poly to a few ulp.
+    Raises ValueError when either rate is not positive.
     """
     if target_rate == clip.sample_rate:
         return clip
@@ -236,62 +241,103 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     return AudioClip(resampler.out, target_rate)
 
 
+# The most multiply-adds in one matrix product of the resampler, which
+# sets a tile's rows. OpenBLAS runs a product this small on the calling
+# thread; a larger one it may split among threads, and the split changes
+# results in the last bits with the thread count.
+RESAMPLE_TILE = 1 << 18
+# One product serves the phases whose newest input samples fall in one
+# window of this many samples; each column holds one phase's taps and up
+# to this many zeros.
+_PHASE_SPREAD = 32
+
+
 class _Resampler:
     """scipy.signal.resample_poly's filter, padding and trim, fed by blocks.
 
-    upfirdn over an input that starts on a multiple of down gives the
-    whole signal's outputs from that start on, and each output is the
-    same sum as in the whole signal once the input holds every sample its
-    taps read. A push runs upfirdn on the carried tail plus the new
-    block, keeps the outputs made exact, and carries back the samples,
-    from a multiple of down, that the next outputs reach back to.
+    Output k of upfirdn reads input (k * down) // up and the samples
+    before it, weighted by the taps of phase (k * down) % up. The outputs
+    are computed in tiles: a tile is rows of stride // down * up
+    consecutive outputs, and each row reads input stride further on than
+    the row before. Each run of phases whose newest input samples fall in
+    one _PHASE_SPREAD window is one matrix product: a strided view of the
+    input, one row per tile row, times the phases' banded taps. Tiles
+    start on multiples of their size in the whole output, and a tile is
+    computed once its input is in, or at the end with zeros after the
+    input; so every output is the same product on the same data wherever
+    the blocks end. Only the input the next tile reads is carried.
     """
 
     def __init__(self, n_in: int, rate_in: int, rate_out: int):
-        # imported here: scipy.signal costs about half a second and 45 MB to
-        # load, and only audio off the target rate needs it
-        from scipy import signal
-
+        if rate_in <= 0:
+            raise ValueError(f"source rate must be positive, got {rate_in}")
         if rate_out <= 0:
             raise ValueError(f"target rate must be positive, got {rate_out}")
         g = math.gcd(rate_out, rate_in)
-        self.up, self.down = up, down = rate_out // g, rate_in // g
+        up, down = rate_out // g, rate_in // g
         half_len = 10 * max(up, down)
         pre_pad = down - half_len % down
-        h = signal.firwin(2 * half_len + 1, 1.0 / max(up, down), window=("kaiser", 5.0)) * up
+        # firwin's low-pass at 1 / max(up, down) of Nyquist, scaled to a DC gain of up
+        cutoff = 1.0 / max(up, down)
+        h = cutoff * np.sinc(cutoff * np.arange(-half_len, half_len + 1.0)) * np.kaiser(2 * half_len + 1, 5.0)
+        h = np.concatenate((np.zeros(pre_pad), h / np.sum(h) * up))
         self.skip = (half_len + pre_pad) // down  # outputs the trim drops in front
-        self.out = np.empty(-(-n_in * up // down))
         # resample_poly pads zeros after the taps until upfirdn's output, of
         # length ((n_in - 1) * up + len(h) - 1) // down + 1, reaches the
         # trimmed end; with 2 * half_len + 1 >= 20 * up + 1 taps it always
         # does, so that padding is empty
-        self.h = np.concatenate((np.zeros(pre_pad), h))
-        self.reach = -(-len(self.h) // up) - 1  # samples an output reads before its newest
+        self.out = np.empty(-(-n_in * up // down))
+        self.reach = reach = (len(h) - 1) // up  # samples an output reads before its newest
+        # a row holds enough phases that its input steps past every product's view
+        self.stride = -(-(reach + _PHASE_SPREAD) // down) * down
+        col = np.arange(self.stride // down * up)
+        base = col * down // up  # the newest input sample of each output in a row
+        self.products = []
+        for run in np.split(col, np.flatnonzero(np.diff(base // _PHASE_SPREAD)) + 1):
+            first = base[run[0]] - reach
+            lag = base[run] - first - np.arange(base[run[-1]] - first + 1)[:, None]
+            tap = run * down % up + lag * up
+            ok = (lag >= 0) & (tap < len(h))
+            self.products.append((run[0], run[-1] + 1, first, np.where(ok, h[np.where(ok, tap, 0)], 0.0)))
+        self.rows = max(1, RESAMPLE_TILE // max(taps.size for *_, taps in self.products))
+        self.span = self.rows * self.stride  # input per tile
+        self.size = self.rows * len(col)  # outputs per tile
         self.n_in = n_in
         self.fed = 0
-        self.tail = np.empty(0)
-        self.tail_start = 0  # input index of tail[0], a multiple of down
-        self.next = self.skip  # index in the whole upfirdn output of the next kept output
+        self.tile = 0  # the next tile to compute
+        self.start = -reach  # input index of blocks[0][0]; zeros before the first sample
+        self.blocks = [np.zeros(reach)]
 
     def push(self, x: np.ndarray) -> None:
-        from scipy.signal import upfirdn
-
         if not len(x):
             return
         self.fed += len(x)
-        buf = np.concatenate((self.tail, x))
-        y = upfirdn(self.h, buf, self.up, self.down)
-        first = self.tail_start * self.up // self.down  # whole-output index of y[0]
+        self.blocks.append(x)
+        rows, stride, span, size = self.rows, self.stride, self.span, self.size
+        if self.fed < self.n_in and self.fed < (self.tile + 1) * span:
+            return  # the next tile's input is not all in
         end = self.skip + len(self.out)
-        # an output is exact when its newest input sample is in buf, and
-        # all are once the input has ended
-        stop = end if self.fed == self.n_in else min(end, first - (-len(buf) * self.up // self.down))
-        if stop > self.next:
-            self.out[self.next - self.skip : stop - self.skip] = y[self.next - first : stop - first]
-            self.next = stop
-        start = max(0, (self.next * self.down // self.up - self.reach) // self.down * self.down)
-        self.tail = buf[start - self.tail_start :]
-        self.tail_start = start
+        tiles = -(-end // size)
+        if self.fed == self.n_in:
+            self.blocks.append(np.zeros(tiles * span - self.fed))
+        buf = np.concatenate(self.blocks)
+        while self.tile < tiles and (self.tile + 1) * span - self.start <= len(buf):
+            y = np.empty((rows, size // rows))
+            # a non-finite sample times a zero tap is NaN, as upfirdn's outputs
+            # would be; load_wav rejects such files after the last block
+            with np.errstate(invalid="ignore"):
+                for lo, hi, first, taps in self.products:
+                    at = self.tile * span + first - self.start
+                    view = sliding_window_view(buf[at : at + (rows - 1) * stride + len(taps)], len(taps))
+                    y[:, lo:hi] = view[::stride] @ taps
+            k0 = self.tile * size
+            lo, hi = max(k0, self.skip), min(k0 + size, end)
+            if hi > lo:
+                self.out[lo - self.skip : hi - self.skip] = y.ravel()[lo - k0 : hi - k0]
+            self.tile += 1
+        carry = self.tile * span - self.reach
+        self.blocks = [buf[carry - self.start :]]
+        self.start = carry
 
 
 def read_csv_rows(path: str, header: list[str]) -> Iterator[tuple[int, list[str]]]:

@@ -1,4 +1,5 @@
 import csv
+import json
 import math
 import os
 import struct
@@ -32,7 +33,8 @@ def whole_file_load_wav(path, rate=None):
     PCM32 or float32 data chunk is dropped, as the 24-bit and
     multichannel branches always did (numpy used to raise "buffer size
     must be a multiple of element size"). A rate other than the file's
-    is reached by scipy.signal.resample_poly on the whole clip.
+    is reached by audio_io.resample on the whole clip, whose output does
+    not depend on where its blocks end.
     """
     with open(path, "rb") as fh:
         raw = fh.read()
@@ -100,10 +102,7 @@ def whole_file_load_wav(path, rate=None):
     if num_channels > 1:
         x = x[: len(x) - len(x) % num_channels]
         x = x.reshape(-1, num_channels).mean(axis=1)
-    if rate is None or rate == sample_rate:
-        return AudioClip(x, sample_rate)
-    g = math.gcd(rate, sample_rate)
-    return AudioClip(signal.resample_poly(x, rate // g, sample_rate // g), rate)
+    return resample(AudioClip(x, sample_rate), rate or sample_rate)
 
 
 def sine(freq, dur_s=0.5, sr=16000, amp=0.5):
@@ -243,34 +242,101 @@ def test_resample_441k_length():
 
 RATE_PAIRS = [(44100, 16000), (48000, 16000), (22050, 16000), (11025, 16000), (8000, 16000), (16000, 44100)]
 
+# The resampler sums in another order than scipy's upfirdn and builds its
+# Kaiser window with numpy's i0, so on samples in [-1, 1] it agrees with
+# resample_poly to within this many ulp of 1.0, not bit for bit.
+RESAMPLE_POLY_ULPS = 8
+
 
 @pytest.mark.parametrize("block", [7, 1000])
 @pytest.mark.parametrize("rate_in, rate_out", RATE_PAIRS)
 def test_block_resampler_equals_resample_poly(monkeypatch, tmp_path, block, rate_in, rate_out):
-    # lengths: none, one sample, fewer than the filter's reach back (20-56
+    # equal to within RESAMPLE_POLY_ULPS, in resample_poly's length.
+    # Lengths: none, one sample, fewer than the filter's reach back (20-63
     # input samples at these rates), one block, whole blocks, blocks and a
-    # remainder; a small block puts block edges everywhere
+    # remainder, and several tiles; a small block puts block edges everywhere
     monkeypatch.setattr(audio_io, "WAV_BLOCK", block)
     g = math.gcd(rate_in, rate_out)
     rng = np.random.default_rng(rate_in + block)
-    for n in (0, 1, 10, block, 3 * block, 5 * block + 123):
+    for n in (0, 1, 10, block, 3 * block, 5 * block + 123, 250_000):
         x = rng.uniform(-1.0, 1.0, n).astype(np.float32).astype(np.float64)
         want = signal.resample_poly(x, rate_out // g, rate_in // g)
         got = resample(AudioClip(x, rate_in), rate_out)
         assert got.sample_rate == rate_out
-        assert got.samples.shape == want.shape and np.array_equal(got.samples, want), n
+        assert got.samples.shape == want.shape, n
+        assert np.abs(got.samples - want).max(initial=0.0) <= RESAMPLE_POLY_ULPS * np.spacing(1.0), n
         path = str(tmp_path / "x.wav")
         write_wav(AudioClip(x, rate_in), path, bit_depth=32)
         loaded = load_wav(path, rate_out)
         assert loaded.sample_rate == rate_out
-        assert loaded.samples.shape == want.shape and np.array_equal(loaded.samples, want), n
+        assert loaded.samples.shape == want.shape and np.array_equal(loaded.samples, got.samples), n
+
+
+@pytest.mark.parametrize("rate_in, rate_out", RATE_PAIRS + [(16000, 8000), (96000, 16000)])
+def test_resampler_output_does_not_depend_on_blocks(monkeypatch, tmp_path, rate_in, rate_out):
+    # each output is one product on the same data however the input is cut:
+    # blocks of 7 samples, of 1000 and the whole input give the same bits.
+    # Lengths: none, one sample, fewer than the filter's reach back, and
+    # one either side of and on a tile edge, in the input (the input of
+    # whole tiles) and in the output (kept outputs ending on a tile's end)
+    r = audio_io._Resampler(0, rate_in, rate_out)
+    assert r.reach > 10
+    g = math.gcd(rate_in, rate_out)
+    up, down = rate_out // g, rate_in // g
+    out_edge = (2 * r.size - r.skip) * down // up  # the most input whose outputs end in two tiles
+    lengths = [0, 1, 10, r.span - 1, r.span, r.span + 1, out_edge - 1, out_edge, out_edge + 1]
+    rng = np.random.default_rng(rate_in + rate_out)
+    path = str(tmp_path / "x.wav")
+    for n in lengths:
+        x = rng.uniform(-1.0, 1.0, n).astype(np.float32).astype(np.float64)
+        outs = []
+        for block in (7, 1000, max(n, 1)):
+            monkeypatch.setattr(audio_io, "WAV_BLOCK", block)
+            outs.append(resample(AudioClip(x, rate_in), rate_out).samples)
+        write_wav(AudioClip(x, rate_in), path, bit_depth=32)
+        outs.append(load_wav(path, rate_out).samples)
+        assert len(outs[0]) == -(-n * up // down)
+        for out in outs[1:]:
+            assert out.shape == outs[0].shape and np.array_equal(out, outs[0]), n
+
+
+def test_resampler_output_does_not_depend_on_the_blas_thread_count():
+    # each product is small enough for OpenBLAS to run on the calling thread;
+    # a larger one may be split among threads, and the split moves the last bits
+    code = (
+        "import hashlib, json, sys\n"
+        "import numpy as np\n"
+        "from cryscreen.audio_io import AudioClip, resample\n"
+        "x = np.random.default_rng(0).uniform(-1.0, 1.0, 300_000)\n"
+        "for rate_in, rate_out in json.loads(sys.argv[1]):\n"
+        "    out = resample(AudioClip(x, rate_in), rate_out).samples\n"
+        "    print(rate_in, rate_out, hashlib.sha256(out.tobytes()).hexdigest())\n"
+    )
+    src = os.path.dirname(os.path.dirname(audio_io.__file__))
+    pairs = RATE_PAIRS + [(16000, 8000), (96000, 16000)]
+    out = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run(
+            [sys.executable, "-c", code, json.dumps(pairs)], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert proc.returncode == 0, proc.stderr
+        out.append(proc.stdout.splitlines())
+    assert len(out[0]) == len(pairs)
+    assert out[0] == out[1]
 
 
 def test_resample_identity_and_validation():
     clip = sine(440.0)
     assert resample(clip, 16000) is clip
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="target rate must be positive, got 0"):
         resample(clip, 0)
+
+
+@pytest.mark.parametrize("rate", [0, -8000])
+def test_resample_rejects_a_source_rate_that_is_not_positive(rate):
+    with pytest.raises(ValueError, match=f"source rate must be positive, got {rate}$"):
+        resample(AudioClip(np.zeros(100), rate), 16000)
 
 
 def test_manifest_round_trip(tmp_path):
