@@ -4,9 +4,10 @@ The modeling pipeline is deliberately plain: features are standardized,
 an L2-regularized logistic regression is fit by iteratively reweighted
 least squares, the regularization weight is picked by patient-grouped
 stratified cross-validation, and discrimination is reported as the
-Mann-Whitney AUC plus sensitivity at a fixed specificity. Cross-validation
-standardizes each fold's training rows once, and every penalty of the grid
-is fit on that one design.
+Mann-Whitney AUC plus sensitivity at a fixed specificity, both read off
+the ROC curve of one sort of the scores. Cross-validation standardizes
+each fold's training rows once, and every penalty of the grid is fit on
+that one design.
 """
 
 from __future__ import annotations
@@ -214,7 +215,7 @@ def _fit_irls(Z: np.ndarray, y: np.ndarray, reg_strength: float) -> np.ndarray:
     return w
 
 
-def train_logreg(matrix: FeatureMatrix, reg_strength: float = 1.0) -> ScreeningModel:
+def train_logreg(matrix: FeatureMatrix, reg_strength: float) -> ScreeningModel:
     """Fit L2-regularized logistic regression by Newton/IRLS steps.
 
     Features are standardized by their training mean and population std
@@ -297,27 +298,15 @@ class RocCurve:
     auc: float
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    """1-based ranks of x, each tie given the mean of the ranks it spans.
-
-    The same values as scipy.stats.rankdata(x): every rank is a whole or
-    half integer, so sums of them are exact.
-    """
-    order = np.argsort(x, kind="mergesort")
-    sorted_x = x[order]
-    first = np.concatenate(([True], sorted_x[1:] != sorted_x[:-1]))
-    dense = np.empty(len(x), dtype=np.intp)
-    dense[order] = np.cumsum(first)
-    count = np.concatenate((np.flatnonzero(first), [len(x)]))
-    return 0.5 * (count[dense] + count[dense - 1] + 1)
-
-
 def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
-    """ROC curve and AUC with exact tie handling.
+    """ROC curve and AUC with exact tie handling, from one sort of the scores.
 
-    The AUC equals concordant pairs plus half the tied pairs over all
-    positive-negative pairs, computed through midranks. Scores must be
-    finite.
+    The curve has one point per group of tied scores, from the highest
+    score down. The AUC is read off the same groups: concordant pairs plus
+    half the tied pairs over all positive-negative pairs, the Mann-Whitney
+    U over n1 * n0. A group of tp_g positives and fp_g negatives, with fp
+    negatives at or above it, adds tp_g * (2 * (n0 - fp) + fp_g) to the
+    whole number 2U. Scores must be finite.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
@@ -325,36 +314,28 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     if bad:
         raise ValueError(f"ROC needs finite scores, got {bad} NaN or infinite of {len(scores)}")
     pos = labels == 1
-    neg = labels == 0
-    n1, n0 = int(pos.sum()), int(neg.sum())
+    n1, n0 = int(pos.sum()), int((labels == 0).sum())
     if n1 == 0 or n0 == 0:
         raise ValueError(f"ROC needs both classes, got {n1} positives and {n0} negatives")
 
-    ranks = _midranks(scores)
-    auc = float((ranks[pos].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
-
     order = np.argsort(-scores, kind="stable")
     sorted_scores = scores[order]
-    sorted_pos = pos[order].astype(np.int64)
-    boundaries = np.flatnonzero(np.diff(sorted_scores)) if len(scores) > 1 else np.array([], dtype=int)
-    cut = np.concatenate([boundaries, [len(scores) - 1]])
-    tp = np.cumsum(sorted_pos)[cut]
+    cut = np.append(np.flatnonzero(np.diff(sorted_scores)), len(scores) - 1)
+    tp = np.cumsum(pos[order], dtype=np.int64)[cut]
     fp = (cut + 1) - tp
+    twice_u = np.dot(np.diff(tp, prepend=0), 2 * (n0 - fp) + np.diff(fp, prepend=0))
     fpr = np.concatenate([[0.0], fp / n0])
     tpr = np.concatenate([[0.0], tp / n1])
     thresholds = np.concatenate([[np.inf], sorted_scores[cut]])
-    return RocCurve(fpr, tpr, thresholds, auc)
+    return RocCurve(fpr, tpr, thresholds, float(twice_u / (2 * n1 * n0)))
 
 
-def sensitivity_at_specificity(curve: RocCurve, specificity: float = 0.80) -> float:
+def sensitivity_at_specificity(curve: RocCurve, specificity: float) -> float:
     """TPR at the requested specificity, linearly interpolated on the curve.
 
-    At an FPR where the curve is vertical the highest achievable TPR counts.
+    At an FPR where the curve is vertical the highest achievable TPR counts:
+    equal FPRs are adjacent and TPR only rises, so that is the last point
+    of each run of equal FPRs.
     """
-    target_fpr = 1.0 - specificity
-    best_tpr: dict[float, float] = {}
-    for f, t in zip(curve.fpr, curve.tpr):
-        best_tpr[float(f)] = max(best_tpr.get(float(f), 0.0), float(t))
-    xs = np.array(sorted(best_tpr))
-    ys = np.array([best_tpr[x] for x in xs])
-    return float(np.interp(target_fpr, xs, ys))
+    last = np.append(np.diff(curve.fpr) != 0, True)
+    return float(np.interp(1.0 - specificity, curve.fpr[last], curve.tpr[last]))

@@ -168,6 +168,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if args.n_per_class is not None and args.n_per_class < 1:
         raise ValueError(f"--n-per-class must be at least 1, got {args.n_per_class}")
     doc = {}
+    # make_corpus's defaults hold for what neither the profile nor a flag sets
+    kwargs = {}
     # a --profile fault, UnicodeDecodeError and JSONDecodeError included, ends
     # in a ValueError naming the file
     try:
@@ -176,20 +178,24 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 doc = json.load(fh)
             if not isinstance(doc, dict):
                 raise ValueError(f"a profile must be a JSON object, not {type(doc).__name__}")
-        n_per_class = doc.get("n_per_class", 100)
-        # bool is an int; NaN and inf leave a remainder of NaN
-        whole = isinstance(n_per_class, (int, float)) and not isinstance(n_per_class, bool) and n_per_class % 1 == 0
-        if not (whole and n_per_class >= 1):
-            raise ValueError(f"n_per_class must be a whole number of at least 1, not {n_per_class!r}")
-        sites = doc.get("sites", ["ESUTH", "LASUTH", "SCDM"])
-        if not (isinstance(sites, list) and sites and all(isinstance(s, str) for s in sites)):
-            raise ValueError(f"sites must be a list of site names, not {sites!r}")
-        positive = ClassProfile.from_json_dict(doc["positive"]) if "positive" in doc else None
-        negative = ClassProfile.from_json_dict(doc["negative"]) if "negative" in doc else None
+        if "n_per_class" in doc:
+            n_per_class = doc["n_per_class"]
+            # bool is an int; NaN and inf leave a remainder of NaN
+            whole = isinstance(n_per_class, (int, float)) and not isinstance(n_per_class, bool) and n_per_class % 1 == 0
+            if not (whole and n_per_class >= 1):
+                raise ValueError(f"n_per_class must be a whole number of at least 1, not {n_per_class!r}")
+            kwargs["n_per_class"] = int(n_per_class)
+        if "sites" in doc:
+            sites = doc["sites"]
+            if not (isinstance(sites, list) and sites and all(isinstance(s, str) for s in sites)):
+                raise ValueError(f"sites must be a list of site names, not {sites!r}")
+            kwargs["sites"] = tuple(sites)
+        kwargs.update({key: ClassProfile.from_json_dict(doc[key]) for key in ("positive", "negative") if key in doc})
     except (TypeError, ValueError) as exc:  # TypeError: int() or float() of a list
         raise ValueError(f"{args.profile}: {exc}") from None
-    n_per_class = args.n_per_class if args.n_per_class is not None else int(n_per_class)
-    records = make_corpus(args.out, n_per_class, positive, negative, seed=args.seed, sites=tuple(sites))
+    if args.n_per_class is not None:
+        kwargs["n_per_class"] = args.n_per_class
+    records = make_corpus(args.out, seed=args.seed, **kwargs)
     print(f"wrote {len(records)} recordings to {args.out}", file=sys.stderr)
     return 0
 

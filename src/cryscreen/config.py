@@ -7,8 +7,9 @@ threshold from the PipelineConfig they are passed, the segmenter and the
 biomarker detectors their thresholds, and the command line the
 cross-validation folds, penalty grid and selection sites. Unknown keys
 are rejected so a typo cannot silently fall back to a default, and
-values that no run can use (no analysis grid, Mel filterbank, pitch
-range or cross-validation fits them) are rejected by name.
+values that no run can use (a NaN or infinite float, or one that no
+analysis grid, Mel filterbank, pitch range or cross-validation fits) are
+rejected by name.
 """
 
 from __future__ import annotations
@@ -55,12 +56,17 @@ class PipelineConfig:
     selection_sites: tuple[str, ...] = ("ESUTH", "LASUTH", "SCDM")
 
     def __post_init__(self) -> None:
+        # inf overflows the grid's whole samples, and NaN fails every
+        # threshold it is compared with
+        for f in fields(self):
+            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
+                raise ValueError(f"{f.name}={getattr(self, f.name)!r} is not a finite number")
         for key in ("sample_rate", "num_mel_bands"):
             if not getattr(self, key) > 0:
                 raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
         for key in ("window_s", "hop_s"):
             # dsp.make_grid rounds to whole samples, and round(x) >= 1
-            # exactly when x > 0.5; NaN fails the test too
+            # exactly when x > 0.5
             if not getattr(self, key) * self.sample_rate > 0.5:
                 raise ValueError(
                     f"{key}={getattr(self, key)!r} is under one sample at sample_rate={self.sample_rate}"

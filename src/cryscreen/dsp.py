@@ -368,7 +368,7 @@ def spectral_flatness(spec: Spectrogram) -> np.ndarray:
     return geo / arith
 
 
-def mfcc(logmel: np.ndarray, num_coeffs: int = 13) -> np.ndarray:
+def mfcc(logmel: np.ndarray, num_coeffs: int) -> np.ndarray:
     """Mel-frequency cepstral coefficients via an orthonormal DCT-II.
 
     Of log_mel's (frames, bands) array, returns one of shape (frames,

@@ -38,15 +38,11 @@ from .voicefeat import VOICE_FEATURE_NAMES, compute_generic_features, concat_exp
 
 FEATURE_COLUMNS = CRY_FEATURE_NAMES + VOICE_FEATURE_NAMES
 ID_COLUMNS = MANIFEST_COLUMNS
-_COLUMN_INDEX = {name: i for i, name in enumerate(FEATURE_COLUMNS)}
 
 
 def short_cry_reason(min_total_cry_s: float) -> str:
     """Skip reason of a recording that holds less cry than min_total_cry_s."""
     return f"below {min_total_cry_s:g}s cry"
-
-
-SKIP_REASON_SHORT_CRY = short_cry_reason(PipelineConfig().min_total_cry_s)
 
 
 class CurationError(ValueError):
@@ -111,11 +107,6 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
     return FrontEnd(f0=f0, loudness=loud, flatness=flatness, slope0_500=slope, mfcc2_4=mfcc2_4)
 
 
-def canonical_clip(clip: AudioClip, config: PipelineConfig) -> AudioClip:
-    """The clip at config.sample_rate: the one resample decision of a recording."""
-    return resample(clip, config.sample_rate)
-
-
 def segment_canonical(clip: AudioClip, config: PipelineConfig) -> tuple[CrySegmentation, FrontEnd]:
     """Front end and cry units of a clip already at config.sample_rate."""
     front = analyze_frames(clip, config)
@@ -124,7 +115,7 @@ def segment_canonical(clip: AudioClip, config: PipelineConfig) -> tuple[CrySegme
 
 def segment_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple[CrySegmentation, FrontEnd]:
     config = config if config is not None else PipelineConfig()
-    return segment_canonical(canonical_clip(clip, config), config)
+    return segment_canonical(resample(clip, config.sample_rate), config)
 
 
 def unit_flags_for(front: FrontEnd, seg: CrySegmentation, config: PipelineConfig) -> list[UnitFlags]:
@@ -142,7 +133,7 @@ def extract_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple
     if not np.isfinite(clip.samples).all():
         bad = int(np.count_nonzero(~np.isfinite(clip.samples)))
         raise ValueError(f"recording holds {bad} non-finite samples (NaN or inf)")
-    clip = canonical_clip(clip, config)
+    clip = resample(clip, config.sample_rate)
     seg, front = segment_canonical(clip, config)
     if not meets_curation_rule(seg, config):
         raise CurationError(seg.total_cry_seconds, config.min_total_cry_s)
@@ -195,22 +186,17 @@ def extract_manifest(manifest_path: str, config: PipelineConfig | None = None, l
     features of the good ones.
     """
     config = config if config is not None else PipelineConfig()
-    short_reason = short_cry_reason(config.min_total_cry_s)
     rows: list[FeatureRow] = []
     skipped: list[SkippedRecording] = []
     for entry in load_manifest(manifest_path):
         try:
             path = relative_to_manifest(manifest_path, entry.path)
             features, _ = extract_clip(load_wav(path, config.sample_rate), config)
-        except CurationError:
-            skipped.append(SkippedRecording(entry, short_reason))
-            if log is not None:
-                log(f"skip {entry.path}: {short_reason}")
-            continue
         except (OSError, ValueError) as exc:
-            skipped.append(SkippedRecording(entry, str(exc)))
+            reason = short_cry_reason(config.min_total_cry_s) if isinstance(exc, CurationError) else str(exc)
+            skipped.append(SkippedRecording(entry, reason))
             if log is not None:
-                log(f"skip {entry.path}: {exc}")
+                log(f"skip {entry.path}: {reason}")
             continue
         rows.append(FeatureRow(entry, features))
         if log is not None:
@@ -330,27 +316,25 @@ def write_skipped_csv(skipped: list[SkippedRecording], path: str) -> None:
     write_csv_rows(path, ["path", "reason"], ([s.entry.path, s.reason] for s in skipped))
 
 
-def to_feature_matrix(table: FeatureTable, feature_names: list[str] | None = None) -> FeatureMatrix:
-    """The labeled rows and the named columns of a table, by one index of table.X.
+def to_feature_matrix(table: FeatureTable) -> FeatureMatrix:
+    """The labeled rows of a table, with every column.
 
-    Unlabeled rows are left out. Raises ValueError when feature_names is
-    empty, when no row is labeled, and when a selected value is NaN or
-    inf, naming the recording's path and the feature.
+    Unlabeled rows are left out. Raises ValueError when no row is labeled,
+    and when a value of a labeled row is NaN or inf, naming the
+    recording's path and the feature. FeatureMatrix.subset_features picks
+    columns.
     """
-    names = feature_names if feature_names is not None else FEATURE_COLUMNS
-    if not names:
-        raise ValueError("no feature names to build a feature matrix from")
     binary = [e.binary_label for e in table.entries]
     keep = [i for i, b in enumerate(binary) if b is not None]
     if not keep:
         raise ValueError("no labeled rows to build a feature matrix from")
-    X = table.X[np.ix_(keep, [_COLUMN_INDEX[name] for name in names])]
+    X = table.X[keep]
     entries = [table.entries[i] for i in keep]
     if not np.isfinite(X).all():
         row, col = np.argwhere(~np.isfinite(X))[0]
-        raise ValueError(f"{entries[row].path}: feature {names[col]} is {X[row, col]}, not a finite number")
+        raise ValueError(f"{entries[row].path}: feature {FEATURE_COLUMNS[col]} is {X[row, col]}, not a finite number")
     return FeatureMatrix(
-        feature_names=list(names),
+        feature_names=list(FEATURE_COLUMNS),
         X=X,
         labels=np.array([binary[i] for i in keep], dtype=np.int64),
         sites=[e.site for e in entries],

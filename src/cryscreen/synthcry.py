@@ -12,7 +12,7 @@ pipeline can be verified against an exact expected answer.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -87,40 +87,18 @@ class GroundTruth:
     expected_vector: dict[str, float]
 
     def to_json_dict(self) -> dict:
-        units = []
-        for (on, off), f, planted, ev in zip(
-            self.segmentation.expirations, self.unit_flags, self.planted_melody, self.events
-        ):
-            units.append(
-                {
-                    "onset": on,
-                    "offset": off,
-                    "num_frames": f.num_frames,
-                    "hyperphonation_frames": f.hyperphonation_frames,
-                    "dysphonation_frames": f.dysphonation_frames,
-                    "glide_frames": f.glide_frames,
-                    "vibrato_present": f.vibrato_present,
-                    "melody": f.melody,
-                    "planted_melody": planted,
-                    "event": ev,
-                }
+        units = [
+            {"onset": on, "offset": off, **asdict(f), "planted_melody": planted, "event": ev}
+            for (on, off), f, planted, ev in zip(
+                self.segmentation.expirations, self.unit_flags, self.planted_melody, self.events
             )
+        ]
         return {"units": units, "expected": dict(self.expected_vector)}
 
     @staticmethod
     def from_json_dict(d: dict) -> "GroundTruth":
         seg = CrySegmentation.from_expirations([(u["onset"], u["offset"]) for u in d["units"]])
-        flags = [
-            UnitFlags(
-                num_frames=u["num_frames"],
-                hyperphonation_frames=u["hyperphonation_frames"],
-                dysphonation_frames=u["dysphonation_frames"],
-                glide_frames=u["glide_frames"],
-                vibrato_present=u["vibrato_present"],
-                melody=u["melody"],
-            )
-            for u in d["units"]
-        ]
+        flags = [UnitFlags(**{f.name: u[f.name] for f in fields(UnitFlags)}) for u in d["units"]]
         return GroundTruth(
             seg,
             flags,
@@ -513,9 +491,12 @@ def make_corpus(
     positive: ClassProfile | None = None,
     negative: ClassProfile | None = None,
     seed: int = 0,
-    sites: tuple[str, ...] = ("ESUTH", "LASUTH", "SCDM"),
+    sites: tuple[str, ...] = PipelineConfig().selection_sites,
 ) -> list[CorpusRecord]:
-    """Write a labeled synthetic corpus: WAVs, manifest.csv, ground_truth.json."""
+    """Write a labeled synthetic corpus: WAVs, manifest.csv, ground_truth.json.
+
+    The default sites are the ones cry select reads at the default config.
+    """
     import os
 
     os.makedirs(out_dir, exist_ok=True)

@@ -29,11 +29,11 @@ from cryscreen.dsp import estimate_f0
 from cryscreen.pipeline import (
     FEATURE_COLUMNS,
     ID_COLUMNS,
-    SKIP_REASON_SHORT_CRY,
     FeatureTable,
     extract_manifest,
     read_features_csv,
     segment_clip,
+    short_cry_reason,
     to_feature_matrix,
     unit_flags_for,
     write_features_csv,
@@ -338,9 +338,9 @@ def test_c09_short_cry_excluded_and_reported(tmp_path):
     result = extract_manifest(str(tmp_path / "manifest.csv"))
     ok = (
         [r.entry.path for r in result.rows] == ["good.wav"]
-        and [(s.entry.path, s.reason) for s in result.skipped] == [("short.wav", SKIP_REASON_SHORT_CRY)]
+        and [(s.entry.path, s.reason) for s in result.skipped] == [("short.wav", short_cry_reason(3.0))]
     )
-    _report(9, ok, f"1.4s-cry recording skipped with reason {SKIP_REASON_SHORT_CRY!r}, good recording kept")
+    _report(9, ok, f"1.4s-cry recording skipped with reason {short_cry_reason(3.0)!r}, good recording kept")
     assert [r.entry.path for r in result.rows] == ["good.wav"]
     assert [(s.entry.path, s.reason) for s in result.skipped] == [("short.wav", "below 3s cry")]
 

@@ -10,7 +10,6 @@ from cryscreen.analytics import (
     FeatureMatrix,
     ScreeningModel,
     UndefinedCorrelationError,
-    _midranks,
     _sigmoid,
     assign_patient_folds,
     cross_validate,
@@ -59,6 +58,9 @@ def test_feature_matrix_subsetting():
     assert rows.patient_ids == ["p0", "p2"]
     cols = m.subset_features(["f1"])
     assert cols.X.tolist() == [[2.0], [4.0], [6.0]]
+    # columns come in the order they are named
+    swapped = m.subset_features(["f1", "f0"])
+    assert swapped.feature_names == ["f1", "f0"] and swapped.X[0].tolist() == [2.0, 1.0]
     with pytest.raises(ValueError):
         m.subset_features(["missing"])
 
@@ -335,14 +337,13 @@ def test_roc_curve_endpoints():
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_roc_auc_midranks_match_rankdata_on_ties(seed):
+def test_roc_auc_matches_rankdata_on_ties(seed):
     rng = np.random.default_rng(seed)
     scores = rng.integers(0, 6, 200) / 4.0  # 6 levels: every score is tied
     labels = rng.integers(0, 2, 200)
     ranks = rankdata(scores)
     n1, n0 = int(labels.sum()), int((labels == 0).sum())
     want = float((ranks[labels == 1].sum() - n1 * (n1 + 1) / 2) / (n1 * n0))
-    assert np.array_equal(_midranks(scores), ranks)
     assert roc_auc(scores, labels).auc == want
 
 
@@ -364,6 +365,30 @@ def test_sensitivity_at_specificity_hand_cases():
     assert sensitivity_at_specificity(sep, 0.80) == 1.0
     mixed = roc_auc(np.array([0.9, 0.8, 0.7, 0.6]), np.array([1, 0, 1, 0]))
     assert sensitivity_at_specificity(mixed, 0.80) == pytest.approx(0.7)
+
+
+def reference_sensitivity_at_specificity(curve, specificity):
+    """The highest TPR at each FPR, gathered in a dict, then interpolated."""
+    best_tpr = {}
+    for f, t in zip(curve.fpr, curve.tpr):
+        best_tpr[float(f)] = max(best_tpr.get(float(f), 0.0), float(t))
+    xs = np.array(sorted(best_tpr))
+    ys = np.array([best_tpr[x] for x in xs])
+    return float(np.interp(1.0 - specificity, xs, ys))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_sensitivity_at_specificity_matches_reference_on_ties(seed):
+    rng = np.random.default_rng(seed)
+    for _ in range(200):
+        n = int(rng.integers(2, 120))
+        levels = int(rng.integers(1, 9))
+        scores = rng.integers(0, levels, n) / 4.0  # few levels: vertical runs and ties
+        labels = rng.integers(0, 2, n)
+        labels[:2] = (0, 1)
+        curve = roc_auc(scores, labels)
+        for spec in (0.80, float(rng.uniform()), 0.0, 1.0):
+            assert sensitivity_at_specificity(curve, spec) == reference_sensitivity_at_specificity(curve, spec)
 
 
 def test_sensitivity_chance_line():

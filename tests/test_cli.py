@@ -172,7 +172,8 @@ def test_unusable_model_config_is_a_clean_error(chain, tmp_path, capsys, line, k
 @pytest.mark.parametrize("line, key", [("hop_s=0", "hop_s"), ("window_s=0", "window_s"),
                                        ("sample_rate=0", "sample_rate"), ("num_mel_bands=0", "num_mel_bands"),
                                        ("num_mel_bands=300", "num_mel_bands"), ("f0_min_hz=0", "f0_min_hz"),
-                                       ("f0_min_hz=50", "f0_min_hz"), ("f0_min_hz=2000", "f0_min_hz")])
+                                       ("f0_min_hz=50", "f0_min_hz"), ("f0_min_hz=2000", "f0_min_hz"),
+                                       ("window_s=inf", "window_s"), ("min_pause_s=inf", "min_pause_s")])
 def test_unusable_config_is_a_clean_error(chain, tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\n")

@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from cryscreen import analytics, cli, dsp, voicefeat
-from cryscreen.audio_io import ManifestEntry
+from cryscreen.audio_io import ManifestEntry, resample
 from cryscreen.biomarkers import unit_biomarker_flags
 from cryscreen.config import PipelineConfig, load_config, save_config
 from cryscreen.dsp import F0Contour, FrameGrid
-from cryscreen.pipeline import FEATURE_COLUMNS, FeatureRow, analyze_frames, canonical_clip, write_features_csv
+from cryscreen.pipeline import FEATURE_COLUMNS, FeatureRow, analyze_frames, write_features_csv
 from cryscreen.segmenter import CrySegmentation, detect_cry_units, meets_curation_rule, pitch_frames
 from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
 
@@ -125,7 +125,7 @@ UNUSABLE_GRID = [
     ("window_s=0", "window_s=0.0 is under one sample"),
     # half a sample rounds down to none, as dsp.make_grid rounds it
     ("window_s=0.00003125", "window_s=3.125e-05 is under one sample"),
-    ("hop_s=nan", "hop_s=nan is under one sample"),
+    ("hop_s=nan", "hop_s=nan is not a finite number"),
 ]
 
 
@@ -142,7 +142,7 @@ UNUSABLE_RUN = [
     ("f0_min_hz=2000", "f0_min_hz=2000.0, f0_max_hz=1600.0: f0_min 2000.0 must be below f0_max 1600.0"),
     # a 400-sample window resolves periods of up to 200 samples: 80 Hz
     ("f0_min_hz=50", "f0_min_hz=50.0, .*: window of 400 samples is too short to resolve f0_min 50.0 Hz"),
-    ("f0_max_hz=nan", "f0_min_hz=250.0, f0_max_hz=nan: f0_min 250.0 must be below f0_max nan"),
+    ("f0_max_hz=nan", "f0_max_hz=nan is not a finite number"),
     ("num_mel_bands=300", "num_mel_bands=300: 300 Mel bands exceed the 257 FFT bins of a 400-sample window"),
     # the front end keeps MFCC 2-4, which take at least 5 bands
     ("num_mel_bands=4", "num_mel_bands=4: 4 coefficients need more than 4 Mel bands"),
@@ -151,7 +151,7 @@ UNUSABLE_RUN = [
     ("voicing_threshold=2", r"voicing_threshold=2.0 must lie within \[0, 1\]"),
     ("voicing_threshold=1.01", r"voicing_threshold=1.01 must lie within \[0, 1\]"),
     ("voicing_threshold=-0.1", r"voicing_threshold=-0.1 must lie within \[0, 1\]"),
-    ("voicing_threshold=nan", r"voicing_threshold=nan must lie within \[0, 1\]"),
+    ("voicing_threshold=nan", "voicing_threshold=nan is not a finite number"),
     ("cv_folds=0", "cv_folds=0: cross-validation needs at least 2 folds"),
     ("cv_folds=1", "cv_folds=1: cross-validation needs at least 2 folds"),
     ("reg_grid=-1", "reg_grid holds -1.0: a penalty strength must be positive and finite"),
@@ -165,6 +165,18 @@ def test_value_no_run_can_use_names_the_key(tmp_path, line, message):
     path = tmp_path / "cfg.txt"
     path.write_text(f"{line}\n")
     with pytest.raises(ValueError, match=rf"cfg.txt: {message}"):
+        load_config(str(path))
+
+
+FLOAT_KEYS = [f.name for f in fields(PipelineConfig) if f.type == "float"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_float_names_the_key(tmp_path, key, value):
+    path = tmp_path / "cfg.txt"
+    path.write_text(f"{key}={value}\n")
+    with pytest.raises(ValueError, match=rf"cfg.txt: {key}={value} is not a finite number"):
         load_config(str(path))
 
 
@@ -265,7 +277,7 @@ CLIP = synth_cry(SynthSpec(units=[UnitSpec(0.6, 0.2, base_f0_hz=450.0), UnitSpec
 
 def front_end(config):
     """The spectral series of CLIP's front end, at config.sample_rate."""
-    front = analyze_frames(canonical_clip(CLIP, config), config)
+    front = analyze_frames(resample(CLIP, config.sample_rate), config)
     return [front.loudness.tolist(), front.flatness.tolist(),
             front.slope0_500.tolist(), front.mfcc2_4.tolist()]
 

@@ -18,7 +18,6 @@ from cryscreen.config import PipelineConfig
 from cryscreen.pipeline import (
     FEATURE_COLUMNS,
     ID_COLUMNS,
-    SKIP_REASON_SHORT_CRY,
     CurationError,
     FeatureRow,
     FeatureTable,
@@ -98,7 +97,7 @@ def test_extract_manifest_collects_good_and_bad(tmp_path):
     result = extract_manifest(mpath, log=logged.append)
     assert [r.entry.path for r in result.rows] == ["good.wav"]
     reasons = {s.entry.path: s.reason for s in result.skipped}
-    assert reasons["short.wav"] == SKIP_REASON_SHORT_CRY
+    assert reasons["short.wav"] == short_cry_reason(3.0)
     assert "RIFF" in reasons["broken.wav"]
     assert "missing.wav" in reasons
     assert len(logged) == 4
@@ -116,7 +115,7 @@ def test_non_finite_samples_are_not_reported_as_short_cry(tmp_path):
     result = extract_manifest(str(tmp_path / "manifest.csv"))
     assert result.rows == []
     (skip,) = result.skipped
-    assert skip.reason != SKIP_REASON_SHORT_CRY
+    assert skip.reason != short_cry_reason(3.0)
     assert "non-finite" in skip.reason
 
 
@@ -417,10 +416,10 @@ def test_skipped_csv(tmp_path):
 
     path = str(tmp_path / "sk.csv")
     write_skipped_csv(
-        [SkippedRecording(ManifestEntry("a.wav", "p", "ESUTH", "birth", "mild"), SKIP_REASON_SHORT_CRY)],
+        [SkippedRecording(ManifestEntry("a.wav", "p", "ESUTH", "birth", "mild"), short_cry_reason(3.0))],
         path,
     )
-    assert open(path, "rb").read() == f"path,reason\r\na.wav,{SKIP_REASON_SHORT_CRY}\r\n".encode()
+    assert open(path, "rb").read() == f"path,reason\r\na.wav,{short_cry_reason(3.0)}\r\n".encode()
 
 
 def test_to_feature_matrix_drops_unlabeled():
@@ -437,16 +436,7 @@ def test_to_feature_matrix_drops_unlabeled():
     assert m.labels.tolist() == [0, 1]
     assert m.paths == ["a.wav", "b.wav"]
     assert m.sites == ["ESUTH", "SCDM"] and m.patient_ids == ["p0", "p1"]
-    sub = to_feature_matrix(table, feature_names=FEATURE_COLUMNS[:4])
-    assert sub.X.shape == (2, 4)
-    one = to_feature_matrix(table, feature_names=["F2_amean"])
-    assert one.X.shape == (2, 1)
-    assert one.X[:, 0].tolist() == [feats["F2_amean"]] * 2
-    # columns come in the order they are named
-    picked = to_feature_matrix(table, feature_names=["F2_amean", FEATURE_COLUMNS[0]])
-    assert picked.X[0].tolist() == [feats["F2_amean"], 0.0]
-    with pytest.raises(ValueError, match="^no feature names to build a feature matrix from$"):
-        to_feature_matrix(table, feature_names=[])
+    assert m.feature_names == FEATURE_COLUMNS and m.X[0].tolist() == table.X[0].tolist()
     with pytest.raises(ValueError, match="^no labeled rows to build a feature matrix from$"):
         to_feature_matrix(FeatureTable.from_rows(rows[2:]))
     with pytest.raises(ValueError, match="no labeled rows"):
@@ -462,12 +452,10 @@ def test_to_feature_matrix_rejects_non_finite():
     ]
     with pytest.raises(ValueError, match="^b.wav: feature F2_amean is nan, not a finite number$"):
         to_feature_matrix(FeatureTable.from_rows(rows))
-    # a column left out of the matrix is not checked
-    assert to_feature_matrix(FeatureTable.from_rows(rows), feature_names=FEATURE_COLUMNS[:4]).X.shape == (2, 4)
     rows[1].features["F2_amean"] = float("-inf")
     with pytest.raises(ValueError, match="is -inf"):
         to_feature_matrix(FeatureTable.from_rows(rows))
-    # nor is an unlabeled row
+    # an unlabeled row is not checked
     rows[0] = FeatureRow(ManifestEntry("c.wav", "p2", "SCDM", "birth", "unlabeled"), bad)
     rows[1].features["F2_amean"] = 2.0
     assert to_feature_matrix(FeatureTable.from_rows(rows)).paths == ["b.wav"]
@@ -524,7 +512,7 @@ def test_load_split_names_csvs_line(tmp_path):
 
 
 def test_skip_reason_follows_min_total_cry(tmp_path):
-    assert SKIP_REASON_SHORT_CRY == short_cry_reason(3.0) == "below 3s cry"
+    assert short_cry_reason(PipelineConfig().min_total_cry_s) == "below 3s cry"
     clip, _ = cry_clip(seed=4)
     mpath = make_manifest(tmp_path, [("long.wav", clip)])
     assert extract_manifest(mpath).skipped == []
