@@ -18,7 +18,6 @@ import numpy as np
 
 IRLS_TOL = 1e-6
 IRLS_MAX_ITER = 500
-_NORM_GUARD = 1e-8
 
 
 class UndefinedCorrelationError(ValueError):
@@ -306,15 +305,17 @@ def roc_auc(scores: np.ndarray, labels: np.ndarray) -> RocCurve:
     half the tied pairs over all positive-negative pairs, the Mann-Whitney
     U over n1 * n0. A group of tp_g positives and fp_g negatives, with fp
     negatives at or above it, adds tp_g * (2 * (n0 - fp) + fp_g) to the
-    whole number 2U. Scores must be finite.
+    whole number 2U. Scores must be finite and labels 0 or 1.
     """
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels)
     bad = int(np.count_nonzero(~np.isfinite(scores)))
     if bad:
         raise ValueError(f"ROC needs finite scores, got {bad} NaN or infinite of {len(scores)}")
-    pos = labels == 1
-    n1, n0 = int(pos.sum()), int((labels == 0).sum())
+    pos, neg = labels == 1, labels == 0
+    if not (pos | neg).all():
+        raise ValueError(f"ROC needs labels 0 and 1, got stray labels {np.unique(labels[~(pos | neg)]).tolist()}")
+    n1, n0 = int(pos.sum()), int(neg.sum())
     if n1 == 0 or n0 == 0:
         raise ValueError(f"ROC needs both classes, got {n1} positives and {n0} negatives")
 

@@ -22,8 +22,8 @@ import csv
 import math
 import os
 import struct
-from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import astuple, dataclass, fields
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -40,8 +40,6 @@ class UnsupportedWavError(ValueError):
 SITES = frozenset({"ESUTH", "LASUTH", "SCDM", "MUHC", "RSUTH", "OTHER"})
 PERIODS = frozenset({"birth", "discharge"})
 LABELS = frozenset({"normal", "mild", "moderate", "severe", "unlabeled"})
-
-MANIFEST_COLUMNS = ["path", "patient_id", "site", "period", "label"]
 
 
 @dataclass
@@ -70,6 +68,9 @@ class ManifestEntry:
         if self.label == "unlabeled":
             return None
         return 0 if self.label == "normal" else 1
+
+
+MANIFEST_COLUMNS = [f.name for f in fields(ManifestEntry)]
 
 
 # Samples decoded per read of a data chunk, and fed to the resampler per
@@ -203,8 +204,16 @@ def _decode(payload: bytes, audio_format: int, bits: int) -> np.ndarray:
 
 
 def write_wav(clip: AudioClip, path: str, bit_depth: int = 16) -> None:
-    """Write a clip as mono PCM16 or IEEE float32 WAV."""
+    """Write a clip as mono PCM16 or IEEE float32 WAV.
+
+    Raises ValueError, before the file is opened, when a sample is NaN or
+    inf: PCM16 would cast it to some sample value with only a warning, and
+    load_wav rejects a float file that holds one.
+    """
     x = np.asarray(clip.samples, dtype=np.float64)
+    bad = int(np.count_nonzero(~np.isfinite(x)))
+    if bad:
+        raise ValueError(f"{path}: {bad} non-finite samples (NaN or inf) to write")
     if bit_depth == 16:
         data = np.clip(np.rint(x * 32767.0), -32768, 32767).astype("<i2").tobytes()
         fmt_tag, bits = 1, 16
@@ -366,7 +375,7 @@ def read_csv_rows(path: str, header: list[str]) -> Iterator[tuple[int, list[str]
             raise ValueError(f"{path}: {exc}") from None
 
 
-def write_csv_rows(path: str, header: list[str], rows: Iterable[list[str]]) -> None:
+def write_csv_rows(path: str, header: list[str], rows: Iterable[Sequence[str]]) -> None:
     """Write header and rows as a UTF-8 CSV table, each line ending in CRLF."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -400,7 +409,7 @@ def check_label_and_period(label: str, period: str, path: str, line: int) -> Non
 
 
 def save_manifest(entries: list[ManifestEntry], path: str) -> None:
-    write_csv_rows(path, MANIFEST_COLUMNS, ([e.path, e.patient_id, e.site, e.period, e.label] for e in entries))
+    write_csv_rows(path, MANIFEST_COLUMNS, map(astuple, entries))
 
 
 def relative_to_manifest(manifest_path: str, entry_path: str) -> str:

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -78,15 +79,6 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
-def _selection_json(report) -> dict:
-    return {
-        "sites": report.sites,
-        "selected": report.selected,
-        "directions": report.directions,
-        "correlations": report.correlations,
-    }
-
-
 def _read_matrix(path: str):
     """The labeled rows of a features CSV; a table that has none is an error naming the file."""
     table = read_features_csv(path)
@@ -100,7 +92,7 @@ def cmd_select(args: argparse.Namespace) -> int:
     cfg = _load_cfg(args.config)
     matrix = _read_matrix(args.features)
     report = select_consistent_features(matrix, list(cfg.selection_sites))
-    _dump_json(_selection_json(report), args.out)
+    _dump_json(asdict(report), args.out)
     print(f"selected {len(report.selected)} of {len(matrix.feature_names)} features", file=sys.stderr)
     return 0
 
@@ -178,6 +170,9 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 doc = json.load(fh)
             if not isinstance(doc, dict):
                 raise ValueError(f"a profile must be a JSON object, not {type(doc).__name__}")
+            unknown = sorted(set(doc) - {"n_per_class", "sites", "positive", "negative"})
+            if unknown:
+                raise ValueError(f"unknown profile keys {unknown}")
         if "n_per_class" in doc:
             n_per_class = doc["n_per_class"]
             # bool is an int; NaN and inf leave a remainder of NaN
@@ -191,7 +186,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
                 raise ValueError(f"sites must be a list of site names, not {sites!r}")
             kwargs["sites"] = tuple(sites)
         kwargs.update({key: ClassProfile.from_json_dict(doc[key]) for key in ("positive", "negative") if key in doc})
-    except (TypeError, ValueError) as exc:  # TypeError: int() or float() of a list
+    except ValueError as exc:
         raise ValueError(f"{args.profile}: {exc}") from None
     if args.n_per_class is not None:
         kwargs["n_per_class"] = args.n_per_class

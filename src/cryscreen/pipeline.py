@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .audio_io import (
     resample,
     write_csv_rows,
 )
-from .biomarkers import CRY_FEATURE_NAMES, UnitFlags, aggregate_biomarkers, unit_biomarker_flags
+from .biomarkers import CRY_FEATURE_NAMES, aggregate_biomarkers, unit_biomarker_flags
 from .config import PipelineConfig
 from .segmenter import CrySegmentation, detect_cry_units, meets_curation_rule, pitch_frames
 from .voicefeat import VOICE_FEATURE_NAMES, compute_generic_features, concat_expirations
@@ -113,23 +113,17 @@ def segment_canonical(clip: AudioClip, config: PipelineConfig) -> tuple[CrySegme
     return detect_cry_units(front.f0, front.loudness, config), front
 
 
-def segment_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple[CrySegmentation, FrontEnd]:
-    config = config if config is not None else PipelineConfig()
+def segment_clip(clip: AudioClip, config: PipelineConfig = PipelineConfig()) -> tuple[CrySegmentation, FrontEnd]:
     return segment_canonical(resample(clip, config.sample_rate), config)
 
 
-def unit_flags_for(front: FrontEnd, seg: CrySegmentation, config: PipelineConfig) -> list[UnitFlags]:
-    return [unit_biomarker_flags(front.f0, front.flatness, unit, config) for unit in seg.expirations]
-
-
-def extract_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple[dict[str, float], CrySegmentation]:
+def extract_clip(clip: AudioClip, config: PipelineConfig = PipelineConfig()) -> tuple[dict[str, float], CrySegmentation]:
     """Full per-recording feature vector, or CurationError when unusable.
 
     Raises ValueError when the clip holds NaN or inf samples: they would
     poison every statistic of the segmentation, which would then report
     the recording as holding no cry.
     """
-    config = config if config is not None else PipelineConfig()
     if not np.isfinite(clip.samples).all():
         bad = int(np.count_nonzero(~np.isfinite(clip.samples)))
         raise ValueError(f"recording holds {bad} non-finite samples (NaN or inf)")
@@ -138,7 +132,7 @@ def extract_clip(clip: AudioClip, config: PipelineConfig | None = None) -> tuple
     if not meets_curation_rule(seg, config):
         raise CurationError(seg.total_cry_seconds, config.min_total_cry_s)
 
-    flags = unit_flags_for(front, seg, config)
+    flags = [unit_biomarker_flags(front.f0, front.flatness, unit, config) for unit in seg.expirations]
     features = aggregate_biomarkers(seg, flags)
     features.update(compute_generic_features(front, seg, concat_expirations(clip, seg), config))
     return {name: features[name] for name in FEATURE_COLUMNS}, seg
@@ -178,14 +172,13 @@ class FeatureTable:
         return cls([row.entry for row in rows], X.reshape(len(rows), len(FEATURE_COLUMNS)))
 
 
-def extract_manifest(manifest_path: str, config: PipelineConfig | None = None, log=None) -> ExtractionResult:
+def extract_manifest(manifest_path: str, config: PipelineConfig = PipelineConfig(), log=None) -> ExtractionResult:
     """Extract every recording in a manifest.
 
     Curation failures and per-file read errors are collected with a
     reason rather than aborting the run; a bad file must not cost the
     features of the good ones.
     """
-    config = config if config is not None else PipelineConfig()
     rows: list[FeatureRow] = []
     skipped: list[SkippedRecording] = []
     for entry in load_manifest(manifest_path):
@@ -210,11 +203,7 @@ def write_features_csv(rows: list[FeatureRow], path: str) -> None:
     write_csv_rows(
         path,
         ID_COLUMNS + FEATURE_COLUMNS,
-        (
-            [row.entry.path, row.entry.patient_id, row.entry.site, row.entry.period, row.entry.label]
-            + [repr(float(row.features[name])) for name in FEATURE_COLUMNS]
-            for row in rows
-        ),
+        ([*astuple(row.entry), *(repr(float(row.features[name])) for name in FEATURE_COLUMNS)] for row in rows),
     )
 
 

@@ -12,7 +12,7 @@ passed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,19 +24,17 @@ _EPS = 1e-9
 
 @dataclass
 class CrySegmentation:
-    """Expiration intervals in seconds, with the gaps between them."""
+    """Expiration intervals in seconds, in order; the pauses are the gaps between them."""
 
     expirations: list[tuple[float, float]]
-    pauses: list[tuple[float, float]] = field(default_factory=list)
+
+    @property
+    def pauses(self) -> list[tuple[float, float]]:
+        return [(a[1], b[0]) for a, b in zip(self.expirations, self.expirations[1:])]
 
     @property
     def total_cry_seconds(self) -> float:
         return float(sum(b - a for a, b in self.expirations))
-
-    @staticmethod
-    def from_expirations(expirations: list[tuple[float, float]]) -> "CrySegmentation":
-        pauses = [(expirations[i][1], expirations[i + 1][0]) for i in range(len(expirations) - 1)]
-        return CrySegmentation(list(expirations), pauses)
 
 
 def bridge_voicing_gaps(voiced: np.ndarray, halfwidth: int) -> np.ndarray:
@@ -94,7 +92,7 @@ def detect_cry_units(f0: F0Contour, loud: np.ndarray, config: PipelineConfig = P
 
     kept = [(s, e) for s, e in merged if (e - s + 1) * hop >= config.min_unit_s - _EPS]
     expirations = [(float(s * hop), float((e + 1) * hop)) for s, e in kept]
-    return CrySegmentation.from_expirations(expirations)
+    return CrySegmentation(expirations)
 
 
 def loudness_levels(loud: np.ndarray, active_fraction: float) -> tuple[float, float]:

@@ -12,6 +12,7 @@ pipeline can be verified against an exact expected answer.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
@@ -97,7 +98,7 @@ class GroundTruth:
 
     @staticmethod
     def from_json_dict(d: dict) -> "GroundTruth":
-        seg = CrySegmentation.from_expirations([(u["onset"], u["offset"]) for u in d["units"]])
+        seg = CrySegmentation([(u["onset"], u["offset"]) for u in d["units"]])
         flags = [UnitFlags(**{f.name: u[f.name] for f in fields(UnitFlags)}) for u in d["units"]]
         return GroundTruth(
             seg,
@@ -248,7 +249,7 @@ def true_contour(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples: 
 
 def _ground_truth(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples: int) -> GroundTruth:
     sr = spec.sample_rate
-    seg = CrySegmentation.from_expirations([(s0 / sr, s1 / sr) for s0, s1 in boundaries])
+    seg = CrySegmentation([(s0 / sr, s1 / sr) for s0, s1 in boundaries])
     contour = true_contour(spec, boundaries, n_samples)
     smoothed = smooth_f0(contour.f0_hz, contour.voiced)
     grid = contour.grid
@@ -344,52 +345,79 @@ def _expected_vector(seg: CrySegmentation, flags: list[UnitFlags]) -> dict[str, 
     return out
 
 
+def _number(key: str, v) -> float:
+    """v as a float when it is a finite JSON number; ValueError naming key otherwise."""
+    # bool is an int to isinstance
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+        raise ValueError(f"{key} must be a finite number, not {v!r}")
+    return float(v)
+
+
 @dataclass
 class ClassProfile:
-    """Per-unit event and melody probabilities for one class."""
+    """Per-unit event and melody probabilities for one class.
 
-    p_hyperphonation: float = 0.05
-    p_dysphonation: float = 0.10
-    p_glide: float = 0.10
-    p_vibrato: float = 0.08
+    A field's metadata bounds what from_json_dict takes: the value, or a
+    range's low end, must be "at_least" or "above" the floor it gives.
+    """
+
+    p_hyperphonation: float = field(default=0.05, metadata={"at_least": 0.0})
+    p_dysphonation: float = field(default=0.10, metadata={"at_least": 0.0})
+    p_glide: float = field(default=0.10, metadata={"at_least": 0.0})
+    p_vibrato: float = field(default=0.08, metadata={"at_least": 0.0})
     melody_probs: dict[str, float] = field(
         default_factory=lambda: {"flat": 0.5, "falling": 0.16, "rising": 0.14, "rising_falling": 0.12, "falling_rising": 0.08}
     )
-    num_units_range: tuple[int, int] = (6, 9)
-    unit_duration_range: tuple[float, float] = (0.55, 1.1)
-    pause_range: tuple[float, float] = (0.25, 0.6)
-    base_f0_range: tuple[float, float] = (380.0, 520.0)
+    num_units_range: tuple[int, int] = field(default=(6, 9), metadata={"at_least": 1})
+    unit_duration_range: tuple[float, float] = field(default=(0.55, 1.1), metadata={"above": 0.0})
+    pause_range: tuple[float, float] = field(default=(0.25, 0.6), metadata={"at_least": 0.0})
+    base_f0_range: tuple[float, float] = field(default=(380.0, 520.0), metadata={"above": 0.0})
     dysphonation_snr_db: float = 2.0
 
     @staticmethod
     def from_json_dict(d: dict) -> "ClassProfile":
         """The profile of a JSON object; keys it leaves out keep their defaults.
 
-        Raises ValueError for an object or melody_probs of the wrong shape,
-        a melody not in MELODY_TYPES and a range that is not two numbers,
-        low to high; float() raises on a probability that is not a number.
+        Each key is read by its field's declared type. Raises ValueError
+        naming the key that is not a field; a number that is not finite or
+        is under its field's floor; melody_probs that do not map melodies
+        of MELODY_TYPES to weights of at least 0, one of them above 0; and
+        a range that is not two numbers, low to high, whole for a count.
         """
         if not isinstance(d, dict):
             raise ValueError(f"a class profile must be a JSON object, not {d!r}")
-        prof = ClassProfile()
-        for key in ("p_hyperphonation", "p_dysphonation", "p_glide", "p_vibrato", "dysphonation_snr_db"):
-            if key in d:
-                setattr(prof, key, float(d[key]))
-        if "melody_probs" in d:
-            probs = d["melody_probs"]
-            if not (isinstance(probs, dict) and set(probs) <= set(MELODY_TYPES)):
-                raise ValueError(f"melody_probs must map melodies of {MELODY_TYPES} to numbers, not {probs!r}")
-            prof.melody_probs = {k: float(v) for k, v in probs.items()}
-        for key in ("num_units_range", "unit_duration_range", "pause_range", "base_f0_range"):
-            if key in d:
-                pair = d[key]
-                numbers = isinstance(pair, list) and all(isinstance(v, (int, float)) for v in pair)
-                if not (numbers and len(pair) == 2):
-                    raise ValueError(f"{key} must be a list of two numbers, not {pair!r}")
-                if pair[0] > pair[1]:
-                    raise ValueError(f"{key} must run from low to high, not {pair!r}")
-                setattr(prof, key, tuple(pair))
-        return prof
+        declared = {f.name: f for f in fields(ClassProfile)}
+        unknown = sorted(set(d) - set(declared))
+        if unknown:
+            raise ValueError(f"unknown class profile keys {unknown}")
+        values = {}
+        for key, v in d.items():
+            f = declared[key]
+            if f.type == "dict[str, float]":
+                if not (isinstance(v, dict) and set(v) <= set(MELODY_TYPES)):
+                    raise ValueError(f"{key} must map melodies of {MELODY_TYPES} to numbers, not {v!r}")
+                weights = {m: _number(f"{key}[{m!r}]", w) for m, w in v.items()}
+                if min(weights.values(), default=0.0) < 0.0 or sum(weights.values()) <= 0.0:
+                    raise ValueError(f"{key} must hold weights of at least 0, one of them above 0, not {v!r}")
+                values[key] = weights
+                continue
+            if f.type == "float":
+                values[key] = low = _number(key, v)
+            else:  # a range
+                if not (isinstance(v, list) and len(v) == 2):
+                    raise ValueError(f"{key} must be a list of two numbers, not {v!r}")
+                low, high = (_number(key, x) for x in v)
+                if low > high:
+                    raise ValueError(f"{key} must run from low to high, not {v!r}")
+                if f.type == "tuple[int, int]":
+                    if low % 1 or high % 1:
+                        raise ValueError(f"{key} must hold whole numbers, not {v!r}")
+                    low, high = int(low), int(high)
+                values[key] = (low, high)
+            for rule, floor in f.metadata.items():
+                if low < floor or (rule == "above" and low == floor):
+                    raise ValueError(f"{key} must be {rule.replace('_', ' ')} {floor:g}, not {v!r}")
+        return ClassProfile(**values)
 
 
 # prevalence directions mirror clinical reports: the affected class shows

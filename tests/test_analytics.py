@@ -355,6 +355,12 @@ def test_roc_rejects_non_finite_scores(bad, count):
         roc_auc(scores, labels)
 
 
+@pytest.mark.parametrize("stray", [2, -1, 0.5])
+def test_roc_rejects_labels_other_than_0_and_1(stray):
+    with pytest.raises(ValueError, match=rf"stray labels \[{stray}\]"):
+        roc_auc([0.9, 0.5, 0.1, 0.3], [1, stray, 0, 1])
+
+
 def test_roc_needs_both_classes():
     with pytest.raises(ValueError, match="both classes"):
         roc_auc(np.array([0.1, 0.2]), np.array([1, 1]))

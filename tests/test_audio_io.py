@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -131,12 +132,25 @@ def test_float32_round_trip(tmp_path):
 
 def test_float_non_finite_samples_raise(tmp_path):
     for bad in (np.nan, np.inf, -np.inf):
-        clip = sine(440.0)
-        clip.samples[100] = bad
-        path = str(tmp_path / "bad.wav")
-        write_wav(clip, path, bit_depth=32)
+        path = tmp_path / "bad.wav"
+        write_wav(sine(440.0), str(path), bit_depth=32)
+        # write_wav refuses the sample, so it goes in by hand: sample 100 after the 44-byte header
+        raw = bytearray(path.read_bytes())
+        raw[44 + 4 * 100 : 48 + 4 * 100] = np.array(bad, dtype="<f4").tobytes()
+        path.write_bytes(bytes(raw))
         with pytest.raises(WavFormatError, match="1 non-finite float samples"):
-            load_wav(path)
+            load_wav(str(path))
+
+
+@pytest.mark.parametrize("bit_depth", [16, 32])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_write_rejects_non_finite_samples_before_opening_the_file(tmp_path, bit_depth, bad):
+    clip = sine(440.0)
+    clip.samples[[3, 100]] = bad
+    path = tmp_path / "bad.wav"
+    with pytest.raises(ValueError, match=re.escape(f"{path}: 2 non-finite samples")):
+        write_wav(clip, str(path), bit_depth=bit_depth)
+    assert not path.exists()
 
 
 def test_write_rejects_other_depths(tmp_path):

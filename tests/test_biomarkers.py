@@ -412,7 +412,7 @@ def test_median3_matches_median_filter(x):
 
 
 def test_durational_features_exact():
-    seg = CrySegmentation.from_expirations([(0.5, 1.5), (2.0, 2.6), (3.0, 4.4)])
+    seg = CrySegmentation([(0.5, 1.5), (2.0, 2.6), (3.0, 4.4)])
     out = durational_features(seg)
     units = np.array([1.0, 0.6, 1.4])
     pauses = np.array([0.5, 0.4])
@@ -425,15 +425,15 @@ def test_durational_features_exact():
 
 
 def test_durational_features_single_unit():
-    out = durational_features(CrySegmentation.from_expirations([(0.5, 1.5)]))
+    out = durational_features(CrySegmentation([(0.5, 1.5)]))
     assert out["pause_dur_mean"] == 0.0
     assert out["pause_dur_std"] == 0.0
     with pytest.raises(ValueError, match="zero cry units"):
-        durational_features(CrySegmentation([], []))
+        durational_features(CrySegmentation([]))
 
 
 def test_aggregate_exact_fractions():
-    seg = CrySegmentation.from_expirations([(0.0, 1.0), (1.5, 2.5), (3.0, 4.0), (4.5, 5.5)])
+    seg = CrySegmentation([(0.0, 1.0), (1.5, 2.5), (3.0, 4.0), (4.5, 5.5)])
     flags = [
         UnitFlags(num_frames=100, hyperphonation_frames=20, melody="rising"),
         UnitFlags(num_frames=100, dysphonation_frames=30, melody="flat"),
@@ -459,7 +459,7 @@ def test_aggregate_exact_fractions():
 
 
 def test_aggregate_validates_lengths():
-    seg = CrySegmentation.from_expirations([(0.0, 1.0), (1.5, 2.5)])
+    seg = CrySegmentation([(0.0, 1.0), (1.5, 2.5)])
     with pytest.raises(ValueError, match="one UnitFlags per cry unit"):
         aggregate_biomarkers(seg, [UnitFlags(num_frames=10)])
 

@@ -258,26 +258,42 @@ def test_input_that_is_not_utf8_names_its_file(chain, tmp_path, capsys, kind):
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, names",
     [
-        b'{"sites": ["b\xe9b\xe9"]}',
-        b'{"n_per_class": 2,',
-        b"[1, 2]",
-        b'{"sites": 5}',
-        b'{"positive": {"num_units_range": 5}}',
-        b'{"positive": {"melody_probs": [1]}}',
-        b'{"negative": {"melody_probs": {"hum": 1.0}}}',
-        b'{"negative": {"pause_range": [0.6, 0.25]}}',
+        (b'{"sites": ["b\xe9b\xe9"]}', "'utf-8' codec"),
+        (b'{"n_per_class": 2,', "Expecting"),
+        (b"[1, 2]", "JSON object"),
+        (b'{"sites": 5}', "sites"),
+        (b'{"positive": {"num_units_range": 5}}', "num_units_range"),
+        (b'{"positive": {"melody_probs": [1]}}', "melody_probs"),
+        (b'{"negative": {"melody_probs": {"hum": 1.0}}}', "melody_probs"),
+        (b'{"negative": {"pause_range": [0.6, 0.25]}}', "pause_range"),
+        (b'{"n_per_clas": 1}', "n_per_clas"),
+        (b'{"positive": {"p_glde": 0.9}}', "p_glde"),
+        (b'{"negative": {"dysphonation_snr_db": "nan", "p_dysphonation": 1}}', "dysphonation_snr_db"),
+        (b'{"negative": {"dysphonation_snr_db": NaN, "p_dysphonation": 1}}', "dysphonation_snr_db"),
+        (b'{"positive": {"p_vibrato": Infinity}}', "p_vibrato"),
+        (b'{"negative": {"base_f0_range": [0, 0]}}', "base_f0_range"),
+        (b'{"negative": {"num_units_range": [1.5, 2]}}', "num_units_range"),
+        (b'{"positive": {"p_glide": -1}}', "p_glide"),
+        (b'{"negative": {"melody_probs": {"flat": 0, "rising": 0}}}', "melody_probs"),
+        (b'{"negative": {"melody_probs": {"flat": -1, "rising": 2}}}', "melody_probs"),
+        (b'{"positive": {"num_units_range": [0, 0]}}', "num_units_range"),
+        (b'{"positive": {"unit_duration_range": [-1, 0]}}', "unit_duration_range"),
+        (b'{"positive": {"pause_range": [-0.5, 0.2]}}', "pause_range"),
     ],
     ids=["not-utf8", "truncated", "list", "sites-number", "range-number", "melody-probs-list", "melody-unknown",
-         "range-reversed"],
+         "range-reversed", "top-level-key", "class-key", "snr-string", "snr-nan", "p-inf", "f0-zero",
+         "units-fraction", "p-negative", "melody-no-weight", "melody-negative", "units-zero", "duration-negative",
+         "pause-negative"],
 )
-def test_malformed_synth_profile_names_its_file(tmp_path, capsys, content):
+def test_malformed_synth_profile_names_its_file(tmp_path, capsys, content, names):
     profile = tmp_path / "profile.json"
     profile.write_bytes(content)
     assert main(["synth", "--out", str(tmp_path / "corpus"), "--profile", str(profile), "--n-per-class", "1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"cry: error: {profile}: ")
+    assert names in err
     assert "Traceback" not in err
     assert not (tmp_path / "corpus").exists()
 

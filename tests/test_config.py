@@ -262,7 +262,7 @@ def tracked_frames(config):
 
 
 def usable(config):
-    return meets_curation_rule(CrySegmentation.from_expirations([(0.0, 1.0), (1.5, 2.5)]), config)
+    return meets_curation_rule(CrySegmentation([(0.0, 1.0), (1.5, 2.5)]), config)
 
 
 def flags_of(unit):

@@ -13,7 +13,7 @@ import pytest
 
 from cryscreen import dsp, pipeline
 from cryscreen.audio_io import AudioClip, ManifestEntry, load_wav, save_manifest, write_wav
-from cryscreen.biomarkers import CRY_FEATURE_NAMES
+from cryscreen.biomarkers import CRY_FEATURE_NAMES, unit_biomarker_flags
 from cryscreen.config import PipelineConfig
 from cryscreen.pipeline import (
     FEATURE_COLUMNS,
@@ -29,7 +29,6 @@ from cryscreen.pipeline import (
     segment_clip,
     short_cry_reason,
     to_feature_matrix,
-    unit_flags_for,
     write_features_csv,
     write_skipped_csv,
 )
@@ -105,12 +104,19 @@ def test_extract_manifest_collects_good_and_bad(tmp_path):
 
 def test_non_finite_samples_are_not_reported_as_short_cry(tmp_path):
     clip, _ = cry_clip(n_units=6, seed=5)  # 4.8 s of cry
-    clip.samples[len(clip.samples) // 2] = np.nan
+    i = len(clip.samples) // 2
+    clip.samples[i] = np.nan
     with pytest.raises(ValueError, match="1 non-finite samples") as info:
         extract_clip(clip)
     assert not isinstance(info.value, CurationError)
 
-    write_wav(clip, str(tmp_path / "nan.wav"), bit_depth=32)
+    # write_wav refuses NaN, so it goes in by hand: sample i after the 44-byte header
+    clip.samples[i] = 0.0
+    path = tmp_path / "nan.wav"
+    write_wav(clip, str(path), bit_depth=32)
+    raw = bytearray(path.read_bytes())
+    raw[44 + 4 * i : 48 + 4 * i] = np.array(np.nan, dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
     save_manifest([ManifestEntry("nan.wav", "p0", "ESUTH", "birth", "mild")], str(tmp_path / "manifest.csv"))
     result = extract_manifest(str(tmp_path / "manifest.csv"))
     assert result.rows == []
@@ -592,7 +598,7 @@ def assert_gate_changes_no_unit(clip, config, monkeypatch):
 
     def units_of(clip):
         seg, front = segment_clip(clip, config)
-        flags = unit_flags_for(front, seg, config)
+        flags = [unit_biomarker_flags(front.f0, front.flatness, unit, config) for unit in seg.expirations]
         return seg, flags, compute_generic_features(front, seg, concat_expirations(clip, seg), config)
 
     front = analyze_frames(clip, config)

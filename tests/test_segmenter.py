@@ -119,15 +119,15 @@ def test_duty_cycle_robustness():
 
 
 def test_total_cry_and_curation():
-    seg = CrySegmentation.from_expirations([(0.5, 2.1), (2.5, 4.0)])
+    seg = CrySegmentation([(0.5, 2.1), (2.5, 4.0)])
     assert seg.total_cry_seconds == pytest.approx(3.1)
     assert meets_curation_rule(seg)
-    short = CrySegmentation.from_expirations([(0.5, 2.0), (2.5, 3.9)])
+    short = CrySegmentation([(0.5, 2.0), (2.5, 3.9)])
     assert not meets_curation_rule(short)
 
 
 def test_from_expirations_pauses():
-    seg = CrySegmentation.from_expirations([(0.5, 1.0), (1.4, 2.0), (2.2, 2.9)])
+    seg = CrySegmentation([(0.5, 1.0), (1.4, 2.0), (2.2, 2.9)])
     assert seg.pauses == [(1.0, 1.4), (2.0, 2.2)]
 
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -170,6 +171,11 @@ def test_make_corpus_layout(tmp_path):
     assert len(gt["recordings"]) == 6
     parsed = GroundTruth.from_json_dict(gt["recordings"][0])
     assert parsed.segmentation.expirations
+
+
+def test_class_profile_reads_back_every_field_of_its_json():
+    for profile in (ClassProfile(), DEFAULT_POSITIVE_PROFILE, DEFAULT_NEGATIVE_PROFILE):
+        assert ClassProfile.from_json_dict(json.loads(json.dumps(asdict(profile)))) == profile
 
 
 def test_class_profile_from_json():

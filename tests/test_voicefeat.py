@@ -22,13 +22,13 @@ SR = 16000
 
 def test_concat_expirations():
     clip = AudioClip(np.arange(SR, dtype=np.float64), SR)
-    seg = CrySegmentation.from_expirations([(0.1, 0.2), (0.5, 0.8)])
+    seg = CrySegmentation([(0.1, 0.2), (0.5, 0.8)])
     out = concat_expirations(clip, seg)
     assert len(out.samples) == int(0.4 * SR)
     assert out.samples[0] == 0.1 * SR
     assert out.samples[int(0.1 * SR)] == 0.5 * SR
     with pytest.raises(ValueError, match="zero cry units"):
-        concat_expirations(clip, CrySegmentation([], []))
+        concat_expirations(clip, CrySegmentation([]))
 
 
 def test_moving_average3_edges():
@@ -83,7 +83,7 @@ def harmonic_clip(f0=450.0, dur_s=1.0, amp=0.4):
 
 def whole_clip_features(clip):
     """Voice functionals of a clip taken as one cry unit."""
-    seg = CrySegmentation.from_expirations([(0.0, clip.duration_seconds)])
+    seg = CrySegmentation([(0.0, clip.duration_seconds)])
     cfg = PipelineConfig()
     return compute_generic_features(analyze_frames(clip, cfg), seg, concat_expirations(clip, seg), cfg)
 
@@ -126,7 +126,7 @@ def test_generic_features_on_units_off_the_frame_grid():
     # hand-made units that start just after and end just before a frame
     # boundary splice into more frames than the grid gives them
     clip = harmonic_clip(dur_s=2.0)
-    seg = CrySegmentation.from_expirations([(0.0101 + 0.4 * k, 0.2099 + 0.4 * k) for k in range(4)])
+    seg = CrySegmentation([(0.0101 + 0.4 * k, 0.2099 + 0.4 * k) for k in range(4)])
     cfg = PipelineConfig()
     front = analyze_frames(clip, cfg)
     concat = concat_expirations(clip, seg)
