@@ -8,6 +8,8 @@ import tempfile
 
 from cryscreen.pipeline import segment_clip
 from cryscreen.audio_io import load_wav, write_wav
+from cryscreen.config import PipelineConfig
+from cryscreen.segmenter import meets_curation_rule
 from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
 
 # three cry units with known on/off times, separated by breath pauses
@@ -32,5 +34,6 @@ print(f"\nplanted units        -> detected units")
 for planted, found in zip(truth.segmentation.expirations, seg.expirations):
     print(f"[{planted[0]:.2f}, {planted[1]:.2f}]s      -> [{found[0]:.2f}, {found[1]:.2f}]s")
 print(f"\npauses: {[(round(a, 2), round(b, 2)) for a, b in seg.pauses]}")
+cfg = PipelineConfig()
 print(f"total cry: {seg.total_cry_seconds:.2f}s "
-      f"({'meets' if seg.total_cry_seconds >= 3 else 'below'} the 3s curation minimum)")
+      f"({'meets' if meets_curation_rule(seg, cfg) else 'below'} the {cfg.min_total_cry_s:g}s curation minimum)")

@@ -4,7 +4,7 @@ The synthesizer reports exact ground truth for every unit, so each
 detector's output can be compared against what was planted.
 """
 
-from cryscreen.biomarkers import aggregate_biomarkers, unit_biomarker_flags
+from cryscreen.biomarkers import aggregate_biomarkers, smooth_f0, unit_biomarker_flags
 from cryscreen.config import PipelineConfig
 from cryscreen.pipeline import segment_clip
 from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
@@ -27,7 +27,8 @@ clip, truth = synth_cry(spec)
 
 cfg = PipelineConfig()
 seg, front = segment_clip(clip, cfg)
-flags = [unit_biomarker_flags(front.f0, front.flatness, unit, cfg) for unit in seg.expirations]
+smoothed = smooth_f0(front.f0.f0_hz, front.f0.voiced)
+flags = [unit_biomarker_flags(front.f0, front.flatness, unit, smoothed, cfg) for unit in seg.expirations]
 
 print("unit  planted event      detected frames (hyper/dys/glide)  vibrato  melody det/truth")
 for i, (unit, det, gt) in enumerate(zip(spec.units, flags, truth.unit_flags)):

@@ -1,9 +1,10 @@
 """Clinically interpretable cry biomarkers and their per-recording summary.
 
 Each detector reads one cry unit's per-frame arrays and returns a
-unit-length mask or a unit-level call. unit_biomarker_flags slices those
-arrays out of the recording's series once per unit, and smooths the
-unit's pitch once for the glide, vibrato and melody detectors:
+unit-length mask or a unit-level call. The recording's pitch is smoothed
+once, by smooth_f0, for the glide, vibrato and melody detectors, and
+unit_biomarker_flags slices each unit's frames out of that and of the
+recording's other series:
 
 * hyperphonation: sustained voiced phonation above 1000 Hz
 * dysphonation:   sustained noisy phonation (high spectral flatness)
@@ -95,18 +96,6 @@ def smooth_f0(f0_hz: np.ndarray, voiced: np.ndarray) -> np.ndarray:
     triple = np.maximum(np.minimum(prev, nxt), np.minimum(np.maximum(prev, nxt), x))
     med = np.where(prev_v & next_v, triple, np.where(prev_v | next_v, pair, x))
     return np.where(voiced, med, 0.0)
-
-
-def _smoothed_in_unit(f0: F0Contour, sl: slice) -> np.ndarray:
-    """smooth_f0 values of the frames in sl, equal to those of the whole clip.
-
-    The median window reaches one frame to each side, so smoothing the
-    unit's frames plus one neighbour on each side reproduces every in-unit
-    value while the cost follows the unit's length, not the clip's.
-    """
-    lo = max(sl.start - 1, 0)
-    hi = max(min(sl.stop + 1, len(f0.f0_hz)), lo)
-    return smooth_f0(f0.f0_hz[lo:hi], f0.voiced[lo:hi])[sl.start - lo : sl.stop - lo]
 
 
 def _min_run_frames(min_run_s: float, hop_s: float) -> int:
@@ -262,18 +251,21 @@ def classify_melody(contour: np.ndarray, config: PipelineConfig = PipelineConfig
 
 
 def unit_biomarker_flags(
-    f0: F0Contour, flatness: np.ndarray, unit: tuple[float, float], config: PipelineConfig = PipelineConfig()
+    f0: F0Contour,
+    flatness: np.ndarray,
+    unit: tuple[float, float],
+    smoothed: np.ndarray,
+    config: PipelineConfig = PipelineConfig(),
 ) -> UnitFlags:
     """Run every detector on the frames of one unit and tally the results.
 
-    flatness holds one value per frame of f0.grid. The unit's frames, their
-    pitch, voicing and flatness, and their smoothed pitch are taken here
-    once and shared by the detectors.
+    flatness and smoothed, the recording's smooth_f0(f0.f0_hz, f0.voiced),
+    hold one value per frame of f0.grid. The unit's frames of each series
+    are sliced here once and shared by the detectors.
     """
     sl = f0.grid.frame_slice(*unit)
     hop_s = f0.grid.hop_seconds
-    f0_hz, voiced = f0.f0_hz[sl], f0.voiced[sl]
-    smoothed = _smoothed_in_unit(f0, sl)
+    f0_hz, voiced, smoothed = f0.f0_hz[sl], f0.voiced[sl], smoothed[sl]
     return UnitFlags(
         num_frames=sl.stop - sl.start,
         hyperphonation_frames=int(detect_hyperphonation(f0_hz, voiced, hop_s, config).sum()),

@@ -159,6 +159,8 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     if args.n_per_class is not None and args.n_per_class < 1:
         raise ValueError(f"--n-per-class must be at least 1, got {args.n_per_class}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     doc = {}
     # make_corpus's defaults hold for what neither the profile nor a flag sets
     kwargs = {}

@@ -8,8 +8,8 @@ biomarker detectors their thresholds, and the command line the
 cross-validation folds, penalty grid and selection sites. Unknown keys
 are rejected so a typo cannot silently fall back to a default, and
 values that no run can use (a NaN or infinite float, or one that no
-analysis grid, Mel filterbank, pitch range or cross-validation fits) are
-rejected by name.
+analysis grid, Mel filterbank, 0-500 Hz slope band, LPC fit, pitch range,
+cry minimum or cross-validation fits) are rejected by name.
 """
 
 from __future__ import annotations
@@ -19,9 +19,12 @@ from dataclasses import dataclass, fields
 
 from .dsp import (
     FRONT_END_MFCC_COEFFS,
+    FRONT_END_SLOPE_BAND_HZ,
+    check_lpc_order,
     check_mel_bands,
     check_mfcc_coeffs,
     f0_lag_range,
+    slope_band_bins,
 )
 
 
@@ -79,9 +82,19 @@ class PipelineConfig:
         except ValueError as exc:
             raise ValueError(f"num_mel_bands={self.num_mel_bands!r}: {exc}") from None
         try:
+            slope_band_bins(*FRONT_END_SLOPE_BAND_HZ, win, self.sample_rate)
+            check_lpc_order(win)
+        except ValueError as exc:
+            raise ValueError(f"window_s={self.window_s!r}: {exc}") from None
+        try:
             f0_lag_range(self.sample_rate, self.f0_min_hz, self.f0_max_hz, win)
         except ValueError as exc:
             raise ValueError(f"f0_min_hz={self.f0_min_hz!r}, f0_max_hz={self.f0_max_hz!r}: {exc}") from None
+        # the curation rule is the only cry minimum: under 0.5 s the spliced
+        # cry is too short for stable voice functionals, and at 0 a
+        # recording with no cry unit would pass it
+        if not self.min_total_cry_s >= 0.5:
+            raise ValueError(f"min_total_cry_s={self.min_total_cry_s!r} must be at least 0.5")
         # a YIN confidence lies in [0, 1]; a threshold above 1 voices no frame
         if not 0.0 <= self.voicing_threshold <= 1.0:
             raise ValueError(f"voicing_threshold={self.voicing_threshold!r} must lie within [0, 1]")

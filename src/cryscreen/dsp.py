@@ -26,8 +26,10 @@ MEL_FLOOR = 1e-10
 POWER_FLOOR = 1e-12
 
 # The analysis front end keeps MFCC 2, 3 and 4, so it asks mfcc for 4
-# coefficients, which takes at least 5 Mel bands.
+# coefficients, which takes at least 5 Mel bands, and the spectral slope
+# over this band, which takes at least 3 FFT bins in it.
 FRONT_END_MFCC_COEFFS = 4
+FRONT_END_SLOPE_BAND_HZ = (0.0, 500.0)
 
 # Frames per block of the per-frame kernels. estimate_f0 and lpc_formants
 # hold the work of at most this many frames at once, and frame_blocks cuts
@@ -154,6 +156,25 @@ def check_mfcc_coeffs(num_coeffs: int, num_bands: int) -> None:
     drops the first."""
     if num_coeffs >= num_bands:
         raise ValueError(f"{num_coeffs} coefficients need more than {num_bands} Mel bands")
+
+
+def slope_band_bins(fmin_hz: float, fmax_hz: float, window_samples: int, sample_rate: int) -> np.ndarray:
+    """Mask of the bins of stft's spectrum of a window_samples window at
+    sample_rate that lie in [fmin_hz, fmax_hz]. Raises ValueError when it
+    holds fewer than 3, too few to fit a slope."""
+    freqs = np.fft.rfftfreq(_next_pow2(window_samples), 1.0 / sample_rate)
+    sel = (freqs >= fmin_hz) & (freqs <= fmax_hz)
+    n_bins = int(np.count_nonzero(sel))
+    if n_bins < 3:
+        raise ValueError(f"band [{fmin_hz}, {fmax_hz}] Hz covers {n_bins} bins; need at least 3")
+    return sel
+
+
+def check_lpc_order(window_samples: int) -> None:
+    """Raise ValueError when a window_samples window is too short for lpc_formants'
+    all-pole model: its order must be below the window length."""
+    if LPC_ORDER >= window_samples:
+        raise ValueError(f"LPC order {LPC_ORDER} must be below the window length {window_samples}")
 
 
 def f0_lag_range(sample_rate: int, f0_min: float, f0_max: float, window_samples: int) -> tuple[int, int]:
@@ -412,8 +433,7 @@ def lpc_formants(clip: AudioClip, config: PipelineConfig) -> np.ndarray:
     """
     grid = make_grid(len(clip.samples), clip.sample_rate, config.window_s, config.hop_s)
     win = grid.window_samples
-    if LPC_ORDER >= win:
-        raise ValueError(f"LPC order {LPC_ORDER} must be below the window length {win}")
+    check_lpc_order(win)
     frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples)
     window = np.hanning(win)
     out = np.empty((grid.num_frames, NUM_FORMANTS))
@@ -479,10 +499,7 @@ def pick_formants(freqs: np.ndarray, keep: np.ndarray, degenerate: np.ndarray, n
 
 def spectral_slope_band(spec: Spectrogram, fmin_hz: float, fmax_hz: float) -> np.ndarray:
     """Per-frame OLS slope of log power (dB) against frequency over a band."""
-    sel = (spec.freqs_hz >= fmin_hz) & (spec.freqs_hz <= fmax_hz)
-    n_bins = int(np.count_nonzero(sel))
-    if n_bins < 3:
-        raise ValueError(f"band [{fmin_hz}, {fmax_hz}] Hz covers {n_bins} bins; need at least 3")
+    sel = slope_band_bins(fmin_hz, fmax_hz, spec.grid.window_samples, spec.grid.sample_rate)
     x = spec.freqs_hz[sel]
     y = 10.0 * np.log10(np.maximum(spec.values[:, sel], POWER_FLOOR))
     xc = x - x.mean()

@@ -15,7 +15,7 @@ from dataclasses import astuple, dataclass
 
 import numpy as np
 
-from . import dsp
+from . import biomarkers, dsp
 from .analytics import FeatureMatrix
 from .audio_io import (
     LABELS,
@@ -40,18 +40,11 @@ FEATURE_COLUMNS = CRY_FEATURE_NAMES + VOICE_FEATURE_NAMES
 ID_COLUMNS = MANIFEST_COLUMNS
 
 
-def short_cry_reason(min_total_cry_s: float) -> str:
-    """Skip reason of a recording that holds less cry than min_total_cry_s."""
-    return f"below {min_total_cry_s:g}s cry"
-
-
 class CurationError(ValueError):
-    """Total detected cry in the recording is under the usable minimum."""
+    """Total detected cry in the recording is under the usable minimum; the text is its skip reason."""
 
     def __init__(self, total_cry_seconds: float, minimum_s: float):
-        super().__init__(
-            f"recording holds {total_cry_seconds:.2f}s of cry, under the {minimum_s:.1f}s minimum"
-        )
+        super().__init__(f"below {minimum_s:g}s cry")
         self.total_cry_seconds = total_cry_seconds
 
 
@@ -99,7 +92,7 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
         logmel = dsp.log_mel(spec, config)
         loud[start:stop] = dsp.loudness(logmel)
         flatness[start:stop] = dsp.spectral_flatness(spec)
-        slope[start:stop] = dsp.spectral_slope_band(spec, 0.0, 500.0)
+        slope[start:stop] = dsp.spectral_slope_band(spec, *dsp.FRONT_END_SLOPE_BAND_HZ)
         mfcc2_4[start:stop] = dsp.mfcc(logmel, dsp.FRONT_END_MFCC_COEFFS)[:, 1:4]
     # the last block's planes need not be alive beside the pitch tracker
     del spec, logmel
@@ -132,7 +125,8 @@ def extract_clip(clip: AudioClip, config: PipelineConfig = PipelineConfig()) -> 
     if not meets_curation_rule(seg, config):
         raise CurationError(seg.total_cry_seconds, config.min_total_cry_s)
 
-    flags = [unit_biomarker_flags(front.f0, front.flatness, unit, config) for unit in seg.expirations]
+    smoothed = biomarkers.smooth_f0(front.f0.f0_hz, front.f0.voiced)
+    flags = [unit_biomarker_flags(front.f0, front.flatness, unit, smoothed, config) for unit in seg.expirations]
     features = aggregate_biomarkers(seg, flags)
     features.update(compute_generic_features(front, seg, concat_expirations(clip, seg), config))
     return {name: features[name] for name in FEATURE_COLUMNS}, seg
@@ -186,10 +180,9 @@ def extract_manifest(manifest_path: str, config: PipelineConfig = PipelineConfig
             path = relative_to_manifest(manifest_path, entry.path)
             features, _ = extract_clip(load_wav(path, config.sample_rate), config)
         except (OSError, ValueError) as exc:
-            reason = short_cry_reason(config.min_total_cry_s) if isinstance(exc, CurationError) else str(exc)
-            skipped.append(SkippedRecording(entry, reason))
+            skipped.append(SkippedRecording(entry, str(exc)))
             if log is not None:
-                log(f"skip {entry.path}: {reason}")
+                log(f"skip {entry.path}: {exc}")
             continue
         rows.append(FeatureRow(entry, features))
         if log is not None:

@@ -369,7 +369,8 @@ class ClassProfile:
         default_factory=lambda: {"flat": 0.5, "falling": 0.16, "rising": 0.14, "rising_falling": 0.12, "falling_rising": 0.08}
     )
     num_units_range: tuple[int, int] = field(default=(6, 9), metadata={"at_least": 1})
-    unit_duration_range: tuple[float, float] = field(default=(0.55, 1.1), metadata={"above": 0.0})
+    # a unit is rendered with an edge ramp at each end
+    unit_duration_range: tuple[float, float] = field(default=(0.55, 1.1), metadata={"at_least": 2 * _EDGE_RAMP_S})
     pause_range: tuple[float, float] = field(default=(0.25, 0.6), metadata={"at_least": 0.0})
     base_f0_range: tuple[float, float] = field(default=(380.0, 520.0), metadata={"above": 0.0})
     dysphonation_snr_db: float = 2.0

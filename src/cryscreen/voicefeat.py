@@ -40,7 +40,6 @@ VOICE_FEATURE_NAMES = [
     "mfcc4V_stddevNorm",
 ]
 
-MIN_CONCAT_S = 0.5
 _NORM_GUARD = 1e-8
 
 
@@ -110,13 +109,9 @@ def compute_generic_features(
     of which is paired with unit frame i. Every low-level descriptor is
     smoothed with a 3-frame moving average before the functionals. Formant
     statistics skip frames where no narrow-bandwidth resonance was found.
-    Raises when concat is shorter than MIN_CONCAT_S or the units hold no
-    voiced frames at all (every V feature would be undefined).
+    Raises when the units hold no voiced frames at all (every V feature
+    would be undefined).
     """
-    if concat.duration_seconds < MIN_CONCAT_S:
-        raise ValueError(
-            f"concatenated cry of {concat.duration_seconds:.3f}s is shorter than {MIN_CONCAT_S}s"
-        )
     grid = front.f0.grid
     idx = unit_frames(grid, seg)
     voiced = front.f0.voiced[idx]

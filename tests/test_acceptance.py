@@ -22,7 +22,7 @@ from cryscreen.analytics import (
     train_logreg,
 )
 from cryscreen.audio_io import AudioClip, ManifestEntry, load_wav, save_manifest, write_wav
-from cryscreen.biomarkers import CRY_FEATURE_NAMES, aggregate_biomarkers, unit_biomarker_flags
+from cryscreen.biomarkers import CRY_FEATURE_NAMES, aggregate_biomarkers, smooth_f0, unit_biomarker_flags
 from cryscreen.cli import main
 from cryscreen.config import PipelineConfig
 from cryscreen.dsp import estimate_f0
@@ -33,7 +33,6 @@ from cryscreen.pipeline import (
     extract_manifest,
     read_features_csv,
     segment_clip,
-    short_cry_reason,
     to_feature_matrix,
     write_features_csv,
 )
@@ -129,7 +128,8 @@ def test_c02_biomarker_precision_recall(corpus200):
     for rec in corpus200["records"]:
         clip = load_wav(os.path.join(corpus200["dir"], rec.entry.path))
         seg, front = segment_clip(clip, cfg)
-        flags = [unit_biomarker_flags(front.f0, front.flatness, unit, cfg) for unit in seg.expirations]
+        smoothed = smooth_f0(front.f0.f0_hz, front.f0.voiced)
+        flags = [unit_biomarker_flags(front.f0, front.flatness, unit, smoothed, cfg) for unit in seg.expirations]
         planted_n += len(rec.truth.unit_flags)
         for di, ti in _match_units(seg.expirations, rec.truth.segmentation.expirations):
             det, gt = flags[di], rec.truth.unit_flags[ti]
@@ -337,9 +337,9 @@ def test_c09_short_cry_excluded_and_reported(tmp_path):
     result = extract_manifest(str(tmp_path / "manifest.csv"))
     ok = (
         [r.entry.path for r in result.rows] == ["good.wav"]
-        and [(s.entry.path, s.reason) for s in result.skipped] == [("short.wav", short_cry_reason(3.0))]
+        and [(s.entry.path, s.reason) for s in result.skipped] == [("short.wav", "below 3s cry")]
     )
-    _report(9, ok, f"1.4s-cry recording skipped with reason {short_cry_reason(3.0)!r}, good recording kept")
+    _report(9, ok, "1.4s-cry recording skipped with reason 'below 3s cry', good recording kept")
     assert [r.entry.path for r in result.rows] == ["good.wav"]
     assert [(s.entry.path, s.reason) for s in result.skipped] == [("short.wav", "below 3s cry")]
 

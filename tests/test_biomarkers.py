@@ -308,8 +308,8 @@ def test_unit_flags_tally_matches_detectors():
     flat = np.full(n, 0.05)
     flat[60:75] = 0.50
     unit = (0.0, 1.2)
-    flags = unit_biomarker_flags(f0, flat, unit)
     pitch, voiced = smoothed(vals)
+    flags = unit_biomarker_flags(f0, flat, unit, pitch)
     assert flags.num_frames == 120
     assert flags.hyperphonation_frames == 15
     assert flags.dysphonation_frames == 15
@@ -333,37 +333,6 @@ def varied_contour(n=200, seed=8):
 # ending on the last frame, a 1-frame and a 2-frame unit, and two units
 # separated by a one-frame gap
 EDGE_UNITS = [(0.0, 0.3), (1.6, 2.0), (0.35, 0.36), (0.39, 0.41), (0.6, 0.9), (0.91, 1.5)]
-
-
-@pytest.mark.parametrize("unit", EDGE_UNITS)
-def test_unit_window_smoothing_matches_whole_clip(unit):
-    f0 = varied_contour()
-    sl = f0.grid.frame_slice(*unit)
-    assert np.array_equal(biomarkers._smoothed_in_unit(f0, sl), smooth_f0(f0.f0_hz, f0.voiced)[sl])
-
-
-def test_unit_flags_match_whole_clip_smoothing(monkeypatch):
-    f0 = varied_contour()
-    flat = np.where(np.arange(200) % 50 < 15, 0.5, 0.05)
-    got = [unit_biomarker_flags(f0, flat, unit) for unit in EDGE_UNITS]
-    # the detectors as they ran when every call smoothed the whole clip
-    monkeypatch.setattr(biomarkers, "_smoothed_in_unit", lambda f0, sl: smooth_f0(f0.f0_hz, f0.voiced)[sl])
-    want = [unit_biomarker_flags(f0, flat, unit) for unit in EDGE_UNITS]
-    assert got == want
-    assert any(f.glide_frames for f in got) and any(f.vibrato_present for f in got)
-    assert {f.melody for f in got} != {"flat"}
-
-
-def test_unit_flags_smooth_the_unit_once(monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return smooth_f0(*args)
-
-    monkeypatch.setattr(biomarkers, "smooth_f0", counted)
-    unit_biomarker_flags(varied_contour(), np.full(200, 0.05), (0.6, 0.9))
-    assert len(calls) == 1
 
 
 def whole_clip_sustained(condition, sl, min_frames):

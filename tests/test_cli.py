@@ -173,7 +173,8 @@ def test_unusable_model_config_is_a_clean_error(chain, tmp_path, capsys, line, k
                                        ("sample_rate=0", "sample_rate"), ("num_mel_bands=0", "num_mel_bands"),
                                        ("num_mel_bands=300", "num_mel_bands"), ("f0_min_hz=0", "f0_min_hz"),
                                        ("f0_min_hz=50", "f0_min_hz"), ("f0_min_hz=2000", "f0_min_hz"),
-                                       ("window_s=inf", "window_s"), ("min_pause_s=inf", "min_pause_s")])
+                                       ("window_s=inf", "window_s"), ("min_pause_s=inf", "min_pause_s"),
+                                       ("min_total_cry_s=0.3", "min_total_cry_s")])
 def test_unusable_config_is_a_clean_error(chain, tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\n")
@@ -280,12 +281,14 @@ def test_input_that_is_not_utf8_names_its_file(chain, tmp_path, capsys, kind):
         (b'{"negative": {"melody_probs": {"flat": -1, "rising": 2}}}', "melody_probs"),
         (b'{"positive": {"num_units_range": [0, 0]}}', "num_units_range"),
         (b'{"positive": {"unit_duration_range": [-1, 0]}}', "unit_duration_range"),
+        # above 0 but under one sample: too short for the unit's edge ramps
+        (b'{"negative": {"unit_duration_range": [1e-5, 1e-5]}}', "unit_duration_range must be at least 0.03"),
         (b'{"positive": {"pause_range": [-0.5, 0.2]}}', "pause_range"),
     ],
     ids=["not-utf8", "truncated", "list", "sites-number", "range-number", "melody-probs-list", "melody-unknown",
          "range-reversed", "top-level-key", "class-key", "snr-string", "snr-nan", "p-inf", "f0-zero",
          "units-fraction", "p-negative", "melody-no-weight", "melody-negative", "units-zero", "duration-negative",
-         "pause-negative"],
+         "duration-sub-sample", "pause-negative"],
 )
 def test_malformed_synth_profile_names_its_file(tmp_path, capsys, content, names):
     profile = tmp_path / "profile.json"
@@ -326,6 +329,12 @@ def test_synth_class_count_must_be_a_whole_number_of_at_least_one(tmp_path, caps
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err == prefix + message + "\n"
+    assert not (tmp_path / "corpus").exists()
+
+
+def test_synth_seed_must_not_be_negative(tmp_path, capsys):
+    assert main(["synth", "--out", str(tmp_path / "corpus"), "--n-per-class", "1", "--seed", "-1"]) == 1
+    assert capsys.readouterr().err == "cry: error: --seed must be at least 0, got -1\n"
     assert not (tmp_path / "corpus").exists()
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from cryscreen import analytics, cli, dsp, voicefeat
 from cryscreen.audio_io import ManifestEntry, resample
-from cryscreen.biomarkers import unit_biomarker_flags
+from cryscreen.biomarkers import smooth_f0, unit_biomarker_flags
 from cryscreen.config import PipelineConfig, load_config, save_config
 from cryscreen.dsp import F0Contour, FrameGrid
 from cryscreen.pipeline import FEATURE_COLUMNS, FeatureRow, analyze_frames, write_features_csv
@@ -147,11 +147,20 @@ UNUSABLE_RUN = [
     # the front end keeps MFCC 2-4, which take at least 5 bands
     ("num_mel_bands=4", "num_mel_bands=4: 4 coefficients need more than 4 Mel bands"),
     ("num_mel_bands=1", "num_mel_bands=1: 4 coefficients need more than 1 Mel bands"),
+    # 32 samples: FFT bins 500 Hz apart, two of them in the 0-500 Hz slope band
+    ("window_s=0.002 f0_min_hz=1000 num_mel_bands=10",
+     r"window_s=0.002: band \[0.0, 500.0\] Hz covers 2 bins; need at least 3"),
+    # 12 samples at 4 kHz, no more than the LPC order
+    ("sample_rate=4000 window_s=0.003 hop_s=0.001 f0_min_hz=700 f0_max_hz=1500 num_mel_bands=6",
+     "window_s=0.003: LPC order 12 must be below the window length 12"),
     # a YIN confidence never exceeds 1, so no frame would be voiced
     ("voicing_threshold=2", r"voicing_threshold=2.0 must lie within \[0, 1\]"),
     ("voicing_threshold=1.01", r"voicing_threshold=1.01 must lie within \[0, 1\]"),
     ("voicing_threshold=-0.1", r"voicing_threshold=-0.1 must lie within \[0, 1\]"),
     ("voicing_threshold=nan", "voicing_threshold=nan is not a finite number"),
+    # the curation rule is the only cry minimum, and a recording needs 0.5 s
+    ("min_total_cry_s=0.3", "min_total_cry_s=0.3 must be at least 0.5"),
+    ("min_total_cry_s=0", "min_total_cry_s=0.0 must be at least 0.5"),
     ("cv_folds=0", "cv_folds=0: cross-validation needs at least 2 folds"),
     ("cv_folds=1", "cv_folds=1: cross-validation needs at least 2 folds"),
     ("reg_grid=-1", "reg_grid holds -1.0: a penalty strength must be positive and finite"),
@@ -163,7 +172,8 @@ UNUSABLE_RUN = [
 @pytest.mark.parametrize("line, message", UNUSABLE_RUN, ids=[line for line, _ in UNUSABLE_RUN])
 def test_value_no_run_can_use_names_the_key(tmp_path, line, message):
     path = tmp_path / "cfg.txt"
-    path.write_text(f"{line}\n")
+    # an entry of several keys is written one key a line
+    path.write_text("".join(f"{key}\n" for key in line.split()))
     with pytest.raises(ValueError, match=rf"cfg.txt: {message}"):
         load_config(str(path))
 
@@ -190,6 +200,11 @@ def test_run_values_follow_the_grid():
     assert PipelineConfig(num_mel_bands=5).num_mel_bands == 5
     assert PipelineConfig(voicing_threshold=0.0).voicing_threshold == 0.0
     assert PipelineConfig(voicing_threshold=1.0).voicing_threshold == 1.0
+    # a few more samples serve the slope band and the LPC fit
+    assert PipelineConfig(window_s=0.0025, f0_min_hz=1000.0, num_mel_bands=10).window_s == 0.0025
+    assert PipelineConfig(sample_rate=4000, window_s=0.0035, hop_s=0.001, f0_min_hz=700.0, f0_max_hz=1500.0,
+                          num_mel_bands=6).window_s == 0.0035
+    assert PipelineConfig(min_total_cry_s=0.5).min_total_cry_s == 0.5
 
 
 def test_grid_values_are_checked_in_code_too():
@@ -250,6 +265,7 @@ def detector_series():
 
 SEG_F0, SEG_LOUD = segmenter_series()
 DET_F0, DET_FLAT = detector_series()
+DET_SMOOTHED = smooth_f0(DET_F0.f0_hz, DET_F0.voiced)
 U1, U2, U3, U4 = (0.0, 1.0), (1.0, 1.8), (1.8, 2.8), (2.8, 4.0)
 
 
@@ -267,7 +283,7 @@ def usable(config):
 
 def flags_of(unit):
     def unit_flags(config):
-        return unit_biomarker_flags(DET_F0, DET_FLAT, unit, config)
+        return unit_biomarker_flags(DET_F0, DET_FLAT, unit, DET_SMOOTHED, config)
 
     return unit_flags
 

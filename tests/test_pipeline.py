@@ -11,9 +11,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cryscreen import dsp, pipeline
+from cryscreen import biomarkers, dsp, pipeline
 from cryscreen.audio_io import AudioClip, ManifestEntry, load_wav, save_manifest, write_wav
-from cryscreen.biomarkers import CRY_FEATURE_NAMES, unit_biomarker_flags
+from cryscreen.biomarkers import CRY_FEATURE_NAMES, smooth_f0, unit_biomarker_flags
 from cryscreen.config import PipelineConfig
 from cryscreen.pipeline import (
     FEATURE_COLUMNS,
@@ -27,7 +27,6 @@ from cryscreen.pipeline import (
     load_split,
     read_features_csv,
     segment_clip,
-    short_cry_reason,
     to_feature_matrix,
     write_features_csv,
     write_skipped_csv,
@@ -61,12 +60,26 @@ def test_segment_clip_resamples():
 
 def test_extract_clip_curation():
     clip, _ = cry_clip(n_units=3, unit_s=0.7)  # 2.1 s of cry
-    with pytest.raises(CurationError, match="under the 3.0s minimum"):
+    with pytest.raises(CurationError, match="^below 3s cry$"):
         extract_clip(clip)
     try:
         extract_clip(clip)
     except CurationError as exc:
         assert exc.total_cry_seconds < 3.0
+
+
+def test_extract_clip_smooths_pitch_once_per_recording(monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return smooth_f0(*args)
+
+    # looked up through the module, where a trace of the biomarkers layer wraps it
+    monkeypatch.setattr(biomarkers, "smooth_f0", counted)
+    _, seg = extract_clip(cry_clip()[0])
+    assert len(seg.expirations) == 5
+    assert len(calls) == 1
 
 
 def make_manifest(tmp_path, specs):
@@ -96,7 +109,7 @@ def test_extract_manifest_collects_good_and_bad(tmp_path):
     result = extract_manifest(mpath, log=logged.append)
     assert [r.entry.path for r in result.rows] == ["good.wav"]
     reasons = {s.entry.path: s.reason for s in result.skipped}
-    assert reasons["short.wav"] == short_cry_reason(3.0)
+    assert reasons["short.wav"] == "below 3s cry"
     assert "RIFF" in reasons["broken.wav"]
     assert "missing.wav" in reasons
     assert len(logged) == 4
@@ -121,7 +134,7 @@ def test_non_finite_samples_are_not_reported_as_short_cry(tmp_path):
     result = extract_manifest(str(tmp_path / "manifest.csv"))
     assert result.rows == []
     (skip,) = result.skipped
-    assert skip.reason != short_cry_reason(3.0)
+    assert skip.reason != "below 3s cry"
     assert "non-finite" in skip.reason
 
 
@@ -422,10 +435,10 @@ def test_skipped_csv(tmp_path):
 
     path = str(tmp_path / "sk.csv")
     write_skipped_csv(
-        [SkippedRecording(ManifestEntry("a.wav", "p", "ESUTH", "birth", "mild"), short_cry_reason(3.0))],
+        [SkippedRecording(ManifestEntry("a.wav", "p", "ESUTH", "birth", "mild"), "below 3s cry")],
         path,
     )
-    assert open(path, "rb").read() == f"path,reason\r\na.wav,{short_cry_reason(3.0)}\r\n".encode()
+    assert open(path, "rb").read() == b"path,reason\r\na.wav,below 3s cry\r\n"
 
 
 def test_to_feature_matrix_drops_unlabeled():
@@ -518,13 +531,13 @@ def test_load_split_names_csvs_line(tmp_path):
 
 
 def test_skip_reason_follows_min_total_cry(tmp_path):
-    assert short_cry_reason(PipelineConfig().min_total_cry_s) == "below 3s cry"
+    assert str(CurationError(1.0, PipelineConfig().min_total_cry_s)) == "below 3s cry"
     clip, _ = cry_clip(seed=4)
     mpath = make_manifest(tmp_path, [("long.wav", clip)])
     assert extract_manifest(mpath).skipped == []
     result = extract_manifest(mpath, replace(PipelineConfig(), min_total_cry_s=10.0))
     assert [(s.entry.path, s.reason) for s in result.skipped] == [("long.wav", "below 10s cry")]
-    assert short_cry_reason(2.5) == "below 2.5s cry"
+    assert str(CurationError(1.0, 2.5)) == "below 2.5s cry"
 
 
 def test_few_mel_bands_still_extract_rows(tmp_path):
@@ -598,7 +611,8 @@ def assert_gate_changes_no_unit(clip, config, monkeypatch):
 
     def units_of(clip):
         seg, front = segment_clip(clip, config)
-        flags = [unit_biomarker_flags(front.f0, front.flatness, unit, config) for unit in seg.expirations]
+        smoothed = smooth_f0(front.f0.f0_hz, front.f0.voiced)
+        flags = [unit_biomarker_flags(front.f0, front.flatness, unit, smoothed, config) for unit in seg.expirations]
         return seg, flags, compute_generic_features(front, seg, concat_expirations(clip, seg), config)
 
     front = analyze_frames(clip, config)

@@ -8,7 +8,6 @@ from cryscreen.pipeline import analyze_frames, extract_clip, segment_clip
 from cryscreen.segmenter import CrySegmentation
 from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
 from cryscreen.voicefeat import (
-    MIN_CONCAT_S,
     VOICE_FEATURE_NAMES,
     compute_generic_features,
     concat_expirations,
@@ -133,12 +132,6 @@ def test_generic_features_on_units_off_the_frame_grid():
     assert dsp.make_grid(len(concat.samples), SR, 0.025, 0.010).num_frames > len(unit_frames(front.f0.grid, seg))
     feats = compute_generic_features(front, seg, concat, cfg)
     assert all(np.isfinite(v) for v in feats.values())
-
-
-def test_generic_features_too_short_raises():
-    with pytest.raises(ValueError, match="shorter than"):
-        whole_clip_features(harmonic_clip(dur_s=0.3))
-    assert MIN_CONCAT_S == 0.5
 
 
 def test_generic_features_unvoiced_raises():
