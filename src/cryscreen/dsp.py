@@ -45,6 +45,19 @@ LPC_ORDER = 12
 NUM_FORMANTS = 3
 MAX_FORMANT_BANDWIDTH_HZ = 400.0
 
+# How lpc_formants finds the narrow roots (see _certified_roots): Newton
+# seeds from the envelope on the circle of radius SEED_RADIUS, sampled by a
+# SEED_FFT-point FFT for SEED_BLOCK frames at a time, NEWTON_STEPS steps
+# from them, and the tolerances of the certificate that lets a frame skip
+# the eigenvalues of its companion matrix.
+SEED_RADIUS = 0.98
+SEED_FFT = 512
+SEED_BLOCK = 128
+NEWTON_STEPS = 6
+ROOT_PIVOT_TOL = 1e-10
+ROOT_STEP_TOL = 1e-12
+ROOT_SEPARATION = 1e-9
+
 
 @dataclass
 class FrameGrid:
@@ -430,6 +443,26 @@ def lpc_formants(clip: AudioClip, config: PipelineConfig) -> np.ndarray:
     (num_frames, NUM_FORMANTS) with zeros standing in where a frame is
     degenerate or yields too few narrow resonances. Frames are fitted in
     blocks of at most FRAME_BLOCK, so memory beyond the clip stays fixed.
+
+    Only the narrow roots, those outside the circle of radius
+    rho = exp(-pi * MAX_FORMANT_BANDWIDTH_HZ / sr), are looked for, on each
+    frame that is not degenerate, in four steps:
+
+    - count: the Schur-Cohn-Jury recursion on P(rho w) gives the number of
+      roots outside rho (_count_outside);
+    - seed: the up to LPC_ORDER // 2 deepest interior minima of the
+      predictor's envelope on the circle of radius SEED_RADIUS, from one
+      SEED_FFT-point FFT, are starting points (_envelope_seeds);
+    - polish: NEWTON_STEPS batched Newton steps on P (_newton_step);
+    - certify: the frame passes when no pivot of the count was under
+      ROOT_PIVOT_TOL, each kept root's last step was at most ROOT_STEP_TOL
+      of its modulus, the kept roots and their conjugates are distinct, and
+      the count is twice the number kept (_certified_roots).
+
+    A frame that fails, as one with a real root outside rho, a root within
+    rounding of rho or two roots in one dip of the envelope does, falls back
+    to the eigenvalues of its companion matrix. Each frame's result depends
+    on that frame alone.
     """
     grid = make_grid(len(clip.samples), clip.sample_rate, config.window_s, config.hop_s)
     win = grid.window_samples
@@ -467,19 +500,147 @@ def _fit_formants(frames: np.ndarray, sr: int) -> np.ndarray:
         degenerate |= bad
         err[bad] = 1.0
 
-    # batched companion-matrix eigenvalues for all frames of the block
+    roots = np.zeros((num, order), dtype=complex)
+    live = np.flatnonzero(~degenerate)
+    roots[live] = _formant_roots(a[live], sr)
+    freqs = np.angle(roots) * sr / (2.0 * np.pi)
+    return pick_formants(freqs, _narrow(roots, sr), degenerate, NUM_FORMANTS)
+
+
+def _narrow(roots: np.ndarray, sr: int) -> np.ndarray:
+    """Mask of the roots in the upper half plane with bandwidth under MAX_FORMANT_BANDWIDTH_HZ."""
+    with np.errstate(divide="ignore"):
+        bandwidths = -(sr / np.pi) * np.log(np.maximum(np.abs(roots), 1e-12))
+    return (roots.imag > 0) & (bandwidths < MAX_FORMANT_BANDWIDTH_HZ)
+
+
+def _formant_roots(a: np.ndarray, sr: int) -> np.ndarray:
+    """Roots of each row's predictor polynomial z**n + a_1 z**(n-1) + ... + a_n
+    that _narrow keeps, and zeros, or all n roots where the narrow ones are
+    not certified (see lpc_formants). a is (rows, n + 1) with a_0 = 1.
+    """
+    found, certified = _certified_roots(a, _envelope_seeds(a), sr)
+    roots = np.zeros((len(a), a.shape[1] - 1), dtype=complex)
+    roots[certified, : found.shape[1]] = found[certified]
+    roots[~certified] = _companion_roots(a[~certified])
+    return roots
+
+
+def _companion_roots(a: np.ndarray) -> np.ndarray:
+    """All roots of each row's predictor polynomial: the eigenvalues of its companion matrix."""
+    num, order = a.shape[0], a.shape[1] - 1
     comp = np.zeros((num, order, order))
     comp[:, 0, :] = -a[:, 1:]
     idx = np.arange(order - 1)
     comp[:, idx + 1, idx] = 1.0
-    roots = np.linalg.eigvals(comp)
+    return np.linalg.eigvals(comp)
 
-    angles = np.angle(roots)
-    freqs = angles * sr / (2.0 * np.pi)
-    with np.errstate(divide="ignore"):
-        bandwidths = -(sr / np.pi) * np.log(np.maximum(np.abs(roots), 1e-12))
-    keep = (roots.imag > 0) & (bandwidths < MAX_FORMANT_BANDWIDTH_HZ)
-    return pick_formants(freqs, keep, degenerate, NUM_FORMANTS)
+
+def _certified_roots(a: np.ndarray, seeds: np.ndarray, sr: int) -> tuple[np.ndarray, np.ndarray]:
+    """Narrow roots of each row's predictor polynomial P, polished by Newton
+    from that row's seeds, and whether they are certified to be all of P's
+    narrow roots.
+
+    Returns roots, shaped like seeds, with the roots _narrow keeps and zeros,
+    and certified, true for a row when the count of roots outside rho (see
+    _count_outside) had no relative pivot under ROOT_PIVOT_TOL, every kept
+    root's last Newton step was at most ROOT_STEP_TOL times its modulus,
+    the kept roots and their conjugates lie at least ROOT_SEPARATION apart,
+    and the count is twice the number kept.
+    """
+    rho = np.exp(-np.pi * MAX_FORMANT_BANDWIDTH_HZ / sr)
+    count, pivot = _count_outside(a, rho)
+    z = seeds.copy()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(NEWTON_STEPS):
+            step = _newton_step(a, z)
+            z -= step
+        kept = _narrow(z, sr)
+        converged = np.all(~kept | (np.abs(step) <= ROOT_STEP_TOL * np.abs(z)), axis=1)
+    # kept roots lie near the unit circle, so an absolute gap will do; NaN
+    # stands in for the others and is never too close. A root that close to
+    # its conjugate is real.
+    w = np.where(kept, z, np.nan)
+    distinct = ~np.any(kept & (z.imag < ROOT_SEPARATION / 2), axis=1)
+    for i in range(1, w.shape[1]):
+        distinct &= ~np.any(np.abs(w[:, :i] - w[:, i : i + 1]) < ROOT_SEPARATION, axis=1)
+    certified = (pivot >= ROOT_PIVOT_TOL) & converged & distinct & (2 * np.count_nonzero(kept, axis=1) == count)
+    return np.where(kept, z, 0.0), certified
+
+
+def _count_outside(a: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
+    """Number of roots with modulus over rho of each row's predictor
+    polynomial, and the smallest relative pivot of the count.
+
+    The Schur-Cohn-Jury recursion (Jury 1964; Marden, Geometry of
+    Polynomials, Thm 42.1) on q(w) = P(rho w): with q's coefficients c_0..c_d
+    in ascending powers, scaled to a largest modulus of 1, the transform
+    c_0 q - c_d q*, where q* is q with its coefficients reversed, has degree
+    d - 1. By Rouche's theorem it has as many roots in the unit disc as q
+    when the pivot c_0**2 - c_d**2 is positive, and as many as q*, that is
+    d less q's, when it is negative. A pivot of 0 means a root on the unit
+    circle, so a small one means a root within rounding of rho.
+    """
+    num, n = a.shape[0], a.shape[1] - 1
+    c = a[:, ::-1] * rho ** np.arange(n + 1)
+    # q has inside + sign * (roots in the disc of the current transform) roots in the disc
+    inside = np.zeros(num, dtype=int)
+    sign = np.ones(num, dtype=int)
+    pivot = np.full(num, np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for d in range(n, 0, -1):
+            c = c / np.max(np.abs(c), axis=1, keepdims=True)
+            c0, cd = c[:, :1], c[:, d : d + 1]
+            piv = (c0 * c0 - cd * cd)[:, 0]
+            pivot = np.minimum(pivot, np.abs(piv))
+            flip = piv < 0
+            inside += np.where(flip, sign * d, 0)
+            sign = np.where(flip, -sign, sign)
+            c = c0 * c[:, :d] - cd * c[:, d:0:-1]
+    return n - inside, pivot
+
+
+def _envelope_seeds(a: np.ndarray) -> np.ndarray:
+    """Newton seeds for the narrow roots of each row's predictor polynomial.
+
+    A(z) = 1 + a_1 / z + ... + a_n / z**n dips near each narrow root. Of its
+    squared modulus on the circle of radius SEED_RADIUS, sampled by one
+    SEED_FFT-point FFT of a_k SEED_RADIUS**-k, the up to n // 2 deepest
+    interior minima give the seeds, SEED_RADIUS e^{jw} at their angles w,
+    deepest first; a row with fewer minima has NaN in the slots left over.
+    The FFT runs on SEED_BLOCK rows at a time.
+    """
+    n = a.shape[1] - 1
+    scale = SEED_RADIUS ** -np.arange(n + 1)
+    circle = SEED_RADIUS * np.exp(2j * np.pi * np.arange(1, SEED_FFT // 2) / SEED_FFT)
+    seeds = np.full((len(a), n // 2), np.nan, dtype=complex)
+    for start in range(0, len(a), SEED_BLOCK):
+        env = np.fft.rfft(a[start : start + SEED_BLOCK] * scale, n=SEED_FFT, axis=1)
+        power = env.real**2
+        power += env.imag**2
+        del env
+        inner = power[:, 1:-1]
+        rows, cols = np.nonzero((inner < power[:, :-2]) & (inner <= power[:, 2:]))
+        # the minima sorted by row, then depth; rank counts them within the row
+        order = np.lexsort((inner[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        kept = rank < n // 2
+        seeds[start + rows[kept], rank[kept]] = circle[cols[kept]]
+    return seeds
+
+
+def _newton_step(a: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """P(z) / P'(z) for the predictor polynomial P of each row of a, at each
+    point of that row of z, by Horner's rule on P and P'."""
+    p = z + a[:, 1:2]
+    dp = np.ones_like(z)
+    for k in range(2, a.shape[1]):
+        dp *= z
+        dp += p
+        p *= z
+        p += a[:, k : k + 1]
+    return p / dp
 
 
 def pick_formants(freqs: np.ndarray, keep: np.ndarray, degenerate: np.ndarray, num_formants: int) -> np.ndarray:

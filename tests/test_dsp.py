@@ -9,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import signal as sps
 from scipy.fft import dct
 
@@ -481,16 +483,28 @@ def fft_lpc_formants(clip, order=12, num_formants=3, max_bandwidth_hz=400.0):
         degenerate |= bad
         err[bad] = 1.0
 
+    freqs, keep = eigvals_narrow_roots(a, sr, max_bandwidth_hz)
+    return loop_pick_formants(freqs, keep, degenerate, num_formants)
+
+
+def companion_roots(a):
+    """Reference: all roots of each row's predictor polynomial, the eigenvalues of its companion matrix."""
+    num, order = a.shape[0], a.shape[1] - 1
     comp = np.zeros((num, order, order))
     comp[:, 0, :] = -a[:, 1:]
     idx = np.arange(order - 1)
     comp[:, idx + 1, idx] = 1.0
-    roots = np.linalg.eigvals(comp)
+    return np.linalg.eigvals(comp)
+
+
+def eigvals_narrow_roots(a, sr, max_bandwidth_hz=400.0):
+    """Reference: frequencies of all roots of each row's predictor polynomial,
+    by the eigenvalues of its companion matrix, and the mask of the narrow ones."""
+    roots = companion_roots(a)
     freqs = np.angle(roots) * sr / (2.0 * np.pi)
     with np.errstate(divide="ignore"):
         bandwidths = -(sr / np.pi) * np.log(np.maximum(np.abs(roots), 1e-12))
-    keep = (roots.imag > 0) & (bandwidths < max_bandwidth_hz)
-    return loop_pick_formants(freqs, keep, degenerate, num_formants)
+    return freqs, (roots.imag > 0) & (bandwidths < max_bandwidth_hz)
 
 
 def silence_noise_tone_resonance():
@@ -547,6 +561,138 @@ def test_lpc_formants_zero_rows_and_zero_padding():
     tail = out[151:]
     assert np.all(np.abs(tail[:, 0] - 1500.0) < 100.0)
     assert np.all(tail[:, 1:] == 0.0)
+
+
+RHO = np.exp(-np.pi * 400.0 / SR)  # the modulus of a root of bandwidth 400 Hz
+
+
+def polynomial(roots):
+    """Predictor row [1, a_1, ..., a_n] of the real polynomial with these roots
+    and the conjugates of the complex ones."""
+    roots = np.asarray(roots, dtype=complex)
+    return np.poly(np.concatenate([roots, roots[roots.imag != 0].conj()])).real
+
+
+def pole(freq_hz, modulus):
+    return modulus * np.exp(2j * np.pi * freq_hz / SR)
+
+
+def check_against_eigvals(a):
+    """_formant_roots of predictor rows a pick what the companion eigenvalues
+    pick, and the reference's pick is returned."""
+    degenerate = np.zeros(len(a), dtype=bool)
+    roots = dsp._formant_roots(a, SR)
+    got = pick_formants(np.angle(roots) * SR / (2.0 * np.pi), dsp._narrow(roots, SR), degenerate, 6)
+    want = pick_formants(*eigvals_narrow_roots(a, SR), degenerate, 6)
+    assert np.array_equal(got > 0, want > 0)
+    assert np.all(np.abs(got - want) <= 1e-9 * want)
+    return want
+
+
+def certified(a):
+    return dsp._certified_roots(a, dsp._envelope_seeds(a), SR)[1]
+
+
+# the roots of each case that the certificate cannot vouch for, beside a
+# narrow one at 2500 Hz that it can and three broad ones
+BROAD = [pole(4000.0, 0.6), pole(5500.0, 0.8), pole(7000.0, 0.5)]
+FALLBACK_CASES = {
+    "root within rounding of the bar": [pole(1000.0, RHO + 1e-13), pole(300.0, 0.4)],
+    "double root": [pole(1000.0, 0.97), pole(1000.0, 0.97)],
+    "real root outside the bar": [0.97, 0.3, pole(1000.0, 0.97)],
+    "narrow roots 60 Hz apart": [pole(1000.0, 0.95), pole(1060.0, 0.95)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALLBACK_CASES))
+def test_formant_roots_fall_back_to_eigvals(name):
+    a = polynomial(FALLBACK_CASES[name] + [pole(2500.0, 0.97)] + BROAD)[None, :]
+    assert a.shape == (1, dsp.LPC_ORDER + 1)
+    assert not certified(a).any()
+    assert np.count_nonzero(check_against_eigvals(a)) >= 2
+
+
+@pytest.mark.parametrize("gap, flagged", [(1e-13, True), (-1e-13, True), (1e-3, False), (-1e-3, False)])
+def test_count_flags_a_root_within_rounding_of_the_bar(gap, flagged):
+    a = polynomial([pole(1000.0, RHO + gap), pole(300.0, 0.4), pole(2500.0, 0.97)] + BROAD)[None, :]
+    assert (dsp._count_outside(a, RHO)[1] < dsp.ROOT_PIVOT_TOL)[0] == flagged
+
+
+def cry_predictors(monkeypatch):
+    """The predictor rows lpc_formants hands _formant_roots on a planted cry."""
+    rows = []
+    real = dsp._formant_roots
+    monkeypatch.setattr(dsp, "_formant_roots", lambda a, sr: rows.append(a) or real(a, sr))
+    lpc_formants(resample(planted_cry(sample_rate=44100), SR), CFG)
+    monkeypatch.setattr(dsp, "_formant_roots", real)
+    return np.concatenate(rows)
+
+
+def test_most_frames_of_a_cry_skip_eigvals(monkeypatch):
+    rows = cry_predictors(monkeypatch)
+    assert len(rows) > 100
+    assert certified(rows).mean() > 0.9
+    check_against_eigvals(rows)
+
+
+@pytest.mark.parametrize("steps", [1, 2])
+def test_too_few_newton_steps_fall_back_rather_than_err(steps, monkeypatch):
+    rows = cry_predictors(monkeypatch)
+    monkeypatch.setattr(dsp, "NEWTON_STEPS", steps)
+    assert certified(rows).mean() < 0.9
+    check_against_eigvals(rows)
+
+
+def test_certificate_rejects_a_root_found_twice_or_a_real_one():
+    # seeds placed by hand: two on one of two narrow roots, and one that
+    # Newton takes onto the first of two real roots outside the bar, just
+    # above the real axis (by rounding, so on some machines just on or below)
+    twice = polynomial([pole(1000.0, 0.97), pole(2500.0, 0.97), pole(300.0, 0.4)] + BROAD)
+    real = polynomial([0.97, -0.97, pole(300.0, 0.4), pole(1000.0, 0.5)] + BROAD)
+    a = np.array([twice, real])
+    seeds = np.full((2, dsp.LPC_ORDER // 2), np.nan, dtype=complex)
+    seeds[0, :2] = pole(1000.0, 0.98)
+    seeds[1, 0] = 0.97 + 5e-3j
+    assert np.array_equal(dsp._count_outside(a, RHO)[0], [4, 2])
+    assert not dsp._certified_roots(a, seeds, SR)[1].any()
+
+
+def test_formant_roots_need_no_eigvals_without_narrow_roots():
+    # all-zero predictor coefficients: every root of P(z) = z**12 is 0, the
+    # count finds none outside the bar, and no root is left to vouch for
+    a = np.zeros((1, dsp.LPC_ORDER + 1))
+    a[0, 0] = 1.0
+    assert certified(a).all()
+    assert not check_against_eigvals(a).any()
+
+
+def stable_predictor(reflections):
+    """Predictor row of the stable all-pole model with these reflection
+    coefficients, by the Levinson step-up recursion."""
+    a = np.array([1.0])
+    for k in reflections:
+        a = np.append(a, 0.0)
+        a = a + k * a[::-1]
+    return a
+
+
+# reflection coefficients anywhere in (-1, 1) or within 1e-6 to 1e-2 of +-1,
+# where the model's roots near the unit circle
+reflection = st.one_of(
+    st.floats(-0.99, 0.99),
+    st.builds(lambda sign, gap: sign * (1.0 - gap), st.sampled_from([-1.0, 1.0]), st.floats(1e-6, 1e-2)),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.lists(reflection, min_size=12, max_size=12), min_size=1, max_size=8))
+def test_formant_roots_match_eigvals_on_stable_predictors(rows):
+    a = np.array([stable_predictor(k) for k in rows])
+    count, pivot = dsp._count_outside(a, RHO)
+    outside = np.count_nonzero(np.abs(companion_roots(a)) > RHO, axis=1)
+    trusted = pivot >= dsp.ROOT_PIVOT_TOL
+    assert np.array_equal(count[trusted], outside[trusted])
+    check_against_eigvals(a)
 
 
 def test_spectral_slope_exact():
