@@ -356,9 +356,10 @@ def read_csv_rows(path: str, header: list[str]) -> Iterator[tuple[int, list[str]
     the file of a wrong header or of bytes that are not UTF-8 (the text
     layer decodes ahead of csv, so a line would be wrong), and the file
     and line of a row that csv rejects (a field too long, say) or whose
-    width is not the header's; a blank line is a row of 0 fields.
+    width is not the header's; a blank line is a row of 0 fields. A
+    leading UTF-8 byte order mark, which spreadsheets write, is read past.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             if next(reader, None) != header:

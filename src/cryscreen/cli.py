@@ -37,13 +37,12 @@ from .pipeline import (
 from .synthcry import ClassProfile, make_corpus
 from .voicefeat import VOICE_FEATURE_NAMES
 
-FEATURE_SETS = ("voice", "cry", "both", "selected-voice", "selected-cry", "selected-both")
-
 _BASE_SETS = {
     "voice": VOICE_FEATURE_NAMES,
     "cry": CRY_FEATURE_NAMES,
     "both": FEATURE_COLUMNS,
 }
+FEATURE_SETS = (*_BASE_SETS, *(f"selected-{s}" for s in _BASE_SETS))
 
 
 def _load_cfg(path: str | None) -> PipelineConfig:
@@ -168,7 +167,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     # in a ValueError naming the file
     try:
         if args.profile:
-            with open(args.profile, encoding="utf-8") as fh:
+            with open(args.profile, encoding="utf-8-sig") as fh:
                 doc = json.load(fh)
             if not isinstance(doc, dict):
                 raise ValueError(f"a profile must be a JSON object, not {type(doc).__name__}")

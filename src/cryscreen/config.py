@@ -119,9 +119,10 @@ _FIELD_PARSER = {f.name: _PARSERS[f.type] for f in fields(PipelineConfig)}
 def load_config(path: str) -> PipelineConfig:
     """Read a flat UTF-8 key=value file; blank lines and # comments allowed.
 
-    Tuple-valued keys take comma-separated items.
+    Tuple-valued keys take comma-separated items. A leading byte order
+    mark is read past.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             lines = list(fh)
         except UnicodeDecodeError as exc:

@@ -52,7 +52,8 @@ class CurationError(ValueError):
 class FrontEnd:
     """Per-frame descriptors of one recording, computed once on one grid.
 
-    The arrays hold one value or row per frame of f0.grid. Segmentation
+    clip is the recording the grid frames, at config.sample_rate. The
+    arrays hold one value or row per frame of f0.grid. Segmentation
     reads f0 and loudness, the biomarker pass f0 and flatness, and the
     voice functionals the voicing, loudness, the 0-500 Hz spectral slope
     and MFCC 2, 3 and 4 (the three columns of mfcc2_4) at the unit frames. Pitch is tracked only on the frames of segmenter.pitch_frames,
@@ -63,6 +64,7 @@ class FrontEnd:
     keeps take a few numbers per frame.
     """
 
+    clip: AudioClip
     f0: dsp.F0Contour
     loudness: np.ndarray
     flatness: np.ndarray
@@ -97,38 +99,43 @@ def analyze_frames(clip: AudioClip, config: PipelineConfig) -> FrontEnd:
     # the last block's planes need not be alive beside the pitch tracker
     del spec, logmel
     f0 = dsp.estimate_f0(clip, config, frames=pitch_frames(loud, grid, config))
-    return FrontEnd(f0=f0, loudness=loud, flatness=flatness, slope0_500=slope, mfcc2_4=mfcc2_4)
-
-
-def segment_canonical(clip: AudioClip, config: PipelineConfig) -> tuple[CrySegmentation, FrontEnd]:
-    """Front end and cry units of a clip already at config.sample_rate."""
-    front = analyze_frames(clip, config)
-    return detect_cry_units(front.f0, front.loudness, config), front
+    return FrontEnd(clip=clip, f0=f0, loudness=loud, flatness=flatness, slope0_500=slope, mfcc2_4=mfcc2_4)
 
 
 def segment_clip(clip: AudioClip, config: PipelineConfig = PipelineConfig()) -> tuple[CrySegmentation, FrontEnd]:
-    return segment_canonical(resample(clip, config.sample_rate), config)
+    """Cry units and front end of a clip: the one way a clip enters the analysis.
+
+    Raises ValueError when the clip holds NaN or inf samples: they would
+    poison every statistic of the segmentation, which would then report
+    the recording as holding no cry. Otherwise the clip is resampled to
+    config.sample_rate, and front.clip holds the result.
+    """
+    if not np.isfinite(clip.samples).all():
+        bad = int(np.count_nonzero(~np.isfinite(clip.samples)))
+        raise ValueError(f"recording holds {bad} non-finite samples (NaN or inf)")
+    # rebound, so that a source at another rate is freed before the analysis
+    clip = resample(clip, config.sample_rate)
+    front = analyze_frames(clip, config)
+    return detect_cry_units(front.f0, front.loudness, config), front
 
 
 def extract_clip(clip: AudioClip, config: PipelineConfig = PipelineConfig()) -> tuple[dict[str, float], CrySegmentation]:
     """Full per-recording feature vector, or CurationError when unusable.
 
-    Raises ValueError when the clip holds NaN or inf samples: they would
-    poison every statistic of the segmentation, which would then report
-    the recording as holding no cry.
+    segment_clip's ValueError for NaN or inf samples passes through.
     """
-    if not np.isfinite(clip.samples).all():
-        bad = int(np.count_nonzero(~np.isfinite(clip.samples)))
-        raise ValueError(f"recording holds {bad} non-finite samples (NaN or inf)")
-    clip = resample(clip, config.sample_rate)
-    seg, front = segment_canonical(clip, config)
+    # the clip is handed on, not kept here, so segment_clip can free a
+    # source at another rate (a 44.1 kHz one outweighs the whole analysis)
+    held = [clip]
+    del clip
+    seg, front = segment_clip(held.pop(), config)
     if not meets_curation_rule(seg, config):
         raise CurationError(seg.total_cry_seconds, config.min_total_cry_s)
 
     smoothed = biomarkers.smooth_f0(front.f0.f0_hz, front.f0.voiced)
     flags = [unit_biomarker_flags(front.f0, front.flatness, unit, smoothed, config) for unit in seg.expirations]
     features = aggregate_biomarkers(seg, flags)
-    features.update(compute_generic_features(front, seg, concat_expirations(clip, seg), config))
+    features.update(compute_generic_features(front, seg, concat_expirations(front.clip, seg), config))
     return {name: features[name] for name in FEATURE_COLUMNS}, seg
 
 
@@ -247,7 +254,7 @@ def _parse_in_c(path: str) -> FeatureTable | None:
     """The table that _read_row_by_row reads, in one pass, or None for a file this parse declines."""
     limit = csv.field_size_limit()
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
             if next(csv.reader(fh), None) != ID_COLUMNS + FEATURE_COLUMNS:
                 return None
             lines = _lines_read_as_csv(fh, limit)

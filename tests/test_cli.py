@@ -6,7 +6,7 @@ import json
 import pytest
 
 from cryscreen.cli import FEATURE_SETS, build_parser, main
-from cryscreen.pipeline import read_features_csv
+from cryscreen.pipeline import _parse_in_c, read_features_csv
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +256,42 @@ def test_input_that_is_not_utf8_names_its_file(chain, tmp_path, capsys, kind):
     err = capsys.readouterr().err
     assert err.startswith(f"cry: error: {bad}: 'utf-8' codec can't decode byte 0xe9")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["manifest", "features", "split", "config", "profile"])
+def test_input_with_a_byte_order_mark_reads_as_without(chain, tmp_path, kind):
+    # spreadsheets' "CSV UTF-8" exports begin with EF BB BF
+    def outputs(path, out):
+        out.mkdir()
+        if kind == "manifest":
+            argv = ["extract", "--manifest", str(path), "--out", str(out / "f.csv")]
+            files = ["f.csv", "f.skipped.csv"]
+        elif kind == "features":
+            argv = ["select", "--features", str(path), "--out", str(out / "sel.json")]
+            files = ["sel.json"]
+        elif kind == "profile":
+            argv = ["synth", "--out", str(out / "corpus"), "--profile", str(path)]
+            files = ["corpus/manifest.csv", "corpus/ground_truth.json"]
+        else:
+            split, cfg = (path, chain["cfg"]) if kind == "split" else (chain["split"], path)
+            argv = ["train-eval", "--features", str(chain["features"]), "--split", str(split), "--config", str(cfg),
+                    "--model-out", str(out / "m.json"), "--metrics-out", str(out / "x.json")]
+            files = ["m.json", "x.json"]
+        assert main(argv) == 0
+        return [(out / name).read_bytes() for name in files]
+
+    if kind == "profile":
+        plain = tmp_path / "profile.json"
+        plain.write_text('{"n_per_class": 1, "sites": ["ESUTH"]}')
+    else:
+        plain = {"manifest": chain["corpus"] / "manifest.csv", "features": chain["features"],
+                 "split": chain["split"], "config": chain["cfg"]}[kind]
+    # a manifest's paths are relative to its directory
+    bom = plain.with_name(f"bom-{plain.name}")
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    if kind == "features":
+        assert _parse_in_c(str(bom)) is not None
+    assert outputs(bom, tmp_path / "bom") == outputs(plain, tmp_path / "plain")
 
 
 @pytest.mark.parametrize(

@@ -2,16 +2,19 @@
 
 import csv
 import os
+import pkgutil
 import subprocess
 import sys
 import tracemalloc
 import warnings
+import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from cryscreen import biomarkers, dsp, pipeline
+import cryscreen
+from cryscreen import audio_io, biomarkers, dsp, pipeline
 from cryscreen.audio_io import AudioClip, ManifestEntry, load_wav, save_manifest, write_wav
 from cryscreen.biomarkers import CRY_FEATURE_NAMES, smooth_f0, unit_biomarker_flags
 from cryscreen.config import PipelineConfig
@@ -136,6 +139,19 @@ def test_non_finite_samples_are_not_reported_as_short_cry(tmp_path):
     (skip,) = result.skipped
     assert skip.reason != "below 3s cry"
     assert "non-finite" in skip.reason
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_segment_clip_refuses_non_finite_samples_as_extract_clip_does(bad):
+    # a NaN spreads through the resampler and the segmentation's statistics,
+    # which then read as a recording with no cry
+    samples = np.zeros(44100)
+    samples[100] = bad
+    clip = AudioClip(samples, 44100)
+    for entry in (segment_clip, extract_clip):
+        with pytest.raises(ValueError, match=r"^recording holds 1 non-finite samples \(NaN or inf\)$") as info:
+            entry(clip)
+        assert not isinstance(info.value, CurationError)
 
 
 def rows_of(table):
@@ -694,6 +710,26 @@ def ward_clip(seed):
     return synth_cry(SynthSpec(units=units, sample_rate=44100, seed=seed))[0]
 
 
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="before 3.11 a caller holds its arguments until the call returns")
+def test_a_source_at_another_rate_is_freed_before_the_analysis(monkeypatch):
+    # a 44.1 kHz clip outweighs the whole analysis of its 16 kHz copy
+    sources, alive = [], []
+
+    def resample(clip, rate):
+        sources.append(weakref.ref(clip))
+        return audio_io.resample(clip, rate)
+
+    def analyze_frames_noting_the_source(clip, config):
+        alive.append(sources[-1]() is not None)
+        return analyze_frames(clip, config)
+
+    monkeypatch.setattr(pipeline, "resample", resample)
+    monkeypatch.setattr(pipeline, "analyze_frames", analyze_frames_noting_the_source)
+    extract_clip(ward_clip(seed=1))
+    segment_clip(ward_clip(seed=1))
+    assert alive == [False, False]
+
+
 def test_44k_features_match_a_resample_poly_reference(tmp_path):
     # the resampler agrees with scipy.signal.resample_poly to a few ulp, not
     # bit for bit; through extraction that leaves every biomarker column
@@ -776,3 +812,28 @@ def test_16k_extraction_csv_and_model_fitting_leave_scipy_unloaded(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["[]", "[]"]
+
+
+def imported_cryscreen_modules(statement):
+    """The cryscreen modules loaded after statement runs in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    code = f"import sys\n{statement}\nprint(*sorted(m for m in sys.modules if m.split('.')[0] == 'cryscreen'))\n"
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+def test_importing_dsp_loads_only_what_dsp_uses():
+    # the package root imports nothing, so a caller of the kernels loads
+    # neither the synthesizer nor the model code
+    assert imported_cryscreen_modules("import cryscreen.dsp") == ["cryscreen", "cryscreen.audio_io", "cryscreen.dsp"]
+
+
+# __main__ runs the command line when imported
+@pytest.mark.parametrize(
+    "module", sorted(m.name for m in pkgutil.iter_modules(cryscreen.__path__) if m.name != "__main__")
+)
+def test_each_module_imports_on_its_own(module):
+    assert f"cryscreen.{module}" in imported_cryscreen_modules(f"import cryscreen.{module}")
