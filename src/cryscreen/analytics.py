@@ -85,6 +85,10 @@ def select_consistent_features(matrix: FeatureMatrix, sites: list[str]) -> Selec
     """
     if len(sites) < 2:
         raise ValueError("sign-consistency selection needs at least two sites")
+    for i, s in enumerate(sites):
+        # a repeat would be compared with itself, which always agrees
+        if s in sites[:i]:
+            raise ValueError(f"site {s} is listed twice; sign-consistency selection needs distinct sites")
     site_rows = {}
     for s in sites:
         mask = np.array([row_site == s for row_site in matrix.sites])

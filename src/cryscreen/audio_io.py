@@ -104,13 +104,8 @@ def load_wav(path: str, rate: int | None = None) -> AudioClip:
         if audio_format not in (1, 3):
             raise UnsupportedWavError(f"{path}: unsupported audio format tag {audio_format}")
 
-        # Blocks leave no clip-sized temporary to free, so glibc's mmap
-        # threshold is no longer lifted to a clip's size before the analysis
-        # runs. Minor page faults per recording, over two extract_manifest
-        # passes of the seed-1 benchmark inputs, fell from 523-1069 to
-        # 124-256 on clinic16k (10 s, 16 kHz PCM16) and rose from 1800-1921
-        # to 3322-4180 on ward44k (72-94 s, 44.1 kHz float32); the
-        # benchmark's ops_per_s moved by under 3% on either (2 vCPUs).
+        # Blocks leave no clip-sized temporary to free, which would lift
+        # glibc's mmap threshold to a clip's size before the analysis runs.
         n = data_size // (num_channels * bits // 8)
         fh.seek(data_start)
         blocks = _decode_blocks(fh, path, data_size, audio_format, num_channels, bits)

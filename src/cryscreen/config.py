@@ -7,15 +7,16 @@ threshold from the PipelineConfig they are passed, the segmenter and the
 biomarker detectors their thresholds, and the command line the
 cross-validation folds, penalty grid and selection sites. Unknown keys
 are rejected so a typo cannot silently fall back to a default, and
-values that no run can use (a NaN or infinite float, or one that no
-analysis grid, Mel filterbank, 0-500 Hz slope band, LPC fit, pitch range,
-cry minimum or cross-validation fits) are rejected by name.
+values that no run can use (a NaN or infinite float, one outside the
+bounds its field declares, or one that no analysis grid, Mel filterbank,
+0-500 Hz slope band, LPC fit or pitch range fits) are rejected by name.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from collections.abc import Mapping
+from dataclasses import dataclass, field, fields
 
 from .dsp import (
     FRONT_END_MFCC_COEFFS,
@@ -28,45 +29,61 @@ from .dsp import (
 )
 
 
+def check_bounds(name: str, value, bounds: Mapping[str, float]) -> None:
+    """Raise ValueError naming `name` unless value, or each item of a tuple,
+    is finite and keeps each rule of bounds ("at_least", "above" or
+    "at_most", mapped to its number), as a field's metadata declares them."""
+    for v in value if isinstance(value, tuple) else (value,):
+        # inf overflows the grid's whole samples, and NaN fails every
+        # threshold it is compared with
+        if isinstance(v, float) and not math.isfinite(v):
+            raise ValueError(f"{name}={v!r} is not a finite number")
+        for rule, bound in bounds.items():
+            if not {"at_least": v >= bound, "above": v > bound, "at_most": v <= bound}[rule]:
+                raise ValueError(f"{name}={v!r} must be {rule.replace('_', ' ')} {bound:g}")
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    sample_rate: int = 16000
+    sample_rate: int = field(default=16000, metadata={"above": 0})
     window_s: float = 0.025
     hop_s: float = 0.010
-    num_mel_bands: int = 80
+    num_mel_bands: int = field(default=80, metadata={"above": 0})
     # newborn cry F0 stays in the hundreds of Hz; a floor of 250 keeps the
     # subharmonic lags that noise favors out of the search range entirely
     f0_min_hz: float = 250.0
     f0_max_hz: float = 1600.0
-    voicing_threshold: float = 0.5
-    active_fraction: float = 0.5
-    voicing_halfwidth_frames: int = 3
-    min_unit_s: float = 0.2
-    min_pause_s: float = 0.05
-    min_total_cry_s: float = 3.0
-    hyperphonation_f0_hz: float = 1000.0
-    dysphonation_flatness: float = 0.30
-    glide_delta_hz: float = 600.0
-    glide_max_span_s: float = 0.1
-    vibrato_prominence_hz: float = 40.0
-    vibrato_min_extrema: int = 4
-    vibrato_max_spacing_s: float = 0.1
-    hyperphonation_min_run_s: float = 0.1
-    dysphonation_min_run_s: float = 0.1
-    melody_flat_ratio: float = 0.15
-    cv_folds: int = 10
-    reg_grid: tuple[float, ...] = (0.1, 1.0, 10.0, 100.0)
+    # a YIN confidence lies in [0, 1], and the activation level sits this
+    # fraction of the way up the loudness span
+    voicing_threshold: float = field(default=0.5, metadata={"at_least": 0.0, "at_most": 1.0})
+    active_fraction: float = field(default=0.5, metadata={"at_least": 0.0, "at_most": 1.0})
+    # here and below, a frame count, duration or ratio under 0 means nothing
+    voicing_halfwidth_frames: int = field(default=3, metadata={"at_least": 0})
+    min_unit_s: float = field(default=0.2, metadata={"at_least": 0.0})
+    min_pause_s: float = field(default=0.05, metadata={"at_least": 0.0})
+    # under 0.5 s a spliced cry is too short for stable voice functionals
+    min_total_cry_s: float = field(default=3.0, metadata={"at_least": 0.5})
+    # a pitch, pitch jump or prominence of 0 would pass every frame
+    hyperphonation_f0_hz: float = field(default=1000.0, metadata={"above": 0.0})
+    # a spectral flatness lies in [0, 1]
+    dysphonation_flatness: float = field(default=0.30, metadata={"at_least": 0.0, "at_most": 1.0})
+    glide_delta_hz: float = field(default=600.0, metadata={"above": 0.0})
+    glide_max_span_s: float = field(default=0.1, metadata={"at_least": 0.0})
+    vibrato_prominence_hz: float = field(default=40.0, metadata={"above": 0.0})
+    # at 0 a unit with no pitch extremum would be a vibrato
+    vibrato_min_extrema: int = field(default=4, metadata={"at_least": 1})
+    vibrato_max_spacing_s: float = field(default=0.1, metadata={"at_least": 0.0})
+    hyperphonation_min_run_s: float = field(default=0.1, metadata={"at_least": 0.0})
+    dysphonation_min_run_s: float = field(default=0.1, metadata={"at_least": 0.0})
+    melody_flat_ratio: float = field(default=0.15, metadata={"at_least": 0.0})
+    # cross-validation needs two folds and penalty strengths above 0
+    cv_folds: int = field(default=10, metadata={"at_least": 2})
+    reg_grid: tuple[float, ...] = field(default=(0.1, 1.0, 10.0, 100.0), metadata={"above": 0.0})
     selection_sites: tuple[str, ...] = ("ESUTH", "LASUTH", "SCDM")
 
     def __post_init__(self) -> None:
-        # inf overflows the grid's whole samples, and NaN fails every
-        # threshold it is compared with
         for f in fields(self):
-            if f.type == "float" and not math.isfinite(getattr(self, f.name)):
-                raise ValueError(f"{f.name}={getattr(self, f.name)!r} is not a finite number")
-        for key in ("sample_rate", "num_mel_bands"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be positive, got {getattr(self, key)!r}")
+            check_bounds(f.name, getattr(self, f.name), f.metadata)
         for key in ("window_s", "hop_s"):
             # dsp.make_grid rounds to whole samples, and round(x) >= 1
             # exactly when x > 0.5
@@ -90,21 +107,8 @@ class PipelineConfig:
             f0_lag_range(self.sample_rate, self.f0_min_hz, self.f0_max_hz, win)
         except ValueError as exc:
             raise ValueError(f"f0_min_hz={self.f0_min_hz!r}, f0_max_hz={self.f0_max_hz!r}: {exc}") from None
-        # the curation rule is the only cry minimum: under 0.5 s the spliced
-        # cry is too short for stable voice functionals, and at 0 a
-        # recording with no cry unit would pass it
-        if not self.min_total_cry_s >= 0.5:
-            raise ValueError(f"min_total_cry_s={self.min_total_cry_s!r} must be at least 0.5")
-        # a YIN confidence lies in [0, 1]; a threshold above 1 voices no frame
-        if not 0.0 <= self.voicing_threshold <= 1.0:
-            raise ValueError(f"voicing_threshold={self.voicing_threshold!r} must lie within [0, 1]")
-        if not self.cv_folds >= 2:
-            raise ValueError(f"cv_folds={self.cv_folds!r}: cross-validation needs at least 2 folds")
         if not self.reg_grid:
             raise ValueError("reg_grid is empty: cross-validation needs at least one penalty strength")
-        for strength in self.reg_grid:
-            if not 0.0 < strength < math.inf:
-                raise ValueError(f"reg_grid holds {strength!r}: a penalty strength must be positive and finite")
 
 
 _PARSERS = {

@@ -19,7 +19,7 @@ import numpy as np
 
 from .audio_io import AudioClip, ManifestEntry, save_manifest, write_wav
 from .biomarkers import MELODY_TYPES, UnitFlags, classify_melody, smooth_f0
-from .config import PipelineConfig
+from .config import PipelineConfig, check_bounds
 from .dsp import F0Contour, make_grid
 from .segmenter import CrySegmentation
 
@@ -357,8 +357,7 @@ def _number(key: str, v) -> float:
 class ClassProfile:
     """Per-unit event and melody probabilities for one class.
 
-    A field's metadata bounds what from_json_dict takes: the value, or a
-    range's low end, must be "at_least" or "above" the floor it gives.
+    Its fields' metadata bounds what from_json_dict takes (check_bounds).
     """
 
     p_hyperphonation: float = field(default=0.05, metadata={"at_least": 0.0})
@@ -381,7 +380,7 @@ class ClassProfile:
 
         Each key is read by its field's declared type. Raises ValueError
         naming the key that is not a field; a number that is not finite or
-        is under its field's floor; melody_probs that do not map melodies
+        is out of its field's bounds; melody_probs that do not map melodies
         of MELODY_TYPES to weights of at least 0, one of them above 0; and
         a range that is not two numbers, low to high, whole for a count.
         """
@@ -403,7 +402,7 @@ class ClassProfile:
                 values[key] = weights
                 continue
             if f.type == "float":
-                values[key] = low = _number(key, v)
+                values[key] = _number(key, v)
             else:  # a range
                 if not (isinstance(v, list) and len(v) == 2):
                     raise ValueError(f"{key} must be a list of two numbers, not {v!r}")
@@ -415,9 +414,7 @@ class ClassProfile:
                         raise ValueError(f"{key} must hold whole numbers, not {v!r}")
                     low, high = int(low), int(high)
                 values[key] = (low, high)
-            for rule, floor in f.metadata.items():
-                if low < floor or (rule == "above" and low == floor):
-                    raise ValueError(f"{key} must be {rule.replace('_', ' ')} {floor:g}, not {v!r}")
+            check_bounds(key, values[key], f.metadata)
         return ClassProfile(**values)
 
 

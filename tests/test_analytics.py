@@ -96,6 +96,9 @@ def test_selection_validates_sites():
     m, _ = _selection_fixture()
     with pytest.raises(ValueError, match="at least two sites"):
         select_consistent_features(m, ["A"])
+    # a site compared with itself always agrees, so selection would keep all
+    with pytest.raises(ValueError, match="site A is listed twice"):
+        select_consistent_features(m, ["A", "B", "A"])
     with pytest.raises(ValueError, match="has no rows"):
         select_consistent_features(m, ["A", "Z"])
     single = matrix_of([[1.0], [2.0]], [1, 1], sites=["A", "B"])

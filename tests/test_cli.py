@@ -174,15 +174,31 @@ def test_unusable_model_config_is_a_clean_error(chain, tmp_path, capsys, line, k
                                        ("num_mel_bands=300", "num_mel_bands"), ("f0_min_hz=0", "f0_min_hz"),
                                        ("f0_min_hz=50", "f0_min_hz"), ("f0_min_hz=2000", "f0_min_hz"),
                                        ("window_s=inf", "window_s"), ("min_pause_s=inf", "min_pause_s"),
-                                       ("min_total_cry_s=0.3", "min_total_cry_s")])
+                                       ("min_total_cry_s=0.3", "min_total_cry_s"),
+                                       ("active_fraction=3", "active_fraction"),
+                                       ("dysphonation_flatness=2", "dysphonation_flatness"),
+                                       ("voicing_halfwidth_frames=-5 min_pause_s=-1", "voicing_halfwidth_frames"),
+                                       ("voicing_halfwidth_frames=-1 min_pause_s=-0.01", "voicing_halfwidth_frames")])
 def test_unusable_config_is_a_clean_error(chain, tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
-    cfg.write_text(f"{line}\n")
+    # an entry of several keys is written one key a line
+    cfg.write_text("".join(f"{entry}\n" for entry in line.split()))
     out = tmp_path / "f.csv"
     code = main(["extract", "--manifest", str(chain["corpus"] / "manifest.csv"), "--out", str(out), "--config", str(cfg)])
     assert code == 1
     err = capsys.readouterr().err
     assert f"cry: error: {cfg}: {key}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_site_listed_twice_is_a_clean_error(chain, tmp_path, capsys):
+    cfg = tmp_path / "sites.cfg"
+    cfg.write_text("selection_sites=ESUTH,ESUTH\n")
+    out = tmp_path / "sel.json"
+    assert main(["select", "--features", str(chain["features"]), "--out", str(out), "--config", str(cfg)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("cry: error: site ESUTH is listed twice")
     assert "Traceback" not in err
     assert not out.exists()
 
@@ -318,7 +334,7 @@ def test_input_with_a_byte_order_mark_reads_as_without(chain, tmp_path, kind):
         (b'{"positive": {"num_units_range": [0, 0]}}', "num_units_range"),
         (b'{"positive": {"unit_duration_range": [-1, 0]}}', "unit_duration_range"),
         # above 0 but under one sample: too short for the unit's edge ramps
-        (b'{"negative": {"unit_duration_range": [1e-5, 1e-5]}}', "unit_duration_range must be at least 0.03"),
+        (b'{"negative": {"unit_duration_range": [1e-5, 1e-5]}}', "unit_duration_range=1e-05 must be at least 0.03"),
         (b'{"positive": {"pause_range": [-0.5, 0.2]}}', "pause_range"),
     ],
     ids=["not-utf8", "truncated", "list", "sites-number", "range-number", "melody-probs-list", "melody-unknown",

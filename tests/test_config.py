@@ -1,5 +1,7 @@
 import inspect
 import json
+import math
+import re
 import tempfile
 from dataclasses import fields, replace
 from pathlib import Path
@@ -117,9 +119,9 @@ def test_default_file_text_is_fixed(tmp_path):
 
 
 UNUSABLE_GRID = [
-    ("sample_rate=0", "sample_rate must be positive, got 0"),
-    ("sample_rate=-16000", "sample_rate must be positive"),
-    ("num_mel_bands=0", "num_mel_bands must be positive, got 0"),
+    ("sample_rate=0", "sample_rate=0 must be above 0"),
+    ("sample_rate=-16000", "sample_rate=-16000 must be above 0"),
+    ("num_mel_bands=0", "num_mel_bands=0 must be above 0"),
     ("hop_s=0", "hop_s=0.0 is under one sample at sample_rate=16000"),
     ("hop_s=-0.01", "hop_s=-0.01 is under one sample"),
     ("window_s=0", "window_s=0.0 is under one sample"),
@@ -154,17 +156,17 @@ UNUSABLE_RUN = [
     ("sample_rate=4000 window_s=0.003 hop_s=0.001 f0_min_hz=700 f0_max_hz=1500 num_mel_bands=6",
      "window_s=0.003: LPC order 12 must be below the window length 12"),
     # a YIN confidence never exceeds 1, so no frame would be voiced
-    ("voicing_threshold=2", r"voicing_threshold=2.0 must lie within \[0, 1\]"),
-    ("voicing_threshold=1.01", r"voicing_threshold=1.01 must lie within \[0, 1\]"),
-    ("voicing_threshold=-0.1", r"voicing_threshold=-0.1 must lie within \[0, 1\]"),
+    ("voicing_threshold=2", "voicing_threshold=2.0 must be at most 1"),
+    ("voicing_threshold=1.01", "voicing_threshold=1.01 must be at most 1"),
+    ("voicing_threshold=-0.1", "voicing_threshold=-0.1 must be at least 0"),
     ("voicing_threshold=nan", "voicing_threshold=nan is not a finite number"),
     # the curation rule is the only cry minimum, and a recording needs 0.5 s
     ("min_total_cry_s=0.3", "min_total_cry_s=0.3 must be at least 0.5"),
     ("min_total_cry_s=0", "min_total_cry_s=0.0 must be at least 0.5"),
-    ("cv_folds=0", "cv_folds=0: cross-validation needs at least 2 folds"),
-    ("cv_folds=1", "cv_folds=1: cross-validation needs at least 2 folds"),
-    ("reg_grid=-1", "reg_grid holds -1.0: a penalty strength must be positive and finite"),
-    ("reg_grid=1,inf", "reg_grid holds inf"),
+    ("cv_folds=0", "cv_folds=0 must be at least 2"),
+    ("cv_folds=1", "cv_folds=1 must be at least 2"),
+    ("reg_grid=-1", "reg_grid=-1.0 must be above 0"),
+    ("reg_grid=1,inf", "reg_grid=inf is not a finite number"),
     ("reg_grid=", "reg_grid is empty"),
 ]
 
@@ -188,6 +190,34 @@ def test_non_finite_float_names_the_key(tmp_path, key, value):
     path.write_text(f"{key}={value}\n")
     with pytest.raises(ValueError, match=rf"cfg.txt: {key}={value} is not a finite number"):
         load_config(str(path))
+
+
+BOUNDS = [(f.name, f.type, rule, bound) for f in fields(PipelineConfig) for rule, bound in f.metadata.items()]
+
+
+@pytest.mark.parametrize("key, kind, rule, bound", BOUNDS, ids=[f"{key}-{rule}" for key, _, rule, _ in BOUNDS])
+def test_declared_bound_holds_at_its_edge(tmp_path, key, kind, rule, bound):
+    path = tmp_path / "cfg.txt"
+    refused = re.escape(f"{path}: {key}=")
+    path.write_text(f"{key}={bound!r}\n")
+    if rule == "above":
+        with pytest.raises(ValueError, match=refused):
+            load_config(str(path))
+    else:
+        assert getattr(load_config(str(path)), key) == bound
+    # the nearest value past the bound: the next whole number or float
+    sign = 1 if rule == "at_most" else -1
+    past = bound + sign if kind == "int" else math.nextafter(bound, sign * math.inf)
+    path.write_text(f"{key}={past!r}\n")
+    with pytest.raises(ValueError, match=refused):
+        load_config(str(path))
+
+
+def test_every_key_but_the_cross_checked_ones_declares_a_bound():
+    # the grid and the pitch range are checked against each other and the
+    # sample rate, and sites are names
+    unbounded = {f.name for f in fields(PipelineConfig) if not f.metadata}
+    assert unbounded == {"window_s", "hop_s", "f0_min_hz", "f0_max_hz", "selection_sites"}
 
 
 def test_run_values_follow_the_grid():
