@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -34,7 +34,7 @@ from .pipeline import (
     write_features_csv,
     write_skipped_csv,
 )
-from .synthcry import ClassProfile, make_corpus
+from .synthcry import CorpusProfile, load_profile, make_corpus
 from .voicefeat import VOICE_FEATURE_NAMES
 
 _BASE_SETS = {
@@ -156,42 +156,15 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    if args.n_per_class is not None and args.n_per_class < 1:
-        raise ValueError(f"--n-per-class must be at least 1, got {args.n_per_class}")
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
-    doc = {}
-    # make_corpus's defaults hold for what neither the profile nor a flag sets
-    kwargs = {}
-    # a --profile fault, UnicodeDecodeError and JSONDecodeError included, ends
-    # in a ValueError naming the file
-    try:
-        if args.profile:
-            with open(args.profile, encoding="utf-8-sig") as fh:
-                doc = json.load(fh)
-            if not isinstance(doc, dict):
-                raise ValueError(f"a profile must be a JSON object, not {type(doc).__name__}")
-            unknown = sorted(set(doc) - {"n_per_class", "sites", "positive", "negative"})
-            if unknown:
-                raise ValueError(f"unknown profile keys {unknown}")
-        if "n_per_class" in doc:
-            n_per_class = doc["n_per_class"]
-            # bool is an int; NaN and inf leave a remainder of NaN
-            whole = isinstance(n_per_class, (int, float)) and not isinstance(n_per_class, bool) and n_per_class % 1 == 0
-            if not (whole and n_per_class >= 1):
-                raise ValueError(f"n_per_class must be a whole number of at least 1, not {n_per_class!r}")
-            kwargs["n_per_class"] = int(n_per_class)
-        if "sites" in doc:
-            sites = doc["sites"]
-            if not (isinstance(sites, list) and sites and all(isinstance(s, str) for s in sites)):
-                raise ValueError(f"sites must be a list of site names, not {sites!r}")
-            kwargs["sites"] = tuple(sites)
-        kwargs.update({key: ClassProfile.from_json_dict(doc[key]) for key in ("positive", "negative") if key in doc})
-    except ValueError as exc:
-        raise ValueError(f"{args.profile}: {exc}") from None
+    profile = load_profile(args.profile) if args.profile else CorpusProfile()
     if args.n_per_class is not None:
-        kwargs["n_per_class"] = args.n_per_class
-    records = make_corpus(args.out, seed=args.seed, **kwargs)
+        try:
+            profile = replace(profile, n_per_class=args.n_per_class)
+        except ValueError as exc:
+            raise ValueError(f"--n-per-class: {exc}") from None
+    records = make_corpus(args.out, seed=args.seed, **vars(profile))
     print(f"wrote {len(records)} recordings to {args.out}", file=sys.stderr)
     return 0
 
@@ -228,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a synthetic labeled corpus with ground truth")
     p.add_argument("--out", required=True)
-    p.add_argument("--profile", help="JSON with n_per_class, sites, positive/negative class profiles")
+    p.add_argument("--profile", help="JSON object of synthcry.CorpusProfile's fields")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--n-per-class", type=int)
     p.set_defaults(func=cmd_synth)

@@ -12,12 +12,13 @@ pipeline can be verified against an exact expected answer.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import asdict, dataclass, field, fields
+import os
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .audio_io import AudioClip, ManifestEntry, save_manifest, write_wav
+from .audio_io import SITES, AudioClip, ManifestEntry, save_manifest, write_wav
 from .biomarkers import MELODY_TYPES, UnitFlags, classify_melody, smooth_f0
 from .config import PipelineConfig, check_bounds
 from .dsp import F0Contour, make_grid
@@ -345,20 +346,57 @@ def _expected_vector(seg: CrySegmentation, flags: list[UnitFlags]) -> dict[str, 
     return out
 
 
-def _number(key: str, v) -> float:
-    """v as a float when it is a finite JSON number; ValueError naming key otherwise."""
+_EVENT_PROBS = tuple(f"p_{event}" for event in EVENTS[1:])
+
+
+class _JsonRecord:
+    """A dataclass read from a JSON object by its fields' declared types,
+    whose fields keep their metadata's bounds and whose ints are whole."""
+
+    @classmethod
+    def from_json_dict(cls, d: dict):
+        """The record of a JSON object; keys it leaves out keep their defaults."""
+        return _from_json(cls, cls.__name__, d)
+
+    def _check_fields(self) -> None:
+        for f in fields(self):
+            value = getattr(self, f.name)
+            check_bounds(f.name, value, f.metadata)
+            items = value if isinstance(value, tuple) else (value,)
+            # type(True) is bool, not int
+            if f.type in ("int", "tuple[int, int]") and any(type(v) is not int for v in items):
+                raise ValueError(f"{f.name}={value!r} must be whole")
+
+
+def _from_json(kind, key: str, v):
+    """The JSON value v as a value of type kind, refusing a JSON type that
+    does not fit or an unknown key, by name; the record checks the rest."""
+    if get_origin(kind) is tuple:
+        if not isinstance(v, list):
+            raise ValueError(f"{key} must be a list, not {v!r}")
+        return tuple(_from_json(get_args(kind)[0], key, x) for x in v)
+    if get_origin(kind) is dict or is_dataclass(kind):
+        if not isinstance(v, dict):
+            raise ValueError(f"{key} must be a JSON object, not {v!r}")
+        if get_origin(kind) is dict:
+            return {k: _from_json(get_args(kind)[1], f"{key}[{k!r}]", x) for k, x in v.items()}
+        hints = get_type_hints(kind)
+        unknown = sorted(set(v) - set(hints))
+        if unknown:
+            raise ValueError(f"unknown {key} keys {unknown}")
+        return kind(**{k: _from_json(hints[k], k, x) for k, x in v.items()})
+    if kind is str:
+        return v
     # bool is an int to isinstance
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
-        raise ValueError(f"{key} must be a finite number, not {v!r}")
-    return float(v)
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValueError(f"{key} must be a number, not {v!r}")
+    # a fraction stays a float, for the whole-number rule to refuse
+    return int(v) if kind is int and v % 1 == 0 else float(v)
 
 
-@dataclass
-class ClassProfile:
-    """Per-unit event and melody probabilities for one class.
-
-    Its fields' metadata bounds what from_json_dict takes (check_bounds).
-    """
+@dataclass(frozen=True)
+class ClassProfile(_JsonRecord):
+    """Per-unit event and melody probabilities for one class."""
 
     p_hyperphonation: float = field(default=0.05, metadata={"at_least": 0.0})
     p_dysphonation: float = field(default=0.10, metadata={"at_least": 0.0})
@@ -374,48 +412,19 @@ class ClassProfile:
     base_f0_range: tuple[float, float] = field(default=(380.0, 520.0), metadata={"above": 0.0})
     dysphonation_snr_db: float = 2.0
 
-    @staticmethod
-    def from_json_dict(d: dict) -> "ClassProfile":
-        """The profile of a JSON object; keys it leaves out keep their defaults.
-
-        Each key is read by its field's declared type. Raises ValueError
-        naming the key that is not a field; a number that is not finite or
-        is out of its field's bounds; melody_probs that do not map melodies
-        of MELODY_TYPES to weights of at least 0, one of them above 0; and
-        a range that is not two numbers, low to high, whole for a count.
-        """
-        if not isinstance(d, dict):
-            raise ValueError(f"a class profile must be a JSON object, not {d!r}")
-        declared = {f.name: f for f in fields(ClassProfile)}
-        unknown = sorted(set(d) - set(declared))
-        if unknown:
-            raise ValueError(f"unknown class profile keys {unknown}")
-        values = {}
-        for key, v in d.items():
-            f = declared[key]
-            if f.type == "dict[str, float]":
-                if not (isinstance(v, dict) and set(v) <= set(MELODY_TYPES)):
-                    raise ValueError(f"{key} must map melodies of {MELODY_TYPES} to numbers, not {v!r}")
-                weights = {m: _number(f"{key}[{m!r}]", w) for m, w in v.items()}
-                if min(weights.values(), default=0.0) < 0.0 or sum(weights.values()) <= 0.0:
-                    raise ValueError(f"{key} must hold weights of at least 0, one of them above 0, not {v!r}")
-                values[key] = weights
-                continue
-            if f.type == "float":
-                values[key] = _number(key, v)
-            else:  # a range
-                if not (isinstance(v, list) and len(v) == 2):
-                    raise ValueError(f"{key} must be a list of two numbers, not {v!r}")
-                low, high = (_number(key, x) for x in v)
-                if low > high:
-                    raise ValueError(f"{key} must run from low to high, not {v!r}")
-                if f.type == "tuple[int, int]":
-                    if low % 1 or high % 1:
-                        raise ValueError(f"{key} must hold whole numbers, not {v!r}")
-                    low, high = int(low), int(high)
-                values[key] = (low, high)
-            check_bounds(key, values[key], f.metadata)
-        return ClassProfile(**values)
+    def __post_init__(self) -> None:
+        self._check_fields()
+        for name, value in vars(self).items():
+            if isinstance(value, tuple) and not (len(value) == 2 and value[0] <= value[1]):
+                raise ValueError(f"{name}={value!r} must be a pair running from low to high")
+        total = sum(getattr(self, key) for key in _EVENT_PROBS)
+        # a sum of 1 written in decimals can round a little above it
+        if total > 1.0 + 1e-9:
+            raise ValueError(f"{' + '.join(_EVENT_PROBS)} = {total:g} must be at most 1")
+        for melody, weight in self.melody_probs.items():
+            check_bounds(f"melody_probs[{melody!r}]", weight, {"at_least": 0.0})
+        if not (set(self.melody_probs) <= set(MELODY_TYPES) and sum(self.melody_probs.values()) > 0.0):
+            raise ValueError(f"melody_probs={self.melody_probs!r} must weigh melodies of {MELODY_TYPES}, one above 0")
 
 
 # prevalence directions mirror clinical reports: the affected class shows
@@ -439,6 +448,33 @@ DEFAULT_NEGATIVE_PROFILE = ClassProfile(
 _POSITIVE_LABELS = ("mild", "moderate", "severe")
 
 
+@dataclass(frozen=True)
+class CorpusProfile(_JsonRecord):
+    """A synthetic corpus: the recordings per class, the sites they take in
+    turn, and each class's profile."""
+
+    n_per_class: int = field(default=100, metadata={"at_least": 1})
+    # the sites cry select reads at the default config
+    sites: tuple[str, ...] = PipelineConfig().selection_sites
+    positive: ClassProfile = DEFAULT_POSITIVE_PROFILE
+    negative: ClassProfile = DEFAULT_NEGATIVE_PROFILE
+
+    def __post_init__(self) -> None:
+        self._check_fields()
+        # load_manifest reads any other site as OTHER
+        if not (self.sites and all(isinstance(s, str) and s in SITES for s in self.sites)):
+            raise ValueError(f"sites={self.sites!r} must name one or more sites of {sorted(SITES)}")
+
+
+def load_profile(path: str) -> CorpusProfile:
+    """Read a UTF-8 JSON cry synth profile; each fault names the file."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return CorpusProfile.from_json_dict(json.load(fh))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 @dataclass
 class CorpusRecord:
     entry: ManifestEntry
@@ -447,7 +483,7 @@ class CorpusRecord:
 
 def random_unit(profile: ClassProfile, rng: np.random.Generator) -> UnitSpec:
     """Draw one unit: melody shape, optional event, and safe placement."""
-    probs = [profile.p_hyperphonation, profile.p_dysphonation, profile.p_glide, profile.p_vibrato]
+    probs = [getattr(profile, key) for key in _EVENT_PROBS]
     probs = [max(0.0, 1.0 - sum(probs))] + probs
     event = EVENTS[rng.choice(len(EVENTS), p=np.array(probs) / sum(probs))]
     melodies = list(profile.melody_probs)
@@ -511,30 +547,17 @@ def random_recording_spec(profile: ClassProfile, rng: np.random.Generator) -> Sy
     return SynthSpec(units=units, seed=int(rng.integers(0, 2**31 - 1)))
 
 
-def make_corpus(
-    out_dir: str,
-    n_per_class: int = 100,
-    positive: ClassProfile | None = None,
-    negative: ClassProfile | None = None,
-    seed: int = 0,
-    sites: tuple[str, ...] = PipelineConfig().selection_sites,
-) -> list[CorpusRecord]:
-    """Write a labeled synthetic corpus: WAVs, manifest.csv, ground_truth.json.
-
-    The default sites are the ones cry select reads at the default config.
-    """
-    import os
-
+def make_corpus(out_dir: str, *, seed: int = 0, **profile) -> list[CorpusRecord]:
+    """Write the labeled corpus of CorpusProfile(**profile): WAVs, manifest.csv, ground_truth.json."""
+    corpus = CorpusProfile(**profile)
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
-    positive = positive if positive is not None else DEFAULT_POSITIVE_PROFILE
-    negative = negative if negative is not None else DEFAULT_NEGATIVE_PROFILE
 
     records: list[CorpusRecord] = []
     idx = 0
-    for cls, profile, count in ((0, negative, n_per_class), (1, positive, n_per_class)):
-        for i in range(count):
-            spec = random_recording_spec(profile, rng)
+    for cls, class_profile in ((0, corpus.negative), (1, corpus.positive)):
+        for i in range(corpus.n_per_class):
+            spec = random_recording_spec(class_profile, rng)
             clip, truth = synth_cry(spec)
             fname = f"rec{idx:04d}.wav"
             write_wav(clip, os.path.join(out_dir, fname))
@@ -542,7 +565,7 @@ def make_corpus(
             entry = ManifestEntry(
                 path=fname,
                 patient_id=f"pt{idx:04d}",
-                site=sites[idx % len(sites)],
+                site=corpus.sites[idx % len(corpus.sites)],
                 period="birth" if idx % 2 == 0 else "discharge",
                 label=label,
             )
@@ -551,7 +574,7 @@ def make_corpus(
 
     save_manifest([r.entry for r in records], os.path.join(out_dir, "manifest.csv"))
     gt = {
-        "sample_rate": 16000,
+        "sample_rate": spec.sample_rate,
         "recordings": [dict(path=r.entry.path, label=r.entry.label, **r.truth.to_json_dict()) for r in records],
     }
     with open(os.path.join(out_dir, "ground_truth.json"), "w") as fh:

@@ -325,7 +325,8 @@ def test_input_with_a_byte_order_mark_reads_as_without(chain, tmp_path, kind):
         (b'{"positive": {"p_glde": 0.9}}', "p_glde"),
         (b'{"negative": {"dysphonation_snr_db": "nan", "p_dysphonation": 1}}', "dysphonation_snr_db"),
         (b'{"negative": {"dysphonation_snr_db": NaN, "p_dysphonation": 1}}', "dysphonation_snr_db"),
-        (b'{"positive": {"p_vibrato": Infinity}}', "p_vibrato"),
+        # the text a config gives for min_pause_s=inf
+        (b'{"positive": {"p_vibrato": Infinity}}', "p_vibrato=inf is not a finite number"),
         (b'{"negative": {"base_f0_range": [0, 0]}}', "base_f0_range"),
         (b'{"negative": {"num_units_range": [1.5, 2]}}', "num_units_range"),
         (b'{"positive": {"p_glide": -1}}', "p_glide"),
@@ -336,11 +337,19 @@ def test_input_with_a_byte_order_mark_reads_as_without(chain, tmp_path, kind):
         # above 0 but under one sample: too short for the unit's edge ramps
         (b'{"negative": {"unit_duration_range": [1e-5, 1e-5]}}', "unit_duration_range=1e-05 must be at least 0.03"),
         (b'{"positive": {"pause_range": [-0.5, 0.2]}}', "pause_range"),
+        # load_manifest would read any site but audio_io.SITES as OTHER
+        (b'{"n_per_class": 2, "sites": ["A", "B"]}', "sites=('A', 'B') must name one or more sites of"),
+        (b'{"sites": []}', "sites=() must name one or more sites of"),
+        (b'{"negative": {"p_dysphonation": 0.6, "p_glide": 0.6, "p_hyperphonation": 0, "p_vibrato": 0}}',
+         "p_hyperphonation + p_dysphonation + p_glide + p_vibrato = 1.2 must be at most 1"),
+        (b'{"positive": {"melody_probs": {"flat": Infinity}}}', "melody_probs['flat']=inf is not a finite number"),
+        (b'{"positive": 5}', "positive must be a JSON object, not 5"),
     ],
     ids=["not-utf8", "truncated", "list", "sites-number", "range-number", "melody-probs-list", "melody-unknown",
          "range-reversed", "top-level-key", "class-key", "snr-string", "snr-nan", "p-inf", "f0-zero",
          "units-fraction", "p-negative", "melody-no-weight", "melody-negative", "units-zero", "duration-negative",
-         "duration-sub-sample", "pause-negative"],
+         "duration-sub-sample", "pause-negative", "sites-unknown", "sites-empty", "p-sum-above-one",
+         "melody-inf", "class-number"],
 )
 def test_malformed_synth_profile_names_its_file(tmp_path, capsys, content, names):
     profile = tmp_path / "profile.json"
@@ -356,17 +365,20 @@ def test_malformed_synth_profile_names_its_file(tmp_path, capsys, content, names
 @pytest.mark.parametrize(
     "count, profile_count, message",
     [
-        ("0", None, "--n-per-class must be at least 1, got 0"),
-        ("-3", None, "--n-per-class must be at least 1, got -3"),
-        (None, "-1", "n_per_class must be a whole number of at least 1, not -1"),
-        (None, "0", "n_per_class must be a whole number of at least 1, not 0"),
-        (None, "2.7", "n_per_class must be a whole number of at least 1, not 2.7"),
-        (None, "true", "n_per_class must be a whole number of at least 1, not True"),
-        (None, '"5"', "n_per_class must be a whole number of at least 1, not '5'"),
-        ("1", "2.7", "n_per_class must be a whole number of at least 1, not 2.7"),
+        ("0", None, "--n-per-class: n_per_class=0 must be at least 1"),
+        ("-3", None, "--n-per-class: n_per_class=-3 must be at least 1"),
+        (None, "-1", "n_per_class=-1 must be at least 1"),
+        (None, "0", "n_per_class=0 must be at least 1"),
+        (None, "2.7", "n_per_class=2.7 must be whole"),
+        (None, "true", "n_per_class must be a number, not True"),
+        (None, '"5"', "n_per_class must be a number, not '5'"),
+        ("1", "2.7", "n_per_class=2.7 must be whole"),
+        # the text a config gives for min_pause_s=inf
+        (None, "Infinity", "n_per_class=inf is not a finite number"),
+        ("1", "NaN", "n_per_class=nan is not a finite number"),
     ],
     ids=["flag-zero", "flag-negative", "profile-negative", "profile-zero", "profile-fraction", "profile-bool",
-         "profile-string", "fraction-under-flag"],
+         "profile-string", "fraction-under-flag", "profile-inf", "nan-under-flag"],
 )
 def test_synth_class_count_must_be_a_whole_number_of_at_least_one(tmp_path, capsys, count, profile_count, message):
     argv = ["synth", "--out", str(tmp_path / "corpus")]

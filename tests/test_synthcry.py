@@ -2,7 +2,8 @@
 
 import json
 import os
-from dataclasses import asdict
+import re
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from cryscreen.synthcry import (
     DEFAULT_NEGATIVE_PROFILE,
     DEFAULT_POSITIVE_PROFILE,
     ClassProfile,
+    CorpusProfile,
     GroundTruth,
     SynthSpec,
     UnitSpec,
@@ -174,8 +176,44 @@ def test_make_corpus_layout(tmp_path):
 
 
 def test_class_profile_reads_back_every_field_of_its_json():
-    for profile in (ClassProfile(), DEFAULT_POSITIVE_PROFILE, DEFAULT_NEGATIVE_PROFILE):
-        assert ClassProfile.from_json_dict(json.loads(json.dumps(asdict(profile)))) == profile
+    # event probabilities whose sum of 1 rounds above it stay valid
+    odd_sum = replace(DEFAULT_POSITIVE_PROFILE, p_hyperphonation=0.0, p_dysphonation=0.33, p_glide=0.56, p_vibrato=0.11)
+    for profile in (ClassProfile(), DEFAULT_POSITIVE_PROFILE, DEFAULT_NEGATIVE_PROFILE, odd_sum, CorpusProfile(),
+                    CorpusProfile(n_per_class=3, sites=("MUHC", "OTHER"), positive=odd_sum)):
+        assert type(profile).from_json_dict(json.loads(json.dumps(asdict(profile)))) == profile
+
+
+@pytest.mark.parametrize(
+    "record, values, message",
+    [
+        (ClassProfile, {"p_glide": -1.0}, "p_glide=-1.0 must be at least 0"),
+        (ClassProfile, {"num_units_range": (0, 3)}, "num_units_range=0 must be at least 1"),
+        (ClassProfile, {"num_units_range": (2.5, 3)}, "num_units_range=(2.5, 3) must be whole"),
+        (ClassProfile, {"pause_range": (0.5, 0.2)}, "pause_range=(0.5, 0.2) must be a pair running from low to high"),
+        (ClassProfile, {"base_f0_range": (400.0,)}, "base_f0_range=(400.0,) must be a pair"),
+        (ClassProfile, {"dysphonation_snr_db": float("inf")}, "dysphonation_snr_db=inf is not a finite number"),
+        (ClassProfile, {"melody_probs": {"hum": 1.0}}, "melody_probs={'hum': 1.0} must weigh melodies of"),
+        (ClassProfile, {"melody_probs": {"flat": 0.0}}, "melody_probs={'flat': 0.0} must weigh melodies of"),
+        (ClassProfile, {"p_glide": 0.6, "p_dysphonation": 0.6},
+         "p_hyperphonation + p_dysphonation + p_glide + p_vibrato = 1.33 must be at most 1"),
+        (CorpusProfile, {"n_per_class": 0}, "n_per_class=0 must be at least 1"),
+        (CorpusProfile, {"n_per_class": 2.0}, "n_per_class=2.0 must be whole"),
+        (CorpusProfile, {"sites": ()}, "sites=() must name one or more sites of"),
+        (CorpusProfile, {"sites": ("ESUTH", "A")}, "sites=('ESUTH', 'A') must name one or more sites of"),
+    ],
+)
+def test_a_profile_record_out_of_range_cannot_be_built(record, values, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        record(**values)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(record(), **values)
+
+
+def test_make_corpus_refuses_an_empty_site_list_before_writing(tmp_path):
+    out = tmp_path / "corpus"
+    with pytest.raises(ValueError, match=re.escape("sites=() must name")):
+        make_corpus(str(out), n_per_class=1, sites=())
+    assert not out.exists()
 
 
 def test_class_profile_from_json():
