@@ -257,34 +257,56 @@ def log_mel(spec: Spectrogram, config: PipelineConfig) -> np.ndarray:
     return np.log(np.maximum(energy, MEL_FLOOR))
 
 
-def difference_function(frames: np.ndarray, tau_max: int) -> np.ndarray:
-    """YIN difference function of every frame for lags 0..tau_max.
+def difference_function(samples: np.ndarray, grid: FrameGrid, frames: np.ndarray, tau_max: int) -> np.ndarray:
+    """YIN difference function of the listed frames of samples, for lags 0..tau_max.
 
-    d[t, tau] sums (x_j - x_{j+tau})^2 over the first
-    span = frame length - tau_max samples j of frame t. Following the
-    identity d(tau) = r_t(0) + r_{t+tau}(0) - 2 r_t(tau), one product of
-    each frame's head against all of its lagged copies gives r_t(tau), and
-    one cumulative sum of squared samples gives both energy terms.
+    frames holds indices of frames on grid, in any order and with repeats;
+    row i of the result belongs to frames[i]. d[i, tau] sums
+    (x_j - x_{j+tau})^2 over the first span = window - tau_max samples j of
+    that frame. Following the identity
+    d(tau) = r_t(0) + r_{t+tau}(0) - 2 r_t(tau), it comes from the lag
+    products r_t(tau) of the frame's head against its lagged copies and the
+    energies r_t(0) and r_{t+tau}(0) of the two windows.
+
+    The lag products are shared between overlapping frames. The span is cut
+    into whole hops and a tail of span % hop samples. Frame t's k-th whole
+    hop is hop block t + k of the clip, so a block's tau_max + 1 lag sums,
+    one einsum over every block a listed frame holds, serve each frame that
+    holds it, and only the tail's lag sums are the frame's own. The energy
+    of the window at lag tau is r_t(0) plus a running sum of the tau_max
+    samples entering the window less those leaving it.
 
     On PCM input of up to 16 bits every sample is an integer over 2**15,
     so every product and partial sum is a multiple of 2**-30 well inside
-    float64's 53-bit mantissa: each is exact, and d equals the direct sum
-    of squared differences bit for bit. On other float input the two
-    differ by rounding only, and d is clamped at 0 where rounding would
-    take it below.
+    float64's 53-bit mantissa: each is exact whatever the order of summing,
+    and d equals the direct sum of squared differences bit for bit. On other
+    float input the two differ by rounding only, and d is clamped at 0 where
+    rounding would take it below. Either way a frame's row depends on that
+    frame's samples alone, not on which other frames are listed.
     """
-    num, win = frames.shape
+    hop, win = grid.hop_samples, grid.window_samples
     span = win - tau_max
-    lagged = sliding_window_view(frames, span, axis=1)[:, : tau_max + 1]
-    r = np.einsum("nj,ntj->nt", frames[:, :span], lagged)
-    # energy[:, k] is the energy of the frame's first k samples, so the
-    # window starting at lag tau holds energy[:, tau + span] - energy[:, tau]
-    energy = np.zeros((num, win + 1))
-    np.square(frames, out=energy[:, 1:])
-    np.cumsum(energy[:, 1:], axis=1, out=energy[:, 1:])
-    d = energy[:, span : span + 1] + (energy[:, span:] - energy[:, : tau_max + 1]) - 2.0 * r
-    np.maximum(d, 0.0, out=d)
+    whole, tail = divmod(span, hop)
+    listed = np.asarray(frames, dtype=np.intp)
+    framed = sliding_window_view(samples, win)[::hop]
+    # each listed frame from the end of its whole hops to its own end: the
+    # tail with its lagged copies, whose last tau_max samples enter the window
+    rest = framed[listed, whole * hop :]
+    r = np.einsum("nj,ntj->nt", rest[:, :tail], sliding_window_view(rest, tail, axis=1))
+    if whole:
+        held = (listed[:, None] + np.arange(whole)).ravel()
+        blocks, where = np.unique(held, return_inverse=True)
+        # each block with the tau_max samples after it
+        block_rows = sliding_window_view(samples, hop + tau_max)[::hop][blocks]
+        sums = np.einsum("bj,btj->bt", block_rows[:, :hop], sliding_window_view(block_rows, hop, axis=1))
+        for k in range(whole):
+            r += sums[where[k::whole]]
+    # d(tau) = 2 (r_t(0) - r_t(tau)) + the energy entering the window by lag tau less that leaving
+    d = np.empty_like(r)
     d[:, 0] = 0.0
+    np.cumsum(np.square(rest[:, tail:]) - np.square(framed[listed, :tau_max]), axis=1, out=d[:, 1:])
+    d[:, 1:] += 2.0 * (r[:, :1] - r[:, 1:])
+    np.maximum(d, 0.0, out=d)
     return d
 
 
@@ -293,9 +315,11 @@ def estimate_f0(clip: AudioClip, config: PipelineConfig, frames: np.ndarray | No
 
     Per frame, the difference function d(tau) = sum_j (x_j - x_{j+tau})^2
     comes from YIN's identity d(tau) = r_t(0) + r_{t+tau}(0) - 2 r_t(tau)
-    (de Cheveigne & Kawahara, JASA 2002, eq. 7) in one pass over all lags;
-    on PCM16 input every term is exact in float64, so the result equals
-    the direct lag-by-lag sum bit for bit (see difference_function). It is
+    (de Cheveigne & Kawahara, JASA 2002, eq. 7), read from the clip's
+    samples with the lag sums of each whole hop taken once and shared by
+    the overlapping frames that hold it; on PCM16 input every term is exact
+    in float64 whatever the order of summing, so the result equals the
+    direct lag-by-lag sum bit for bit (see difference_function). It is
     turned into a cumulative-mean-normalized difference over candidate
     lags; the first dip under an absolute threshold (walked down
     to its local minimum) wins, which is what keeps subharmonic minima from
@@ -308,14 +332,15 @@ def estimate_f0(clip: AudioClip, config: PipelineConfig, frames: np.ndarray | No
     Pitch is tracked on the frames listed in frames (every frame when it
     is None); the others come back unvoiced with f0 and confidence 0.
     Every frame's result depends on that frame alone, and the work runs in
-    blocks of at most FRAME_BLOCK frames, so memory beyond the clip stays
-    fixed and the result does not depend on the block size.
+    blocks of at most FRAME_BLOCK listed frames, so memory beyond the clip
+    stays fixed and the result does not depend on the block size; a hop
+    held by frames of two blocks is summed once in each.
     """
     sr = clip.sample_rate
     grid = make_grid(len(clip.samples), sr, config.window_s, config.hop_s)
     win = grid.window_samples
     tau_min, tau_max = f0_lag_range(sr, config.f0_min_hz, config.f0_max_hz, win)
-    all_frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples)
+    samples = np.asarray(clip.samples, dtype=np.float64)
     num = grid.num_frames
     picked = np.arange(num) if frames is None else np.asarray(frames, dtype=np.intp)
     f0 = np.zeros(num)
@@ -323,18 +348,16 @@ def estimate_f0(clip: AudioClip, config: PipelineConfig, frames: np.ndarray | No
     confidence = np.zeros(num)
     for start in range(0, len(picked), FRAME_BLOCK):
         rows = picked[start : start + FRAME_BLOCK]
-        f0[rows], voiced[rows], confidence[rows] = _track_f0(
-            all_frames[rows], sr, tau_min, tau_max, config.voicing_threshold
-        )
+        d = difference_function(samples, grid, rows, tau_max)
+        f0[rows], voiced[rows], confidence[rows] = _track_f0(d, sr, tau_min, config.voicing_threshold)
     return F0Contour(f0, voiced, confidence, grid)
 
 
 def _track_f0(
-    frames: np.ndarray, sr: int, tau_min: int, tau_max: int, voicing_threshold: float
+    d: np.ndarray, sr: int, tau_min: int, voicing_threshold: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """f0, voicing and confidence of each row of frames (see estimate_f0)."""
-    d = difference_function(frames, tau_max)
-    num = frames.shape[0]
+    """f0, voicing and confidence of each row of the difference function d (see estimate_f0)."""
+    num, tau_max = d.shape[0], d.shape[1] - 1
 
     running = np.cumsum(d[:, 1:], axis=1)
     cmndf = np.ones_like(d)

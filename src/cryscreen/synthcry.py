@@ -356,7 +356,13 @@ class _JsonRecord:
     @classmethod
     def from_json_dict(cls, d: dict):
         """The record of a JSON object; keys it leaves out keep their defaults."""
-        return _from_json(cls, cls.__name__, d)
+        if not isinstance(d, dict):
+            raise ValueError(f"{cls.__name__} must be a JSON object, not {d!r}")
+        hints = get_type_hints(cls)
+        unknown = sorted(set(d) - set(hints))
+        if unknown:
+            raise ValueError(f"unknown {cls.__name__} keys {unknown}")
+        return cls(**{k: _from_json(hints[k], k, x) for k, x in d.items()})
 
     def _check_fields(self) -> None:
         for f in fields(self):
@@ -380,18 +386,23 @@ def _from_json(kind, key: str, v):
             raise ValueError(f"{key} must be a JSON object, not {v!r}")
         if get_origin(kind) is dict:
             return {k: _from_json(get_args(kind)[1], f"{key}[{k!r}]", x) for k, x in v.items()}
-        hints = get_type_hints(kind)
-        unknown = sorted(set(v) - set(hints))
-        if unknown:
-            raise ValueError(f"unknown {key} keys {unknown}")
-        return kind(**{k: _from_json(hints[k], k, x) for k, x in v.items()})
+        try:
+            return kind.from_json_dict(v)
+        except ValueError as exc:
+            # a fault inside a nested record names the key that holds it
+            raise ValueError(f"{key}: {exc}") from None
     if kind is str:
         return v
     # bool is an int to isinstance
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValueError(f"{key} must be a number, not {v!r}")
     # a fraction stays a float, for the whole-number rule to refuse
-    return int(v) if kind is int and v % 1 == 0 else float(v)
+    if kind is int and v % 1 == 0:
+        return int(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise ValueError(f"{key} is an integer too large to be a finite number") from None
 
 
 @dataclass(frozen=True)

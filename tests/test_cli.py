@@ -344,12 +344,17 @@ def test_input_with_a_byte_order_mark_reads_as_without(chain, tmp_path, kind):
          "p_hyperphonation + p_dysphonation + p_glide + p_vibrato = 1.2 must be at most 1"),
         (b'{"positive": {"melody_probs": {"flat": Infinity}}}', "melody_probs['flat']=inf is not a finite number"),
         (b'{"positive": 5}', "positive must be a JSON object, not 5"),
+        # json reads this as an int that no float can hold
+        (b'{"positive": {"p_glide": 1' + b"0" * 400 + b"}}", "positive: p_glide is an integer too large to be a finite"),
+        # the class a nested fault lies in is named before the fault
+        (b'{"negative": {"p_glide": -1}}', "negative: p_glide=-1.0 must be at least 0"),
+        (b'{"positive": {"p_glde": 0.9}}', "positive: unknown ClassProfile keys ['p_glde']"),
     ],
     ids=["not-utf8", "truncated", "list", "sites-number", "range-number", "melody-probs-list", "melody-unknown",
          "range-reversed", "top-level-key", "class-key", "snr-string", "snr-nan", "p-inf", "f0-zero",
          "units-fraction", "p-negative", "melody-no-weight", "melody-negative", "units-zero", "duration-negative",
          "duration-sub-sample", "pause-negative", "sites-unknown", "sites-empty", "p-sum-above-one",
-         "melody-inf", "class-number"],
+         "melody-inf", "class-number", "huge-integer", "negative-class", "class-key-named"],
 )
 def test_malformed_synth_profile_names_its_file(tmp_path, capsys, content, names):
     profile = tmp_path / "profile.json"

@@ -235,23 +235,32 @@ def test_f0_range_validation():
         estimate_f0(clip, unchecked_config(f0_min_hz=50.0, f0_max_hz=1600.0))
 
 
-def loop_difference_function(frames, tau_max):
-    """Reference: the difference function summed lag by lag, term by term."""
-    span = frames.shape[1] - tau_max
-    base = frames[:, :span]
-    d = np.empty((frames.shape[0], tau_max + 1))
+def loop_difference_function(samples, grid, frames, tau_max):
+    """Reference: frame the samples, then sum each listed frame's difference function lag by lag, term by term."""
+    rows = frame_signal(samples, grid.window_samples, grid.hop_samples)[frames]
+    span = grid.window_samples - tau_max
+    base = rows[:, :span]
+    d = np.empty((len(rows), tau_max + 1))
     d[:, 0] = 0.0
     for tau in range(1, tau_max + 1):
-        diff = base - frames[:, tau : tau + span]
+        diff = base - rows[:, tau : tau + span]
         d[:, tau] = np.einsum("ij,ij->i", diff, diff)
     return d
 
 
 def reference_f0(clip, config):
-    """estimate_f0 with the reference difference function swapped in."""
+    """estimate_f0 with the reference difference function swapped in; fails unless it was called."""
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[2]))
+        return loop_difference_function(*args)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dsp, "difference_function", loop_difference_function)
-        return estimate_f0(clip, config)
+        mp.setattr(dsp, "difference_function", counted)
+        track = estimate_f0(clip, config)
+    assert sum(calls) == track.grid.num_frames
+    return track
 
 
 def planted_cry(sample_rate=SR, seed=5):
@@ -288,9 +297,34 @@ def noisy_stack(seed=2):
     ],
 )
 def test_f0_pcm16_matches_loop_reference_exactly(make_clip, f0_range, tmp_path):
+    assert_f0_matches_loop_reference_exactly(pcm16_round_trip(make_clip(), tmp_path), f0_config(*f0_range))
+
+
+# difference_function cuts a frame's span of window - tau_max samples into
+# whole hops and a tail; at 16 kHz and the 250 Hz floor, tau_max is 64. A
+# hop longer than the span leaves no block to share, and a config allows it.
+@pytest.mark.parametrize("make_clip", [planted_cry, noisy_stack])
+@pytest.mark.parametrize(
+    "grid, hops_and_tail",
+    [
+        ({}, (2, 16)),
+        ({"hop_s": 0.005}, (4, 16)),
+        ({"window_s": 0.024}, (2, 0)),
+        ({"hop_s": 0.03, "window_s": 0.025}, (0, 336)),
+    ],
+    ids=["2-hops-and-tail", "4-hops-and-tail", "whole-hops", "hop-over-span"],
+)
+def test_f0_pcm16_matches_loop_reference_exactly_on_each_hop_split(make_clip, grid, hops_and_tail, tmp_path):
+    config = PipelineConfig(**grid)
     clip = pcm16_round_trip(make_clip(), tmp_path)
-    got = estimate_f0(clip, f0_config(*f0_range))
-    want = reference_f0(clip, f0_config(*f0_range))
+    frame_grid = make_grid(len(clip.samples), SR, config.window_s, config.hop_s)
+    assert divmod(frame_grid.window_samples - 64, frame_grid.hop_samples) == hops_and_tail
+    assert_f0_matches_loop_reference_exactly(clip, config)
+
+
+def assert_f0_matches_loop_reference_exactly(clip, config):
+    got = estimate_f0(clip, config)
+    want = reference_f0(clip, config)
     assert got.grid == want.grid
     for field in ("f0_hz", "voiced", "confidence"):
         assert np.array_equal(getattr(got, field), getattr(want, field)), field
@@ -332,7 +366,7 @@ def test_f0_and_formants_do_not_depend_on_the_block_size(block, pcm16, tmp_path,
     assert np.array_equal(got_formants, want_formants)
 
 
-def test_f0_tracks_only_the_listed_frames():
+def test_f0_tracks_only_the_listed_frames(monkeypatch):
     clip = planted_cry()
     full = estimate_f0(clip, CFG)
     num = full.grid.num_frames
@@ -348,22 +382,43 @@ def test_f0_tracks_only_the_listed_frames():
     # a zero voicing threshold makes every tracked frame voiced, and only those
     assert np.array_equal(estimate_f0(clip, PipelineConfig(voicing_threshold=0.0), frames=picked).voiced, listed)
     assert not estimate_f0(clip, CFG, frames=np.array([], dtype=int)).voiced.any()
+    # the same frames unsorted and with repeats, which blocks of 4 split between blocks
+    messy = np.random.default_rng(8).permutation(np.concatenate([picked, picked[1::3]]))
+    monkeypatch.setattr(dsp, "FRAME_BLOCK", 4)
+    again = estimate_f0(clip, CFG, frames=messy)
+    for field in ("f0_hz", "voiced", "confidence"):
+        assert np.array_equal(getattr(again, field), getattr(part, field)), field
 
 
 def test_difference_function_never_negative():
     # on exactly periodic float input the identity rounds d(period) to
-    # about -1e-14 before clamping
-    frames = np.vstack([
-        frame_signal(harmonic_stack(500.0, dur_s=0.3).samples, 400, 160),
-        frame_signal(harmonic_stack(800.0, dur_s=0.3).samples, 400, 160),
-        frame_signal(noisy_stack().samples, 400, 160),
-        np.zeros((2, 400)),
+    # about -1e-14 before clamping; the 560 zeros at the end hold 2 frames
+    samples = np.concatenate([
+        harmonic_stack(500.0, dur_s=0.3).samples,
+        harmonic_stack(800.0, dur_s=0.3).samples,
+        noisy_stack().samples,
+        np.zeros(560),
     ])
-    d = difference_function(frames, 64)
+    grid = make_grid(len(samples), SR, 0.025, 0.010)
+    frames = np.arange(grid.num_frames)
+    d = difference_function(samples, grid, frames, 64)
     assert d.shape == (len(frames), 65)
     assert np.all(d >= 0.0)
     assert np.all(d[:, 0] == 0.0)
-    assert np.allclose(d, loop_difference_function(frames, 64), rtol=1e-12, atol=1e-12)
+    assert not d[-2:].any()
+    assert np.allclose(d, loop_difference_function(samples, grid, frames, 64), rtol=1e-12, atol=1e-12)
+
+
+def test_difference_function_rows_do_not_depend_on_the_frame_order():
+    # float input, so that a row summed with other blocks would show in the last bits
+    samples = noisy_stack().samples
+    grid = make_grid(len(samples), SR, 0.025, 0.010)
+    listed = np.array([0, 3, 4, 5, 30, 31, 60, grid.num_frames - 1])
+    messy = np.random.default_rng(3).permutation(np.concatenate([listed, listed[::2]]))
+    d = difference_function(samples, grid, listed, 64)
+    got = difference_function(samples, grid, messy, 64)
+    assert np.array_equal(got, d[np.searchsorted(listed, messy)])
+    assert np.array_equal(d, difference_function(samples, grid, np.arange(grid.num_frames), 64)[listed])
 
 
 def test_flatness_tone_vs_noise():
