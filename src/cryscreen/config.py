@@ -5,18 +5,19 @@ text file. This is the only place their defaults live: the dsp kernels
 read the sample rate, frame grid, Mel bands, pitch range and voicing
 threshold from the PipelineConfig they are passed, the segmenter and the
 biomarker detectors their thresholds, and the command line the
-cross-validation folds, penalty grid and selection sites. Unknown keys
-are rejected so a typo cannot silently fall back to a default, and
-values that no run can use (a NaN or infinite float, one outside the
-bounds its field declares, or one that no analysis grid, Mel filterbank,
-0-500 Hz slope band, LPC fit or pitch range fits) are rejected by name.
+cross-validation folds, penalty grid and selection sites. Unknown and
+repeated keys are rejected so a typo cannot silently fall back to a
+default, and values that no run can use (one not of its field's type or
+bounds, or one that no analysis grid, Mel filterbank, 0-500 Hz slope
+band, LPC fit or pitch range fits) are rejected by name, in code too.
 """
 
 from __future__ import annotations
 
-import math
-from collections.abc import Mapping
+import functools
+import sys
 from dataclasses import dataclass, field, fields
+from typing import get_args, get_origin, get_type_hints
 
 from .dsp import (
     FRONT_END_MFCC_COEFFS,
@@ -29,18 +30,45 @@ from .dsp import (
 )
 
 
-def check_bounds(name: str, value, bounds: Mapping[str, float]) -> None:
-    """Raise ValueError naming `name` unless value, or each item of a tuple,
-    is finite and keeps each rule of bounds ("at_least", "above" or
-    "at_most", mapped to its number), as a field's metadata declares them."""
-    for v in value if isinstance(value, tuple) else (value,):
-        # inf overflows the grid's whole samples, and NaN fails every
-        # threshold it is compared with
-        if isinstance(v, float) and not math.isfinite(v):
-            raise ValueError(f"{name}={v!r} is not a finite number")
-        for rule, bound in bounds.items():
-            if not {"at_least": v >= bound, "above": v > bound, "at_most": v <= bound}[rule]:
-                raise ValueError(f"{name}={v!r} must be {rule.replace('_', ' ')} {bound:g}")
+@functools.cache
+def _field_kinds(cls) -> tuple:
+    """(field, container, kind) per field of the dataclass cls: container is
+    tuple, dict or None, and kind the type of a tuple's items, a dict's values
+    or the field; cached, as resolving costs more than building a record."""
+    hints = get_type_hints(cls)
+    return tuple((f, get_origin(t := hints[f.name]), (get_args(t) or (t,))[get_origin(t) is dict]) for f in fields(cls))
+
+
+def check_fields(record) -> None:
+    """Raise ValueError naming the field unless each field of the dataclass
+    record, or each item or value of its tuple or dict, is of its declared
+    type and keeps the bounds its metadata sets ("at_least", "above" or
+    "at_most"). Numbers are finite ints or floats; an int field's fit int64."""
+    for f, container, kind in _field_kinds(type(record)):
+        name, value = f.name, getattr(record, f.name)
+        if container and not isinstance(value, container):
+            raise ValueError(f"{name} must be a {container.__name__}, not {value!r}")
+        items = ([(f"{name}[{k!r}]", v) for k, v in value.items()] if container is dict
+                 else [(name, v) for v in value] if container else [(name, value)])
+        number = kind in (int, float)
+        for label, v in items:
+            # bool is an int to isinstance, and numpy's float64 a float
+            if not (type(v) in (int, float) if number else isinstance(v, kind)):
+                raise ValueError(f"{label} must be a {'number' if number else kind.__name__}, not {v!r}")
+            if not number:
+                continue
+            # inf overflows the grid's whole samples, NaN fails every
+            # threshold it is compared with, and no float holds a larger int
+            if not abs(v) <= sys.float_info.max:
+                raise ValueError(f"{label}={v!r} is not a finite number" if type(v) is float else
+                                 f"{label} is an integer too large to be a finite number")
+            if kind is int and type(v) is not int:
+                raise ValueError(f"{name}={value!r} must be whole")
+            if kind is int and not -(2**63) <= v < 2**63:
+                raise ValueError(f"{label}={v!r} does not fit numpy's int64")
+            for rule, bound in f.metadata.items():
+                if not {"at_least": v >= bound, "above": v > bound, "at_most": v <= bound}[rule]:
+                    raise ValueError(f"{label}={v!r} must be {rule.replace('_', ' ')} {bound:g}")
 
 
 @dataclass(frozen=True)
@@ -82,8 +110,7 @@ class PipelineConfig:
     selection_sites: tuple[str, ...] = ("ESUTH", "LASUTH", "SCDM")
 
     def __post_init__(self) -> None:
-        for f in fields(self):
-            check_bounds(f.name, getattr(self, f.name), f.metadata)
+        check_fields(self)
         for key in ("window_s", "hop_s"):
             # dsp.make_grid rounds to whole samples, and round(x) >= 1
             # exactly when x > 0.5
@@ -111,20 +138,14 @@ class PipelineConfig:
             raise ValueError("reg_grid is empty: cross-validation needs at least one penalty strength")
 
 
-_PARSERS = {
-    "int": int,
-    "float": float,
-    "tuple[float, ...]": lambda v: tuple(float(p.strip()) for p in v.split(",") if p.strip()),
-    "tuple[str, ...]": lambda v: tuple(p.strip() for p in v.split(",") if p.strip()),
-}
-_FIELD_PARSER = {f.name: _PARSERS[f.type] for f in fields(PipelineConfig)}
+_FIELD_KINDS = {f.name: (container, kind) for f, container, kind in _field_kinds(PipelineConfig)}
 
 
 def load_config(path: str) -> PipelineConfig:
     """Read a flat UTF-8 key=value file; blank lines and # comments allowed.
 
-    Tuple-valued keys take comma-separated items. A leading byte order
-    mark is read past.
+    Tuple-valued keys take comma-separated items, and a key may be set
+    once. A leading byte order mark is read past.
     """
     with open(path, encoding="utf-8-sig") as fh:
         try:
@@ -139,10 +160,13 @@ def load_config(path: str) -> PipelineConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_PARSER:
+        if key not in _FIELD_KINDS:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
+        if key in overrides:
+            raise ValueError(f"{path}:{lineno}: {key} is set again")
+        container, kind = _FIELD_KINDS[key]
         try:
-            overrides[key] = _FIELD_PARSER[key](value)
+            overrides[key] = tuple(kind(p.strip()) for p in value.split(",") if p.strip()) if container else kind(value)
         except ValueError:
             raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {value!r}") from None
     try:
@@ -155,7 +179,5 @@ def save_config(config: PipelineConfig, path: str) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for f in fields(PipelineConfig):
             value = getattr(config, f.name)
-            if isinstance(value, tuple):
-                fh.write(f"{f.name}={','.join(repr(v) if isinstance(v, float) else str(v) for v in value)}\n")
-            else:
-                fh.write(f"{f.name}={value!r}\n")
+            # a number's str is its repr, and check_fields keeps numpy's out
+            fh.write(f"{f.name}={','.join(map(str, value)) if isinstance(value, tuple) else value}\n")

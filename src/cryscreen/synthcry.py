@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from typing import get_args, get_origin, get_type_hints
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from .audio_io import SITES, AudioClip, ManifestEntry, save_manifest, write_wav
 from .biomarkers import MELODY_TYPES, UnitFlags, classify_melody, smooth_f0
-from .config import PipelineConfig, check_bounds
+from .config import PipelineConfig, check_fields
 from .dsp import F0Contour, make_grid
 from .segmenter import CrySegmentation
 
@@ -350,8 +351,7 @@ _EVENT_PROBS = tuple(f"p_{event}" for event in EVENTS[1:])
 
 
 class _JsonRecord:
-    """A dataclass read from a JSON object by its fields' declared types,
-    whose fields keep their metadata's bounds and whose ints are whole."""
+    """A dataclass read from a JSON object by its fields' declared types."""
 
     @classmethod
     def from_json_dict(cls, d: dict):
@@ -364,19 +364,11 @@ class _JsonRecord:
             raise ValueError(f"unknown {cls.__name__} keys {unknown}")
         return cls(**{k: _from_json(hints[k], k, x) for k, x in d.items()})
 
-    def _check_fields(self) -> None:
-        for f in fields(self):
-            value = getattr(self, f.name)
-            check_bounds(f.name, value, f.metadata)
-            items = value if isinstance(value, tuple) else (value,)
-            # type(True) is bool, not int
-            if f.type in ("int", "tuple[int, int]") and any(type(v) is not int for v in items):
-                raise ValueError(f"{f.name}={value!r} must be whole")
-
 
 def _from_json(kind, key: str, v):
-    """The JSON value v as a value of type kind, refusing a JSON type that
-    does not fit or an unknown key, by name; the record checks the rest."""
+    """The JSON value v as a value of type kind, refusing by name only a value
+    that is not the list or object kind takes, or an unknown key; the record's
+    check_fields holds the value to the rest of its field's rules."""
     if get_origin(kind) is tuple:
         if not isinstance(v, list):
             raise ValueError(f"{key} must be a list, not {v!r}")
@@ -391,18 +383,12 @@ def _from_json(kind, key: str, v):
         except ValueError as exc:
             # a fault inside a nested record names the key that holds it
             raise ValueError(f"{key}: {exc}") from None
-    if kind is str:
-        return v
-    # bool is an int to isinstance
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ValueError(f"{key} must be a number, not {v!r}")
-    # a fraction stays a float, for the whole-number rule to refuse
-    if kind is int and v % 1 == 0:
+    # type(True) is bool, not int; a fraction, inf or NaN stays a float
+    if kind is int and type(v) is float and v % 1 == 0:
         return int(v)
-    try:
+    if kind is float and type(v) is int and abs(v) <= sys.float_info.max:
         return float(v)
-    except OverflowError:
-        raise ValueError(f"{key} is an integer too large to be a finite number") from None
+    return v
 
 
 @dataclass(frozen=True)
@@ -413,9 +399,8 @@ class ClassProfile(_JsonRecord):
     p_dysphonation: float = field(default=0.10, metadata={"at_least": 0.0})
     p_glide: float = field(default=0.10, metadata={"at_least": 0.0})
     p_vibrato: float = field(default=0.08, metadata={"at_least": 0.0})
-    melody_probs: dict[str, float] = field(
-        default_factory=lambda: {"flat": 0.5, "falling": 0.16, "rising": 0.14, "rising_falling": 0.12, "falling_rising": 0.08}
-    )
+    melody_probs: dict[str, float] = field(metadata={"at_least": 0.0}, default_factory=lambda: {
+        "flat": 0.5, "falling": 0.16, "rising": 0.14, "rising_falling": 0.12, "falling_rising": 0.08})
     num_units_range: tuple[int, int] = field(default=(6, 9), metadata={"at_least": 1})
     # a unit is rendered with an edge ramp at each end
     unit_duration_range: tuple[float, float] = field(default=(0.55, 1.1), metadata={"at_least": 2 * _EDGE_RAMP_S})
@@ -424,7 +409,7 @@ class ClassProfile(_JsonRecord):
     dysphonation_snr_db: float = 2.0
 
     def __post_init__(self) -> None:
-        self._check_fields()
+        check_fields(self)
         for name, value in vars(self).items():
             if isinstance(value, tuple) and not (len(value) == 2 and value[0] <= value[1]):
                 raise ValueError(f"{name}={value!r} must be a pair running from low to high")
@@ -432,8 +417,6 @@ class ClassProfile(_JsonRecord):
         # a sum of 1 written in decimals can round a little above it
         if total > 1.0 + 1e-9:
             raise ValueError(f"{' + '.join(_EVENT_PROBS)} = {total:g} must be at most 1")
-        for melody, weight in self.melody_probs.items():
-            check_bounds(f"melody_probs[{melody!r}]", weight, {"at_least": 0.0})
         if not (set(self.melody_probs) <= set(MELODY_TYPES) and sum(self.melody_probs.values()) > 0.0):
             raise ValueError(f"melody_probs={self.melody_probs!r} must weigh melodies of {MELODY_TYPES}, one above 0")
 
@@ -471,17 +454,26 @@ class CorpusProfile(_JsonRecord):
     negative: ClassProfile = DEFAULT_NEGATIVE_PROFILE
 
     def __post_init__(self) -> None:
-        self._check_fields()
+        check_fields(self)
         # load_manifest reads any other site as OTHER
-        if not (self.sites and all(isinstance(s, str) and s in SITES for s in self.sites)):
+        if not (self.sites and all(s in SITES for s in self.sites)):
             raise ValueError(f"sites={self.sites!r} must name one or more sites of {sorted(SITES)}")
+
+
+def _json_object(pairs: list) -> dict:
+    """The dict of a JSON object's pairs, refusing a key named twice."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise ValueError(f"{next(k for k in keys if keys.count(k) > 1)} is set again")
+    return obj
 
 
 def load_profile(path: str) -> CorpusProfile:
     """Read a UTF-8 JSON cry synth profile; each fault names the file."""
     try:
         with open(path, encoding="utf-8-sig") as fh:
-            return CorpusProfile.from_json_dict(json.load(fh))
+            return CorpusProfile.from_json_dict(json.load(fh, object_pairs_hook=_json_object))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

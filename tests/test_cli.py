@@ -349,12 +349,19 @@ def test_input_with_a_byte_order_mark_reads_as_without(chain, tmp_path, kind):
         # the class a nested fault lies in is named before the fault
         (b'{"negative": {"p_glide": -1}}', "negative: p_glide=-1.0 must be at least 0"),
         (b'{"positive": {"p_glde": 0.9}}', "positive: unknown ClassProfile keys ['p_glde']"),
+        # numpy draws a unit count from an int64
+        (b'{"negative": {"num_units_range": [1, 1' + b"0" * 30 + b"]}}",
+         f"negative: num_units_range={10**30} does not fit numpy's int64"),
+        # json would keep the last value of a key named twice
+        (b'{"n_per_class": 1, "n_per_class": 2}', "n_per_class is set again"),
+        (b'{"positive": {"p_glide": 0.1, "p_vibrato": 0.1, "p_glide": 0.2}}', "p_glide is set again"),
     ],
     ids=["not-utf8", "truncated", "list", "sites-number", "range-number", "melody-probs-list", "melody-unknown",
          "range-reversed", "top-level-key", "class-key", "snr-string", "snr-nan", "p-inf", "f0-zero",
          "units-fraction", "p-negative", "melody-no-weight", "melody-negative", "units-zero", "duration-negative",
          "duration-sub-sample", "pause-negative", "sites-unknown", "sites-empty", "p-sum-above-one",
-         "melody-inf", "class-number", "huge-integer", "negative-class", "class-key-named"],
+         "melody-inf", "class-number", "huge-integer", "negative-class", "class-key-named", "units-past-int64",
+         "key-twice", "class-key-twice"],
 )
 def test_malformed_synth_profile_names_its_file(tmp_path, capsys, content, names):
     profile = tmp_path / "profile.json"
@@ -381,9 +388,13 @@ def test_malformed_synth_profile_names_its_file(tmp_path, capsys, content, names
         # the text a config gives for min_pause_s=inf
         (None, "Infinity", "n_per_class=inf is not a finite number"),
         ("1", "NaN", "n_per_class=nan is not a finite number"),
+        # numpy draws from an int64
+        (str(2**64), None, f"--n-per-class: n_per_class={2**64} does not fit numpy's int64"),
+        (None, str(2**64), f"n_per_class={2**64} does not fit numpy's int64"),
     ],
     ids=["flag-zero", "flag-negative", "profile-negative", "profile-zero", "profile-fraction", "profile-bool",
-         "profile-string", "fraction-under-flag", "profile-inf", "nan-under-flag"],
+         "profile-string", "fraction-under-flag", "profile-inf", "nan-under-flag", "flag-past-int64",
+         "profile-past-int64"],
 )
 def test_synth_class_count_must_be_a_whole_number_of_at_least_one(tmp_path, capsys, count, profile_count, message):
     argv = ["synth", "--out", str(tmp_path / "corpus")]

@@ -8,9 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cryscreen import analytics, cli, dsp, voicefeat
-from cryscreen.audio_io import ManifestEntry, resample
+from cryscreen.audio_io import SITES, ManifestEntry, resample
 from cryscreen.biomarkers import smooth_f0, unit_biomarker_flags
 from cryscreen.config import PipelineConfig, load_config, save_config
 from cryscreen.dsp import F0Contour, FrameGrid
@@ -244,6 +246,124 @@ def test_grid_values_are_checked_in_code_too():
         replace(PipelineConfig(), sample_rate=4000, window_s=0.0001)
     # one whole sample is enough
     assert PipelineConfig(hop_s=1 / 16000).hop_s == 1 / 16000
+
+
+# a config built in code meets the rules of one read from a file: each
+# value is of its field's type, and a refusal names the field
+BUILT_IN_CODE = [
+    ({"voicing_halfwidth_frames": 2.5}, "voicing_halfwidth_frames=2.5 must be whole"),
+    ({"num_mel_bands": 80.5}, "num_mel_bands=80.5 must be whole"),
+    # save_config would write 16000.0, which load_config refuses
+    ({"sample_rate": 16000.0}, "sample_rate=16000.0 must be whole"),
+    ({"window_s": np.float64(0.025)}, "window_s must be a number, not np.float64(0.025)"),
+    ({"num_mel_bands": np.int64(40)}, "num_mel_bands must be a number, not np.int64(40)"),
+    ({"reg_grid": (np.float64(1.0),)}, "reg_grid must be a number, not np.float64(1.0)"),
+    ({"reg_grid": [0.1, 1.0]}, "reg_grid must be a tuple, not [0.1, 1.0]"),
+    # a string is a sequence of one-letter sites
+    ({"selection_sites": "ESUTH"}, "selection_sites must be a tuple, not 'ESUTH'"),
+    ({"selection_sites": ("ESUTH", 5)}, "selection_sites must be a str, not 5"),
+    ({"vibrato_min_extrema": True}, "vibrato_min_extrema must be a number, not True"),
+    ({"min_unit_s": 10**400}, "min_unit_s is an integer too large to be a finite number"),
+    ({"cv_folds": 2**63}, f"cv_folds={2**63} does not fit numpy's int64"),
+    ({"cv_folds": 2**64}, f"cv_folds={2**64} does not fit numpy's int64"),
+]
+
+
+@pytest.mark.parametrize(
+    "values, message",
+    BUILT_IN_CODE,
+    ids=["halfwidth-fraction", "mel-fraction", "rate-whole-float", "window-numpy", "mel-numpy", "grid-numpy-item",
+         "grid-list", "sites-string", "sites-number", "extrema-bool", "huge-int-in-float", "folds-2**63",
+         "folds-2**64"],
+)
+def test_a_value_of_another_type_cannot_be_built(values, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        PipelineConfig(**values)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replace(PipelineConfig(), **values)
+
+
+def test_a_whole_field_takes_any_int64():
+    assert PipelineConfig(cv_folds=2**63 - 1).cv_folds == 2**63 - 1
+
+
+def test_a_key_set_twice_is_an_error(tmp_path):
+    path = tmp_path / "cfg.txt"
+    path.write_text("hop_s=0.01\nwindow_s=0.025\nhop_s=0.02\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}:3: hop_s is set again")):
+        load_config(str(path))
+
+
+def _bounded(f, kind, stop):
+    """Python numbers of type kind within f's declared bounds, and under stop."""
+    low = f.metadata.get("at_least", f.metadata.get("above", 0))
+    high = f.metadata.get("at_most", stop)
+    if kind is int:
+        return st.integers(math.floor(low) + ("above" in f.metadata), math.floor(high))
+    return st.floats(low, high, exclude_min="above" in f.metadata)
+
+
+def _python_values(f):
+    """Values of field f that a config built in code may hold."""
+    # the grid's fields stay where the window is under a second at 192 kHz,
+    # as building a config sizes an array of FFT bins by the window, and
+    # the pitch range under 8 kHz, where most drawn ranges can be built
+    stop = {"sample_rate": 192000, "window_s": 1.0, "f0_min_hz": 8000.0, "f0_max_hz": 8000.0}.get(
+        f.name, 2**63 - 1 if f.type == "int" else 1e300
+    )
+    if f.type == "tuple[float, ...]":
+        return st.lists(_bounded(f, float, stop), max_size=4).map(tuple)
+    if f.type == "tuple[str, ...]":
+        return st.lists(st.sampled_from(sorted(SITES)), max_size=4).map(tuple)
+    if f.type == "int":
+        return _bounded(f, int, stop)
+    # an int in a float field reads back equal while a float holds it exactly
+    return st.one_of(_bounded(f, float, stop), _bounded(f, int, min(stop, 2**53)))
+
+
+def _other_types(f):
+    """Numbers that field f refuses: numpy's scalars, bools and, in a whole field, whole floats."""
+    number = st.integers(1, 10**6)
+    others = [st.booleans(), number.map(np.int64), number.map(np.float64), number.map(np.float32)]
+    if "int" in f.type:
+        others.append(number.map(float))
+    values = st.one_of(others)
+    return values.map(lambda v: (v,)) if f.type.startswith("tuple") else values
+
+
+NUMBER_FIELDS = [f for f in fields(PipelineConfig) if f.type != "tuple[str, ...]"]
+
+
+@st.composite
+def configs_in_code(draw):
+    """Up to three fields of PipelineConfig with values drawn for them: ones a
+    config may hold, and one time in four a number of another type."""
+    values = {}
+    for f in draw(st.lists(st.sampled_from(fields(PipelineConfig)), max_size=3, unique=True)):
+        other = f in NUMBER_FIELDS and draw(st.integers(0, 3)) == 0
+        values[f.name] = draw(_other_types(f) if other else _python_values(f))
+    return values
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(values=configs_in_code())
+def test_every_config_that_can_be_built_reads_back_equal(values):
+    try:
+        config = PipelineConfig(**values)
+    except ValueError:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "cfg.txt")
+        save_config(config, path)
+        assert load_config(path) == config
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data(), f=st.sampled_from(NUMBER_FIELDS))
+def test_a_number_of_another_type_is_refused_by_name(data, f):
+    value = data.draw(_other_types(f))
+    with pytest.raises(ValueError, match=rf"^{f.name}(=| must)"):
+        PipelineConfig(**{f.name: value})
 
 
 HOP = 0.010

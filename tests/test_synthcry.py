@@ -200,6 +200,22 @@ def test_class_profile_reads_back_every_field_of_its_json():
         (CorpusProfile, {"n_per_class": 2.0}, "n_per_class=2.0 must be whole"),
         (CorpusProfile, {"sites": ()}, "sites=() must name one or more sites of"),
         (CorpusProfile, {"sites": ("ESUTH", "A")}, "sites=('ESUTH', 'A') must name one or more sites of"),
+        # a record built in code meets the rules of one read from JSON
+        (CorpusProfile, {"positive": {"p_glide": 0.1}}, "positive must be a ClassProfile, not {'p_glide': 0.1}"),
+        (CorpusProfile, {"n_per_class": 2**64}, f"n_per_class={2**64} does not fit numpy's int64"),
+        (CorpusProfile, {"n_per_class": True}, "n_per_class must be a number, not True"),
+        (CorpusProfile, {"sites": "ESUTH"}, "sites must be a tuple, not 'ESUTH'"),
+        (CorpusProfile, {"sites": ("ESUTH", 5)}, "sites must be a str, not 5"),
+        # rng.integers draws a unit count up to the high end, which numpy holds in an int64
+        (ClassProfile, {"num_units_range": (1, 2**64)}, f"num_units_range={2**64} does not fit numpy's int64"),
+        (ClassProfile, {"num_units_range": (1, 10**30)}, f"num_units_range={10**30} does not fit numpy's int64"),
+        (ClassProfile, {"num_units_range": (True, 3)}, "num_units_range must be a number, not True"),
+        (ClassProfile, {"p_glide": np.float64(0.1)}, "p_glide must be a number, not np.float64(0.1)"),
+        (ClassProfile, {"p_glide": 10**400}, "p_glide is an integer too large to be a finite number"),
+        (ClassProfile, {"pause_range": [0.2, 0.5]}, "pause_range must be a tuple, not [0.2, 0.5]"),
+        (ClassProfile, {"melody_probs": [("flat", 1.0)]}, "melody_probs must be a dict, not [('flat', 1.0)]"),
+        (ClassProfile, {"melody_probs": {"flat": True}}, "melody_probs['flat'] must be a number, not True"),
+        (ClassProfile, {"melody_probs": {"flat": -0.5}}, "melody_probs['flat']=-0.5 must be at least 0"),
     ],
 )
 def test_a_profile_record_out_of_range_cannot_be_built(record, values, message):
@@ -207,6 +223,18 @@ def test_a_profile_record_out_of_range_cannot_be_built(record, values, message):
         record(**values)
     with pytest.raises(ValueError, match=re.escape(message)):
         replace(record(), **values)
+
+
+def test_a_unit_count_range_reaches_as_high_as_numpy_can_draw():
+    top = ClassProfile(num_units_range=(1, 2**63 - 1)).num_units_range[1]
+    assert np.random.default_rng(0).integers(top, top + 1) == top
+
+
+def test_make_corpus_refuses_a_class_that_is_not_a_profile_before_writing(tmp_path):
+    out = tmp_path / "corpus"
+    with pytest.raises(ValueError, match=re.escape("positive must be a ClassProfile")):
+        make_corpus(str(out), n_per_class=1, positive={"p_glide": 0.1})
+    assert not out.exists()
 
 
 def test_make_corpus_refuses_an_empty_site_list_before_writing(tmp_path):
