@@ -20,10 +20,6 @@ IRLS_TOL = 1e-6
 IRLS_MAX_ITER = 500
 
 
-class UndefinedCorrelationError(ValueError):
-    """Raised when a correlation is requested against a constant vector."""
-
-
 @dataclass
 class FeatureMatrix:
     """Rows of features with labels and grouping metadata."""
@@ -52,20 +48,6 @@ class FeatureMatrix:
         return FeatureMatrix(list(names), self.X[:, pos], self.labels, self.sites, self.patient_ids, self.paths)
 
 
-def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    """Pearson correlation; raises on constant input rather than returning NaN."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if len(x) != len(y) or len(x) < 3:
-        raise ValueError(f"need two equal-length vectors of at least 3 values, got {len(x)} and {len(y)}")
-    xc = x - x.mean()
-    yc = y - y.mean()
-    denom = np.sqrt(np.dot(xc, xc) * np.dot(yc, yc))
-    if denom == 0.0:
-        raise UndefinedCorrelationError("correlation undefined: at least one input is constant")
-    return float(np.dot(xc, yc) / denom)
-
-
 @dataclass
 class SelectionReport:
     """Per-feature, per-site correlations and the sign-consistent survivors."""
@@ -79,45 +61,45 @@ class SelectionReport:
 def select_consistent_features(matrix: FeatureMatrix, sites: list[str]) -> SelectionReport:
     """Keep features whose label correlation has the same sign at every site.
 
-    A feature that is constant within some site (undefined correlation)
-    is dropped, not errored; a site whose labels are single-class makes
-    every correlation undefined and is a caller mistake, so that raises.
+    Each site's correlations, every feature at once, come from one centered
+    matrix of its rows. A feature whose values are all equal within a site
+    has None there and is dropped, however its rounded mean cancels; a site
+    with no rows, a single class or fewer than 3 rows is a caller mistake.
     """
     if len(sites) < 2:
         raise ValueError("sign-consistency selection needs at least two sites")
+    names = matrix.feature_names
+    r = np.empty((len(sites), len(names)))
+    undefined = np.empty(r.shape, dtype=bool)
     for i, s in enumerate(sites):
         # a repeat would be compared with itself, which always agrees
         if s in sites[:i]:
             raise ValueError(f"site {s} is listed twice; sign-consistency selection needs distinct sites")
-    site_rows = {}
-    for s in sites:
         mask = np.array([row_site == s for row_site in matrix.sites])
         if not mask.any():
             raise ValueError(f"site {s} has no rows")
         if len(np.unique(matrix.labels[mask])) < 2:
             raise ValueError(f"site {s} has a single class; correlations are undefined there")
-        site_rows[s] = mask
+        if mask.sum() < 3:
+            raise ValueError(f"site {s} has {mask.sum()} rows; a correlation needs at least 3")
+        # one contiguous row per feature and the labels' last, so that each
+        # mean and sum below is numpy's pairwise sum of one vector
+        c = np.vstack([matrix.X[mask].T, matrix.labels[mask]]).astype(np.float64, order="C")
+        undefined[i] = np.ptp(c[:-1], axis=1) == 0
+        c -= c.mean(axis=1, keepdims=True)
+        sq = (c * c).sum(axis=1)
+        # a spread too small to square is as undefined as none at all
+        undefined[i] |= sq[:-1] == 0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            r[i] = np.where(undefined[i], 0.0, (c[:-1] * c[-1]).sum(axis=1) / np.sqrt(sq[:-1] * sq[-1]))
 
-    correlations: dict[str, dict[str, float | None]] = {}
-    selected = []
-    directions = {}
-    for j, name in enumerate(matrix.feature_names):
-        rs: dict[str, float | None] = {}
-        for s in sites:
-            mask = site_rows[s]
-            try:
-                rs[s] = pearson(matrix.X[mask, j], matrix.labels[mask])
-            except UndefinedCorrelationError:
-                rs[s] = None
-        correlations[name] = rs
-        vals = list(rs.values())
-        if all(v is not None and v > 0 for v in vals):
-            selected.append(name)
-            directions[name] = "positive"
-        elif all(v is not None and v < 0 for v in vals):
-            selected.append(name)
-            directions[name] = "negative"
-    return SelectionReport(list(sites), correlations, selected, directions)
+    positive, negative = (r > 0).all(axis=0), (r < 0).all(axis=0)
+    return SelectionReport(
+        list(sites),
+        {n: {s: None if undefined[i, j] else float(r[i, j]) for i, s in enumerate(sites)} for j, n in enumerate(names)},
+        [n for n, p, q in zip(names, positive, negative) if p or q],
+        {n: "positive" if p else "negative" for n, p, q in zip(names, positive, negative) if p or q},
+    )
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

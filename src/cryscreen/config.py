@@ -64,6 +64,9 @@ def check_fields(record) -> None:
                                  f"{label} is an integer too large to be a finite number")
             if kind is int and type(v) is not int:
                 raise ValueError(f"{name}={value!r} must be whole")
+            # a saved config writes the int and reads back its float
+            if kind is float and type(v) is int and float(v) != v:
+                raise ValueError(f"{label}={v!r} is an integer that no float holds exactly")
             if kind is int and not -(2**63) <= v < 2**63:
                 raise ValueError(f"{label}={v!r} does not fit numpy's int64")
             for rule, bound in f.metadata.items():
@@ -136,6 +139,11 @@ class PipelineConfig:
             raise ValueError(f"f0_min_hz={self.f0_min_hz!r}, f0_max_hz={self.f0_max_hz!r}: {exc}") from None
         if not self.reg_grid:
             raise ValueError("reg_grid is empty: cross-validation needs at least one penalty strength")
+        for site in self.selection_sites:
+            # load_config ends a line at #, splits it at commas and strips each item
+            if not site or site != site.strip() or set(site) & set(",#\r\n"):
+                raise ValueError(f"selection_sites item {site!r} must be non-empty, hold no comma, # or line "
+                                 "break, and not start or end with white space")
 
 
 _FIELD_KINDS = {f.name: (container, kind) for f, container, kind in _field_kinds(PipelineConfig)}

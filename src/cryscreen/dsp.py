@@ -148,10 +148,7 @@ def make_grid(n_samples: int, sample_rate: int, window_s: float, hop_s: float) -
 
 
 def _next_pow2(n: int) -> int:
-    p = 1
-    while p < n:
-        p *= 2
-    return p
+    return 1 << max(n - 1, 0).bit_length()
 
 
 def check_mel_bands(num_bands: int, window_samples: int) -> None:
@@ -171,16 +168,26 @@ def check_mfcc_coeffs(num_coeffs: int, num_bands: int) -> None:
         raise ValueError(f"{num_coeffs} coefficients need more than {num_bands} Mel bands")
 
 
-def slope_band_bins(fmin_hz: float, fmax_hz: float, window_samples: int, sample_rate: int) -> np.ndarray:
-    """Mask of the bins of stft's spectrum of a window_samples window at
-    sample_rate that lie in [fmin_hz, fmax_hz]. Raises ValueError when it
-    holds fewer than 3, too few to fit a slope."""
-    freqs = np.fft.rfftfreq(_next_pow2(window_samples), 1.0 / sample_rate)
-    sel = (freqs >= fmin_hz) & (freqs <= fmax_hz)
-    n_bins = int(np.count_nonzero(sel))
-    if n_bins < 3:
-        raise ValueError(f"band [{fmin_hz}, {fmax_hz}] Hz covers {n_bins} bins; need at least 3")
-    return sel
+def slope_band_bins(fmin_hz: float, fmax_hz: float, window_samples: int, sample_rate: int) -> tuple[int, int]:
+    """First and last bin of stft's spectrum of a window_samples window at
+    sample_rate that lie in [fmin_hz, fmax_hz]: the bounds of np.fft.rfftfreq's
+    mask, found without building it by bisection on its own expression for
+    bin k, k * step, which never falls as k rises. Raises ValueError when the
+    band holds fewer than 3 bins, too few to fit a slope."""
+    nfft = _next_pow2(window_samples)
+    step = 1.0 / (nfft * (1.0 / sample_rate))
+
+    def count(below) -> int:
+        lo, hi = 0, nfft // 2 + 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (mid + 1, hi) if below(mid * step) else (lo, mid)
+        return lo
+
+    first, stop = count(lambda f: f < fmin_hz), count(lambda f: f <= fmax_hz)
+    if stop - first < 3:
+        raise ValueError(f"band [{fmin_hz}, {fmax_hz}] Hz covers {max(stop - first, 0)} bins; need at least 3")
+    return first, stop - 1
 
 
 def check_lpc_order(window_samples: int) -> None:
@@ -683,8 +690,10 @@ def pick_formants(freqs: np.ndarray, keep: np.ndarray, degenerate: np.ndarray, n
 
 def spectral_slope_band(spec: Spectrogram, fmin_hz: float, fmax_hz: float) -> np.ndarray:
     """Per-frame OLS slope of log power (dB) against frequency over a band."""
-    sel = slope_band_bins(fmin_hz, fmax_hz, spec.grid.window_samples, spec.grid.sample_rate)
-    x = spec.freqs_hz[sel]
-    y = 10.0 * np.log10(np.maximum(spec.values[:, sel], POWER_FLOOR))
+    first, last = slope_band_bins(fmin_hz, fmax_hz, spec.grid.window_samples, spec.grid.sample_rate)
+    x = spec.freqs_hz[first : last + 1]
+    # bin by bin in memory (Fortran order), so that each frame's mean and
+    # product with xc sum in the order that the features are pinned to
+    y = 10.0 * np.log10(np.maximum(spec.values[:, first : last + 1], POWER_FLOOR, order="F"))
     xc = x - x.mean()
     return (y - y.mean(axis=1, keepdims=True)) @ xc / np.dot(xc, xc)

@@ -1,7 +1,9 @@
-"""Statistics layer: correlation, selection, model fit, CV, ROC."""
+"""Statistics layer: selection by correlation, model fit, CV, ROC."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import rankdata
 
 from cryscreen.analytics import (
@@ -9,11 +11,9 @@ from cryscreen.analytics import (
     IRLS_TOL,
     FeatureMatrix,
     ScreeningModel,
-    UndefinedCorrelationError,
     _sigmoid,
     assign_patient_folds,
     cross_validate,
-    pearson,
     roc_auc,
     select_consistent_features,
     sensitivity_at_specificity,
@@ -32,23 +32,6 @@ def matrix_of(X, y, patients=None, sites=None, names=None):
         patient_ids=patients or [f"p{i}" for i in range(n)],
         sites=sites or ["ESUTH"] * n,
     )
-
-
-def test_pearson_hand_value():
-    r = pearson(np.array([1.0, 2.0, 3.0, 4.0]), np.array([0.0, 0.0, 1.0, 1.0]))
-    assert abs(r - 0.894) < 1e-3
-
-
-def test_pearson_matches_numpy():
-    rng = np.random.default_rng(5)
-    x = rng.standard_normal(200)
-    y = x * 0.3 + rng.standard_normal(200)
-    assert pearson(x, y) == pytest.approx(np.corrcoef(x, y)[0, 1], abs=1e-12)
-
-
-def test_pearson_constant_raises():
-    with pytest.raises(UndefinedCorrelationError):
-        pearson(np.ones(10), np.arange(10.0))
 
 
 def test_feature_matrix_subsetting():
@@ -104,6 +87,80 @@ def test_selection_validates_sites():
     single = matrix_of([[1.0], [2.0]], [1, 1], sites=["A", "B"])
     with pytest.raises(ValueError, match="single class"):
         select_consistent_features(single, ["A", "B"])
+    # two rows of two classes always correlate at +1 or -1
+    two = matrix_of([[1.0], [2.0], [1.0], [2.0], [3.0]], [0, 1, 0, 1, 0], sites=["A", "A", "B", "B", "B"])
+    with pytest.raises(ValueError, match="^site A has 2 rows; a correlation needs at least 3$"):
+        select_consistent_features(two, ["A", "B"])
+
+
+def test_selection_matches_hand_correlation():
+    x = [1.0, 2.0, 3.0, 4.0, 4.0, 3.0, 2.0, 1.0]
+    m = matrix_of(np.array(x)[:, None], [0, 0, 1, 1, 1, 1, 0, 0], sites=["A"] * 4 + ["B"] * 4)
+    report = select_consistent_features(m, ["A", "B"])
+    # cov 0.5 over sqrt(1.25 * 0.25) at each site
+    assert report.correlations["f0"]["A"] == pytest.approx(2.0 / np.sqrt(5.0), abs=1e-15)
+    assert report.correlations["f0"]["B"] == pytest.approx(2.0 / np.sqrt(5.0), abs=1e-15)
+    assert report.directions == {"f0": "positive"}
+
+
+def test_constant_column_is_undefined_however_its_mean_rounds():
+    # three 0.7s average to a float a hair off 0.7, so the centered column
+    # is not exactly 0, yet it does not vary with the label at all
+    x = np.array([0.7, 0.7, 0.7, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0, 0.0, 1.0])
+    y = [0, 1, 1, 0, 1, 0, 1, 0, 1, 0, 1]
+    m = matrix_of(x[:, None], y, sites=["A"] * 3 + ["B"] * 4 + ["C"] * 4)
+    report = select_consistent_features(m, ["A", "B", "C"])
+    assert report.correlations["f0"] == {"A": None, "B": 1.0, "C": 1.0}
+    assert report.selected == [] and report.directions == {}
+
+
+PLANTED = (0.1, 0.7, 123.456)
+
+
+@st.composite
+def planted_sites(draw):
+    """Three sites of 3-30 rows each, with both labels at each; random
+    columns, and for each planted value one column constant at it at a
+    drawn site and one that differs from it there in one row by one ulp."""
+    counts = draw(st.lists(st.integers(3, 30), min_size=3, max_size=3))
+    labels = []
+    for n in counts:
+        y = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+        y[:2] = [0, 1]
+        labels += y
+    sites = [s for s, n in zip("ABC", counts) for _ in range(n)]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.standard_normal((len(sites), 2 + 2 * len(PLANTED))) * draw(st.sampled_from([1e-3, 1.0, 1e3]))
+    X += np.asarray(labels)[:, None] * rng.standard_normal(X.shape[1])
+    at = np.array(sites)
+    constant = {}
+    for k, value in enumerate(PLANTED):
+        site = draw(st.sampled_from("ABC"))
+        rows = np.flatnonzero(at == site)
+        X[rows, 2 + 2 * k] = value
+        constant[f"f{2 + 2 * k}"] = site
+        X[rows, 3 + 2 * k] = value
+        X[rows[draw(st.integers(0, len(rows) - 1))], 3 + 2 * k] = np.nextafter(value, np.inf)
+    return matrix_of(X, labels, sites=sites), constant
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=planted_sites())
+def test_selection_correlations_match_numpy_and_constants_are_none(case):
+    m, constant = case
+    report = select_consistent_features(m, ["A", "B", "C"])
+    at = np.array(m.sites)
+    for j, name in enumerate(m.feature_names):
+        rs = report.correlations[name]
+        for site, r in rs.items():
+            if constant.get(name) == site:
+                assert r is None
+                continue
+            rows = at == site
+            assert abs(r - np.corrcoef(m.X[rows, j], m.labels[rows])[0, 1]) <= 1e-12
+        signs = {None if r is None else np.sign(r) for r in rs.values()}
+        assert (name in report.selected) == (signs in ({1.0}, {-1.0}))
+    assert not set(constant) & set(report.selected)
 
 
 def test_logreg_separable_perfect_ranking():

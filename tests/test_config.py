@@ -266,6 +266,14 @@ BUILT_IN_CODE = [
     ({"min_unit_s": 10**400}, "min_unit_s is an integer too large to be a finite number"),
     ({"cv_folds": 2**63}, f"cv_folds={2**63} does not fit numpy's int64"),
     ({"cv_folds": 2**64}, f"cv_folds={2**64} does not fit numpy's int64"),
+    # save_config would write them, and load_config read back another value
+    ({"min_unit_s": 2**53 + 1}, f"min_unit_s={2**53 + 1} is an integer that no float holds exactly"),
+    ({"reg_grid": (1.0, 2**60 + 1)}, f"reg_grid={2**60 + 1} is an integer that no float holds exactly"),
+    ({"selection_sites": ("A,B",)}, "selection_sites item 'A,B' must be non-empty"),
+    ({"selection_sites": ("ESUTH", " ESUTH")}, "selection_sites item ' ESUTH' must be non-empty"),
+    ({"selection_sites": ("ESUTH #x",)}, "selection_sites item 'ESUTH #x' must be non-empty"),
+    ({"selection_sites": ("",)}, "selection_sites item '' must be non-empty"),
+    ({"selection_sites": ("A\nB",)}, "selection_sites item 'A\\nB' must be non-empty"),
 ]
 
 
@@ -274,7 +282,8 @@ BUILT_IN_CODE = [
     BUILT_IN_CODE,
     ids=["halfwidth-fraction", "mel-fraction", "rate-whole-float", "window-numpy", "mel-numpy", "grid-numpy-item",
          "grid-list", "sites-string", "sites-number", "extrema-bool", "huge-int-in-float", "folds-2**63",
-         "folds-2**64"],
+         "folds-2**64", "inexact-int-in-float", "inexact-int-in-grid", "site-comma", "site-space", "site-hash",
+         "site-empty", "site-line-break"],
 )
 def test_a_value_of_another_type_cannot_be_built(values, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -305,20 +314,22 @@ def _bounded(f, kind, stop):
 
 def _python_values(f):
     """Values of field f that a config built in code may hold."""
-    # the grid's fields stay where the window is under a second at 192 kHz,
-    # as building a config sizes an array of FFT bins by the window, and
-    # the pitch range under 8 kHz, where most drawn ranges can be built
-    stop = {"sample_rate": 192000, "window_s": 1.0, "f0_min_hz": 8000.0, "f0_max_hz": 8000.0}.get(
+    # the sample rate stays at most 192 kHz, so that a window of up to 1e300 s
+    # holds a finite number of samples, and the pitch range under 8 kHz,
+    # where most drawn ranges can be built
+    stop = {"sample_rate": 192000, "f0_min_hz": 8000.0, "f0_max_hz": 8000.0}.get(
         f.name, 2**63 - 1 if f.type == "int" else 1e300
     )
     if f.type == "tuple[float, ...]":
         return st.lists(_bounded(f, float, stop), max_size=4).map(tuple)
     if f.type == "tuple[str, ...]":
-        return st.lists(st.sampled_from(sorted(SITES)), max_size=4).map(tuple)
+        # sites, and text holding what a saved config splits, strips or cuts at
+        text = st.text(st.sampled_from("AB ,#\t\n\r\x1c"), max_size=4)
+        return st.lists(st.one_of(st.sampled_from(sorted(SITES)), text), max_size=4).map(tuple)
     if f.type == "int":
         return _bounded(f, int, stop)
-    # an int in a float field reads back equal while a float holds it exactly
-    return st.one_of(_bounded(f, float, stop), _bounded(f, int, min(stop, 2**53)))
+    # an int in a float field past 2**53 is refused unless a float holds it
+    return st.one_of(_bounded(f, float, stop), _bounded(f, int, min(stop, 2**64)))
 
 
 def _other_types(f):

@@ -5,6 +5,7 @@ known in closed form: framing counts, tone bins, DCT orthogonality,
 planted resonances, exact log-spectral slopes.
 """
 
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -757,6 +758,32 @@ def test_spectral_slope_exact():
     spec = Spectrogram(mags**2, freqs, FrameGrid(160, 400, 2, SR))
     got = spectral_slope_band(spec, 0.0, 500.0)
     assert np.allclose(got, slopes_db_per_hz, atol=1e-9)
+
+
+@pytest.mark.parametrize("sr", [8000, 16000, 22050, 44100, 48000])
+def test_slope_band_bounds_are_those_of_the_rfftfreq_mask(sr):
+    masks = {}
+    for win in range(3, 4097):
+        nfft = dsp._next_pow2(win)
+        if nfft not in masks:
+            freqs = np.fft.rfftfreq(nfft, 1.0 / sr)
+            masks[nfft] = np.flatnonzero((freqs >= 0.0) & (freqs <= 500.0))
+        band = masks[nfft]
+        if len(band) < 3:
+            with pytest.raises(ValueError, match=f"covers {len(band)} bins; need at least 3"):
+                dsp.slope_band_bins(0.0, 500.0, win, sr)
+        else:
+            assert dsp.slope_band_bins(0.0, 500.0, win, sr) == (band[0], band[-1])
+
+
+def test_a_long_window_costs_a_config_no_memory():
+    tracemalloc.start()
+    try:
+        PipelineConfig(window_s=100.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1e6
 
 
 def test_spectral_slope_needs_bins():
