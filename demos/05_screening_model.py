@@ -52,7 +52,8 @@ model = train_logreg(trainval, cv.best_reg_strength)
 curve = roc_auc(model.predict_proba(test.subset_features(report.selected).X), test.labels)
 print(f"\nheld-out AUC {curve.auc:.3f}, "
       f"sensitivity at 80% specificity {sensitivity_at_specificity(curve, 0.80):.3f}")
-top = sorted(model.contribution_percent().items(), key=lambda kv: -kv[1])[:5]
-print("largest model contributions:")
-for name, pct in top:
-    print(f"  {pct:5.1f}%  {name}")
+# the model standardizes each feature, so its weights compare across features
+top = sorted(zip(model.feature_names, model.weights), key=lambda nw: -abs(nw[1]))[:5]
+print("largest standardized weights:")
+for name, w in top:
+    print(f"  {w:+7.3f}  {name}")

@@ -126,13 +126,6 @@ class ScreeningModel:
         Z = (np.asarray(X, dtype=np.float64) - self.mean) / self.std
         return _sigmoid(Z @ self.weights + self.bias)
 
-    def contribution_percent(self) -> dict[str, float]:
-        """Share of total absolute weight per feature, in percent."""
-        total = np.sum(np.abs(self.weights))
-        if total == 0:
-            return {n: 0.0 for n in self.feature_names}
-        return {n: float(100.0 * abs(w) / total) for n, w in zip(self.feature_names, self.weights)}
-
     def to_json_dict(self) -> dict:
         return {
             "features": list(self.feature_names),

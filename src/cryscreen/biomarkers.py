@@ -13,7 +13,9 @@ recording's other series:
 * melody:         the coarse shape of the unit's pitch contour
 
 The figures above are the defaults; every detector reads its thresholds
-from the PipelineConfig it is passed.
+from the PipelineConfig it is passed. Their durations count whole frames
+by dsp's rule: a sustained run needs dsp.frames_within of its seconds, and
+a jump or swing spacing reaches dsp.hops_within of them.
 
 Per recording, each biomarker is summarized as the fraction of units where
 it occurs and the fraction of in-unit frames it covers, alongside basic
@@ -28,15 +30,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import F0Contour
+from .dsp import F0Contour, frames_within, hops_within
 from .segmenter import CrySegmentation, runs_of
 
 MELODY_EDGE_FRACTION = 0.2
 MELODY_MIN_VOICED_FRAMES = 5
 
 MELODY_TYPES = ["falling", "rising_falling", "rising", "falling_rising", "flat"]
-
-_EPS = 1e-9
 
 CRY_FEATURE_NAMES = [
     "cry_unit_dur_mean",
@@ -98,11 +98,6 @@ def smooth_f0(f0_hz: np.ndarray, voiced: np.ndarray) -> np.ndarray:
     return np.where(voiced, med, 0.0)
 
 
-def _min_run_frames(min_run_s: float, hop_s: float) -> int:
-    # a run of n frames spans n hops of signal
-    return max(int(np.ceil(min_run_s / hop_s - _EPS)), 1)
-
-
 def _flag_sustained(condition: np.ndarray, min_frames: int) -> np.ndarray:
     """Mask of the frames inside runs of at least min_frames where condition holds."""
     out = np.zeros(len(condition), dtype=bool)
@@ -130,7 +125,7 @@ def detect_hyperphonation(
     """Flag frames in voiced runs of at least config.hyperphonation_min_run_s
     with f0 above config.hyperphonation_f0_hz."""
     cond = voiced & (f0_hz > config.hyperphonation_f0_hz)
-    return _flag_sustained(cond, _min_run_frames(config.hyperphonation_min_run_s, hop_s))
+    return _flag_sustained(cond, frames_within(config.hyperphonation_min_run_s, hop_s))
 
 
 def detect_dysphonation(flatness: np.ndarray, hop_s: float, config: PipelineConfig = PipelineConfig()) -> np.ndarray:
@@ -144,7 +139,7 @@ def detect_dysphonation(flatness: np.ndarray, hop_s: float, config: PipelineConf
     outlier frame neither breaks a sustained run nor fakes one.
     """
     vals = _median3(np.asarray(flatness, dtype=np.float64))
-    return _flag_sustained(vals > config.dysphonation_flatness, _min_run_frames(config.dysphonation_min_run_s, hop_s))
+    return _flag_sustained(vals > config.dysphonation_flatness, frames_within(config.dysphonation_min_run_s, hop_s))
 
 
 def detect_glide(
@@ -157,7 +152,7 @@ def detect_glide(
     config.glide_max_span_s later, with both endpoints voiced.
     """
     n = len(smoothed)
-    max_k = int(np.floor(config.glide_max_span_s / hop_s + _EPS))
+    max_k = hops_within(config.glide_max_span_s, hop_s)
     out = np.zeros(n, dtype=bool)
     for k in range(1, min(max_k, n - 1) + 1):
         out[:-k] |= (np.abs(smoothed[k:] - smoothed[:-k]) >= config.glide_delta_hz) & voiced[k:] & voiced[:-k]
@@ -212,7 +207,7 @@ def detect_vibrato(
     pos, is_max = _prominent_extrema(smoothed[vpos], config.vibrato_prominence_hz)
     if len(pos) < config.vibrato_min_extrema:
         return False
-    max_gap = config.vibrato_max_spacing_s / hop_s + _EPS
+    max_gap = hops_within(config.vibrato_max_spacing_s, hop_s)
     linked = (is_max[1:] != is_max[:-1]) & (np.diff(vpos[pos]) <= max_gap)
     best = 1 + max((end - start + 1 for start, end in runs_of(linked)), default=0)
     return best >= config.vibrato_min_extrema

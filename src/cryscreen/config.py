@@ -27,6 +27,7 @@ from .dsp import (
     check_mfcc_coeffs,
     f0_lag_range,
     slope_band_bins,
+    whole_samples,
 )
 
 
@@ -114,15 +115,10 @@ class PipelineConfig:
 
     def __post_init__(self) -> None:
         check_fields(self)
-        for key in ("window_s", "hop_s"):
-            # dsp.make_grid rounds to whole samples, and round(x) >= 1
-            # exactly when x > 0.5
-            if not getattr(self, key) * self.sample_rate > 0.5:
-                raise ValueError(
-                    f"{key}={getattr(self, key)!r} is under one sample at sample_rate={self.sample_rate}"
-                )
+        # dsp.make_grid frames on these whole samples
+        win = self._whole_samples("window_s")
+        self._whole_samples("hop_s")
         # the analysis front end would reject these for every recording
-        win = int(round(self.window_s * self.sample_rate))
         try:
             check_mel_bands(self.num_mel_bands, win)
             check_mfcc_coeffs(FRONT_END_MFCC_COEFFS, self.num_mel_bands)
@@ -144,6 +140,13 @@ class PipelineConfig:
             if not site or site != site.strip() or set(site) & set(",#\r\n"):
                 raise ValueError(f"selection_sites item {site!r} must be non-empty, hold no comma, # or line "
                                  "break, and not start or end with white space")
+
+    def _whole_samples(self, key: str) -> int:
+        try:
+            return whole_samples(getattr(self, key), self.sample_rate)
+        except ValueError as exc:
+            # whole_samples' message starts with the value's repr
+            raise ValueError(f"{key}={exc}") from None
 
 
 _FIELD_KINDS = {f.name: (container, kind) for f, container, kind in _field_kinds(PipelineConfig)}

@@ -11,6 +11,7 @@ grid. The pipeline passes the kernels clips at the config's sample rate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -58,6 +59,40 @@ ROOT_PIVOT_TOL = 1e-10
 ROOT_STEP_TOL = 1e-12
 ROOT_SEPARATION = 1e-9
 
+# A duration within this many hops of a whole number of hops counts as that
+# number, so that a span that is a whole number of hops, in float noise,
+# neither gains nor loses a frame; a rule that must stay in seconds reads
+# it in seconds.
+DURATION_TOL = 1e-9
+
+
+def whole_samples(seconds: float, sample_rate: int) -> int:
+    """The whole samples a duration spans at sample_rate: round(seconds *
+    sample_rate). Raises ValueError, its message starting with the duration's
+    repr, when that is under one sample or more than numpy's int64 holds."""
+    if not math.isfinite(seconds):
+        raise ValueError(f"{seconds!r} is not a finite number")
+    count = seconds * sample_rate
+    # round(x) >= 1 exactly when x > 0.5, as round takes halves to even
+    if not count > 0.5:
+        raise ValueError(f"{seconds!r} is under one sample at sample_rate={sample_rate}")
+    if not count < 2**63:
+        raise ValueError(f"{seconds!r} is more samples than numpy can index at sample_rate={sample_rate}")
+    return int(round(count))
+
+
+def frames_within(seconds: float, hop_s: float) -> int:
+    """How many frames of a grid of hop_s start within the first seconds of
+    it, in [0, seconds): a run of that many frames spans seconds, and a gap
+    of fewer frames is shorter."""
+    return math.ceil(seconds / hop_s - DURATION_TOL)
+
+
+def hops_within(seconds: float, hop_s: float) -> int:
+    """How many whole hops of hop_s fit in seconds: the frames at most
+    seconds after a frame are the next hops_within(seconds, hop_s)."""
+    return math.floor(seconds / hop_s + DURATION_TOL)
+
 
 @dataclass
 class FrameGrid:
@@ -81,15 +116,9 @@ class FrameGrid:
         return np.arange(self.num_frames) * self.hop_seconds
 
     def frame_slice(self, onset_s: float, offset_s: float) -> slice:
-        """Frames whose start time falls in [onset_s, offset_s).
-
-        A small tolerance absorbs float noise so that boundaries that are
-        exact hop multiples do not gain or lose a frame.
-        """
-        t0 = int(np.ceil(onset_s / self.hop_seconds - 1e-9))
-        t1 = int(np.ceil(offset_s / self.hop_seconds - 1e-9))
-        t0 = max(t0, 0)
-        t1 = min(max(t1, t0), self.num_frames)
+        """Frames whose start time falls in [onset_s, offset_s), by frames_within."""
+        t0 = max(frames_within(onset_s, self.hop_seconds), 0)
+        t1 = min(max(frames_within(offset_s, self.hop_seconds), t0), self.num_frames)
         return slice(t0, t1)
 
 
@@ -140,8 +169,8 @@ def frame_blocks(num_frames: int) -> list[tuple[int, int]]:
 
 
 def make_grid(n_samples: int, sample_rate: int, window_s: float, hop_s: float) -> FrameGrid:
-    win = int(round(window_s * sample_rate))
-    hop = int(round(hop_s * sample_rate))
+    win = whole_samples(window_s, sample_rate)
+    hop = whole_samples(hop_s, sample_rate)
     if n_samples < win:
         raise ValueError(f"signal of {n_samples} samples is shorter than one {win}-sample window")
     return FrameGrid(hop, win, (n_samples - win) // hop + 1, sample_rate)

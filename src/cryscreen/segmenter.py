@@ -7,7 +7,8 @@ bridged, sub-perceptual gaps are merged away and too-short fragments are
 dropped. The loudness levels adapt to the clip so recording gain does not
 need per-file calibration; the fractions, durations and the voicing
 neighbourhood behind them come from the PipelineConfig each stage is
-passed.
+passed. Pause and unit durations count whole frames by dsp.frames_within,
+the one rule for where a duration falls on the frame grid.
 """
 
 from __future__ import annotations
@@ -17,9 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import PipelineConfig
-from .dsp import F0Contour, FrameGrid
-
-_EPS = 1e-9
+from .dsp import DURATION_TOL, F0Contour, FrameGrid, frames_within
 
 
 @dataclass
@@ -65,7 +64,8 @@ def detect_cry_units(f0: F0Contour, loud: np.ndarray, config: PipelineConfig = P
     (config.active_fraction of the span), while a unit stays open down to
     half that fraction (hysteresis). Voicing counts as present across
     dropouts bridged by config.voicing_halfwidth_frames. Gaps shorter than
-    config.min_pause_s merge, fragments shorter than config.min_unit_s drop.
+    config.min_pause_s merge, fragments shorter than config.min_unit_s drop,
+    both lengths counted in whole frames by dsp.frames_within.
     """
     if f0.grid.num_frames != len(loud):
         raise ValueError("f0 and loudness were computed on different frame grids")
@@ -83,14 +83,16 @@ def detect_cry_units(f0: F0Contour, loud: np.ndarray, config: PipelineConfig = P
             regions.append([start, end])
 
     # merge gaps shorter than the minimum audible pause
+    min_pause = frames_within(config.min_pause_s, hop)
     merged: list[list[int]] = []
     for seg in regions:
-        if merged and (seg[0] - merged[-1][1] - 1) * hop < config.min_pause_s - _EPS:
+        if merged and seg[0] - merged[-1][1] - 1 < min_pause:
             merged[-1][1] = seg[1]
         else:
             merged.append(seg)
 
-    kept = [(s, e) for s, e in merged if (e - s + 1) * hop >= config.min_unit_s - _EPS]
+    min_unit = frames_within(config.min_unit_s, hop)
+    kept = [(s, e) for s, e in merged if e - s + 1 >= min_unit]
     expirations = [(float(s * hop), float((e + 1) * hop)) for s, e in kept]
     return CrySegmentation(expirations)
 
@@ -113,18 +115,19 @@ def pitch_frames(loud: np.ndarray, grid: FrameGrid, config: PipelineConfig = Pip
     loud holds one loudness value per frame of grid.
 
     Every frame of a unit lies at or above the release level, or in a gap
-    shorter than config.min_pause_s between two such frames.
-    detect_cry_units reads voicing only through bridge_voicing_gaps at
-    frames at or above the release level, which looks 2 * halfwidth frames
-    to each side (halfwidth being config.voicing_halfwidth_frames); the
-    detectors read a unit's frames and one neighbour on each side. So the
-    frames within 2 * halfwidth + 1 of a frame at or above the release
-    level, or within a merged gap's length of one, hold every voicing value
-    that can change the segmentation or a unit.
+    of fewer than frames_within(config.min_pause_s, hop) frames between two
+    such frames, as detect_cry_units merges by that count. detect_cry_units
+    reads voicing only through bridge_voicing_gaps at frames at or above the
+    release level, which looks 2 * halfwidth frames to each side (halfwidth
+    being config.voicing_halfwidth_frames); the detectors read a unit's
+    frames and one neighbour on each side. So the frames within
+    2 * halfwidth + 1 of a frame at or above the release level, or within
+    that count of one, hold every voicing value that can change the
+    segmentation or a unit.
     """
     L = np.asarray(loud, dtype=np.float64)
     _, release_low = loudness_levels(L, config.active_fraction)
-    reach = max(2 * config.voicing_halfwidth_frames + 1, int(np.ceil(config.min_pause_s / grid.hop_seconds)))
+    reach = max(2 * config.voicing_halfwidth_frames + 1, frames_within(config.min_pause_s, grid.hop_seconds))
     return np.flatnonzero(_dilate(L >= release_low, reach))
 
 
@@ -142,8 +145,12 @@ def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:
 
 
 def meets_curation_rule(seg: CrySegmentation, config: PipelineConfig = PipelineConfig()) -> bool:
-    """Recordings need at least config.min_total_cry_s of summed cry to be usable."""
-    return seg.total_cry_seconds >= config.min_total_cry_s - _EPS
+    """Recordings need at least config.min_total_cry_s of summed cry to be usable.
+
+    A sum of unit lengths is no whole number of frames, so this rule stays
+    in seconds, with dsp's tolerance read as seconds.
+    """
+    return seg.total_cry_seconds >= config.min_total_cry_s - DURATION_TOL
 
 
 def runs_of(mask: np.ndarray) -> list[tuple[int, int]]:

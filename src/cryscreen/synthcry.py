@@ -22,7 +22,7 @@ import numpy as np
 from .audio_io import SITES, AudioClip, ManifestEntry, save_manifest, write_wav
 from .biomarkers import MELODY_TYPES, UnitFlags, classify_melody, smooth_f0
 from .config import PipelineConfig, check_fields
-from .dsp import F0Contour, make_grid
+from .dsp import F0Contour, frames_within, hops_within, make_grid
 from .segmenter import CrySegmentation
 
 EVENTS = ("none", "hyperphonation", "dysphonation", "glide", "vibrato")
@@ -41,7 +41,10 @@ _MELODY_KNOTS = {
 _HYPER_RAMP_S = 0.18
 _GLIDE_RISE_S = 0.055
 _GLIDE_HOLD_S = 0.05
+_GLIDE_DELTA_HZ = 650.0
 _VIBRATO_TAPER_S = 0.05
+_VIBRATO_RATE_HZ = 8.0
+_VIBRATO_DEPTH_HZ = 80.0
 _NUM_HARMONICS = 5
 _EDGE_RAMP_S = 0.015
 _DYS_TIMBRE_RAMP_S = 0.02
@@ -60,9 +63,6 @@ class UnitSpec:
     event_start_s: float = 0.0
     event_duration_s: float = 0.0
     hyper_f0_hz: float = 1200.0
-    glide_delta_hz: float = 650.0
-    vibrato_rate_hz: float = 8.0
-    vibrato_depth_hz: float = 80.0
     dysphonation_snr_db: float = 2.0
 
 
@@ -123,7 +123,7 @@ def unit_f0_at(unit: UnitSpec, t_rel: np.ndarray) -> np.ndarray:
         f0 = (1.0 - w) * f0 + w * unit.hyper_f0_hz
     elif unit.event == "glide":
         w = _trapezoid_weight(t_rel, a, a + _GLIDE_HOLD_S, _GLIDE_RISE_S)
-        f0 = f0 + w * unit.glide_delta_hz
+        f0 = f0 + w * _GLIDE_DELTA_HZ
     elif unit.event == "vibrato":
         w = _trapezoid_weight(t_rel, a + _VIBRATO_TAPER_S, a + dur - _VIBRATO_TAPER_S, _VIBRATO_TAPER_S)
         # cosine phased to crest at the event midpoint, with the depth
@@ -131,7 +131,7 @@ def unit_f0_at(unit: UnitSpec, t_rel: np.ndarray) -> np.ndarray:
         # never hinges on a jitter-broken tie between equal wobble peaks
         mid = a + dur / 2.0
         bump = 0.7 + 0.6 * np.sin(np.pi * np.clip((t_rel - a) / max(dur, 1e-9), 0.0, 1.0))
-        f0 = f0 + w * bump * unit.vibrato_depth_hz * np.cos(2.0 * np.pi * unit.vibrato_rate_hz * (t_rel - mid))
+        f0 = f0 + w * bump * _VIBRATO_DEPTH_HZ * np.cos(2.0 * np.pi * _VIBRATO_RATE_HZ * (t_rel - mid))
     return f0
 
 
@@ -259,8 +259,9 @@ def _ground_truth(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples:
     # the detectors' thresholds, read once: the glide loop below runs per
     # pair of frames, where building a config each time would be slow
     config = PipelineConfig()
-    hyper_run = int(np.ceil(config.hyperphonation_min_run_s / hop - 1e-9))
-    dys_run = int(np.ceil(config.dysphonation_min_run_s / hop - 1e-9))
+    hyper_run = frames_within(config.hyperphonation_min_run_s, hop)
+    dys_run = frames_within(config.dysphonation_min_run_s, hop)
+    max_k = hops_within(config.glide_max_span_s, hop)
 
     flags: list[UnitFlags] = []
     for unit, (on, off) in zip(spec.units, seg.expirations):
@@ -279,7 +280,6 @@ def _ground_truth(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples:
             dys = _count_run_frames(in_noise, dys_run)
 
         glide = 0
-        max_k = int(np.floor(config.glide_max_span_s / hop + 1e-9))
         for t in range(n_frames):
             for k in range(1, min(max_k, n_frames - 1 - t) + 1):
                 if voiced_u[t] and voiced_u[t + k] and abs(f0_u[t + k] - f0_u[t]) >= config.glide_delta_hz:

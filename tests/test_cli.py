@@ -178,7 +178,10 @@ def test_unusable_model_config_is_a_clean_error(chain, tmp_path, capsys, line, k
                                        ("active_fraction=3", "active_fraction"),
                                        ("dysphonation_flatness=2", "dysphonation_flatness"),
                                        ("voicing_halfwidth_frames=-5 min_pause_s=-1", "voicing_halfwidth_frames"),
-                                       ("voicing_halfwidth_frames=-1 min_pause_s=-0.01", "voicing_halfwidth_frames")])
+                                       ("voicing_halfwidth_frames=-1 min_pause_s=-0.01", "voicing_halfwidth_frames"),
+                                       # more samples than numpy's int64 counts, once an OverflowError traceback
+                                       (f"window_s=1e300 sample_rate={2**62}", "window_s"),
+                                       (f"hop_s=1e300 sample_rate={2**62}", "hop_s")])
 def test_unusable_config_is_a_clean_error(chain, tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
     # an entry of several keys is written one key a line

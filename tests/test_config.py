@@ -274,6 +274,11 @@ BUILT_IN_CODE = [
     ({"selection_sites": ("ESUTH #x",)}, "selection_sites item 'ESUTH #x' must be non-empty"),
     ({"selection_sites": ("",)}, "selection_sites item '' must be non-empty"),
     ({"selection_sites": ("A\nB",)}, "selection_sites item 'A\\nB' must be non-empty"),
+    # a grid of more samples than numpy's int64 counts
+    ({"window_s": 1e300, "sample_rate": 2**62},
+     "window_s=1e+300 is more samples than numpy can index at sample_rate=4611686018427387904"),
+    ({"hop_s": 1e300, "sample_rate": 2**62},
+     "hop_s=1e+300 is more samples than numpy can index at sample_rate=4611686018427387904"),
 ]
 
 
@@ -283,7 +288,7 @@ BUILT_IN_CODE = [
     ids=["halfwidth-fraction", "mel-fraction", "rate-whole-float", "window-numpy", "mel-numpy", "grid-numpy-item",
          "grid-list", "sites-string", "sites-number", "extrema-bool", "huge-int-in-float", "folds-2**63",
          "folds-2**64", "inexact-int-in-float", "inexact-int-in-grid", "site-comma", "site-space", "site-hash",
-         "site-empty", "site-line-break"],
+         "site-empty", "site-line-break", "window-past-int64", "hop-past-int64"],
 )
 def test_a_value_of_another_type_cannot_be_built(values, message):
     with pytest.raises(ValueError, match=re.escape(message)):

@@ -10,7 +10,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import signal as sps
 from scipy.fft import dct
@@ -24,6 +24,8 @@ from cryscreen.dsp import (
     difference_function,
     estimate_f0,
     frame_signal,
+    frames_within,
+    hops_within,
     log_mel,
     loudness,
     lpc_formants,
@@ -34,6 +36,7 @@ from cryscreen.dsp import (
     spectral_flatness,
     spectral_slope_band,
     stft,
+    whole_samples,
 )
 from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
 
@@ -116,6 +119,73 @@ def test_frame_slice_clamps():
     assert grid.frame_slice(-5.0, 99.0) == slice(0, 100)
     reversed_interval = grid.frame_slice(2.0, 1.0)
     assert reversed_interval.stop <= reversed_interval.start
+
+
+def test_whole_samples_bounds():
+    # round takes half a sample to none and one and a half to two
+    with pytest.raises(ValueError, match="under one sample at sample_rate=16000"):
+        whole_samples(0.5 / SR, SR)
+    assert whole_samples(0.50001 / SR, SR) == 1
+    assert whole_samples(1.5 / SR, SR) == 2
+    assert whole_samples(0.025, SR) == 400
+    assert whole_samples(float(2**63 - 1024), 1) == 2**63 - 1024
+    with pytest.raises(ValueError, match="more samples than numpy can index"):
+        whole_samples(float(2**63), 1)
+    with pytest.raises(ValueError, match="nan is not a finite number"):
+        whole_samples(float("nan"), SR)
+
+
+def test_make_grid_refuses_an_overflowing_hop():
+    # 1e300 s at 2**62 Hz is no float, let alone an int64 of samples
+    with pytest.raises(ValueError, match="1e[+]300 is more samples than numpy can index"):
+        make_grid(SR, 2**62, 0.025, 1e300)
+    with pytest.raises(ValueError, match="under one sample"):
+        make_grid(SR, SR, 0.025, 0.0)
+
+
+# the seconds forms of the duration rules that frames_within and hops_within
+# replace: a pause of g frames merges when g * hop < min_pause_s - 1e-9, a
+# unit of n frames stays when n * hop >= min_unit_s - 1e-9, and a gap of g
+# hops is linked (vibrato) when g <= spacing / hop + 1e-9 and reached
+# (glide) up to floor(span / hop + 1e-9)
+SECONDS_TOL = 1e-9
+WHOLE_KHZ_RATES = [1000 * k for k in range(8, 49)] + [11025, 22050, 44100]
+
+
+def old_and_new_rules(seconds, hop):
+    frames, hops = frames_within(seconds, hop), hops_within(seconds, hop)
+    for g in range(max(frames - 2, 0), frames + 3):
+        yield g < frames, g * hop < seconds - SECONDS_TOL  # pause merge
+        yield g >= frames, g * hop >= seconds - SECONDS_TOL  # unit keep
+    for g in range(max(hops - 2, 0), hops + 3):
+        yield g <= hops, g <= seconds / hop + SECONDS_TOL  # vibrato link
+    yield hops, int(np.floor(seconds / hop + SECONDS_TOL))  # glide reach
+
+
+@settings(max_examples=400, deadline=None)
+@given(rate=st.sampled_from(WHOLE_KHZ_RATES), hop_ms=st.integers(1, 33), micros=st.integers(0, 10_000_000))
+# the defaults' pause, unit and spans, whole numbers of hops
+@example(rate=16000, hop_ms=10, micros=50_000)
+@example(rate=16000, hop_ms=10, micros=200_000)
+@example(rate=44100, hop_ms=10, micros=100_000)
+@example(rate=8000, hop_ms=3, micros=100_000)
+def test_frame_rules_equal_the_seconds_rules(rate, hop_ms, micros):
+    hop = FrameGrid(whole_samples(hop_ms / 1000, rate), 1, 1, rate).hop_seconds
+    for new, old in old_and_new_rules(micros / 1e6, hop):
+        assert new == old
+
+
+@settings(max_examples=400, deadline=None)
+@given(rate=st.integers(8000, 48000), hop_ms=st.integers(1, 33), micros=st.integers(0, 10_000_000))
+# 469 hops of 42 samples at 42025 Hz are 0.4687209994 s, where the forms part
+@example(rate=42025, hop_ms=1, micros=468_721)
+def test_frame_rules_part_from_the_seconds_rules_only_at_whole_hops(rate, hop_ms, micros):
+    # at a rate of no whole kHz, a duration on a 1 us grid can fall between
+    # the tolerance in seconds and the one in hops of a whole number of hops
+    hop = FrameGrid(whole_samples(hop_ms / 1000, rate), 1, 1, rate).hop_seconds
+    seconds = micros / 1e6
+    if any(new != old for new, old in old_and_new_rules(seconds, hop)):
+        assert abs(seconds - round(seconds / hop) * hop) < 2 * SECONDS_TOL
 
 
 def test_stft_peak_bin():
