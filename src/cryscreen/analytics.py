@@ -6,8 +6,9 @@ least squares, the regularization weight is picked by patient-grouped
 stratified cross-validation, and discrimination is reported as the
 Mann-Whitney AUC plus sensitivity at a fixed specificity, both read off
 the ROC curve of one sort of the scores. Cross-validation standardizes
-each fold's training rows once, and every penalty of the grid is fit on
-that one design.
+each fold's training rows once and fits the grid's penalties on that one
+design, strongest first, each fit starting from the previous one's
+weights.
 """
 
 from __future__ import annotations
@@ -160,15 +161,15 @@ def _standardized_design(X: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return np.column_stack([(X - mean) / std, np.ones(len(X))]), mean, std
 
 
-def _fit_irls(Z: np.ndarray, y: np.ndarray, reg_strength: float) -> np.ndarray:
+def _fit_irls(Z: np.ndarray, y: np.ndarray, reg_strength: float, start: np.ndarray) -> np.ndarray:
     """Weights of an L2 logistic fit on a design whose last column is the bias.
 
-    Newton/IRLS steps from zero until the gradient norm drops under 1e-6,
-    at most 500 steps. Every column but the bias carries reg_strength as
-    its penalty weight.
+    Newton/IRLS steps from the start weights until the gradient norm drops
+    under 1e-6, at most 500 steps. Every column but the bias carries
+    reg_strength as its penalty weight.
     """
     d = Z.shape[1] - 1
-    w = np.zeros(d + 1)
+    w = start
     penalty = np.full(d + 1, float(reg_strength))
     penalty[d] = 0.0  # bias stays unpenalized
     for _ in range(IRLS_MAX_ITER):
@@ -203,8 +204,8 @@ def train_logreg(matrix: FeatureMatrix, reg_strength: float) -> ScreeningModel:
     500 steps.
     """
     Z, mean, std = _standardized_design(matrix.X)
-    w = _fit_irls(Z, np.asarray(matrix.labels, dtype=np.float64), reg_strength)
     d = len(mean)
+    w = _fit_irls(Z, np.asarray(matrix.labels, dtype=np.float64), reg_strength, np.zeros(d + 1))
     return ScreeningModel(list(matrix.feature_names), w[:d], float(w[d]), mean, std, float(reg_strength))
 
 
@@ -238,12 +239,16 @@ def assign_patient_folds(patient_ids: list[str], labels: np.ndarray, folds: int)
 def cross_validate(matrix: FeatureMatrix, folds: int, reg_grid: tuple[float, ...]) -> CrossValidationResult:
     """Pick the regularization weight by grouped, stratified CV.
 
-    Each fold's training rows are standardized once, and every penalty of
-    reg_grid is fit on that one design and scored on the fold's validation
-    rows, standardized once by the same mean and std; each fit and score
-    is the one train_logreg and predict_proba would make on those rows.
-    Mean validation AUC decides; exact ties go to the strongest
-    regularization (largest penalty).
+    Each fold's training rows are standardized once, and the penalties of
+    reg_grid are fit on that one design strongest first. The first fit
+    starts from zero, as train_logreg's does, and each later one from the
+    weights of the penalty before it; every fit stops on train_logreg's
+    rule, so its weights are the optimum's to within that rule's
+    tolerance, though not bit for bit the ones train_logreg would return.
+    Each fit scores the fold's validation rows, standardized once by the
+    same mean and std. fold_aucs keeps reg_grid's order, a penalty listed
+    twice counting once. Mean validation AUC decides; exact ties go to the
+    strongest regularization (largest penalty).
     """
     assignment = assign_patient_folds(matrix.patient_ids, matrix.labels, folds)
     row_fold = np.array([assignment[p] for p in matrix.patient_ids])
@@ -258,8 +263,9 @@ def cross_validate(matrix: FeatureMatrix, folds: int, reg_grid: tuple[float, ...
         y = labels[train_idx].astype(np.float64)
         Z_val = (X[val_idx] - mean) / std
         d = len(mean)
-        for lam in reg_grid:
-            w = _fit_irls(Z, y, lam)
+        w = np.zeros(d + 1)
+        for lam in sorted(fold_aucs, reverse=True):
+            w = _fit_irls(Z, y, lam, w)
             fold_aucs[lam].append(roc_auc(_sigmoid(Z_val @ w[:d] + float(w[d])), labels[val_idx]).auc)
     mean_aucs = {lam: float(np.mean(v)) for lam, v in fold_aucs.items()}
     best = max(reg_grid, key=lambda lam: (mean_aucs[lam], lam))

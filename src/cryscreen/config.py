@@ -135,6 +135,10 @@ class PipelineConfig:
             raise ValueError(f"f0_min_hz={self.f0_min_hz!r}, f0_max_hz={self.f0_max_hz!r}: {exc}") from None
         if not self.reg_grid:
             raise ValueError("reg_grid is empty: cross-validation needs at least one penalty strength")
+        for i, lam in enumerate(self.reg_grid):
+            if lam in self.reg_grid[:i]:
+                raise ValueError(f"reg_grid={lam!r} is listed twice: cross-validation scores each penalty "
+                                 "strength once")
         for site in self.selection_sites:
             # load_config ends a line at #, splits it at commas and strips each item
             if not site or site != site.strip() or set(site) & set(",#\r\n"):

@@ -364,6 +364,53 @@ def test_cross_validate_equals_one_fit_per_penalty_and_fold(seed, cols):
     assert 0.6 < max(mean_aucs.values()) < 1.0
 
 
+def separable_matrix():
+    """60 rows split by a hyperplane through four columns of unlike scales.
+
+    Every training fold is separable, so the weakest penalties leave the
+    weights far from zero, yet no fold's fit finds the hyperplane exactly:
+    validation AUCs fall under 1 and rest on the weights.
+    """
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((60, 4)) * [1.0, 10.0, 100.0, 0.1]
+    s = (X / X.std(axis=0)) @ rng.standard_normal(4)
+    return matrix_of(X, (s > np.median(s)).astype(int))
+
+
+SEPARABLE_GRID = (100.0, 1.0, 0.01, 1e-4, 1e-6)
+
+# the warm start's riskiest inputs: a path from a strong penalty to one
+# whose weights are far from it on separable rows, and grids of one
+# penalty, where no fit has another to start from
+WARM_START_CASES = [("separable", 4, SEPARABLE_GRID), ("separable", 4, (1e-6,)), ("planted", 10, (0.1,))]
+
+
+@pytest.mark.parametrize("rows, folds, reg_grid", WARM_START_CASES)
+def test_cross_validate_equals_one_fit_per_penalty_on_risky_inputs(rows, folds, reg_grid):
+    matrix = separable_matrix() if rows == "separable" else planted_case(1, "eight")
+    best, fold_aucs, mean_aucs = reference_cross_validate(matrix, folds, reg_grid)
+    result = cross_validate(matrix, folds=folds, reg_grid=reg_grid)
+    assert result.fold_aucs == fold_aucs
+    assert result.mean_aucs == mean_aucs
+    assert result.best_reg_strength == best
+    assert min(a for aucs in fold_aucs.values() for a in aucs) < 1.0
+
+
+@pytest.mark.parametrize("rows, folds, reg_grid", [("separable", 4, SEPARABLE_GRID),
+                                                   ("planted", 10, (0.1, 1.0, 10.0, 100.0))])
+def test_cross_validate_scores_a_grid_as_its_reverse(rows, folds, reg_grid):
+    matrix = separable_matrix() if rows == "separable" else planted_case(2, "eight")
+    _, fold_aucs, _ = reference_cross_validate(matrix, folds, reg_grid)
+    forward = cross_validate(matrix, folds=folds, reg_grid=reg_grid)
+    backward = cross_validate(matrix, folds=folds, reg_grid=reg_grid[::-1])
+    assert list(forward.fold_aucs) == list(reg_grid)
+    assert list(backward.fold_aucs) == list(reg_grid[::-1])
+    assert all(forward.fold_aucs[lam] == backward.fold_aucs[lam] == fold_aucs[lam] for lam in reg_grid)
+    assert forward.best_reg_strength == backward.best_reg_strength
+    # a penalty listed twice is fit and scored once per fold
+    assert cross_validate(matrix, folds=folds, reg_grid=reg_grid + reg_grid[:1]).fold_aucs == forward.fold_aucs
+
+
 @pytest.mark.parametrize("seed, cols", PLANTED_CASES)
 def test_train_logreg_equals_the_formula_bit_for_bit(seed, cols):
     matrix = planted_case(seed, cols)

@@ -153,7 +153,8 @@ def test_split_listing_a_path_twice_is_a_clean_error(chain, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("line, key", [("cv_folds=0", "cv_folds"), ("cv_folds=1", "cv_folds"),
-                                       ("reg_grid=-1", "reg_grid"), ("reg_grid=", "reg_grid")])
+                                       ("reg_grid=-1", "reg_grid"), ("reg_grid=", "reg_grid"),
+                                       ("reg_grid=1,1", "reg_grid")])
 def test_unusable_model_config_is_a_clean_error(chain, tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(f"{line}\n")

@@ -170,6 +170,7 @@ UNUSABLE_RUN = [
     ("reg_grid=-1", "reg_grid=-1.0 must be above 0"),
     ("reg_grid=1,inf", "reg_grid=inf is not a finite number"),
     ("reg_grid=", "reg_grid is empty"),
+    ("reg_grid=1,10,1", "reg_grid=1.0 is listed twice"),
 ]
 
 
@@ -269,6 +270,8 @@ BUILT_IN_CODE = [
     # save_config would write them, and load_config read back another value
     ({"min_unit_s": 2**53 + 1}, f"min_unit_s={2**53 + 1} is an integer that no float holds exactly"),
     ({"reg_grid": (1.0, 2**60 + 1)}, f"reg_grid={2**60 + 1} is an integer that no float holds exactly"),
+    # cross_validate would score the one penalty under both entries
+    ({"reg_grid": (1.0, 10.0, 1)}, "reg_grid=1 is listed twice"),
     ({"selection_sites": ("A,B",)}, "selection_sites item 'A,B' must be non-empty"),
     ({"selection_sites": ("ESUTH", " ESUTH")}, "selection_sites item ' ESUTH' must be non-empty"),
     ({"selection_sites": ("ESUTH #x",)}, "selection_sites item 'ESUTH #x' must be non-empty"),
@@ -287,8 +290,8 @@ BUILT_IN_CODE = [
     BUILT_IN_CODE,
     ids=["halfwidth-fraction", "mel-fraction", "rate-whole-float", "window-numpy", "mel-numpy", "grid-numpy-item",
          "grid-list", "sites-string", "sites-number", "extrema-bool", "huge-int-in-float", "folds-2**63",
-         "folds-2**64", "inexact-int-in-float", "inexact-int-in-grid", "site-comma", "site-space", "site-hash",
-         "site-empty", "site-line-break", "window-past-int64", "hop-past-int64"],
+         "folds-2**64", "inexact-int-in-float", "inexact-int-in-grid", "grid-repeat", "site-comma", "site-space",
+         "site-hash", "site-empty", "site-line-break", "window-past-int64", "hop-past-int64"],
 )
 def test_a_value_of_another_type_cannot_be_built(values, message):
     with pytest.raises(ValueError, match=re.escape(message)):
