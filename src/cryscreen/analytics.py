@@ -13,7 +13,7 @@ weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,26 +23,25 @@ IRLS_MAX_ITER = 500
 
 @dataclass
 class FeatureMatrix:
-    """Rows of features with labels and grouping metadata."""
+    """Rows of features with labels and grouping metadata.
+
+    sites, patient_ids and paths are numpy arrays of dtype object, aligned
+    row for row with X and labels, so a site mask, a patient grouping or a
+    row subset is one numpy expression. An object array holds each string
+    by reference, where a fixed-width string dtype would pad every row to
+    the longest.
+    """
 
     feature_names: list[str]
     X: np.ndarray
     labels: np.ndarray
-    sites: list[str]
-    patient_ids: list[str]
-    paths: list[str] = field(default_factory=list)
+    sites: np.ndarray
+    patient_ids: np.ndarray
+    paths: np.ndarray
 
     def subset_rows(self, mask: np.ndarray) -> "FeatureMatrix":
-        idx = np.flatnonzero(mask)
-        rows = idx.tolist()
-        return FeatureMatrix(
-            self.feature_names,
-            self.X[idx],
-            self.labels[idx],
-            [self.sites[i] for i in rows],
-            [self.patient_ids[i] for i in rows],
-            [self.paths[i] for i in rows] if self.paths else [],
-        )
+        rows = (self.X, self.labels, self.sites, self.patient_ids, self.paths)
+        return FeatureMatrix(self.feature_names, *(a[mask] for a in rows))
 
     def subset_features(self, names: list[str]) -> "FeatureMatrix":
         pos = [self.feature_names.index(n) for n in names]
@@ -76,7 +75,7 @@ def select_consistent_features(matrix: FeatureMatrix, sites: list[str]) -> Selec
         # a repeat would be compared with itself, which always agrees
         if s in sites[:i]:
             raise ValueError(f"site {s} is listed twice; sign-consistency selection needs distinct sites")
-        mask = np.array([row_site == s for row_site in matrix.sites])
+        mask = matrix.sites == s
         if not mask.any():
             raise ValueError(f"site {s} has no rows")
         if len(np.unique(matrix.labels[mask])) < 2:
@@ -216,24 +215,24 @@ class CrossValidationResult:
     mean_aucs: dict[float, float]
 
 
-def assign_patient_folds(patient_ids: list[str], labels: np.ndarray, folds: int) -> dict[str, int]:
-    """Deterministic stratified fold assignment at the patient level.
+def assign_patient_folds(patient_ids: np.ndarray, labels: np.ndarray, folds: int) -> np.ndarray:
+    """Each row's fold, from a deterministic stratified assignment of patients.
 
-    Patients (not rows) are dealt round-robin within each class, so no
-    patient ever appears on both sides of a split and fold class counts
-    stay within one patient of each other.
+    Patients (not rows) are sorted by ID and dealt round-robin within each
+    class, so no patient ever appears on both sides of a split and fold
+    class counts stay within one patient of each other. A patient with any
+    abnormal row counts as abnormal.
     """
-    patient_label: dict[str, int] = {}
-    for pid, lab in zip(patient_ids, labels):
-        patient_label[pid] = max(patient_label.get(pid, 0), int(lab))
-    assignment = {}
+    patients, row_patient = np.unique(patient_ids, return_inverse=True)
+    patient_label = np.zeros(len(patients), dtype=np.int64)
+    np.maximum.at(patient_label, row_patient, np.asarray(labels, dtype=np.int64))
+    patient_fold = np.empty(len(patients), dtype=np.int64)
     for cls in (0, 1):
-        members = sorted(p for p, lab in patient_label.items() if lab == cls)
+        members = np.flatnonzero(patient_label == cls)
         if len(members) < folds:
             raise ValueError(f"class {cls} has {len(members)} patients; need at least {folds} for {folds}-fold CV")
-        for i, pid in enumerate(members):
-            assignment[pid] = i % folds
-    return assignment
+        patient_fold[members] = np.arange(len(members)) % folds
+    return patient_fold[row_patient]
 
 
 def cross_validate(matrix: FeatureMatrix, folds: int, reg_grid: tuple[float, ...]) -> CrossValidationResult:
@@ -250,8 +249,7 @@ def cross_validate(matrix: FeatureMatrix, folds: int, reg_grid: tuple[float, ...
     twice counting once. Mean validation AUC decides; exact ties go to the
     strongest regularization (largest penalty).
     """
-    assignment = assign_patient_folds(matrix.patient_ids, matrix.labels, folds)
-    row_fold = np.array([assignment[p] for p in matrix.patient_ids])
+    row_fold = assign_patient_folds(matrix.patient_ids, matrix.labels, folds)
     X = np.asarray(matrix.X, dtype=np.float64)
     labels = np.asarray(matrix.labels)
 

@@ -73,6 +73,11 @@ class ManifestEntry:
 MANIFEST_COLUMNS = [f.name for f in fields(ManifestEntry)]
 
 
+# The highest rate read or resampled: the resampler's filter has up to
+# 20 * max(up, down) + 1 taps, so at most about 61 MB here, and every
+# common recorder rate from 8 to 192 kHz lies under it.
+MAX_SAMPLE_RATE = 384_000
+
 # Samples decoded per read of a data chunk, and fed to the resampler per
 # push: a load holds its output and a few blocks, whatever the length.
 WAV_BLOCK = 1 << 16
@@ -88,7 +93,8 @@ def load_wav(path: str, rate: int | None = None) -> AudioClip:
     recording never exists whole at the file's rate, and the samples
     equal resample(load_wav(path), rate). Raises FileNotFoundError,
     WavFormatError or UnsupportedWavError depending on what is wrong with
-    the file; float data holding NaN or inf samples is a WavFormatError.
+    the file; float data holding NaN or inf samples is a WavFormatError,
+    and a rate above MAX_SAMPLE_RATE an UnsupportedWavError.
     """
     with open(path, "rb") as fh:
         fmt, data_start, data_size = _find_chunks(fh, path)
@@ -97,6 +103,9 @@ def load_wav(path: str, rate: int | None = None) -> AudioClip:
             raise WavFormatError(f"{path}: fmt chunk declares {num_channels} channels")
         if sample_rate <= 0:
             raise WavFormatError(f"{path}: fmt chunk declares sample rate {sample_rate}")
+        if sample_rate > MAX_SAMPLE_RATE:
+            raise UnsupportedWavError(f"{path}: sample rate {sample_rate} is above the {MAX_SAMPLE_RATE} Hz this "
+                                      "reader resamples")
         if audio_format == 1 and bits not in (8, 16, 24, 32):
             raise UnsupportedWavError(f"{path}: unsupported PCM bit depth {bits}")
         if audio_format == 3 and bits != 32:
@@ -235,7 +244,8 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     are cut. The clip is fed to the resampler WAV_BLOCK samples at a time,
     as load_wav feeds it; the output does not depend on the blocks, bit
     for bit, and agrees with scipy.signal.resample_poly to a few ulp.
-    Raises ValueError when either rate is not positive.
+    Raises ValueError when either rate is not positive or is above
+    MAX_SAMPLE_RATE.
     """
     if target_rate == clip.sample_rate:
         return clip
@@ -273,10 +283,12 @@ class _Resampler:
     """
 
     def __init__(self, n_in: int, rate_in: int, rate_out: int):
-        if rate_in <= 0:
-            raise ValueError(f"source rate must be positive, got {rate_in}")
-        if rate_out <= 0:
-            raise ValueError(f"target rate must be positive, got {rate_out}")
+        # before any filter is built: its taps grow with the larger rate
+        for side, rate in (("source", rate_in), ("target", rate_out)):
+            if rate <= 0:
+                raise ValueError(f"{side} rate must be positive, got {rate}")
+            if rate > MAX_SAMPLE_RATE:
+                raise ValueError(f"{side} rate {rate} is above the {MAX_SAMPLE_RATE} Hz the resampler takes")
         g = math.gcd(rate_out, rate_in)
         up, down = rate_out // g, rate_in // g
         half_len = 10 * max(up, down)

@@ -99,10 +99,10 @@ def cmd_select(args: argparse.Namespace) -> int:
 def _split_masks(matrix, path: str) -> tuple[np.ndarray, np.ndarray]:
     """Train-and-val and test masks of matrix's rows from the split file at path."""
     assignment = load_split(path)
-    missing = [p for p in matrix.paths if p not in assignment]
-    if missing:
+    split = np.array([assignment.get(p, "") for p in matrix.paths])
+    missing = matrix.paths[split == ""]
+    if len(missing):
         raise ValueError(f"{path}: does not assign {len(missing)} labeled rows (first: {missing[0]})")
-    split = np.array([assignment[p] for p in matrix.paths])
     if not (split == "test").any():
         raise ValueError(f"{path}: assigns no labeled rows to test")
     return np.isin(split, ("train", "val")), split == "test"
@@ -130,8 +130,8 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
     test = matrix.subset_rows(test_mask).subset_features(names)
     curve = roc_auc(model.predict_proba(test.X), test.labels)
     per_site: dict[str, float | None] = {}
-    for s in sorted(set(test.sites)):
-        rows = test.subset_rows(np.array([site == s for site in test.sites]))
+    for s in np.unique(test.sites):
+        rows = test.subset_rows(test.sites == s)
         if len(np.unique(rows.labels)) < 2:
             per_site[s] = None
             continue

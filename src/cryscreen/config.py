@@ -19,6 +19,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
 
+from .audio_io import MAX_SAMPLE_RATE
 from .dsp import (
     FRONT_END_MFCC_COEFFS,
     FRONT_END_SLOPE_BAND_HZ,
@@ -77,7 +78,7 @@ def check_fields(record) -> None:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    sample_rate: int = field(default=16000, metadata={"above": 0})
+    sample_rate: int = field(default=16000, metadata={"above": 0, "at_most": MAX_SAMPLE_RATE})
     window_s: float = 0.025
     hop_s: float = 0.010
     num_mel_bands: int = field(default=80, metadata={"above": 0})

@@ -313,23 +313,17 @@ def to_feature_matrix(table: FeatureTable) -> FeatureMatrix:
     recording's path and the feature. FeatureMatrix.subset_features picks
     columns.
     """
-    binary = [e.binary_label for e in table.entries]
-    keep = [i for i, b in enumerate(binary) if b is not None]
-    if not keep:
+    rows = [(e.binary_label, e.site, e.patient_id, e.path) for e in table.entries]
+    meta = np.array(rows, dtype=object).reshape(-1, 4)
+    keep = meta[:, 0] != None  # noqa: E711 (elementwise)
+    if not keep.any():
         raise ValueError("no labeled rows to build a feature matrix from")
     X = table.X[keep]
-    entries = [table.entries[i] for i in keep]
+    labels, sites, patient_ids, paths = meta[keep].T
     if not np.isfinite(X).all():
         row, col = np.argwhere(~np.isfinite(X))[0]
-        raise ValueError(f"{entries[row].path}: feature {FEATURE_COLUMNS[col]} is {X[row, col]}, not a finite number")
-    return FeatureMatrix(
-        feature_names=list(FEATURE_COLUMNS),
-        X=X,
-        labels=np.array([binary[i] for i in keep], dtype=np.int64),
-        sites=[e.site for e in entries],
-        patient_ids=[e.patient_id for e in entries],
-        paths=[e.path for e in entries],
-    )
+        raise ValueError(f"{paths[row]}: feature {FEATURE_COLUMNS[col]} is {X[row, col]}, not a finite number")
+    return FeatureMatrix(list(FEATURE_COLUMNS), X, labels.astype(np.int64), sites, patient_ids, paths)
 
 
 def load_split(path: str) -> dict[str, str]:

@@ -229,7 +229,8 @@ def test_c06_selection_planted_features():
     for j in range(5):
         cols.append(flip_by_site * y + 0.6 * rng.standard_normal(120))
         names.append(f"flip{j}")
-    matrix = FeatureMatrix(names, np.column_stack(cols), y, sites, [f"p{i}" for i in range(120)])
+    ids = np.array([f"p{i}" for i in range(120)], dtype=object)
+    matrix = FeatureMatrix(names, np.column_stack(cols), y, np.array(sites, dtype=object), ids, ids)
     report = select_consistent_features(matrix, ["A", "B", "C"])
     ok = report.selected == [f"cons{j}" for j in range(5)] and report.directions == want_dir
     _report(6, ok, f"selected {report.selected} with directions {report.directions}")
@@ -245,7 +246,8 @@ def test_c07_logreg_recovery_and_grouped_cv():
     b_true = -0.5
     X = rng.standard_normal((n, d))
     y = (rng.random(n) < 1.0 / (1.0 + np.exp(-(X @ w_true + b_true)))).astype(int)
-    matrix = FeatureMatrix([f"x{j}" for j in range(d)], X, y, ["S"] * n, [f"p{i}" for i in range(n)])
+    ids = np.array([f"p{i}" for i in range(n)], dtype=object)
+    matrix = FeatureMatrix([f"x{j}" for j in range(d)], X, y, np.full(n, "S", dtype=object), ids, ids)
     model = train_logreg(matrix, reg_strength=0.01)
     w_raw = model.weights / model.std
     rel = np.abs(w_raw - w_true) / np.abs(w_true)
@@ -253,7 +255,8 @@ def test_c07_logreg_recovery_and_grouped_cv():
     # a separable problem must be ranked perfectly
     x_sep = np.concatenate([np.linspace(-3.0, -1.0, 30), np.linspace(1.0, 3.0, 30)])[:, None]
     y_sep = np.array([0] * 30 + [1] * 30)
-    sep = FeatureMatrix(["x"], x_sep, y_sep, ["S"] * 60, [f"q{i}" for i in range(60)])
+    sep_ids = np.array([f"q{i}" for i in range(60)], dtype=object)
+    sep = FeatureMatrix(["x"], x_sep, y_sep, np.full(60, "S", dtype=object), sep_ids, sep_ids)
     sep_model = train_logreg(sep, reg_strength=0.1)
     sep_auc = roc_auc(sep_model.predict_proba(sep.X), y_sep).auc
 
@@ -269,14 +272,14 @@ def test_c07_logreg_recovery_and_grouped_cv():
             for _row in range(int(rng.integers(1, 5))):
                 pids.append(f"pt{p:03d}")
                 labels.append(int(pat_label[p]))
-        assignment = assign_patient_folds(pids, np.array(labels), 4)
-        row_fold = np.array([assignment[p] for p in pids])
+        pids = np.array(pids, dtype=object)
+        row_fold = assign_patient_folds(pids, np.array(labels), 4)
         for p in set(pids):
-            rows = np.array([pid == p for pid in pids])
-            violations += len(np.unique(row_fold[rows])) != 1
+            violations += len(np.unique(row_fold[pids == p])) != 1
+        fold_of = dict(zip(pids, row_fold))
         for cls in (0, 1):
             members = {p for p, lab in zip(pids, labels) if lab == cls}
-            per_fold = np.bincount([assignment[p] for p in members], minlength=4)
+            per_fold = np.bincount([fold_of[p] for p in members], minlength=4)
             assert per_fold.max() - per_fold.min() <= 1
 
     ok = rel.max() < 0.10 and sep_auc == 1.0 and violations == 0

@@ -29,8 +29,9 @@ def matrix_of(X, y, patients=None, sites=None, names=None):
         X=X,
         labels=np.asarray(y),
         feature_names=names or [f"f{j}" for j in range(d)],
-        patient_ids=patients or [f"p{i}" for i in range(n)],
-        sites=sites or ["ESUTH"] * n,
+        patient_ids=np.array(patients or [f"p{i}" for i in range(n)], dtype=object),
+        sites=np.array(sites or ["ESUTH"] * n, dtype=object),
+        paths=np.array([f"r{i}.wav" for i in range(n)], dtype=object),
     )
 
 
@@ -38,7 +39,7 @@ def test_feature_matrix_subsetting():
     m = matrix_of([[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]], [0, 1, 0])
     rows = m.subset_rows(np.array([True, False, True]))
     assert rows.X.shape == (2, 2)
-    assert rows.patient_ids == ["p0", "p2"]
+    assert rows.patient_ids.tolist() == ["p0", "p2"]
     cols = m.subset_features(["f1"])
     assert cols.X.tolist() == [[2.0], [4.0], [6.0]]
     # columns come in the order they are named
@@ -46,6 +47,22 @@ def test_feature_matrix_subsetting():
     assert swapped.feature_names == ["f1", "f0"] and swapped.X[0].tolist() == [2.0, 1.0]
     with pytest.raises(ValueError):
         m.subset_features(["missing"])
+
+
+def test_subset_rows_keeps_every_field_aligned():
+    m = FeatureMatrix(
+        ["f0"], np.arange(5.0)[:, None], np.array([0, 1, 1, 0, 1]),
+        np.array(["A", "B", "A", "C", "B"], dtype=object), np.array(["p3", "p1", "p3", "p0", "p2"], dtype=object),
+        np.array([f"r{i}.wav" for i in range(5)], dtype=object),
+    )
+    rows = m.subset_rows(m.sites != "A")
+    assert rows.X[:, 0].tolist() == [1.0, 3.0, 4.0]
+    assert rows.labels.tolist() == [1, 0, 1]
+    assert rows.sites.tolist() == ["B", "C", "B"]
+    assert rows.patient_ids.tolist() == ["p1", "p0", "p2"]
+    assert rows.paths.tolist() == ["r1.wav", "r3.wav", "r4.wav"]
+    assert rows.paths.dtype == object and rows.feature_names == ["f0"]
+    assert len(m.subset_rows(np.zeros(5, dtype=bool)).paths) == 0
 
 
 def _selection_fixture():
@@ -244,26 +261,62 @@ def test_patient_folds_never_split_and_balance():
                 pats.append(f"pt{p}")
                 labs.append(lab)
         folds = 4
-        assignment = assign_patient_folds(pats, np.array(labs), folds)
+        row_fold = assign_patient_folds(np.array(pats, dtype=object), np.array(labs), folds)
         # one fold per patient, exhaustively
         rows = {}
-        for pid, lab in zip(pats, labs):
-            rows.setdefault(pid, set()).add(assignment[pid])
+        for pid, f in zip(pats, row_fold):
+            rows.setdefault(pid, set()).add(int(f))
         assert all(len(v) == 1 for v in rows.values())
         # stratification: per class, fold patient counts within 1
         for cls in (0, 1):
             counts = np.zeros(folds, dtype=int)
             for pid, lab in pat_label.items():
                 if lab == cls:
-                    counts[assignment[pid]] += 1
+                    counts[next(iter(rows[pid]))] += 1
             assert counts.max() - counts.min() <= 1
 
 
 def test_patient_folds_requires_enough_patients():
-    pats = ["a", "b", "c", "d"]
+    pats = np.array(["a", "b", "c", "d"], dtype=object)
     labs = np.array([0, 0, 0, 1])
     with pytest.raises(ValueError, match="need at least"):
         assign_patient_folds(pats, labs, 2)
+
+
+def dict_patient_folds(patient_ids, labels, folds):
+    """The patient -> fold dict of the rule as first written, one patient at a time."""
+    patient_label = {}
+    for pid, lab in zip(patient_ids, labels):
+        patient_label[pid] = max(patient_label.get(pid, 0), int(lab))
+    assignment = {}
+    for cls in (0, 1):
+        members = sorted(p for p, lab in patient_label.items() if lab == cls)
+        if len(members) < folds:
+            raise ValueError(f"class {cls} has {len(members)} patients; need at least {folds} for {folds}-fold CV")
+        for i, pid in enumerate(members):
+            assignment[pid] = i % folds
+    return assignment
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(
+    rows=st.lists(st.tuples(st.text(alphabet="ab\x00é1-", max_size=4), st.integers(0, 1)), min_size=1, max_size=60),
+    folds=st.integers(2, 11),
+)
+def test_patient_folds_equal_the_dict_rule(rows, folds):
+    # unsorted IDs, repeated rows, patients with rows of both labels, and
+    # IDs that a fixed-width string dtype would change (a trailing NUL)
+    pats = np.array([p for p, _ in rows], dtype=object)
+    labs = np.array([lab for _, lab in rows])
+    try:
+        want = dict_patient_folds(pats, labs, folds)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            assign_patient_folds(pats, labs, folds)
+        assert str(got.value) == str(exc)
+        return
+    row_fold = assign_patient_folds(pats, labs, folds)
+    assert row_fold.tolist() == [want[p] for p in pats]
 
 
 def test_cross_validate_tie_goes_to_strongest_penalty():
@@ -303,8 +356,7 @@ def planted_matrix(seed, n_patients=120):
 
 def reference_cross_validate(matrix, folds, reg_grid):
     """The one-fit-at-a-time loop: train_logreg on each (penalty, fold)."""
-    assignment = assign_patient_folds(matrix.patient_ids, matrix.labels, folds)
-    row_fold = np.array([assignment[p] for p in matrix.patient_ids])
+    row_fold = assign_patient_folds(matrix.patient_ids, matrix.labels, folds)
     fold_aucs = {lam: [] for lam in reg_grid}
     for lam in reg_grid:
         for f in range(folds):

@@ -13,6 +13,7 @@ from scipy import signal
 
 from cryscreen import audio_io
 from cryscreen.audio_io import (
+    MAX_SAMPLE_RATE,
     AudioClip,
     ManifestEntry,
     UnsupportedWavError,
@@ -74,6 +75,9 @@ def whole_file_load_wav(path, rate=None):
         raise WavFormatError(f"{path}: fmt chunk declares {num_channels} channels")
     if sample_rate <= 0:
         raise WavFormatError(f"{path}: fmt chunk declares sample rate {sample_rate}")
+    if sample_rate > MAX_SAMPLE_RATE:
+        raise UnsupportedWavError(f"{path}: sample rate {sample_rate} is above the {MAX_SAMPLE_RATE} Hz this reader "
+                                  "resamples")
 
     if audio_format == 1:
         if bits == 8:
@@ -160,7 +164,8 @@ def test_write_rejects_other_depths(tmp_path):
 
 def _wav_bytes(fmt_tag, channels, sr, bits, payload):
     block = channels * bits // 8
-    fmt = struct.pack("<IHHIIHH", 16, fmt_tag, channels, sr, sr * block, block, bits)
+    # the byte rate is read by no one; a header may declare a rate whose byte rate overflows it
+    fmt = struct.pack("<IHHIIHH", 16, fmt_tag, channels, sr, sr * block & 0xFFFFFFFF, block, bits)
     data = struct.pack("<I", len(payload)) + payload
     body = b"WAVE" + b"fmt " + fmt + b"data" + data
     return b"RIFF" + struct.pack("<I", len(body)) + body
@@ -351,6 +356,39 @@ def test_resample_identity_and_validation():
 def test_resample_rejects_a_source_rate_that_is_not_positive(rate):
     with pytest.raises(ValueError, match=f"source rate must be positive, got {rate}$"):
         resample(AudioClip(np.zeros(100), rate), 16000)
+
+
+@pytest.mark.parametrize("rate", [MAX_SAMPLE_RATE + 1, 2**32 - 1])
+def test_a_header_rate_above_the_bound_is_refused_naming_the_file(monkeypatch, tmp_path, rate):
+    # a filter for 4294967295 Hz would not fit in memory; none is built
+    monkeypatch.setattr(np, "kaiser", lambda *args: pytest.fail("a resampling filter was built"))
+    path = tmp_path / "fast.wav"
+    path.write_bytes(_wav_bytes(1, 1, rate, 16, bytes(64)))
+    for target in (None, 16000):
+        with pytest.raises(UnsupportedWavError, match=re.escape(
+                f"{path}: sample rate {rate} is above the 384000 Hz this reader resamples")):
+            load_wav(str(path), target)
+
+
+@pytest.mark.parametrize("rate", [MAX_SAMPLE_RATE + 1, 2**32 - 1, 2**62])
+def test_the_resampler_refuses_a_rate_above_the_bound_before_building_a_filter(monkeypatch, rate):
+    monkeypatch.setattr(np, "kaiser", lambda *args: pytest.fail("a resampling filter was built"))
+    with pytest.raises(ValueError, match=f"^source rate {rate} is above the 384000 Hz the resampler takes$"):
+        resample(AudioClip(np.zeros(100), rate), 16000)
+    with pytest.raises(ValueError, match=f"^target rate {rate} is above the 384000 Hz the resampler takes$"):
+        resample(sine(440.0), rate)
+
+
+@pytest.mark.parametrize("rate_in", [192000, MAX_SAMPLE_RATE])
+def test_the_highest_rates_still_resample(tmp_path, rate_in):
+    x = np.random.default_rng(rate_in).uniform(-1.0, 1.0, rate_in // 4).astype(np.float32).astype(np.float64)
+    want = signal.resample_poly(x, 1, rate_in // 16000)
+    path = str(tmp_path / "fast.wav")
+    write_wav(AudioClip(x, rate_in), path, bit_depth=32)
+    got = load_wav(path, 16000)
+    assert got.sample_rate == 16000 and got.samples.shape == want.shape
+    assert np.abs(got.samples - want).max() <= RESAMPLE_POLY_ULPS * np.spacing(1.0)
+    assert np.array_equal(resample(AudioClip(x, rate_in), 16000).samples, got.samples)
 
 
 def test_manifest_round_trip(tmp_path):

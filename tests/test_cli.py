@@ -2,6 +2,7 @@
 train-eval, segment, plus argument plumbing and the error exit path."""
 
 import json
+import struct
 
 import pytest
 
@@ -114,6 +115,23 @@ def test_error_exit_path(tmp_path, capsys):
     assert "cry: error:" in capsys.readouterr().err
 
 
+def test_a_wav_declaring_too_high_a_rate_is_a_clean_error_and_a_skip(tmp_path, capsys):
+    # the most a fmt chunk can declare; resampling it would take an 86 GB filter
+    fmt = struct.pack("<IHHIIHH", 16, 1, 1, 2**32 - 1, 2**32 - 2, 2, 16)
+    body = b"WAVE" + b"fmt " + fmt + b"data" + struct.pack("<I", 64) + bytes(64)
+    fast = tmp_path / "fast.wav"
+    fast.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    reason = f"{fast}: sample rate 4294967295 is above the 384000 Hz this reader resamples"
+    assert main(["segment", str(fast)]) == 1
+    assert capsys.readouterr().err == f"cry: error: {reason}\n"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,patient_id,site,period,label\nfast.wav,p0,ESUTH,birth,normal\n")
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "f.skipped.csv").read_bytes() == f"path,reason\r\nfast.wav,{reason}\r\n".encode()
+
+
 def test_malformed_feature_csv_is_a_clean_error(chain, tmp_path, capsys):
     lines = chain["features"].read_text().splitlines()
     short = tmp_path / "short.csv"
@@ -181,8 +199,9 @@ def test_unusable_model_config_is_a_clean_error(chain, tmp_path, capsys, line, k
                                        ("voicing_halfwidth_frames=-5 min_pause_s=-1", "voicing_halfwidth_frames"),
                                        ("voicing_halfwidth_frames=-1 min_pause_s=-0.01", "voicing_halfwidth_frames"),
                                        # more samples than numpy's int64 counts, once an OverflowError traceback
-                                       (f"window_s=1e300 sample_rate={2**62}", "window_s"),
-                                       (f"hop_s=1e300 sample_rate={2**62}", "hop_s")])
+                                       ("window_s=1e300", "window_s"), ("hop_s=1e300", "hop_s"),
+                                       # an exbibyte resampling filter, once a MemoryError traceback
+                                       (f"sample_rate={2**62}", "sample_rate")])
 def test_unusable_config_is_a_clean_error(chain, tmp_path, capsys, line, key):
     cfg = tmp_path / "bad.cfg"
     # an entry of several keys is written one key a line

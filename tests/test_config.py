@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cryscreen import analytics, cli, dsp, voicefeat
-from cryscreen.audio_io import SITES, ManifestEntry, resample
+from cryscreen.audio_io import MAX_SAMPLE_RATE, SITES, ManifestEntry, resample
 from cryscreen.biomarkers import smooth_f0, unit_biomarker_flags
 from cryscreen.config import PipelineConfig, load_config, save_config
 from cryscreen.dsp import F0Contour, FrameGrid
@@ -130,6 +130,7 @@ UNUSABLE_GRID = [
     # half a sample rounds down to none, as dsp.make_grid rounds it
     ("window_s=0.00003125", "window_s=3.125e-05 is under one sample"),
     ("hop_s=nan", "hop_s=nan is not a finite number"),
+    ("sample_rate=4611686018427387904", "sample_rate=4611686018427387904 must be at most 384000"),
 ]
 
 
@@ -278,10 +279,11 @@ BUILT_IN_CODE = [
     ({"selection_sites": ("",)}, "selection_sites item '' must be non-empty"),
     ({"selection_sites": ("A\nB",)}, "selection_sites item 'A\\nB' must be non-empty"),
     # a grid of more samples than numpy's int64 counts
-    ({"window_s": 1e300, "sample_rate": 2**62},
-     "window_s=1e+300 is more samples than numpy can index at sample_rate=4611686018427387904"),
-    ({"hop_s": 1e300, "sample_rate": 2**62},
-     "hop_s=1e+300 is more samples than numpy can index at sample_rate=4611686018427387904"),
+    ({"window_s": 1e300}, "window_s=1e+300 is more samples than numpy can index at sample_rate=16000"),
+    ({"hop_s": 1e300}, "hop_s=1e+300 is more samples than numpy can index at sample_rate=16000"),
+    # the resampler would ask numpy for an exbibyte filter
+    ({"sample_rate": 2**62}, f"sample_rate={2**62} must be at most 384000"),
+    ({"sample_rate": 384001}, "sample_rate=384001 must be at most 384000"),
 ]
 
 
@@ -291,7 +293,8 @@ BUILT_IN_CODE = [
     ids=["halfwidth-fraction", "mel-fraction", "rate-whole-float", "window-numpy", "mel-numpy", "grid-numpy-item",
          "grid-list", "sites-string", "sites-number", "extrema-bool", "huge-int-in-float", "folds-2**63",
          "folds-2**64", "inexact-int-in-float", "inexact-int-in-grid", "grid-repeat", "site-comma", "site-space",
-         "site-hash", "site-empty", "site-line-break", "window-past-int64", "hop-past-int64"],
+         "site-hash", "site-empty", "site-line-break", "window-past-int64", "hop-past-int64", "rate-2**62",
+         "rate-past-bound"],
 )
 def test_a_value_of_another_type_cannot_be_built(values, message):
     with pytest.raises(ValueError, match=re.escape(message)):
@@ -302,6 +305,10 @@ def test_a_value_of_another_type_cannot_be_built(values, message):
 
 def test_a_whole_field_takes_any_int64():
     assert PipelineConfig(cv_folds=2**63 - 1).cv_folds == 2**63 - 1
+
+
+def test_the_highest_sample_rate_builds():
+    assert PipelineConfig(sample_rate=MAX_SAMPLE_RATE).sample_rate == 384000
 
 
 def test_a_key_set_twice_is_an_error(tmp_path):
@@ -322,10 +329,10 @@ def _bounded(f, kind, stop):
 
 def _python_values(f):
     """Values of field f that a config built in code may hold."""
-    # the sample rate stays at most 192 kHz, so that a window of up to 1e300 s
-    # holds a finite number of samples, and the pitch range under 8 kHz,
-    # where most drawn ranges can be built
-    stop = {"sample_rate": 192000, "f0_min_hz": 8000.0, "f0_max_hz": 8000.0}.get(
+    # the pitch range stays under 8 kHz, where most drawn ranges can be
+    # built; the sample rate keeps its declared bound, at which a window of
+    # up to 1e300 s still holds a finite number of samples
+    stop = {"f0_min_hz": 8000.0, "f0_max_hz": 8000.0}.get(
         f.name, 2**63 - 1 if f.type == "int" else 1e300
     )
     if f.type == "tuple[float, ...]":

@@ -469,8 +469,9 @@ def test_to_feature_matrix_drops_unlabeled():
     m = to_feature_matrix(table)
     assert m.X.shape == (2, 38)
     assert m.labels.tolist() == [0, 1]
-    assert m.paths == ["a.wav", "b.wav"]
-    assert m.sites == ["ESUTH", "SCDM"] and m.patient_ids == ["p0", "p1"]
+    assert m.paths.tolist() == ["a.wav", "b.wav"]
+    assert m.sites.tolist() == ["ESUTH", "SCDM"] and m.patient_ids.tolist() == ["p0", "p1"]
+    assert m.paths.dtype == m.sites.dtype == m.patient_ids.dtype == object
     assert m.feature_names == FEATURE_COLUMNS and m.X[0].tolist() == table.X[0].tolist()
     with pytest.raises(ValueError, match="^no labeled rows to build a feature matrix from$"):
         to_feature_matrix(FeatureTable.from_rows(rows[2:]))
@@ -493,7 +494,24 @@ def test_to_feature_matrix_rejects_non_finite():
     # an unlabeled row is not checked
     rows[0] = FeatureRow(ManifestEntry("c.wav", "p2", "SCDM", "birth", "unlabeled"), bad)
     rows[1].features["F2_amean"] = 2.0
-    assert to_feature_matrix(FeatureTable.from_rows(rows)).paths == ["b.wav"]
+    assert to_feature_matrix(FeatureTable.from_rows(rows)).paths.tolist() == ["b.wav"]
+
+
+def test_to_feature_matrix_holds_each_id_by_reference():
+    # the reader takes IDs of up to csv.field_size_limit() characters; a
+    # fixed-width string column would give every row that width
+    long_path = "x" * (csv.field_size_limit() - 4) + ".wav"
+    entries = [ManifestEntry(f"r{i}.wav", f"p{i}", "ESUTH", "birth", ("normal", "mild")[i % 2]) for i in range(199)]
+    entries.append(ManifestEntry(long_path, "p199", "SCDM", "birth", "severe"))
+    table = FeatureTable(entries, np.ones((200, len(FEATURE_COLUMNS))))
+    tracemalloc.start()
+    try:
+        m = to_feature_matrix(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert m.paths[-1] == long_path and len(m.paths) == 200
+    assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_load_split(tmp_path):
@@ -799,7 +817,8 @@ def test_16k_extraction_csv_and_model_fitting_leave_scipy_unloaded(tmp_path):
         "rng = np.random.default_rng(0)\n"
         "X = rng.standard_normal((24, 3))\n"
         "y = np.arange(24) % 2\n"
-        "fm = FeatureMatrix(['a', 'b', 'c'], X + y[:, None], y, ['ESUTH'] * 24, [f'p{i}' for i in range(24)])\n"
+        "ids = np.array([f'p{i}' for i in range(24)], dtype=object)\n"
+        "fm = FeatureMatrix(['a', 'b', 'c'], X + y[:, None], y, np.full(24, 'ESUTH', dtype=object), ids, ids)\n"
         "train_logreg(fm, cross_validate(fm, 3, (0.1, 1.0)).best_reg_strength)\n"
         "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         "resample(AudioClip(np.resize(clip.samples, 44100), 44100), 16000)\n"

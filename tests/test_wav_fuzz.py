@@ -15,9 +15,11 @@ from cryscreen import audio_io  # noqa: E402
 ENCODINGS = [(1, 8), (1, 16), (1, 24), (1, 32), (3, 32)]
 UNSUPPORTED = [(1, 12), (3, 64), (7, 8), (0, 16)]
 RATES = [8000, 11025, 16000, 22050, 44100, 48000]
+FAST_RATES = [384001, 2**32 - 1]  # above audio_io.MAX_SAMPLE_RATE
 SPECIALS = [np.nan, np.inf, -np.inf]
 EXTRA_CHUNKS = st.sampled_from([b"LIST", b"fact", b"junk"])
-FAULTS = ["riff id", "form type", "truncated", "no fmt", "short fmt", "no channels", "no rate", "unsupported"]
+FAULTS = ["riff id", "form type", "truncated", "no fmt", "short fmt", "no channels", "no rate", "fast rate",
+          "unsupported"]
 
 
 @st.composite
@@ -49,9 +51,9 @@ def wav_files(draw):
     fault = draw(st.sampled_from([None] * len(FAULTS) + FAULTS))
     fmt_tag, bits = draw(st.sampled_from(UNSUPPORTED if fault == "unsupported" else ENCODINGS))
     channels = 0 if fault == "no channels" else draw(st.integers(1, 3))
-    rate = 0 if fault == "no rate" else draw(st.sampled_from(RATES))
+    rate = 0 if fault == "no rate" else draw(st.sampled_from(FAST_RATES if fault == "fast rate" else RATES))
     block = channels * bits // 8
-    fmt = struct.pack("<HHIIHH", fmt_tag, channels, rate, rate * block, block, bits)
+    fmt = struct.pack("<HHIIHH", fmt_tag, channels, rate, rate * block & 0xFFFFFFFF, block, bits)
     fmt += draw(st.sampled_from([b"", b"\x00\x00", b"\x16\x00" + bytes(22)]))
     if fault == "short fmt":
         fmt = fmt[: draw(st.integers(0, 15))]
