@@ -62,13 +62,6 @@ class ManifestEntry:
     period: str
     label: str
 
-    @property
-    def binary_label(self) -> int | None:
-        """0 for normal, 1 for any abnormal grade, None when unlabeled."""
-        if self.label == "unlabeled":
-            return None
-        return 0 if self.label == "normal" else 1
-
 
 MANIFEST_COLUMNS = [f.name for f in fields(ManifestEntry)]
 
@@ -78,6 +71,13 @@ MANIFEST_COLUMNS = [f.name for f in fields(ManifestEntry)]
 # common recorder rate from 8 to 192 kHz lies under it.
 MAX_SAMPLE_RATE = 384_000
 
+# A fmt chunk with this tag is 40 bytes long and gives the encoding as
+# the GUID {0000000X-0000-0010-8000-00AA00389B71} of the plain tag X; its
+# bits per sample is the container's, which holds the valid bits
+# left-justified, so a sample decodes at the container's depth.
+WAVE_FORMAT_EXTENSIBLE = 0xFFFE
+_SUBFORMAT_TAIL = bytes.fromhex("0000 1000 8000 00aa00389b71")  # the GUID's bytes after X, as stored
+
 # Samples decoded per read of a data chunk, and fed to the resampler per
 # push: a load holds its output and a few blocks, whatever the length.
 WAV_BLOCK = 1 << 16
@@ -86,15 +86,18 @@ WAV_BLOCK = 1 << 16
 def load_wav(path: str, rate: int | None = None) -> AudioClip:
     """Read a RIFF/WAVE file into a mono AudioClip at rate (the file's own when None).
 
-    Handles PCM at 8/16/24/32 bits and IEEE float32. Multi-channel audio
-    is averaged down to mono, and a trailing partial sample or frame is
-    dropped. The data chunk is decoded WAV_BLOCK samples at a time; at
-    another rate each block goes straight to the resampler, so the
-    recording never exists whole at the file's rate, and the samples
-    equal resample(load_wav(path), rate). Raises FileNotFoundError,
+    Handles PCM at 8/16/24/32 bits and IEEE float32, under a plain or a
+    WAVE_FORMAT_EXTENSIBLE fmt chunk. Multi-channel audio is averaged
+    down to mono, and a trailing partial sample or frame is dropped. The
+    data chunk is decoded WAV_BLOCK samples at a time; at another rate
+    each block goes straight to the resampler, so the recording never
+    exists whole at the file's rate, and the samples equal
+    resample(load_wav(path), rate). Raises FileNotFoundError,
     WavFormatError or UnsupportedWavError depending on what is wrong with
-    the file; float data holding NaN or inf samples is a WavFormatError,
-    and a rate above MAX_SAMPLE_RATE an UnsupportedWavError.
+    the file; float data holding NaN or inf samples, and an extensible
+    fmt chunk under 40 bytes or with a cbSize under 22, is a
+    WavFormatError, and a rate above MAX_SAMPLE_RATE or a SubFormat other
+    than PCM's and float's an UnsupportedWavError.
     """
     with open(path, "rb") as fh:
         fmt, data_start, data_size = _find_chunks(fh, path)
@@ -158,6 +161,8 @@ def _find_chunks(fh, path: str) -> tuple[tuple, int, int]:
             if body_size < 16:
                 raise WavFormatError(f"{path}: fmt chunk truncated ({body_size} bytes)")
             fmt = struct.unpack("<HHIIHH", fh.read(16))
+            if fmt[0] == WAVE_FORMAT_EXTENSIBLE:
+                fmt = (_subformat_tag(fh, path, body_size), *fmt[1:])
         elif chunk_id == b"data":
             if body_size < chunk_size:
                 raise WavFormatError(f"{path}: data chunk truncated")
@@ -170,6 +175,20 @@ def _find_chunks(fh, path: str) -> tuple[tuple, int, int]:
     if data is None:
         raise WavFormatError(f"{path}: missing data chunk")
     return (fmt, *data)
+
+
+def _subformat_tag(fh, path: str, body_size: int) -> int:
+    """The plain format tag, 1 or 3, of the SubFormat of an extensible fmt chunk whose first 16 bytes are read."""
+    if body_size < 40:
+        raise WavFormatError(f"{path}: extensible fmt chunk truncated ({body_size} of 40 bytes)")
+    cb_size, _, _, guid = struct.unpack("<HHI16s", fh.read(24))
+    if cb_size < 22:
+        raise WavFormatError(f"{path}: extensible fmt chunk declares cbSize {cb_size} (under 22)")
+    tag = int.from_bytes(guid[:4], "little")
+    if guid[4:] != _SUBFORMAT_TAIL or tag not in (1, 3):
+        parts = (*struct.unpack("<IHH", guid[:8]), guid[8:10].hex().upper(), guid[10:].hex().upper())
+        raise UnsupportedWavError(f"{path}: unsupported extensible SubFormat " + "{%08X-%04X-%04X-%s-%s}" % parts)
+    return tag
 
 
 def _decode_blocks(fh, path: str, size: int, audio_format: int, num_channels: int, bits: int):

@@ -159,18 +159,24 @@ class ExtractionResult:
 
 @dataclass
 class FeatureTable:
-    """Feature rows in columns: one ManifestEntry and one row of X per recording.
+    """Feature rows in columns: the IDs and one row of X per recording.
 
-    X is an (n, 38) float64 array whose columns follow FEATURE_COLUMNS.
+    ids maps each of ID_COLUMNS, in order, to an object array of str and X
+    is an (n, 38) float64 array in FEATURE_COLUMNS order, row for row.
     """
 
-    entries: list[ManifestEntry]
+    ids: dict[str, np.ndarray]
     X: np.ndarray
 
     @classmethod
     def from_rows(cls, rows: list[FeatureRow]) -> "FeatureTable":
         X = np.array([[row.features[name] for name in FEATURE_COLUMNS] for row in rows], dtype=np.float64)
-        return cls([row.entry for row in rows], X.reshape(len(rows), len(FEATURE_COLUMNS)))
+        return cls(_id_columns([astuple(row.entry) for row in rows]), X.reshape(len(rows), len(FEATURE_COLUMNS)))
+
+
+def _id_columns(records: list) -> dict[str, np.ndarray]:
+    """One object array per ID column of records, each record the five ID fields in ID_COLUMNS order."""
+    return {name: np.array([rec[i] for rec in records], dtype=object) for i, name in enumerate(ID_COLUMNS)}
 
 
 def extract_manifest(manifest_path: str, config: PipelineConfig = PipelineConfig(), log=None) -> ExtractionResult:
@@ -260,7 +266,7 @@ def _parse_in_c(path: str) -> FeatureTable | None:
             lines = _lines_read_as_csv(fh, limit)
             first = next(lines, None)
             if first is None:  # loadtxt warns on empty input
-                return FeatureTable([], np.empty((0, len(FEATURE_COLUMNS))))
+                return FeatureTable(_id_columns([]), np.empty((0, len(FEATURE_COLUMNS))))
             # a record of the wrong width is an error here, since _RECORD
             # takes every column
             rec = np.loadtxt(
@@ -273,21 +279,21 @@ def _parse_in_c(path: str) -> FeatureTable | None:
             )
     except (ValueError, csv.Error):
         return None
-    ids = [rec[name].tolist() for name in ID_COLUMNS]
-    *_, periods, labels = ids
-    if not (set(labels) <= LABELS and set(periods) <= PERIODS):
+    # copies, so that the record array is freed
+    ids = {name: rec[name].copy() for name in ID_COLUMNS}
+    if not (set(ids["label"]) <= LABELS and set(ids["period"]) <= PERIODS):
         return None
-    if max(map(len, itertools.chain.from_iterable(ids))) > limit:
+    if max(map(len, itertools.chain.from_iterable(ids.values()))) > limit:
         return None
-    return FeatureTable(list(map(ManifestEntry, *ids)), np.ascontiguousarray(rec["values"]))
+    return FeatureTable(ids, np.ascontiguousarray(rec["values"]))
 
 
 def _read_row_by_row(path: str) -> FeatureTable:
     """csv rows and a float() of each value: the reference reader, which names a fault's line."""
-    entries, values = [], []
+    ids, values = [], []
     for line, rec in read_csv_rows(path, ID_COLUMNS + FEATURE_COLUMNS):
-        entry = ManifestEntry(*rec[:5])
-        check_label_and_period(entry.label, entry.period, path, line)
+        *_, period, label = rec[:5]
+        check_label_and_period(label, period, path, line)
         try:
             values.append(list(map(float, rec[5:])))
         except ValueError:
@@ -297,8 +303,8 @@ def _read_row_by_row(path: str) -> FeatureTable:
                     float(v)
                 except ValueError:
                     raise ValueError(f"{path}:{line}: {name}: {v!r} is not a number") from None
-        entries.append(entry)
-    return FeatureTable(entries, np.array(values, dtype=np.float64).reshape(len(values), len(FEATURE_COLUMNS)))
+        ids.append(rec[:5])
+    return FeatureTable(_id_columns(ids), np.array(values, dtype=np.float64).reshape(len(values), len(FEATURE_COLUMNS)))
 
 
 def write_skipped_csv(skipped: list[SkippedRecording], path: str) -> None:
@@ -308,22 +314,23 @@ def write_skipped_csv(skipped: list[SkippedRecording], path: str) -> None:
 def to_feature_matrix(table: FeatureTable) -> FeatureMatrix:
     """The labeled rows of a table, with every column.
 
-    Unlabeled rows are left out. Raises ValueError when no row is labeled,
-    and when a value of a labeled row is NaN or inf, naming the
-    recording's path and the feature. FeatureMatrix.subset_features picks
-    columns.
+    Unlabeled rows are left out, a normal row is labeled 0 and any other
+    grade 1; sites, patient_ids and paths are the ID columns at those rows.
+    Raises ValueError when no row is labeled, and when a value of a labeled
+    row is NaN or inf, naming the recording's path and the feature.
+    FeatureMatrix.subset_features picks columns.
     """
-    rows = [(e.binary_label, e.site, e.patient_id, e.path) for e in table.entries]
-    meta = np.array(rows, dtype=object).reshape(-1, 4)
-    keep = meta[:, 0] != None  # noqa: E711 (elementwise)
+    ids = table.ids
+    keep = ids["label"] != "unlabeled"
     if not keep.any():
         raise ValueError("no labeled rows to build a feature matrix from")
     X = table.X[keep]
-    labels, sites, patient_ids, paths = meta[keep].T
+    paths = ids["path"][keep]
     if not np.isfinite(X).all():
         row, col = np.argwhere(~np.isfinite(X))[0]
         raise ValueError(f"{paths[row]}: feature {FEATURE_COLUMNS[col]} is {X[row, col]}, not a finite number")
-    return FeatureMatrix(list(FEATURE_COLUMNS), X, labels.astype(np.int64), sites, patient_ids, paths)
+    labels = (ids["label"][keep] != "normal").astype(np.int64)
+    return FeatureMatrix(list(FEATURE_COLUMNS), X, labels, ids["site"][keep], ids["patient_id"][keep], paths)
 
 
 def load_split(path: str) -> dict[str, str]:

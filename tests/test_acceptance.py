@@ -72,12 +72,10 @@ def extraction200(corpus200):
     return {"result": result, "csv": features_csv, "extract_s": extract_s}
 
 
-def _index_split_csv(entries, path):
+def _index_split_csv(paths, path):
     """test/val/train by row index mod 4, one quarter each for test and val."""
     kinds = {3: "test", 2: "val"}
-    path.write_text(
-        "path,split\n" + "".join(f"{e.path},{kinds.get(i % 4, 'train')}\n" for i, e in enumerate(entries))
-    )
+    path.write_text("path,split\n" + "".join(f"{p},{kinds.get(i % 4, 'train')}\n" for i, p in enumerate(paths)))
 
 
 def test_c01_f0_oracle():
@@ -294,7 +292,7 @@ def test_c08_end_to_end_screening(corpus200, extraction200, tmp_path):
     result = extraction200["result"]
     assert len(result.rows) == 200 and not result.skipped
     split = tmp_path / "split.csv"
-    _index_split_csv([r.entry for r in result.rows], split)
+    _index_split_csv([r.entry.path for r in result.rows], split)
     model_out, metrics_out = tmp_path / "model.json", tmp_path / "metrics.json"
     t0 = time.perf_counter()
     code = main([
@@ -379,7 +377,7 @@ def test_c10_cli_byte_reproducibility(tmp_path, capsys):
     assert sel_bytes[0] == sel_bytes[1]
 
     split = tmp_path / "split.csv"
-    _index_split_csv(read_features_csv(feats[0]).entries, split)
+    _index_split_csv(read_features_csv(feats[0]).ids["path"], split)
     cfg = tmp_path / "cry.cfg"
     cfg.write_text("cv_folds=3\n")
     run_bytes = []

@@ -6,6 +6,7 @@ import re
 import struct
 import subprocess
 import sys
+import uuid
 
 import numpy as np
 import pytest
@@ -34,7 +35,10 @@ def whole_file_load_wav(path, rate=None):
     change made on purpose since: a trailing partial sample of a PCM16,
     PCM32 or float32 data chunk is dropped, as the 24-bit and
     multichannel branches always did (numpy used to raise "buffer size
-    must be a multiple of element size"). A rate other than the file's
+    must be a multiple of element size"). A WAVE_FORMAT_EXTENSIBLE fmt
+    chunk (tag 0xFFFE) is read since too: its SubFormat GUID
+    {0000000X-0000-0010-8000-00AA00389B71} stands for tag X, and its
+    samples decode at the container's depth. A rate other than the file's
     is reached by audio_io.resample on the whole clip, whose output does
     not depend on where its blocks end.
     """
@@ -59,6 +63,16 @@ def whole_file_load_wav(path, rate=None):
             if len(body) < 16:
                 raise WavFormatError(f"{path}: fmt chunk truncated ({len(body)} bytes)")
             fmt = struct.unpack_from("<HHIIHH", body, 0)
+            if fmt[0] == 0xFFFE:
+                if len(body) < 40:
+                    raise WavFormatError(f"{path}: extensible fmt chunk truncated ({len(body)} of 40 bytes)")
+                (cb_size,) = struct.unpack_from("<H", body, 16)
+                if cb_size < 22:
+                    raise WavFormatError(f"{path}: extensible fmt chunk declares cbSize {cb_size} (under 22)")
+                guid = uuid.UUID(bytes_le=bytes(body[24:40]))
+                if str(guid) not in ("00000001-0000-0010-8000-00aa00389b71", "00000003-0000-0010-8000-00aa00389b71"):
+                    raise UnsupportedWavError(f"{path}: unsupported extensible SubFormat {{{str(guid).upper()}}}")
+                fmt = (guid.fields[0], *fmt[1:])
         elif chunk_id == b"data":
             if len(body) < chunk_size:
                 raise WavFormatError(f"{path}: data chunk truncated")
@@ -238,6 +252,65 @@ def test_compressed_format_raises(tmp_path):
         load_wav(str(path))
 
 
+def _extensible_wav_bytes(fmt_tag, channels, sr, bits, payload, valid_bits=None, cb_size=22, guid=None, fmt_size=40):
+    """_wav_bytes' file under a WAVE_FORMAT_EXTENSIBLE fmt chunk whose SubFormat is fmt_tag's GUID, or guid."""
+    block = channels * bits // 8
+    guid = guid or uuid.UUID(f"{fmt_tag:08x}-0000-0010-8000-00aa00389b71").bytes_le
+    fmt = struct.pack("<HHIIHHHHI", 0xFFFE, channels, sr, sr * block, block, bits, cb_size, valid_bits or bits, 3)
+    fmt = (fmt + guid)[:fmt_size]
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + bytes(len(fmt) & 1)
+    body += b"data" + struct.pack("<I", len(payload)) + payload
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("fmt_tag, bits", [(1, 8), (1, 16), (1, 24), (1, 32), (3, 32)])
+@pytest.mark.parametrize("channels", [1, 2])
+def test_an_extensible_twin_decodes_as_its_plain_file(tmp_path, fmt_tag, bits, channels):
+    # the valid bits are left-justified in the container, so a sample
+    # decodes at the container's depth whatever their count; a cbSize
+    # above 22 is read past
+    rng = np.random.default_rng(bits + channels)
+    n = 5000 * channels
+    if fmt_tag == 3:
+        payload = rng.uniform(-1, 1, n).astype("<f4").tobytes()
+    else:
+        payload = rng.integers(0, 256, n * bits // 8, dtype=np.uint8).tobytes()
+    plain = tmp_path / "plain.wav"
+    plain.write_bytes(_wav_bytes(fmt_tag, channels, 44100, bits, payload))
+    for valid_bits, cb_size in ((bits, 22), (bits - 4, 30)):
+        twin = tmp_path / f"twin{valid_bits}.wav"
+        twin.write_bytes(_extensible_wav_bytes(fmt_tag, channels, 44100, bits, payload, valid_bits, cb_size))
+        for rate in (None, 16000):
+            want, got = load_wav(str(plain), rate), load_wav(str(twin), rate)
+            assert got.sample_rate == want.sample_rate and got.samples.dtype == np.float64
+            assert np.array_equal(got.samples.view(np.int64), want.samples.view(np.int64))
+
+
+# KSDATAFORMAT_SUBTYPE_AMBISONIC_B_FORMAT_PCM: its first field is 1, the rest is not the plain tags' GUID
+B_FORMAT = uuid.UUID("00000001-0721-11d3-8644-c8c1ca000000").bytes_le
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (dict(fmt_size=18), WavFormatError, "extensible fmt chunk truncated (18 of 40 bytes)"),
+    (dict(fmt_size=39), WavFormatError, "extensible fmt chunk truncated (39 of 40 bytes)"),
+    (dict(cb_size=0), WavFormatError, "extensible fmt chunk declares cbSize 0 (under 22)"),
+    (dict(cb_size=21), WavFormatError, "extensible fmt chunk declares cbSize 21 (under 22)"),
+    (dict(fmt_tag=2), UnsupportedWavError, "unsupported extensible SubFormat {00000002-0000-0010-8000-00AA00389B71}"),
+    (dict(fmt_tag=0xFFFE), UnsupportedWavError,
+     "unsupported extensible SubFormat {0000FFFE-0000-0010-8000-00AA00389B71}"),
+    (dict(guid=B_FORMAT), UnsupportedWavError, "unsupported extensible SubFormat {00000001-0721-11D3-8644-C8C1CA000000}"),
+    (dict(bits=12), UnsupportedWavError, "unsupported PCM bit depth 12"),
+    (dict(fmt_tag=3, bits=64), UnsupportedWavError, "unsupported float bit depth 64"),
+], ids=["18-bytes", "39-bytes", "cbSize-0", "cbSize-21", "adpcm", "extensible", "b-format", "pcm12", "float64"])
+def test_an_extensible_file_of_a_short_fmt_or_another_subformat_is_refused(tmp_path, change, error, message):
+    args = dict(fmt_tag=1, channels=1, sr=16000, bits=16, payload=bytes(64)) | change
+    path = tmp_path / "ext.wav"
+    path.write_bytes(_extensible_wav_bytes(**args))
+    with pytest.raises(error) as info:
+        load_wav(str(path))
+    assert str(info.value) == f"{path}: {message}"
+
+
 def test_missing_file_raises():
     with pytest.raises(FileNotFoundError):
         load_wav("/nonexistent/nope.wav")
@@ -406,7 +479,6 @@ def test_manifest_unknown_site_becomes_other(tmp_path):
     path.write_text("path,patient_id,site,period,label\na.wav,p1,ELSEWHERE,birth,mild\n")
     entries = load_manifest(str(path))
     assert entries[0].site == "OTHER"
-    assert entries[0].binary_label == 1
 
 
 def test_manifest_unknown_label_names_row(tmp_path):
@@ -476,10 +548,6 @@ def test_manifest_bad_header_raises(tmp_path):
     path.write_text("file,patient,site,period,label\na.wav,p1,ESUTH,birth,normal\n")
     with pytest.raises(ValueError, match="header must be"):
         load_manifest(str(path))
-
-
-def test_binary_label_unlabeled_is_none():
-    assert ManifestEntry("a.wav", "p", "ESUTH", "birth", "unlabeled").binary_label is None
 
 
 def test_relative_to_manifest(tmp_path):

@@ -22,7 +22,7 @@ def chain(tmp_path_factory):
     split = root / "split.csv"
     kinds = {3: "test", 2: "val"}
     split.write_text(
-        "path,split\n" + "".join(f"{e.path},{kinds.get(i % 4, 'train')}\n" for i, e in enumerate(table.entries))
+        "path,split\n" + "".join(f"{p},{kinds.get(i % 4, 'train')}\n" for i, p in enumerate(table.ids["path"]))
     )
     cfg = root / "cry.cfg"
     cfg.write_text("cv_folds=3\n")
@@ -51,7 +51,7 @@ def test_synth_and_extract_outputs(chain):
     wavs = sorted(p.name for p in chain["corpus"].glob("*.wav"))
     assert len(wavs) == 16 and wavs[0] == "rec0000.wav"
     assert (chain["corpus"] / "ground_truth.json").exists()
-    assert len(chain["table"].entries) == 16 and chain["table"].X.shape == (16, 38)
+    assert len(chain["table"].ids["path"]) == 16 and chain["table"].X.shape == (16, 38)
     skipped = (chain["root"] / "features.skipped.csv").read_text()
     assert skipped.splitlines()[0] == "path,reason"
 
@@ -130,6 +130,31 @@ def test_a_wav_declaring_too_high_a_rate_is_a_clean_error_and_a_skip(tmp_path, c
     assert main(["extract", "--manifest", str(manifest), "--out", str(out)]) == 0
     assert "Traceback" not in capsys.readouterr().err
     assert (tmp_path / "f.skipped.csv").read_bytes() == f"path,reason\r\nfast.wav,{reason}\r\n".encode()
+
+
+# an extensible fmt chunk cut to 18 bytes, one declaring a cbSize of 0, and
+# one whose SubFormat is ADPCM's GUID
+ADPCM = bytes.fromhex("02000000" "000010008000" "00aa00389b71")
+
+
+@pytest.mark.parametrize("fmt, reason", [
+    (struct.pack("<HHIIHHH", 0xFFFE, 1, 16000, 32000, 2, 16, 22), "extensible fmt chunk truncated (18 of 40 bytes)"),
+    (struct.pack("<HHIIHHHHI16s", 0xFFFE, 1, 16000, 32000, 2, 16, 0, 16, 4, ADPCM),
+     "extensible fmt chunk declares cbSize 0 (under 22)"),
+    (struct.pack("<HHIIHHHHI16s", 0xFFFE, 1, 16000, 32000, 2, 16, 22, 16, 4, ADPCM),
+     "unsupported extensible SubFormat {00000002-0000-0010-8000-00AA00389B71}"),
+], ids=["short-fmt", "cbSize-0", "adpcm"])
+def test_an_unreadable_extensible_wav_is_a_clean_error_and_a_skip(tmp_path, capsys, fmt, reason):
+    body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt + b"data" + struct.pack("<I", 64) + bytes(64)
+    ext = tmp_path / "ext.wav"
+    ext.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+    assert main(["segment", str(ext)]) == 1
+    assert capsys.readouterr().err == f"cry: error: {ext}: {reason}\n"
+    manifest = tmp_path / "manifest.csv"
+    manifest.write_text("path,patient_id,site,period,label\next.wav,p0,ESUTH,birth,normal\n")
+    assert main(["extract", "--manifest", str(manifest), "--out", str(tmp_path / "f.csv")]) == 0
+    assert "Traceback" not in capsys.readouterr().err
+    assert (tmp_path / "f.skipped.csv").read_bytes() == f"path,reason\r\next.wav,{ext}: {reason}\r\n".encode()
 
 
 def test_malformed_feature_csv_is_a_clean_error(chain, tmp_path, capsys):

@@ -12,10 +12,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cryscreen
 from cryscreen import audio_io, biomarkers, dsp, pipeline
-from cryscreen.audio_io import AudioClip, ManifestEntry, load_wav, save_manifest, write_wav
+from cryscreen.audio_io import LABELS, AudioClip, ManifestEntry, load_manifest, load_wav, save_manifest, write_wav
 from cryscreen.biomarkers import CRY_FEATURE_NAMES, smooth_f0, unit_biomarker_flags
 from cryscreen.config import PipelineConfig
 from cryscreen.pipeline import (
@@ -155,12 +157,25 @@ def test_segment_clip_refuses_non_finite_samples_as_extract_clip_does(bad):
 
 
 def rows_of(table):
-    return [FeatureRow(e, dict(zip(FEATURE_COLUMNS, x))) for e, x in zip(table.entries, table.X.tolist())]
+    """The rows of a table's columns, as write_features_csv takes them."""
+    entries = map(ManifestEntry, *(table.ids[name] for name in ID_COLUMNS))
+    return [FeatureRow(e, dict(zip(FEATURE_COLUMNS, x))) for e, x in zip(entries, table.X.tolist())]
+
+
+def id_columns(table):
+    """The ID columns as lists, after checking that each is an object array of str, one per row of X."""
+    assert list(table.ids) == ID_COLUMNS
+    for column in table.ids.values():
+        assert column.dtype == object and column.shape == (len(table.X),)
+        assert all(type(v) is str for v in column)
+    return [column.tolist() for column in table.ids.values()]
 
 
 def same_table(a, b):
-    """Equal entries and values equal bit for bit, NaN and the sign of zero included."""
-    return a.entries == b.entries and a.X.shape == b.X.shape and np.array_equal(a.X.view(np.int64), b.X.view(np.int64))
+    """Equal ID columns and values equal bit for bit, NaN and the sign of zero included."""
+    return id_columns(a) == id_columns(b) and a.X.shape == b.X.shape and np.array_equal(
+        a.X.view(np.int64), b.X.view(np.int64)
+    )
 
 
 def test_features_csv_round_trip_and_bytes(tmp_path):
@@ -170,7 +185,7 @@ def test_features_csv_round_trip_and_bytes(tmp_path):
     p1, p2 = str(tmp_path / "f1.csv"), str(tmp_path / "f2.csv")
     write_features_csv(rows, p1)
     back = read_features_csv(p1)
-    assert back.entries == [rows[0].entry]
+    assert [row.entry for row in rows_of(back)] == [rows[0].entry]
     assert back.X.dtype == np.float64 and back.X.shape == (1, 38)
     assert same_table(back, FeatureTable.from_rows(rows))  # repr round-trips floats exactly
     write_features_csv(rows_of(back), p2)
@@ -188,10 +203,13 @@ def test_quoted_paths_round_trip(tmp_path):
     path = str(tmp_path / "quoted.csv")
     write_features_csv(rows, path)
     table = read_features_csv(path)
-    assert [e.path for e in table.entries] == paths
+    assert table.ids["path"].tolist() == paths
     assert same_table(table, FeatureTable.from_rows(rows))
-    # the parse in C reads quoting itself rather than declining the file
-    assert same_table(pipeline._parse_in_c(path), table)
+    # the parse in C reads quoting itself rather than declining the file,
+    # and copies each ID column out of its record array
+    fast = pipeline._parse_in_c(path)
+    assert same_table(fast, table)
+    assert all(column.base is None for column in fast.ids.values())
     again = str(tmp_path / "again.csv")
     write_features_csv(rows_of(table), again)
     assert open(path, "rb").read() == open(again, "rb").read()
@@ -294,7 +312,7 @@ def test_header_only_file_is_an_empty_table(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # np.loadtxt warns on empty input
         table = read_features_csv(str(path))
-        assert table.entries == [] and table.X.shape == (0, 38)
+        assert same_table(table, FeatureTable.from_rows([])) and table.X.shape == (0, 38)
         with pytest.raises(ValueError, match="^no labeled rows to build a feature matrix from$"):
             to_feature_matrix(table)
 
@@ -354,7 +372,7 @@ def test_scan_finds_a_blank_line_across_chunks(tmp_path, monkeypatch, chunk):
         path.write_text(f"{HEADER}\r\n{body}", newline="")
         table = pipeline._parse_in_c(str(path))
         if plain:
-            assert table is not None and len(table.entries) == body.count(good), repr(body)
+            assert table is not None and len(table.X) == body.count(good), repr(body)
             assert same_table(table, pipeline._read_row_by_row(str(path))), repr(body)
         else:
             assert table is None, repr(body)
@@ -503,7 +521,7 @@ def test_to_feature_matrix_holds_each_id_by_reference():
     long_path = "x" * (csv.field_size_limit() - 4) + ".wav"
     entries = [ManifestEntry(f"r{i}.wav", f"p{i}", "ESUTH", "birth", ("normal", "mild")[i % 2]) for i in range(199)]
     entries.append(ManifestEntry(long_path, "p199", "SCDM", "birth", "severe"))
-    table = FeatureTable(entries, np.ones((200, len(FEATURE_COLUMNS))))
+    table = FeatureTable.from_rows([FeatureRow(e, dict.fromkeys(FEATURE_COLUMNS, 1.0)) for e in entries])
     tracemalloc.start()
     try:
         m = to_feature_matrix(table)
@@ -512,6 +530,86 @@ def test_to_feature_matrix_holds_each_id_by_reference():
         tracemalloc.stop()
     assert m.paths[-1] == long_path and len(m.paths) == 200
     assert peak < 10 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def test_to_feature_matrix_reads_each_manifest_label(tmp_path):
+    # normal is 0 and every abnormal grade 1; an unlabeled recording has no
+    # label, and is left out
+    path = tmp_path / "m.csv"
+    labels = ["mild", "unlabeled", "normal", "moderate", "severe"]
+    path.write_text(",".join(ID_COLUMNS) + "\n" + "".join(f"{x}.wav,p{x},ESUTH,birth,{x}\n" for x in labels))
+    rows = [FeatureRow(e, dict.fromkeys(FEATURE_COLUMNS, 0.5)) for e in load_manifest(str(path))]
+    m = to_feature_matrix(FeatureTable.from_rows(rows))
+    assert m.paths.tolist() == ["mild.wav", "normal.wav", "moderate.wav", "severe.wav"]
+    assert m.labels.tolist() == [1, 0, 1, 1] and m.labels.dtype == np.int64
+    with pytest.raises(ValueError, match="^no labeled rows to build a feature matrix from$"):
+        to_feature_matrix(FeatureTable.from_rows(rows[1:2]))
+
+
+def binary_label(entry):
+    """ManifestEntry.binary_label as it was: 0 for normal, 1 for any abnormal grade, None when unlabeled."""
+    if entry.label == "unlabeled":
+        return None
+    return 0 if entry.label == "normal" else 1
+
+
+def entry_feature_matrix(entries, X):
+    """to_feature_matrix as it was on a list of ManifestEntry, row by row: the reference for the column masks."""
+    rows = [(binary_label(e), e.site, e.patient_id, e.path) for e in entries]
+    meta = np.array(rows, dtype=object).reshape(-1, 4)
+    keep = meta[:, 0] != None  # noqa: E711 (elementwise)
+    if not keep.any():
+        raise ValueError("no labeled rows to build a feature matrix from")
+    X = X[keep]
+    labels, sites, patient_ids, paths = meta[keep].T
+    if not np.isfinite(X).all():
+        row, col = np.argwhere(~np.isfinite(X))[0]
+        raise ValueError(f"{paths[row]}: feature {FEATURE_COLUMNS[col]} is {X[row, col]}, not a finite number")
+    return labels.astype(np.int64), sites, patient_ids, paths, X
+
+
+# IDs that repeat, that csv quotes (a comma, a quote, a line end) and that
+# differ only in white space
+TABLE_IDS = st.one_of(st.sampled_from(["a.wav", "a,b.wav", 'say "hi".wav', "two\nlines", "cr\r\nlf", " a.wav"]),
+                      st.text(alphabet='ab,"\r\n é', max_size=4))
+TABLE_VALUES = st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(rows=st.lists(st.tuples(TABLE_IDS, TABLE_IDS, st.sampled_from(sorted(audio_io.SITES)),
+                               st.sampled_from(sorted(audio_io.PERIODS)), st.sampled_from(sorted(LABELS)),
+                               TABLE_VALUES), max_size=12),
+       special=st.one_of(st.none(), st.tuples(st.integers(0, 11), st.sampled_from(FEATURE_COLUMNS),
+                                              st.sampled_from([np.nan, np.inf, -np.inf]))))
+def test_to_feature_matrix_equals_the_entry_rule(tmp_path_factory, rows, special):
+    # tables of every label, from files, some with no labeled row and some
+    # with a NaN or inf in one row; the bits of each value and the refusal
+    # texts must agree
+    feature_rows = [
+        FeatureRow(ManifestEntry(*ids), {name: values[j % 3] for j, name in enumerate(FEATURE_COLUMNS)})
+        for *ids, values in rows
+    ]
+    if special is not None and special[0] < len(rows):
+        row, column, value = special
+        feature_rows[row].features[column] = value
+    path = str(tmp_path_factory.getbasetemp() / "table.csv")
+    write_features_csv(feature_rows, path)
+    table = read_features_csv(path)
+    assert same_table(table, FeatureTable.from_rows(feature_rows))
+    try:
+        want = entry_feature_matrix([row.entry for row in feature_rows], table.X)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as got:
+            to_feature_matrix(table)
+        assert str(got.value) == str(exc)
+        return
+    m = to_feature_matrix(table)
+    labels, sites, patient_ids, paths, X = want
+    assert m.labels.dtype == np.int64 and m.labels.tolist() == labels.tolist()
+    assert m.sites.tolist() == sites.tolist() and m.patient_ids.tolist() == patient_ids.tolist()
+    assert m.paths.tolist() == paths.tolist()
+    assert all(a.dtype == object for a in (m.sites, m.patient_ids, m.paths))
+    assert m.X.shape == X.shape and np.array_equal(m.X.view(np.int64), X.view(np.int64))
 
 
 def test_load_split(tmp_path):
@@ -791,7 +889,7 @@ def test_44k_extraction_does_not_depend_on_the_blas_thread_count(tmp_path):
         assert proc.returncode == 0, proc.stderr
         with open(csv_path, "rb") as fh, open(str(tmp_path / f"features{threads}.skipped.csv"), "rb") as sk:
             out[threads] = (fh.read(), sk.read())
-    assert len(read_features_csv(str(tmp_path / "features1.csv")).entries) == 2
+    assert read_features_csv(str(tmp_path / "features1.csv")).X.shape == (2, 38)
     assert out["1"] == out["2"]
 
 

@@ -19,7 +19,10 @@ FAST_RATES = [384001, 2**32 - 1]  # above audio_io.MAX_SAMPLE_RATE
 SPECIALS = [np.nan, np.inf, -np.inf]
 EXTRA_CHUNKS = st.sampled_from([b"LIST", b"fact", b"junk"])
 FAULTS = ["riff id", "form type", "truncated", "no fmt", "short fmt", "no channels", "no rate", "fast rate",
-          "unsupported"]
+          "unsupported", "other subformat", "foreign subformat", "short extensible fmt", "small cbSize"]
+EXTENSIBLE_FAULTS = FAULTS[-4:]
+# the bytes after the first four of the SubFormat GUID {0000000X-0000-0010-8000-00AA00389B71} of tag X
+GUID_TAIL = bytes.fromhex("000010008000" "00aa00389b71")
 
 
 @st.composite
@@ -47,14 +50,31 @@ def chunk(chunk_id: bytes, body: bytes) -> bytes:
 def wav_files(draw):
     """RIFF bytes: every encoding, 1-3 channels, chunks in any order, extra
     and odd-sized chunks, a second data chunk, fmt chunks of 16, 18 and 40
-    bytes, and about half of the files with one fault."""
+    bytes, about half of them WAVE_FORMAT_EXTENSIBLE ones of 40 or 48, and
+    about half of the files with one fault."""
     fault = draw(st.sampled_from([None] * len(FAULTS) + FAULTS))
     fmt_tag, bits = draw(st.sampled_from(UNSUPPORTED if fault == "unsupported" else ENCODINGS))
     channels = 0 if fault == "no channels" else draw(st.integers(1, 3))
     rate = 0 if fault == "no rate" else draw(st.sampled_from(FAST_RATES if fault == "fast rate" else RATES))
     block = channels * bits // 8
-    fmt = struct.pack("<HHIIHH", fmt_tag, channels, rate, rate * block & 0xFFFFFFFF, block, bits)
-    fmt += draw(st.sampled_from([b"", b"\x00\x00", b"\x16\x00" + bytes(22)]))
+    extensible = fault in EXTENSIBLE_FAULTS or draw(st.booleans())
+    fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else fmt_tag, channels, rate, rate * block & 0xFFFFFFFF, block, bits)
+    if not extensible:
+        fmt += draw(st.sampled_from([b"", b"\x00\x00", b"\x16\x00" + bytes(22)]))
+    else:
+        # the GUID of another tag (2 is ADPCM), or the tag's first field before another GUID's tail
+        if fault == "other subformat":
+            guid = struct.pack("<I", draw(st.sampled_from([2, 0xFFFE]))) + GUID_TAIL
+        elif fault == "foreign subformat":
+            guid = struct.pack("<I", fmt_tag) + draw(st.binary(min_size=12, max_size=12))
+        else:
+            guid = struct.pack("<I", fmt_tag) + GUID_TAIL
+        cb_size = draw(st.integers(0, 21) if fault == "small cbSize" else st.sampled_from([22, 30]))
+        # valid bits and a channel mask, which the reader reads past
+        fmt += struct.pack("<HHI", cb_size, draw(st.integers(0, bits)), draw(st.integers(0, 7))) + guid
+        fmt += draw(st.sampled_from([b"", bytes(8)]))
+        if fault == "short extensible fmt":
+            fmt = fmt[: draw(st.integers(16, 39))]
     if fault == "short fmt":
         fmt = fmt[: draw(st.integers(0, 15))]
     chunks = [chunk(b"data", draw(payloads(fmt_tag, bits, max(channels, 1)))) for _ in range(draw(st.integers(1, 2)))]
