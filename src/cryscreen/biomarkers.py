@@ -20,7 +20,10 @@ a jump or swing spacing reaches dsp.hops_within of them.
 Per recording, each biomarker is summarized as the fraction of units where
 it occurs and the fraction of in-unit frames it covers, alongside basic
 duration statistics of units and pauses. That yields the fixed 26-value
-vector in CRY_FEATURE_NAMES.
+vector in CRY_FEATURE_NAMES. BIOMARKERS is the one list of the unit
+biomarkers, and DURATION_STATS of the duration statistics: the column
+names, durational_features and aggregate_biomarkers are all built from
+them and MELODY_TYPES, and synthcry.EVENTS from BIOMARKERS.
 """
 
 from __future__ import annotations
@@ -38,24 +41,14 @@ MELODY_MIN_VOICED_FRAMES = 5
 
 MELODY_TYPES = ["falling", "rising_falling", "rising", "falling_rising", "flat"]
 
+BIOMARKERS = ("hyperphonation", "dysphonation", "glide", "vibrato")
+DURATION_STATS = {"mean": np.mean, "std": np.std, "max": np.max, "min": np.min}
+
 CRY_FEATURE_NAMES = [
-    "cry_unit_dur_mean",
-    "cry_unit_dur_std",
-    "cry_unit_dur_max",
-    "cry_unit_dur_min",
-    "pause_dur_mean",
-    "pause_dur_std",
-    "pause_dur_max",
-    "pause_dur_min",
-    "hyperphonation_unit_frac",
-    "hyperphonation_dur_frac",
-    "dysphonation_unit_frac",
-    "dysphonation_dur_frac",
-    "glide_unit_frac",
-    "glide_dur_frac",
-    "vibrato_unit_frac",
-    "vibrato_dur_frac",
-] + [f"melody_{m}_{kind}" for m in MELODY_TYPES for kind in ("unit_frac", "dur_frac")]
+    *(f"{part}_dur_{stat}" for part in ("cry_unit", "pause") for stat in DURATION_STATS),
+    *(f"{b}_{kind}" for b in BIOMARKERS for kind in ("unit_frac", "dur_frac")),
+    *(f"melody_{m}_{kind}" for m in MELODY_TYPES for kind in ("unit_frac", "dur_frac")),
+]
 
 
 @dataclass
@@ -272,7 +265,7 @@ def unit_biomarker_flags(
 
 
 def durational_features(seg: CrySegmentation) -> dict[str, float]:
-    """Mean/std/max/min of unit and pause durations (population std).
+    """Each of DURATION_STATS over unit and over pause durations (population std).
 
     A recording with a single unit has no pauses; all four pause
     statistics are then 0.
@@ -280,20 +273,23 @@ def durational_features(seg: CrySegmentation) -> dict[str, float]:
     if not seg.expirations:
         raise ValueError("cannot summarize a segmentation with zero cry units")
     out: dict[str, float] = {}
-    unit_d = np.array([b - a for a, b in seg.expirations])
-    out["cry_unit_dur_mean"] = float(np.mean(unit_d))
-    out["cry_unit_dur_std"] = float(np.std(unit_d))
-    out["cry_unit_dur_max"] = float(np.max(unit_d))
-    out["cry_unit_dur_min"] = float(np.min(unit_d))
-    if seg.pauses:
-        pause_d = np.array([b - a for a, b in seg.pauses])
-        out["pause_dur_mean"] = float(np.mean(pause_d))
-        out["pause_dur_std"] = float(np.std(pause_d))
-        out["pause_dur_max"] = float(np.max(pause_d))
-        out["pause_dur_min"] = float(np.min(pause_d))
-    else:
-        out.update(pause_dur_mean=0.0, pause_dur_std=0.0, pause_dur_max=0.0, pause_dur_min=0.0)
+    for part, spans in (("cry_unit", seg.expirations), ("pause", seg.pauses)):
+        durations = np.array([b - a for a, b in spans])
+        for stat, reduce in DURATION_STATS.items():
+            out[f"{part}_dur_{stat}"] = float(reduce(durations)) if spans else 0.0
     return out
+
+
+def _marked(f: UnitFlags, biomarker: str) -> tuple[bool, int]:
+    """Whether biomarker marks unit f, and how many of its frames it covers.
+
+    Vibrato is a unit-level call: it marks the unit when present, whatever
+    its frames, and covers all of them.
+    """
+    if biomarker == "vibrato":
+        return f.vibrato_present, f.num_frames if f.vibrato_present else 0
+    frames = getattr(f, f"{biomarker}_frames")
+    return frames > 0, frames
 
 
 def aggregate_biomarkers(seg: CrySegmentation, flags: list[UnitFlags]) -> dict[str, float]:
@@ -311,14 +307,10 @@ def aggregate_biomarkers(seg: CrySegmentation, flags: list[UnitFlags]) -> dict[s
         raise ValueError("cry units cover zero frames")
 
     vec = durational_features(seg)
-    vec["hyperphonation_unit_frac"] = sum(1 for f in flags if f.hyperphonation_frames > 0) / total_units
-    vec["hyperphonation_dur_frac"] = sum(f.hyperphonation_frames for f in flags) / total_frames
-    vec["dysphonation_unit_frac"] = sum(1 for f in flags if f.dysphonation_frames > 0) / total_units
-    vec["dysphonation_dur_frac"] = sum(f.dysphonation_frames for f in flags) / total_frames
-    vec["glide_unit_frac"] = sum(1 for f in flags if f.glide_frames > 0) / total_units
-    vec["glide_dur_frac"] = sum(f.glide_frames for f in flags) / total_frames
-    vec["vibrato_unit_frac"] = sum(1 for f in flags if f.vibrato_present) / total_units
-    vec["vibrato_dur_frac"] = sum(f.num_frames for f in flags if f.vibrato_present) / total_frames
+    for b in BIOMARKERS:
+        marks = [_marked(f, b) for f in flags]
+        vec[f"{b}_unit_frac"] = sum(hit for hit, _ in marks) / total_units
+        vec[f"{b}_dur_frac"] = sum(frames for _, frames in marks) / total_frames
     for m in MELODY_TYPES:
         members = [f for f in flags if f.melody == m]
         vec[f"melody_{m}_unit_frac"] = len(members) / total_units

@@ -128,14 +128,12 @@ def cmd_train_eval(args: argparse.Namespace) -> int:
     model = train_logreg(design, cv.best_reg_strength)
 
     test = matrix.subset_rows(test_mask).subset_features(names)
-    curve = roc_auc(model.predict_proba(test.X), test.labels)
+    scores = model.predict_proba(test.X)
+    curve = roc_auc(scores, test.labels)
     per_site: dict[str, float | None] = {}
     for s in np.unique(test.sites):
-        rows = test.subset_rows(test.sites == s)
-        if len(np.unique(rows.labels)) < 2:
-            per_site[s] = None
-            continue
-        per_site[s] = roc_auc(model.predict_proba(rows.X), rows.labels).auc
+        at = test.sites == s
+        per_site[s] = roc_auc(scores[at], test.labels[at]).auc if len(np.unique(test.labels[at])) == 2 else None
 
     _dump_json(model.to_json_dict(), args.model_out)
     _dump_json(

@@ -121,6 +121,10 @@ class FrameGrid:
         t1 = min(max(frames_within(offset_s, self.hop_seconds), t0), self.num_frames)
         return slice(t0, t1)
 
+    def frames(self, samples: np.ndarray) -> np.ndarray:
+        """The frames of the clip this grid was made for, one row each: a view of samples."""
+        return sliding_window_view(samples, self.window_samples)[:: self.hop_samples]
+
 
 @dataclass
 class Spectrogram:
@@ -139,13 +143,6 @@ class F0Contour:
     voiced: np.ndarray
     confidence: np.ndarray
     grid: FrameGrid
-
-
-def frame_signal(x: np.ndarray, window_samples: int, hop_samples: int) -> np.ndarray:
-    """Slice x into overlapping frames, one row per frame."""
-    if len(x) < window_samples:
-        raise ValueError(f"signal of {len(x)} samples is shorter than one {window_samples}-sample window")
-    return sliding_window_view(x, window_samples)[::hop_samples]
 
 
 def frame_blocks(num_frames: int) -> list[tuple[int, int]]:
@@ -251,7 +248,7 @@ def stft(clip: AudioClip, config: PipelineConfig) -> Spectrogram:
     and only nonnegative frequencies are kept.
     """
     grid = make_grid(len(clip.samples), clip.sample_rate, config.window_s, config.hop_s)
-    frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), grid.window_samples, grid.hop_samples)
+    frames = grid.frames(np.asarray(clip.samples, dtype=np.float64))
     window = np.hanning(grid.window_samples)
     nfft = _next_pow2(grid.window_samples)
     power = np.abs(np.fft.rfft(frames * window, n=nfft, axis=1)) ** 2
@@ -324,7 +321,7 @@ def difference_function(samples: np.ndarray, grid: FrameGrid, frames: np.ndarray
     span = win - tau_max
     whole, tail = divmod(span, hop)
     listed = np.asarray(frames, dtype=np.intp)
-    framed = sliding_window_view(samples, win)[::hop]
+    framed = grid.frames(samples)
     # each listed frame from the end of its whole hops to its own end: the
     # tail with its lagged copies, whose last tau_max samples enter the window
     rest = framed[listed, whole * hop :]
@@ -526,7 +523,7 @@ def lpc_formants(clip: AudioClip, config: PipelineConfig) -> np.ndarray:
     grid = make_grid(len(clip.samples), clip.sample_rate, config.window_s, config.hop_s)
     win = grid.window_samples
     check_lpc_order(win)
-    frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples)
+    frames = grid.frames(np.asarray(clip.samples, dtype=np.float64))
     window = np.hanning(win)
     out = np.empty((grid.num_frames, NUM_FORMANTS))
     for start in range(0, grid.num_frames, FRAME_BLOCK):

@@ -137,8 +137,11 @@ def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:
     The same as scipy.ndimage.maximum_filter1d(mask, size=2 * reach + 1,
     mode="constant"): position i is kept when the running count of True
     rises between i - reach and i + reach + 1, both clipped to the mask.
+    A reach of n already covers the whole mask, so a longer one is cut to
+    that before it can overflow the index arithmetic.
     """
     n = len(mask)
+    reach = min(reach, n)
     count = np.concatenate(([0], np.cumsum(mask)))
     i = np.arange(n)
     return count[np.minimum(i + reach + 1, n)] > count[np.maximum(i - reach, 0)]

@@ -20,12 +20,12 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .audio_io import SITES, AudioClip, ManifestEntry, save_manifest, write_wav
-from .biomarkers import MELODY_TYPES, UnitFlags, classify_melody, smooth_f0
+from .biomarkers import BIOMARKERS, MELODY_TYPES, UnitFlags, classify_melody, smooth_f0
 from .config import PipelineConfig, check_fields
 from .dsp import F0Contour, frames_within, hops_within, make_grid
 from .segmenter import CrySegmentation
 
-EVENTS = ("none", "hyperphonation", "dysphonation", "glide", "vibrato")
+EVENTS = ("none", *BIOMARKERS)
 
 # melody contour families, as (relative position, factor on base f0) knots
 _MELODY_KNOTS = {

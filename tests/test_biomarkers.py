@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import median_filter
 from scipy.signal import find_peaks
@@ -436,3 +436,128 @@ def test_aggregate_validates_lengths():
 def test_feature_name_count():
     assert len(CRY_FEATURE_NAMES) == 26
     assert len(set(CRY_FEATURE_NAMES)) == 26
+
+
+# The column list and the summary as they were written out by hand before
+# BIOMARKERS and DURATION_STATS declared them: references for the built ones.
+REFERENCE_CRY_FEATURE_NAMES = [
+    "cry_unit_dur_mean",
+    "cry_unit_dur_std",
+    "cry_unit_dur_max",
+    "cry_unit_dur_min",
+    "pause_dur_mean",
+    "pause_dur_std",
+    "pause_dur_max",
+    "pause_dur_min",
+    "hyperphonation_unit_frac",
+    "hyperphonation_dur_frac",
+    "dysphonation_unit_frac",
+    "dysphonation_dur_frac",
+    "glide_unit_frac",
+    "glide_dur_frac",
+    "vibrato_unit_frac",
+    "vibrato_dur_frac",
+    "melody_falling_unit_frac",
+    "melody_falling_dur_frac",
+    "melody_rising_falling_unit_frac",
+    "melody_rising_falling_dur_frac",
+    "melody_rising_unit_frac",
+    "melody_rising_dur_frac",
+    "melody_falling_rising_unit_frac",
+    "melody_falling_rising_dur_frac",
+    "melody_flat_unit_frac",
+    "melody_flat_dur_frac",
+]
+
+
+def reference_durational_features(seg):
+    if not seg.expirations:
+        raise ValueError("cannot summarize a segmentation with zero cry units")
+    out = {}
+    unit_d = np.array([b - a for a, b in seg.expirations])
+    out["cry_unit_dur_mean"] = float(np.mean(unit_d))
+    out["cry_unit_dur_std"] = float(np.std(unit_d))
+    out["cry_unit_dur_max"] = float(np.max(unit_d))
+    out["cry_unit_dur_min"] = float(np.min(unit_d))
+    if seg.pauses:
+        pause_d = np.array([b - a for a, b in seg.pauses])
+        out["pause_dur_mean"] = float(np.mean(pause_d))
+        out["pause_dur_std"] = float(np.std(pause_d))
+        out["pause_dur_max"] = float(np.max(pause_d))
+        out["pause_dur_min"] = float(np.min(pause_d))
+    else:
+        out.update(pause_dur_mean=0.0, pause_dur_std=0.0, pause_dur_max=0.0, pause_dur_min=0.0)
+    return out
+
+
+def reference_aggregate_biomarkers(seg, flags):
+    if not flags or len(flags) != len(seg.expirations):
+        raise ValueError(f"need one UnitFlags per cry unit, got {len(flags)} for {len(seg.expirations)} units")
+    total_units = len(flags)
+    total_frames = sum(f.num_frames for f in flags)
+    if total_frames == 0:
+        raise ValueError("cry units cover zero frames")
+
+    vec = reference_durational_features(seg)
+    vec["hyperphonation_unit_frac"] = sum(1 for f in flags if f.hyperphonation_frames > 0) / total_units
+    vec["hyperphonation_dur_frac"] = sum(f.hyperphonation_frames for f in flags) / total_frames
+    vec["dysphonation_unit_frac"] = sum(1 for f in flags if f.dysphonation_frames > 0) / total_units
+    vec["dysphonation_dur_frac"] = sum(f.dysphonation_frames for f in flags) / total_frames
+    vec["glide_unit_frac"] = sum(1 for f in flags if f.glide_frames > 0) / total_units
+    vec["glide_dur_frac"] = sum(f.glide_frames for f in flags) / total_frames
+    vec["vibrato_unit_frac"] = sum(1 for f in flags if f.vibrato_present) / total_units
+    vec["vibrato_dur_frac"] = sum(f.num_frames for f in flags if f.vibrato_present) / total_frames
+    for m in MELODY_TYPES:
+        members = [f for f in flags if f.melody == m]
+        vec[f"melody_{m}_unit_frac"] = len(members) / total_units
+        vec[f"melody_{m}_dur_frac"] = sum(f.num_frames for f in members) / total_frames
+    return vec
+
+
+def test_feature_names_equal_the_written_list():
+    assert CRY_FEATURE_NAMES == REFERENCE_CRY_FEATURE_NAMES
+
+
+def outcome(fn, *args):
+    """fn's result as (key, float bits) pairs in order, or the text of its refusal."""
+    try:
+        return [(k, float(v).hex()) for k, v in fn(*args).items()]
+    except ValueError as exc:
+        return ("refused", str(exc))
+
+
+@st.composite
+def summary_case(draw):
+    """A segmentation and a list of UnitFlags, mostly one per unit; frames
+    may be 0 and vibrato may be called on a unit of no frames."""
+    gaps = draw(st.lists(st.floats(0.001, 3.0), min_size=0, max_size=12))
+    edges = np.cumsum([0.0, *gaps]).tolist()
+    expirations = list(zip(edges[0::2], edges[1::2]))
+    n_flags = draw(st.one_of(st.just(len(expirations)), st.integers(0, 7)))
+    frames = st.integers(0, 40)
+    flags = [
+        UnitFlags(
+            num_frames=draw(frames),
+            hyperphonation_frames=draw(frames),
+            dysphonation_frames=draw(frames),
+            glide_frames=draw(frames),
+            vibrato_present=draw(st.booleans()),
+            melody=draw(st.sampled_from(MELODY_TYPES)),
+        )
+        for _ in range(n_flags)
+    ]
+    return CrySegmentation(expirations), flags
+
+
+TWO_UNITS = CrySegmentation([(0.0, 1.0), (1.5, 2.5)])
+
+
+@settings(max_examples=1500, deadline=None, derandomize=True, database=None)
+@given(case=summary_case())
+@example(case=(TWO_UNITS, [UnitFlags(num_frames=0, vibrato_present=True), UnitFlags(num_frames=10)]))
+@example(case=(TWO_UNITS, [UnitFlags(num_frames=0, vibrato_present=True), UnitFlags(num_frames=0)]))
+def test_aggregate_equals_the_written_reference(case):
+    seg, flags = case
+    assert outcome(aggregate_biomarkers, seg, flags) == outcome(reference_aggregate_biomarkers, seg, flags)
+    assert outcome(durational_features, seg) == outcome(reference_durational_features, seg)
+

@@ -4,10 +4,12 @@ train-eval, segment, plus argument plumbing and the error exit path."""
 import json
 import struct
 
+import numpy as np
 import pytest
 
+from cryscreen.analytics import ScreeningModel, roc_auc
 from cryscreen.cli import FEATURE_SETS, build_parser, main
-from cryscreen.pipeline import _parse_in_c, read_features_csv
+from cryscreen.pipeline import FEATURE_COLUMNS, ID_COLUMNS, _parse_in_c, read_features_csv, to_feature_matrix
 
 
 @pytest.fixture(scope="module")
@@ -95,6 +97,49 @@ def test_train_eval_command(chain):
     model = json.loads(model_out.read_text())
     assert set(model) == {"features", "weights", "bias", "standardize", "reg_strength"}
     assert len(model["weights"]) == len(model["features"]) == 38
+
+
+def test_per_site_auc_scores_each_site_alone(tmp_path):
+    """Each site's AUC equals that of its test rows scored on their own, and a
+    site whose test rows hold one class has none."""
+    rng = np.random.default_rng(3)
+    rows, split = [], []
+    for i in range(120):
+        k = i // 2
+        site = ("ESUTH", "LASUTH", "SCDM")[k % 3]
+        label = "normal" if k % 2 or site == "SCDM" and i >= 60 else ("mild", "severe")[k % 4 // 2]
+        values = rng.standard_normal(len(FEATURE_COLUMNS)) + (label != "normal")
+        rows.append([f"r{i}.wav", f"p{k}", site, ("birth", "discharge")[i % 2], label, *map(repr, values.tolist())])
+        split.append(f"r{i}.wav,{'test' if i >= 60 else 'train'}\n")
+    table = tmp_path / "features.csv"
+    table.write_text("".join(",".join(r) + "\n" for r in [ID_COLUMNS + FEATURE_COLUMNS, *rows]))
+    (tmp_path / "split.csv").write_text("path,split\n" + "".join(split))
+    model_out, metrics_out = tmp_path / "model.json", tmp_path / "metrics.json"
+    assert main(["train-eval", "--features", str(table), "--split", str(tmp_path / "split.csv"),
+                 "--model-out", str(model_out), "--metrics-out", str(metrics_out)]) == 0
+    model = ScreeningModel.from_json_dict(json.loads(model_out.read_text()))
+    test = to_feature_matrix(read_features_csv(str(table)))
+    test = test.subset_rows(np.isin(test.paths, [f"r{i}.wav" for i in range(60, 120)]))
+    want = {}
+    for site in ("ESUTH", "LASUTH", "SCDM"):
+        rows_at = test.subset_rows(test.sites == site)
+        two_classes = len(np.unique(rows_at.labels)) == 2
+        want[site] = roc_auc(model.predict_proba(rows_at.X), rows_at.labels).auc if two_classes else None
+    assert want["SCDM"] is None and want["ESUTH"] is not None
+    assert json.loads(metrics_out.read_text())["per_site_auc"] == want
+
+
+@pytest.mark.parametrize("line", ["min_pause_s=1e300", f"voicing_halfwidth_frames={2**62}"])
+def test_a_voicing_reach_past_the_clip_extracts_and_segments(chain, tmp_path, capsys, line):
+    """A pause or voicing reach longer than any clip reaches the whole clip;
+    past int64 frames it once ended in an OverflowError traceback."""
+    cfg = tmp_path / "far.cfg"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "f.csv"
+    assert main(["extract", "--manifest", str(chain["corpus"] / "manifest.csv"), "--out", str(out),
+                 "--config", str(cfg)]) == 0
+    assert main(["segment", str(chain["corpus"] / "rec0000.wav"), "--config", str(cfg)]) == 0
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_segment_command_stdout(chain, capsys):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy import signal as sps
 from scipy.fft import dct
 
@@ -23,7 +24,6 @@ from cryscreen.dsp import (
     Spectrogram,
     difference_function,
     estimate_f0,
-    frame_signal,
     frames_within,
     hops_within,
     log_mel,
@@ -100,10 +100,14 @@ def test_make_grid_too_short():
         make_grid(100, SR, 0.025, 0.010)
 
 
-def test_frame_signal_shape():
-    frames = frame_signal(np.arange(1000.0), 400, 160)
-    assert frames.shape == (4, 400)
+def test_grid_frames_are_views_of_the_clip():
+    samples = np.arange(1000.0)
+    grid = make_grid(len(samples), SR, 0.025, 0.010)
+    frames = grid.frames(samples)
+    assert frames.shape == (grid.num_frames, 400) == (4, 400)
     assert frames[1, 0] == 160.0
+    assert np.array_equal(frames[3], samples[480:880])
+    assert np.shares_memory(frames, samples)
 
 
 def test_frame_slice_exact_boundaries():
@@ -308,7 +312,7 @@ def test_f0_range_validation():
 
 def loop_difference_function(samples, grid, frames, tau_max):
     """Reference: frame the samples, then sum each listed frame's difference function lag by lag, term by term."""
-    rows = frame_signal(samples, grid.window_samples, grid.hop_samples)[frames]
+    rows = sliding_window_view(samples, grid.window_samples)[:: grid.hop_samples][frames]
     span = grid.window_samples - tau_max
     base = rows[:, :span]
     d = np.empty((len(rows), tau_max + 1))
@@ -587,7 +591,7 @@ def fft_lpc_formants(clip, order=12, num_formants=3, max_bandwidth_hz=400.0):
     grid = make_grid(len(clip.samples), clip.sample_rate, 0.025, 0.010)
     win = grid.window_samples
     sr = clip.sample_rate
-    frames = frame_signal(np.asarray(clip.samples, dtype=np.float64), win, grid.hop_samples) * np.hanning(win)
+    frames = sliding_window_view(np.asarray(clip.samples, dtype=np.float64), win)[:: grid.hop_samples] * np.hanning(win)
     nfft = dsp._next_pow2(2 * win)
     spectrum = np.abs(np.fft.rfft(frames, n=nfft, axis=1)) ** 2
     autocorr = np.fft.irfft(spectrum, axis=1)[:, : order + 1]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.ndimage import maximum_filter1d
 
@@ -150,19 +150,23 @@ def test_runs_of():
 
 @st.composite
 def release_masks(draw):
-    """A random, all-false or all-true mask, and a reach up to past its length."""
+    """A random, all-false or all-true mask, and a reach up to past its length,
+    at times far past it, up to the largest int64."""
     n = draw(st.integers(1, 60))
     kind = draw(st.sampled_from(["random", "none", "all"]))
     if kind == "random":
         mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
     else:
         mask = np.full(n, kind == "all")
-    return mask, draw(st.integers(0, n + 3))
+    return mask, draw(st.one_of(st.integers(0, n + 3), st.integers(n + 4, 2**63 - 1)))
 
 
 @settings(max_examples=2000, deadline=None, derandomize=True, database=None)
 @given(case=release_masks())
+@example(case=(np.array([False, True, False]), 2**63 - 1))
 def test_dilate_matches_maximum_filter1d(case):
     mask, reach = case
-    want = maximum_filter1d(mask.astype(np.uint8), size=2 * reach + 1, mode="constant").astype(bool)
+    # a reach past the mask's length covers it as a reach of its length does
+    size = 2 * min(reach, len(mask)) + 1
+    want = maximum_filter1d(mask.astype(np.uint8), size=size, mode="constant").astype(bool)
     assert np.array_equal(segmenter._dilate(mask, reach), want)
