@@ -244,10 +244,11 @@ def cross_validate(matrix: FeatureMatrix, folds: int, reg_grid: tuple[float, ...
     weights of the penalty before it; every fit stops on train_logreg's
     rule, so its weights are the optimum's to within that rule's
     tolerance, though not bit for bit the ones train_logreg would return.
-    Each fit scores the fold's validation rows, standardized once by the
-    same mean and std. fold_aucs keeps reg_grid's order, a penalty listed
-    twice counting once. Mean validation AUC decides; exact ties go to the
-    strongest regularization (largest penalty).
+    Each fit, as a ScreeningModel with the fold's training mean and std,
+    scores the fold's validation rows by predict_proba. fold_aucs keeps
+    reg_grid's order, a penalty listed twice counting once. Mean validation
+    AUC decides; exact ties go to the strongest regularization (largest
+    penalty).
     """
     row_fold = assign_patient_folds(matrix.patient_ids, matrix.labels, folds)
     X = np.asarray(matrix.X, dtype=np.float64)
@@ -259,12 +260,11 @@ def cross_validate(matrix: FeatureMatrix, folds: int, reg_grid: tuple[float, ...
         train_idx, val_idx = np.flatnonzero(~val_mask), np.flatnonzero(val_mask)
         Z, mean, std = _standardized_design(X[train_idx])
         y = labels[train_idx].astype(np.float64)
-        Z_val = (X[val_idx] - mean) / std
-        d = len(mean)
-        w = np.zeros(d + 1)
+        w = np.zeros(Z.shape[1])
         for lam in sorted(fold_aucs, reverse=True):
             w = _fit_irls(Z, y, lam, w)
-            fold_aucs[lam].append(roc_auc(_sigmoid(Z_val @ w[:d] + float(w[d])), labels[val_idx]).auc)
+            model = ScreeningModel(matrix.feature_names, w[:-1], float(w[-1]), mean, std, lam)
+            fold_aucs[lam].append(roc_auc(model.predict_proba(X[val_idx]), labels[val_idx]).auc)
     mean_aucs = {lam: float(np.mean(v)) for lam, v in fold_aucs.items()}
     best = max(reg_grid, key=lambda lam: (mean_aucs[lam], lam))
     return CrossValidationResult(float(best), fold_aucs, mean_aucs)

@@ -112,16 +112,14 @@ def _median3(x: np.ndarray) -> np.ndarray:
     return np.maximum(np.minimum(prev, nxt), np.minimum(np.maximum(prev, nxt), x))
 
 
-def detect_hyperphonation(
-    f0_hz: np.ndarray, voiced: np.ndarray, hop_s: float, config: PipelineConfig = PipelineConfig()
-) -> np.ndarray:
+def detect_hyperphonation(f0_hz: np.ndarray, voiced: np.ndarray, hop_s: float, config: PipelineConfig) -> np.ndarray:
     """Flag frames in voiced runs of at least config.hyperphonation_min_run_s
     with f0 above config.hyperphonation_f0_hz."""
     cond = voiced & (f0_hz > config.hyperphonation_f0_hz)
     return _flag_sustained(cond, frames_within(config.hyperphonation_min_run_s, hop_s))
 
 
-def detect_dysphonation(flatness: np.ndarray, hop_s: float, config: PipelineConfig = PipelineConfig()) -> np.ndarray:
+def detect_dysphonation(flatness: np.ndarray, hop_s: float, config: PipelineConfig) -> np.ndarray:
     """Flag frames in runs of at least config.dysphonation_min_run_s whose
     spectral flatness is above config.dysphonation_flatness.
 
@@ -135,9 +133,7 @@ def detect_dysphonation(flatness: np.ndarray, hop_s: float, config: PipelineConf
     return _flag_sustained(vals > config.dysphonation_flatness, frames_within(config.dysphonation_min_run_s, hop_s))
 
 
-def detect_glide(
-    smoothed: np.ndarray, voiced: np.ndarray, hop_s: float, config: PipelineConfig = PipelineConfig()
-) -> np.ndarray:
+def detect_glide(smoothed: np.ndarray, voiced: np.ndarray, hop_s: float, config: PipelineConfig) -> np.ndarray:
     """Flag frames that start a rapid pitch jump.
 
     Frame t is flagged when the smoothed contour moves by at least
@@ -188,9 +184,7 @@ def _prominent_extrema(x: np.ndarray, prominence: float) -> tuple[np.ndarray, np
     return pos[keep], is_max[keep]
 
 
-def detect_vibrato(
-    smoothed: np.ndarray, voiced: np.ndarray, hop_s: float, config: PipelineConfig = PipelineConfig()
-) -> bool:
+def detect_vibrato(smoothed: np.ndarray, voiced: np.ndarray, hop_s: float, config: PipelineConfig) -> bool:
     """True when the voiced frames carry at least config.vibrato_min_extrema
     alternating pitch extrema of config.vibrato_prominence_hz prominence,
     each following the last within config.vibrato_max_spacing_s."""
@@ -206,7 +200,7 @@ def detect_vibrato(
     return best >= config.vibrato_min_extrema
 
 
-def classify_melody(contour: np.ndarray, config: PipelineConfig = PipelineConfig()) -> str:
+def classify_melody(contour: np.ndarray, config: PipelineConfig) -> str:
     """Label the shape of a unit's pitch contour: its smoothed f0 at its voiced frames.
 
     The contour is flat when its range is under config.melody_flat_ratio
@@ -243,7 +237,7 @@ def unit_biomarker_flags(
     flatness: np.ndarray,
     unit: tuple[float, float],
     smoothed: np.ndarray,
-    config: PipelineConfig = PipelineConfig(),
+    config: PipelineConfig,
 ) -> UnitFlags:
     """Run every detector on the frames of one unit and tally the results.
 

@@ -33,12 +33,14 @@ from .dsp import (
 
 
 @functools.cache
-def _field_kinds(cls) -> tuple:
-    """(field, container, kind) per field of the dataclass cls: container is
-    tuple, dict or None, and kind the type of a tuple's items, a dict's values
-    or the field; cached, as resolving costs more than building a record."""
+def field_kinds(cls) -> dict:
+    """(field, container, kind) by name, per field of the dataclass cls:
+    container is tuple, dict or None, and kind the type of a tuple's items, a
+    dict's values or the field; the one reading of a record's declared types,
+    cached, as resolving costs more than building a record."""
     hints = get_type_hints(cls)
-    return tuple((f, get_origin(t := hints[f.name]), (get_args(t) or (t,))[get_origin(t) is dict]) for f in fields(cls))
+    return {f.name: (f, get_origin(t := hints[f.name]), (get_args(t) or (t,))[get_origin(t) is dict])
+            for f in fields(cls)}
 
 
 def check_fields(record) -> None:
@@ -46,7 +48,7 @@ def check_fields(record) -> None:
     record, or each item or value of its tuple or dict, is of its declared
     type and keeps the bounds its metadata sets ("at_least", "above" or
     "at_most"). Numbers are finite ints or floats; an int field's fit int64."""
-    for f, container, kind in _field_kinds(type(record)):
+    for f, container, kind in field_kinds(type(record)).values():
         name, value = f.name, getattr(record, f.name)
         if container and not isinstance(value, container):
             raise ValueError(f"{name} must be a {container.__name__}, not {value!r}")
@@ -154,9 +156,6 @@ class PipelineConfig:
             raise ValueError(f"{key}={exc}") from None
 
 
-_FIELD_KINDS = {f.name: (container, kind) for f, container, kind in _field_kinds(PipelineConfig)}
-
-
 def load_config(path: str) -> PipelineConfig:
     """Read a flat UTF-8 key=value file; blank lines and # comments allowed.
 
@@ -168,6 +167,7 @@ def load_config(path: str) -> PipelineConfig:
             lines = list(fh)
         except UnicodeDecodeError as exc:
             raise ValueError(f"{path}: {exc}") from None
+    kinds = field_kinds(PipelineConfig)
     overrides: dict = {}
     for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
@@ -176,11 +176,11 @@ def load_config(path: str) -> PipelineConfig:
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {raw.strip()!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        if key not in _FIELD_KINDS:
+        if key not in kinds:
             raise ValueError(f"{path}:{lineno}: unknown config key {key!r}")
         if key in overrides:
             raise ValueError(f"{path}:{lineno}: {key} is set again")
-        container, kind = _FIELD_KINDS[key]
+        _, container, kind = kinds[key]
         try:
             overrides[key] = tuple(kind(p.strip()) for p in value.split(",") if p.strip()) if container else kind(value)
         except ValueError:

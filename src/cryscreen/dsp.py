@@ -12,6 +12,7 @@ grid. The pipeline passes the kernels clips at the config's sample rate.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -84,14 +85,16 @@ def whole_samples(seconds: float, sample_rate: int) -> int:
 def frames_within(seconds: float, hop_s: float) -> int:
     """How many frames of a grid of hop_s start within the first seconds of
     it, in [0, seconds): a run of that many frames spans seconds, and a gap
-    of fewer frames is shorter."""
-    return math.ceil(seconds / hop_s - DURATION_TOL)
+    of fewer frames is shorter. A span of more hops than a float holds
+    counts as the most it holds, still more than any clip has frames."""
+    return math.ceil(min(seconds / hop_s, sys.float_info.max) - DURATION_TOL)
 
 
 def hops_within(seconds: float, hop_s: float) -> int:
     """How many whole hops of hop_s fit in seconds: the frames at most
-    seconds after a frame are the next hops_within(seconds, hop_s)."""
-    return math.floor(seconds / hop_s + DURATION_TOL)
+    seconds after a frame are the next hops_within(seconds, hop_s). Past
+    what a float holds, as in frames_within."""
+    return math.floor(min(seconds / hop_s, sys.float_info.max) + DURATION_TOL)
 
 
 @dataclass

@@ -53,7 +53,7 @@ def bridge_voicing_gaps(voiced: np.ndarray, halfwidth: int) -> np.ndarray:
     return out
 
 
-def detect_cry_units(f0: F0Contour, loud: np.ndarray, config: PipelineConfig = PipelineConfig()) -> CrySegmentation:
+def detect_cry_units(f0: F0Contour, loud: np.ndarray, config: PipelineConfig) -> CrySegmentation:
     """Segment a clip into expiratory cry units.
 
     loud holds one value per frame of f0.grid. Frames are candidates when
@@ -109,7 +109,7 @@ def loudness_levels(loud: np.ndarray, active_fraction: float) -> tuple[float, fl
     return lo + active_fraction * (hi - lo), lo + 0.5 * active_fraction * (hi - lo)
 
 
-def pitch_frames(loud: np.ndarray, grid: FrameGrid, config: PipelineConfig = PipelineConfig()) -> np.ndarray:
+def pitch_frames(loud: np.ndarray, grid: FrameGrid, config: PipelineConfig) -> np.ndarray:
     """Indices of the only frames whose pitch detect_cry_units or a unit reads.
 
     loud holds one loudness value per frame of grid.
@@ -147,7 +147,7 @@ def _dilate(mask: np.ndarray, reach: int) -> np.ndarray:
     return count[np.minimum(i + reach + 1, n)] > count[np.maximum(i - reach, 0)]
 
 
-def meets_curation_rule(seg: CrySegmentation, config: PipelineConfig = PipelineConfig()) -> bool:
+def meets_curation_rule(seg: CrySegmentation, config: PipelineConfig) -> bool:
     """Recordings need at least config.min_total_cry_s of summed cry to be usable.
 
     A sum of unit lengths is no whole number of frames, so this rule stays

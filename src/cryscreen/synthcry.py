@@ -15,17 +15,20 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
-from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .audio_io import SITES, AudioClip, ManifestEntry, save_manifest, write_wav
 from .biomarkers import BIOMARKERS, MELODY_TYPES, UnitFlags, classify_melody, smooth_f0
-from .config import PipelineConfig, check_fields
+from .config import PipelineConfig, check_fields, field_kinds
 from .dsp import F0Contour, frames_within, hops_within, make_grid
 from .segmenter import CrySegmentation
 
 EVENTS = ("none", *BIOMARKERS)
+
+# the analysis settings of a default run, which the planted truth assumes:
+# its frame grid, its detector thresholds and its sample rate
+ANALYSIS = PipelineConfig()
 
 # melody contour families, as (relative position, factor on base f0) knots
 _MELODY_KNOTS = {
@@ -210,7 +213,7 @@ def _add_dysphonation_noise(x: np.ndarray, unit: UnitSpec, sr: int, rng: np.rand
     spectrum, and band-limited noise would leave near-empty bins that
     crush the geometric mean.
     """
-    pad = PipelineConfig().window_s / 2.0
+    pad = ANALYSIS.window_s / 2.0
     i0 = max(int(round((unit.event_start_s - pad) * sr)), 0)
     i1 = min(int(round((unit.event_start_s + unit.event_duration_s + pad) * sr)), len(x))
     if i1 <= i0:
@@ -237,8 +240,7 @@ def _add_dysphonation_noise(x: np.ndarray, unit: UnitSpec, sr: int, rng: np.rand
 def true_contour(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples: int) -> F0Contour:
     """The planted F0 sampled at analysis-frame centers, 0 between units."""
     sr = spec.sample_rate
-    config = PipelineConfig()
-    grid = make_grid(n_samples, sr, config.window_s, config.hop_s)
+    grid = make_grid(n_samples, sr, ANALYSIS.window_s, ANALYSIS.hop_s)
     centers = grid.frame_times() + grid.window_seconds / 2.0
     f0 = np.zeros(grid.num_frames)
     voiced = np.zeros(grid.num_frames, dtype=bool)
@@ -256,12 +258,9 @@ def _ground_truth(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples:
     smoothed = smooth_f0(contour.f0_hz, contour.voiced)
     grid = contour.grid
     hop = grid.hop_seconds
-    # the detectors' thresholds, read once: the glide loop below runs per
-    # pair of frames, where building a config each time would be slow
-    config = PipelineConfig()
-    hyper_run = frames_within(config.hyperphonation_min_run_s, hop)
-    dys_run = frames_within(config.dysphonation_min_run_s, hop)
-    max_k = hops_within(config.glide_max_span_s, hop)
+    hyper_run = frames_within(ANALYSIS.hyperphonation_min_run_s, hop)
+    dys_run = frames_within(ANALYSIS.dysphonation_min_run_s, hop)
+    max_k = hops_within(ANALYSIS.glide_max_span_s, hop)
 
     flags: list[UnitFlags] = []
     for unit, (on, off) in zip(spec.units, seg.expirations):
@@ -270,7 +269,7 @@ def _ground_truth(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples:
         f0_u = contour.f0_hz[sl]
         voiced_u = contour.voiced[sl]
 
-        hyper = _count_run_frames(voiced_u & (f0_u > config.hyperphonation_f0_hz), hyper_run)
+        hyper = _count_run_frames(voiced_u & (f0_u > ANALYSIS.hyperphonation_f0_hz), hyper_run)
 
         dys = 0
         if unit.event == "dysphonation":
@@ -282,7 +281,7 @@ def _ground_truth(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples:
         glide = 0
         for t in range(n_frames):
             for k in range(1, min(max_k, n_frames - 1 - t) + 1):
-                if voiced_u[t] and voiced_u[t + k] and abs(f0_u[t + k] - f0_u[t]) >= config.glide_delta_hz:
+                if voiced_u[t] and voiced_u[t + k] and abs(f0_u[t + k] - f0_u[t]) >= ANALYSIS.glide_delta_hz:
                     glide += 1
                     break
 
@@ -293,7 +292,7 @@ def _ground_truth(spec: SynthSpec, boundaries: list[tuple[int, int]], n_samples:
                 dysphonation_frames=dys,
                 glide_frames=glide,
                 vibrato_present=unit.event == "vibrato",
-                melody=classify_melody(smoothed[sl][voiced_u], config),
+                melody=classify_melody(smoothed[sl][voiced_u], ANALYSIS),
             )
         )
 
@@ -358,26 +357,27 @@ class _JsonRecord:
         """The record of a JSON object; keys it leaves out keep their defaults."""
         if not isinstance(d, dict):
             raise ValueError(f"{cls.__name__} must be a JSON object, not {d!r}")
-        hints = get_type_hints(cls)
-        unknown = sorted(set(d) - set(hints))
+        kinds = field_kinds(cls)
+        unknown = sorted(set(d) - set(kinds))
         if unknown:
             raise ValueError(f"unknown {cls.__name__} keys {unknown}")
-        return cls(**{k: _from_json(hints[k], k, x) for k, x in d.items()})
+        return cls(**{k: _from_json(*kinds[k][1:], k, x) for k, x in d.items()})
 
 
-def _from_json(kind, key: str, v):
-    """The JSON value v as a value of type kind, refusing by name only a value
-    that is not the list or object kind takes, or an unknown key; the record's
-    check_fields holds the value to the rest of its field's rules."""
-    if get_origin(kind) is tuple:
+def _from_json(container, kind, key: str, v):
+    """The JSON value v as a value of a field of config.field_kinds' container
+    and kind, refusing by name only a value that is not the list or object the
+    field takes, or an unknown key; the record's check_fields holds the value
+    to the rest of its field's rules."""
+    if container is tuple:
         if not isinstance(v, list):
             raise ValueError(f"{key} must be a list, not {v!r}")
-        return tuple(_from_json(get_args(kind)[0], key, x) for x in v)
-    if get_origin(kind) is dict or is_dataclass(kind):
+        return tuple(_from_json(None, kind, key, x) for x in v)
+    if container is dict or is_dataclass(kind):
         if not isinstance(v, dict):
             raise ValueError(f"{key} must be a JSON object, not {v!r}")
-        if get_origin(kind) is dict:
-            return {k: _from_json(get_args(kind)[1], f"{key}[{k!r}]", x) for k, x in v.items()}
+        if container is dict:
+            return {k: _from_json(None, kind, f"{key}[{k!r}]", x) for k, x in v.items()}
         try:
             return kind.from_json_dict(v)
         except ValueError as exc:
@@ -449,7 +449,7 @@ class CorpusProfile(_JsonRecord):
 
     n_per_class: int = field(default=100, metadata={"at_least": 1})
     # the sites cry select reads at the default config
-    sites: tuple[str, ...] = PipelineConfig().selection_sites
+    sites: tuple[str, ...] = ANALYSIS.selection_sites
     positive: ClassProfile = DEFAULT_POSITIVE_PROFILE
     negative: ClassProfile = DEFAULT_NEGATIVE_PROFILE
 
@@ -519,10 +519,10 @@ def random_unit(profile: ClassProfile, rng: np.random.Generator) -> UnitSpec:
         # flat base capped below 500 Hz: then half the pitch sits under the
         # tracker's search floor and the noise cannot pull whole frames an
         # octave down, which otherwise fakes pitch swings and shape changes.
-        # Snapped to an integer sample period so the tracker's integer lag
-        # lands exactly on the period and the dip depth stays stable
+        # Snapped to a whole sample period at the analysis rate so the tracker's
+        # integer lag lands exactly on the period and the dip depth stays stable
         unit.melody = "flat"
-        unit.base_f0_hz = 16000.0 / round(16000.0 / rng.uniform(380.0, 470.0))
+        unit.base_f0_hz = ANALYSIS.sample_rate / round(ANALYSIS.sample_rate / rng.uniform(380.0, 470.0))
         unit.event_duration_s = rng.uniform(0.18, 0.30)
         unit.event_start_s = margin + rng.uniform(0.0, max(dur - unit.event_duration_s - 2 * margin, 0.0))
     elif event == "glide":

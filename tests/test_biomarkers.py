@@ -27,6 +27,7 @@ from cryscreen.dsp import F0Contour, FrameGrid
 from cryscreen.segmenter import CrySegmentation, runs_of
 
 HOP = 0.010
+CONFIG = PipelineConfig()
 
 
 def grid_of(n):
@@ -49,7 +50,7 @@ def smoothed(f0_values, voiced=None):
 
 def melody_of(f0_values):
     pitch, voiced = smoothed(f0_values)
-    return classify_melody(pitch[voiced])
+    return classify_melody(pitch[voiced], CONFIG)
 
 
 def test_smooth_f0_kills_lone_spike():
@@ -111,7 +112,7 @@ def run_contour(base, hi, start, length, n=60):
 
 def test_hyperphonation_counts_sustained_run():
     f0 = run_contour(900.0, 1200.0, 20, 15)
-    mask = detect_hyperphonation(f0.f0_hz, f0.voiced, HOP)
+    mask = detect_hyperphonation(f0.f0_hz, f0.voiced, HOP, CONFIG)
     assert mask.sum() == 15
     assert np.flatnonzero(mask).tolist() == list(range(20, 35))
 
@@ -119,16 +120,16 @@ def test_hyperphonation_counts_sustained_run():
 def test_hyperphonation_min_run_boundary():
     # 0.1 s at a 10 ms hop is exactly 10 frames: 10 counts, 9 does not
     f0 = run_contour(900.0, 1200.0, 20, 10)
-    ok = detect_hyperphonation(f0.f0_hz, f0.voiced, HOP)
+    ok = detect_hyperphonation(f0.f0_hz, f0.voiced, HOP, CONFIG)
     assert ok.sum() == 10
     f0 = run_contour(900.0, 1200.0, 20, 9)
-    short = detect_hyperphonation(f0.f0_hz, f0.voiced, HOP)
+    short = detect_hyperphonation(f0.f0_hz, f0.voiced, HOP, CONFIG)
     assert short.sum() == 0
 
 
 def test_hyperphonation_threshold_strict():
     f0 = run_contour(900.0, 1000.0, 20, 15)  # exactly at the bar
-    assert detect_hyperphonation(f0.f0_hz, f0.voiced, HOP).sum() == 0
+    assert detect_hyperphonation(f0.f0_hz, f0.voiced, HOP, CONFIG).sum() == 0
 
 
 def test_hyperphonation_needs_voicing():
@@ -137,20 +138,20 @@ def test_hyperphonation_needs_voicing():
     voiced = np.ones(60, dtype=bool)
     voiced[20:35] = False
     f0 = contour(vals, voiced)
-    assert detect_hyperphonation(f0.f0_hz, f0.voiced, HOP).sum() == 0
+    assert detect_hyperphonation(f0.f0_hz, f0.voiced, HOP, CONFIG).sum() == 0
 
 
 def test_hyperphonation_respects_unit_bounds():
     f0 = run_contour(900.0, 1200.0, 20, 15)
     # a unit of 0.22 s holds frames 0-21, two frames of the run
     sl = f0.grid.frame_slice(0.0, 0.22)
-    assert detect_hyperphonation(f0.f0_hz[sl], f0.voiced[sl], HOP).sum() == 0
+    assert detect_hyperphonation(f0.f0_hz[sl], f0.voiced[sl], HOP, CONFIG).sum() == 0
 
 
 def test_dysphonation_counts_run():
     flat = np.full(60, 0.10)
     flat[10:25] = 0.50
-    mask = detect_dysphonation(flat, HOP)
+    mask = detect_dysphonation(flat, HOP, CONFIG)
     assert np.flatnonzero(mask).tolist() == list(range(10, 25))
 
 
@@ -159,7 +160,7 @@ def test_dysphonation_median_bridges_single_dip():
     flat = np.full(60, 0.10)
     flat[10:32] = 0.45
     flat[17] = 0.29
-    mask = detect_dysphonation(flat, HOP)
+    mask = detect_dysphonation(flat, HOP, CONFIG)
     assert mask.sum() == 22
 
 
@@ -167,17 +168,17 @@ def test_dysphonation_median_removes_lone_spike():
     flat = np.full(60, 0.10)
     flat[30] = 0.90
     flat[40:49] = 0.50  # 9 frames: below the minimum run
-    assert detect_dysphonation(flat, HOP).sum() == 0
+    assert detect_dysphonation(flat, HOP, CONFIG).sum() == 0
 
 
 def test_dysphonation_threshold_strict():
     flat = np.full(60, 0.30)  # exactly at the bar, not above
-    assert detect_dysphonation(flat, HOP).sum() == 0
+    assert detect_dysphonation(flat, HOP, CONFIG).sum() == 0
 
 
 def test_glide_window_of_start_frames():
     vals = np.concatenate([np.full(20, 300.0), np.full(20, 950.0)])
-    mask = detect_glide(*smoothed(vals), HOP)
+    mask = detect_glide(*smoothed(vals), HOP, CONFIG)
     # every frame within 0.1 s before the jump sees a 650 Hz move
     assert np.flatnonzero(mask).tolist() == list(range(10, 20))
 
@@ -186,37 +187,37 @@ def test_glide_needs_voiced_endpoints():
     vals = np.concatenate([np.full(20, 300.0), np.full(20, 950.0)])
     voiced = np.ones(40, dtype=bool)
     voiced[20:32] = False  # the landing side is too far to reach when unvoiced
-    assert detect_glide(*smoothed(vals, voiced), HOP).sum() == 0
+    assert detect_glide(*smoothed(vals, voiced), HOP, CONFIG).sum() == 0
 
 
 def test_glide_slow_rise_not_flagged():
     vals = np.concatenate([np.full(10, 300.0), np.linspace(300.0, 950.0, 30), np.full(10, 950.0)])
-    assert detect_glide(*smoothed(vals), HOP).sum() == 0
+    assert detect_glide(*smoothed(vals), HOP, CONFIG).sum() == 0
 
 
 def test_vibrato_modulated_contour():
     t = np.arange(80) * HOP
     vals = 450.0 + 80.0 * np.sin(2 * np.pi * 8.0 * t)
-    assert detect_vibrato(*smoothed(vals), HOP)
+    assert detect_vibrato(*smoothed(vals), HOP, CONFIG)
 
 
 def test_vibrato_shallow_not_detected():
     t = np.arange(80) * HOP
     vals = 450.0 + 15.0 * np.sin(2 * np.pi * 8.0 * t)
-    assert not detect_vibrato(*smoothed(vals), HOP)
+    assert not detect_vibrato(*smoothed(vals), HOP, CONFIG)
 
 
 def test_vibrato_slow_wobble_not_detected():
     # 2 Hz puts successive extrema 0.25 s apart, far over the spacing cap
     t = np.arange(150) * HOP
     vals = 450.0 + 80.0 * np.sin(2 * np.pi * 2.0 * t)
-    assert not detect_vibrato(*smoothed(vals), HOP)
+    assert not detect_vibrato(*smoothed(vals), HOP, CONFIG)
 
 
 def test_vibrato_needs_four_extrema():
     t = np.arange(20) * HOP  # 1.5 cycles at 8 Hz: three extrema
     vals = 450.0 + 80.0 * np.sin(2 * np.pi * 8.0 * t)
-    assert not detect_vibrato(*smoothed(vals), HOP)
+    assert not detect_vibrato(*smoothed(vals), HOP, CONFIG)
 
 
 def test_vibrato_counts_extrema_that_alternate_in_time():
@@ -224,7 +225,7 @@ def test_vibrato_counts_extrema_that_alternate_in_time():
     vals = np.full(60, 450.0)
     vals[[5, 15, 45, 55]] = [530.0, 370.0, 530.0, 370.0]
     voiced = np.ones(60, dtype=bool)
-    assert not detect_vibrato(vals, voiced, HOP)
+    assert not detect_vibrato(vals, voiced, HOP, CONFIG)
     assert detect_vibrato(vals, voiced, HOP, PipelineConfig(vibrato_max_spacing_s=0.3))
 
 
@@ -309,13 +310,13 @@ def test_unit_flags_tally_matches_detectors():
     flat[60:75] = 0.50
     unit = (0.0, 1.2)
     pitch, voiced = smoothed(vals)
-    flags = unit_biomarker_flags(f0, flat, unit, pitch)
+    flags = unit_biomarker_flags(f0, flat, unit, pitch, CONFIG)
     assert flags.num_frames == 120
     assert flags.hyperphonation_frames == 15
     assert flags.dysphonation_frames == 15
-    assert flags.glide_frames == int(detect_glide(pitch, voiced, HOP).sum())
-    assert flags.vibrato_present == detect_vibrato(pitch, voiced, HOP)
-    assert flags.melody == classify_melody(pitch[voiced])
+    assert flags.glide_frames == int(detect_glide(pitch, voiced, HOP, CONFIG).sum())
+    assert flags.vibrato_present == detect_vibrato(pitch, voiced, HOP, CONFIG)
+    assert flags.melody == classify_melody(pitch[voiced], CONFIG)
 
 
 def varied_contour(n=200, seed=8):

@@ -129,10 +129,17 @@ def test_per_site_auc_scores_each_site_alone(tmp_path):
     assert json.loads(metrics_out.read_text())["per_site_auc"] == want
 
 
-@pytest.mark.parametrize("line", ["min_pause_s=1e300", f"voicing_halfwidth_frames={2**62}"])
+# the most a float holds: as many hops of it overflow a float to inf
+FLOAT_MAX_DURATIONS = [f"{key}=1.7976931348623157e308" for key in (
+    "glide_max_span_s", "vibrato_max_spacing_s", "hyperphonation_min_run_s", "dysphonation_min_run_s",
+    "min_unit_s", "min_pause_s")]
+
+
+@pytest.mark.parametrize("line", ["min_pause_s=1e300", f"voicing_halfwidth_frames={2**62}", *FLOAT_MAX_DURATIONS])
 def test_a_voicing_reach_past_the_clip_extracts_and_segments(chain, tmp_path, capsys, line):
-    """A pause or voicing reach longer than any clip reaches the whole clip;
-    past int64 frames it once ended in an OverflowError traceback."""
+    """A duration or voicing reach longer than any clip reaches the whole
+    clip; past int64 frames, or past the hops a float holds, it once ended in
+    an OverflowError traceback."""
     cfg = tmp_path / "far.cfg"
     cfg.write_text(line + "\n")
     out = tmp_path / "f.csv"

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cryscreen import analytics, cli, dsp, voicefeat
+from cryscreen import analytics, biomarkers, cli, dsp, segmenter, voicefeat
 from cryscreen.audio_io import MAX_SAMPLE_RATE, SITES, ManifestEntry, resample
 from cryscreen.biomarkers import smooth_f0, unit_biomarker_flags
 from cryscreen.config import PipelineConfig, load_config, save_config
@@ -597,7 +597,7 @@ def test_key_stages_cover_every_key():
 _CONFIG_VALUE_PARAMS = {f.name for f in fields(PipelineConfig)} | {"f0_min", "f0_max", "num_bands", "folds", "config"}
 
 
-@pytest.mark.parametrize("module", [dsp, analytics, voicefeat], ids=lambda m: m.__name__)
+@pytest.mark.parametrize("module", [dsp, analytics, voicefeat, segmenter, biomarkers], ids=lambda m: m.__name__)
 def test_no_function_defaults_a_config_value(module):
     functions = [f for _, f in inspect.getmembers(module, inspect.isfunction) if f.__module__ == module.__name__]
     for cls in (c for _, c in inspect.getmembers(module, inspect.isclass) if c.__module__ == module.__name__):

@@ -5,6 +5,7 @@ known in closed form: framing counts, tone bins, DCT orthogonality,
 planted resonances, exact log-spectral slopes.
 """
 
+import sys
 import tracemalloc
 from types import SimpleNamespace
 
@@ -190,6 +191,13 @@ def test_frame_rules_part_from_the_seconds_rules_only_at_whole_hops(rate, hop_ms
     seconds = micros / 1e6
     if any(new != old for new, old in old_and_new_rules(seconds, hop)):
         assert abs(seconds - round(seconds / hop) * hop) < 2 * SECONDS_TOL
+
+
+@pytest.mark.parametrize("hop", [0.01, FrameGrid(1, 1, 1, 384000).hop_seconds], ids=["10ms", "one-sample-at-384kHz"])
+def test_a_span_of_more_hops_than_a_float_holds_counts_as_the_most_it_holds(hop):
+    # sys.float_info.max / hop overflows to inf, which no int holds
+    for count in (frames_within(sys.float_info.max, hop), hops_within(sys.float_info.max, hop)):
+        assert type(count) is int and count == int(sys.float_info.max)
 
 
 def test_stft_peak_bin():

@@ -39,11 +39,11 @@ def burst_clip(spans, total_s, f0=450.0, amp=0.4, seed=0):
     return AudioClip(x, SR)
 
 
-def segment(clip, **kwargs):
+def segment(clip):
     cfg = PipelineConfig()
     f0 = estimate_f0(clip, cfg)
     loud = loudness(log_mel(stft(clip, cfg), cfg))
-    return detect_cry_units(f0, loud, **kwargs)
+    return detect_cry_units(f0, loud, cfg)
 
 
 def assert_close_hops(got, want, hops=2):
@@ -121,9 +121,9 @@ def test_duty_cycle_robustness():
 def test_total_cry_and_curation():
     seg = CrySegmentation([(0.5, 2.1), (2.5, 4.0)])
     assert seg.total_cry_seconds == pytest.approx(3.1)
-    assert meets_curation_rule(seg)
+    assert meets_curation_rule(seg, PipelineConfig())
     short = CrySegmentation([(0.5, 2.0), (2.5, 3.9)])
-    assert not meets_curation_rule(short)
+    assert not meets_curation_rule(short, PipelineConfig())
 
 
 def test_from_expirations_pauses():

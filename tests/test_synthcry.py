@@ -8,7 +8,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
-from cryscreen import biomarkers
+from cryscreen import biomarkers, synthcry
 from cryscreen.audio_io import load_manifest, load_wav
 from cryscreen.config import PipelineConfig
 from cryscreen.dsp import estimate_f0
@@ -20,6 +20,7 @@ from cryscreen.synthcry import (
     GroundTruth,
     SynthSpec,
     UnitSpec,
+    load_profile,
     make_corpus,
     random_recording_spec,
     synth_cry,
@@ -131,7 +132,7 @@ def test_planted_hyper_detected_in_rendered_audio():
     on, off = truth.segmentation.expirations[0]
     grid = f0.grid
     sl = grid.frame_slice(on, off)
-    mask = biomarkers.detect_hyperphonation(f0.f0_hz[sl], f0.voiced[sl], grid.hop_seconds)
+    mask = biomarkers.detect_hyperphonation(f0.f0_hz[sl], f0.voiced[sl], grid.hop_seconds, PipelineConfig())
     centers = (grid.frame_times() + grid.window_seconds / 2.0)[sl]
     inside = (centers >= on + 0.5) & (centers < on + 0.8)
     assert mask[inside].mean() >= 0.8
@@ -252,3 +253,19 @@ def test_class_profile_from_json():
     assert prof.melody_probs == {"flat": 1.0}
     assert prof.num_units_range == (4, 5)
     assert prof.p_glide == ClassProfile().p_glide
+
+
+def test_the_oracle_builds_no_config_at_call_time(tmp_path, monkeypatch):
+    """The oracle reads the analysis settings it assumes from one object,
+    built once at import."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle built a PipelineConfig")
+
+    monkeypatch.setattr(synthcry, "PipelineConfig", refuse)
+    noisy = UnitSpec(duration_s=1.0, pause_after_s=0.3, event="dysphonation", event_start_s=0.3, event_duration_s=0.2)
+    synth_cry(SynthSpec(units=[noisy, UnitSpec(duration_s=0.8, pause_after_s=0.0)]))
+    make_corpus(str(tmp_path / "corpus"), n_per_class=1)
+    profile = tmp_path / "profile.json"
+    profile.write_text(json.dumps({"n_per_class": 1, "positive": {"p_glide": 0.2}}))
+    assert load_profile(str(profile)) == CorpusProfile(n_per_class=1, positive=ClassProfile(p_glide=0.2))
