@@ -66,9 +66,13 @@ class ManifestEntry:
 MANIFEST_COLUMNS = [f.name for f in fields(ManifestEntry)]
 
 
-# The highest rate read or resampled: the resampler's filter has up to
-# 20 * max(up, down) + 1 taps, so at most about 61 MB here, and every
-# common recorder rate from 8 to 192 kHz lies under it.
+# The lowest and highest rates read or resampled; every common recorder
+# rate from 8 to 192 kHz lies between them. The resampler's filter has
+# 20 * max(up, down) + 1 taps, so at most about 61 MB here, but its banded
+# product tables grow further: co-prime rates such as 44101 or 383999
+# into 384000 peak at about 760 MB and take 2-3 s to set up. Under the
+# floor, rates of a few Hz would ask for gigabytes of tables.
+MIN_SAMPLE_RATE = 1000
 MAX_SAMPLE_RATE = 384_000
 
 # A fmt chunk with this tag is 40 bytes long and gives the encoding as
@@ -96,7 +100,8 @@ def load_wav(path: str, rate: int | None = None) -> AudioClip:
     WavFormatError or UnsupportedWavError depending on what is wrong with
     the file; float data holding NaN or inf samples, and an extensible
     fmt chunk under 40 bytes or with a cbSize under 22, is a
-    WavFormatError, and a rate above MAX_SAMPLE_RATE or a SubFormat other
+    WavFormatError, and a positive rate under MIN_SAMPLE_RATE or above
+    MAX_SAMPLE_RATE, whatever rate is asked for, or a SubFormat other
     than PCM's and float's an UnsupportedWavError.
     """
     with open(path, "rb") as fh:
@@ -106,6 +111,9 @@ def load_wav(path: str, rate: int | None = None) -> AudioClip:
             raise WavFormatError(f"{path}: fmt chunk declares {num_channels} channels")
         if sample_rate <= 0:
             raise WavFormatError(f"{path}: fmt chunk declares sample rate {sample_rate}")
+        if sample_rate < MIN_SAMPLE_RATE:
+            raise UnsupportedWavError(f"{path}: sample rate {sample_rate} is below the {MIN_SAMPLE_RATE} Hz this "
+                                      "reader resamples")
         if sample_rate > MAX_SAMPLE_RATE:
             raise UnsupportedWavError(f"{path}: sample rate {sample_rate} is above the {MAX_SAMPLE_RATE} Hz this "
                                       "reader resamples")
@@ -263,7 +271,7 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
     are cut. The clip is fed to the resampler WAV_BLOCK samples at a time,
     as load_wav feeds it; the output does not depend on the blocks, bit
     for bit, and agrees with scipy.signal.resample_poly to a few ulp.
-    Raises ValueError when either rate is not positive or is above
+    Raises ValueError when either rate is under MIN_SAMPLE_RATE or above
     MAX_SAMPLE_RATE.
     """
     if target_rate == clip.sample_rate:
@@ -302,10 +310,10 @@ class _Resampler:
     """
 
     def __init__(self, n_in: int, rate_in: int, rate_out: int):
-        # before any filter is built: its taps grow with the larger rate
+        # before any filter is built: its taps and tables grow with the rates' ratio
         for side, rate in (("source", rate_in), ("target", rate_out)):
-            if rate <= 0:
-                raise ValueError(f"{side} rate must be positive, got {rate}")
+            if rate < MIN_SAMPLE_RATE:
+                raise ValueError(f"{side} rate {rate} is below the {MIN_SAMPLE_RATE} Hz the resampler takes")
             if rate > MAX_SAMPLE_RATE:
                 raise ValueError(f"{side} rate {rate} is above the {MAX_SAMPLE_RATE} Hz the resampler takes")
         g = math.gcd(rate_out, rate_in)

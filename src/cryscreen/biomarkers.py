@@ -86,8 +86,8 @@ def smooth_f0(f0_hz: np.ndarray, voiced: np.ndarray) -> np.ndarray:
     # a median of two is (lo + hi) / 2; IEEE addition commutes, so the
     # order of the pair does not matter
     pair = (x + np.where(prev_v, prev, nxt)) / 2.0
-    triple = np.maximum(np.minimum(prev, nxt), np.minimum(np.maximum(prev, nxt), x))
-    med = np.where(prev_v & next_v, triple, np.where(prev_v | next_v, pair, x))
+    # a frame with both neighbours voiced is not an end frame, so _median3 reads the same neighbours
+    med = np.where(prev_v & next_v, _median3(x), np.where(prev_v | next_v, pair, x))
     return np.where(voiced, med, 0.0)
 
 

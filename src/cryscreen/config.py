@@ -19,7 +19,7 @@ import sys
 from dataclasses import dataclass, field, fields
 from typing import get_args, get_origin, get_type_hints
 
-from .audio_io import MAX_SAMPLE_RATE
+from .audio_io import MAX_SAMPLE_RATE, MIN_SAMPLE_RATE
 from .dsp import (
     FRONT_END_MFCC_COEFFS,
     FRONT_END_SLOPE_BAND_HZ,
@@ -80,7 +80,7 @@ def check_fields(record) -> None:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    sample_rate: int = field(default=16000, metadata={"above": 0, "at_most": MAX_SAMPLE_RATE})
+    sample_rate: int = field(default=16000, metadata={"at_least": MIN_SAMPLE_RATE, "at_most": MAX_SAMPLE_RATE})
     window_s: float = 0.025
     hop_s: float = 0.010
     num_mel_bands: int = field(default=80, metadata={"above": 0})

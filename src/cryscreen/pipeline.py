@@ -135,8 +135,8 @@ def extract_clip(clip: AudioClip, config: PipelineConfig = PipelineConfig()) -> 
     smoothed = biomarkers.smooth_f0(front.f0.f0_hz, front.f0.voiced)
     flags = [unit_biomarker_flags(front.f0, front.flatness, unit, smoothed, config) for unit in seg.expirations]
     features = aggregate_biomarkers(seg, flags)
-    features.update(compute_generic_features(front, seg, concat_expirations(front.clip, seg), config))
-    return {name: features[name] for name in FEATURE_COLUMNS}, seg
+    # CRY_FEATURE_NAMES and VOICE_FEATURES give the keys in FEATURE_COLUMNS order
+    return features | compute_generic_features(front, seg, concat_expirations(front.clip, seg), config), seg
 
 
 @dataclass

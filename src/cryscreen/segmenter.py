@@ -40,16 +40,15 @@ def bridge_voicing_gaps(voiced: np.ndarray, halfwidth: int) -> np.ndarray:
     """Fill unvoiced gaps of up to 2*halfwidth frames between voiced frames.
 
     Gaps at the clip edges are left alone, so the result never extends
-    beyond the first or last voiced frame.
+    beyond the first or last voiced frame: the closing (dilation, then
+    erosion, by halfwidth) runs from the first to the last, as over the
+    whole mask it would also fill an edge gap of up to halfwidth frames.
     """
     out = voiced.copy()
     idx = np.flatnonzero(voiced)
-    if len(idx) < 2:
-        return out
-    gaps = np.diff(idx) - 1
-    for pos, gap in zip(idx[:-1], gaps):
-        if 0 < gap <= 2 * halfwidth:
-            out[pos + 1 : pos + 1 + gap] = True
+    if len(idx):
+        span = slice(idx[0], idx[-1] + 1)
+        out[span] = ~_dilate(~_dilate(voiced[span], halfwidth), halfwidth)
     return out
 
 

@@ -5,14 +5,15 @@ The per-frame descriptors of the recording's one analysis front end
 frames of the expiration segments and joined in unit order; only the
 formants need the waveform, which is spliced from the same segments.
 The joined series are summarized by a small set of spectral/cepstral
-functionals. Names follow the usual
-low-level-descriptor conventions: a V suffix marks voiced-frames-only
+functionals, each declared once, in VOICE_FEATURES. Names follow the
+usual low-level-descriptor conventions: a V suffix marks voiced-frames-only
 statistics, UV unvoiced-only, amean an arithmetic mean, and stddevNorm a
 coefficient of variation (population std over |mean|).
 """
 
 from __future__ import annotations
 
+import functools
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -25,20 +26,24 @@ if TYPE_CHECKING:
     from .config import PipelineConfig
     from .pipeline import FrontEnd
 
-VOICE_FEATURE_NAMES = [
-    "slopeUV0_500_amean",
-    "slopeV0_500_stddevNorm",
-    "slopeV0_500_amean",
-    "F2_amean",
-    "F3_amean",
-    "F3_stddevNorm",
-    "mfcc3_amean",
-    "mfcc3V_amean",
-    "mfcc3V_stddevNorm",
-    "loudness_stddevFallingSlope",
-    "mfcc2_stddevNorm",
-    "mfcc4V_stddevNorm",
-]
+# Each voice column: the unit-frame series it reads, smoothed over 3
+# frames; the frames it keeps ("found": the voiced frames where LPC found
+# that formant); and its statistic
+VOICE_FEATURES = {
+    "slopeUV0_500_amean": ("slope", "unvoiced", "amean"),
+    "slopeV0_500_stddevNorm": ("slope", "voiced", "stddevNorm"),
+    "slopeV0_500_amean": ("slope", "voiced", "amean"),
+    "F2_amean": ("F2", "found", "amean"),
+    "F3_amean": ("F3", "found", "amean"),
+    "F3_stddevNorm": ("F3", "found", "stddevNorm"),
+    "mfcc3_amean": ("mfcc3", "all", "amean"),
+    "mfcc3V_amean": ("mfcc3", "voiced", "amean"),
+    "mfcc3V_stddevNorm": ("mfcc3", "voiced", "stddevNorm"),
+    "loudness_stddevFallingSlope": ("loudness", "all", "stddevFallingSlope"),
+    "mfcc2_stddevNorm": ("mfcc2", "all", "stddevNorm"),
+    "mfcc4V_stddevNorm": ("mfcc4", "voiced", "stddevNorm"),
+}
+VOICE_FEATURE_NAMES = list(VOICE_FEATURES)
 
 _NORM_GUARD = 1e-8
 
@@ -76,15 +81,12 @@ def masked_moving_average3(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return np.where(valid, out, 0.0)
 
 
-def _amean(x: np.ndarray, mask: np.ndarray) -> float:
-    return float(np.mean(x[mask])) if mask.any() else 0.0
+def _amean(x: np.ndarray) -> float:
+    return float(np.mean(x)) if len(x) else 0.0
 
 
-def _stddev_norm(x: np.ndarray, mask: np.ndarray) -> float:
-    if not mask.any():
-        return 0.0
-    sel = x[mask]
-    return float(np.std(sel) / max(abs(np.mean(sel)), _NORM_GUARD))
+def _stddev_norm(x: np.ndarray) -> float:
+    return float(np.std(x) / max(abs(np.mean(x)), _NORM_GUARD)) if len(x) else 0.0
 
 
 def stddev_falling_slope(x: np.ndarray, hop_s: float) -> float:
@@ -100,7 +102,7 @@ def stddev_falling_slope(x: np.ndarray, hop_s: float) -> float:
 def compute_generic_features(
     front: FrontEnd, seg: CrySegmentation, concat: AudioClip, config: PipelineConfig
 ) -> dict[str, float]:
-    """The 12 generic functionals of the cry units of one recording.
+    """The 12 generic functionals of the cry units of one recording, by VOICE_FEATURES.
 
     front is the recording's front end, built with config, and concat its
     expirations spliced by concat_expirations. Voicing, slope, MFCC and
@@ -115,41 +117,33 @@ def compute_generic_features(
     grid = front.f0.grid
     idx = unit_frames(grid, seg)
     voiced = front.f0.voiced[idx]
-    unvoiced = ~voiced
     if not voiced.any():
         raise ValueError(
             "no voiced frames: slopeV0_500, F2, F3, mfcc3V, mfcc4V features are undefined"
         )
 
     allf = np.ones(len(idx), dtype=bool)
-    slope = masked_moving_average3(front.slope0_500[idx], allf)
-    loud = masked_moving_average3(front.loudness[idx], allf)
-    mfcc2 = masked_moving_average3(front.mfcc2_4[idx, 0], allf)
-    mfcc3 = masked_moving_average3(front.mfcc2_4[idx, 1], allf)
-    mfcc4 = masked_moving_average3(front.mfcc2_4[idx, 2], allf)
+    masks = {"all": allf, "voiced": voiced, "unvoiced": ~voiced}
+    raw = {"slope": front.slope0_500[idx], "loudness": front.loudness[idx], "mfcc2": front.mfcc2_4[idx, 0],
+           "mfcc3": front.mfcc2_4[idx, 1], "mfcc4": front.mfcc2_4[idx, 2]}
+    series = {name: masked_moving_average3(x, allf) for name, x in raw.items()}
 
     formants = dsp.lpc_formants(concat, config)
     # LPC frame i pairs with unit frame i. The spliced waveform has fewer
     # frames than its units on the frame grid, as its last windows would run
     # past its end; units off the grid can give it more
     n = min(len(formants), len(idx))
-    formants, formant_voiced = formants[:n], voiced[:n]
-    f2_valid = formant_voiced & (formants[:, 1] > 0)
-    f3_valid = formant_voiced & (formants[:, 2] > 0)
-    f2 = masked_moving_average3(formants[:, 1], f2_valid)
-    f3 = masked_moving_average3(formants[:, 2], f3_valid)
+    found = {}
+    for col, name in ((1, "F2"), (2, "F3")):
+        found[name] = voiced[:n] & (formants[:n, col] > 0)
+        series[name] = masked_moving_average3(formants[:n, col], found[name])
 
+    statistics = {
+        "amean": _amean,
+        "stddevNorm": _stddev_norm,
+        "stddevFallingSlope": functools.partial(stddev_falling_slope, hop_s=grid.hop_seconds),
+    }
     return {
-        "slopeUV0_500_amean": _amean(slope, unvoiced),
-        "slopeV0_500_stddevNorm": _stddev_norm(slope, voiced),
-        "slopeV0_500_amean": _amean(slope, voiced),
-        "F2_amean": _amean(f2, f2_valid),
-        "F3_amean": _amean(f3, f3_valid),
-        "F3_stddevNorm": _stddev_norm(f3, f3_valid),
-        "mfcc3_amean": _amean(mfcc3, allf),
-        "mfcc3V_amean": _amean(mfcc3, voiced),
-        "mfcc3V_stddevNorm": _stddev_norm(mfcc3, voiced),
-        "loudness_stddevFallingSlope": stddev_falling_slope(loud, grid.hop_seconds),
-        "mfcc2_stddevNorm": _stddev_norm(mfcc2, allf),
-        "mfcc4V_stddevNorm": _stddev_norm(mfcc4, voiced),
+        name: statistics[stat](series[s][found[s] if frames == "found" else masks[frames]])
+        for name, (s, frames, stat) in VOICE_FEATURES.items()
     }

@@ -15,6 +15,7 @@ from scipy import signal
 from cryscreen import audio_io
 from cryscreen.audio_io import (
     MAX_SAMPLE_RATE,
+    MIN_SAMPLE_RATE,
     AudioClip,
     ManifestEntry,
     UnsupportedWavError,
@@ -89,6 +90,9 @@ def whole_file_load_wav(path, rate=None):
         raise WavFormatError(f"{path}: fmt chunk declares {num_channels} channels")
     if sample_rate <= 0:
         raise WavFormatError(f"{path}: fmt chunk declares sample rate {sample_rate}")
+    if sample_rate < MIN_SAMPLE_RATE:
+        raise UnsupportedWavError(f"{path}: sample rate {sample_rate} is below the {MIN_SAMPLE_RATE} Hz this reader "
+                                  "resamples")
     if sample_rate > MAX_SAMPLE_RATE:
         raise UnsupportedWavError(f"{path}: sample rate {sample_rate} is above the {MAX_SAMPLE_RATE} Hz this reader "
                                   "resamples")
@@ -421,13 +425,13 @@ def test_resampler_output_does_not_depend_on_the_blas_thread_count():
 def test_resample_identity_and_validation():
     clip = sine(440.0)
     assert resample(clip, 16000) is clip
-    with pytest.raises(ValueError, match="target rate must be positive, got 0"):
+    with pytest.raises(ValueError, match="target rate 0 is below the 1000 Hz the resampler takes"):
         resample(clip, 0)
 
 
 @pytest.mark.parametrize("rate", [0, -8000])
 def test_resample_rejects_a_source_rate_that_is_not_positive(rate):
-    with pytest.raises(ValueError, match=f"source rate must be positive, got {rate}$"):
+    with pytest.raises(ValueError, match=f"source rate {rate} is below the 1000 Hz the resampler takes$"):
         resample(AudioClip(np.zeros(100), rate), 16000)
 
 
@@ -449,6 +453,23 @@ def test_the_resampler_refuses_a_rate_above_the_bound_before_building_a_filter(m
     with pytest.raises(ValueError, match=f"^source rate {rate} is above the 384000 Hz the resampler takes$"):
         resample(AudioClip(np.zeros(100), rate), 16000)
     with pytest.raises(ValueError, match=f"^target rate {rate} is above the 384000 Hz the resampler takes$"):
+        resample(sine(440.0), rate)
+
+
+@pytest.mark.parametrize("rate", [1, MIN_SAMPLE_RATE - 1])
+def test_a_header_rate_below_the_floor_is_refused_before_building_a_filter(monkeypatch, tmp_path, rate):
+    # the resampler's tables grow with the rates' ratio: from 1 Hz to 44.1
+    # kHz they would take gigabytes; none is built, whatever the target rate
+    monkeypatch.setattr(np, "kaiser", lambda *args: pytest.fail("a resampling filter was built"))
+    path = tmp_path / "slow.wav"
+    path.write_bytes(_wav_bytes(1, 1, rate, 16, bytes(64)))
+    for target in (None, rate, 16000):
+        with pytest.raises(UnsupportedWavError, match=re.escape(
+                f"{path}: sample rate {rate} is below the 1000 Hz this reader resamples")):
+            load_wav(str(path), target)
+    with pytest.raises(ValueError, match=f"^source rate {rate} is below the 1000 Hz the resampler takes$"):
+        resample(AudioClip(np.zeros(100), rate), 16000)
+    with pytest.raises(ValueError, match=f"^target rate {rate} is below the 1000 Hz the resampler takes$"):
         resample(sine(440.0), rate)
 
 

@@ -142,6 +142,50 @@ def test_bridge_voicing_gaps():
     assert bridge_voicing_gaps(np.zeros(5, dtype=bool), 3).tolist() == [False] * 5
 
 
+def loop_bridge(voiced, halfwidth):
+    """bridge_voicing_gaps as a loop over the gaps between voiced frames."""
+    out = voiced.copy()
+    idx = np.flatnonzero(voiced)
+    if len(idx) < 2:
+        return out
+    gaps = np.diff(idx) - 1
+    for pos, gap in zip(idx[:-1], gaps):
+        if 0 < gap <= 2 * halfwidth:
+            out[pos + 1 : pos + 1 + gap] = True
+    return out
+
+
+@st.composite
+def voicing_masks(draw):
+    """A voicing mask, random, all unvoiced, all voiced, of one voiced frame
+    or with voiced frames within the halfwidth of either end, and a halfwidth
+    up to past its length, at times far past it, up to 2**62."""
+    n = draw(st.integers(1, 60))
+    halfwidth = draw(st.one_of(st.integers(0, n + 3), st.integers(n + 4, 2**62)))
+    kind = draw(st.sampled_from(["random", "none", "all", "one", "near ends"]))
+    mask = np.full(n, kind == "all")
+    if kind == "random":
+        mask = np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    elif kind == "one":
+        mask[draw(st.integers(0, n - 1))] = True
+    elif kind == "near ends":
+        near = min(halfwidth, n - 1)
+        mask[draw(st.integers(0, near))] = True
+        mask[n - 1 - draw(st.integers(0, near))] = True
+        mask |= np.array(draw(st.lists(st.booleans(), min_size=n, max_size=n))) & draw(st.booleans())
+    return mask, halfwidth
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(case=voicing_masks())
+@example(case=(np.isin(np.arange(12), [2, 9]), 3))
+def test_bridge_voicing_gaps_matches_the_gap_loop(case):
+    # a closing over the whole mask would also fill the frames beyond an
+    # end voiced frame within halfwidth of the clip's edge
+    voiced, halfwidth = case
+    assert np.array_equal(bridge_voicing_gaps(voiced, halfwidth), loop_bridge(voiced, halfwidth))
+
+
 def test_runs_of():
     mask = np.array([1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=bool)
     assert runs_of(mask) == [(0, 1), (3, 3), (6, 8)]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.lib.stride_tricks import sliding_window_view
 
-from cryscreen import dsp
+from cryscreen import dsp, voicefeat
 from cryscreen.audio_io import AudioClip
 from cryscreen.config import PipelineConfig
 from cryscreen.pipeline import analyze_frames, extract_clip, segment_clip
@@ -10,6 +10,7 @@ from cryscreen.segmenter import CrySegmentation
 from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
 from cryscreen.voicefeat import (
     VOICE_FEATURE_NAMES,
+    VOICE_FEATURES,
     compute_generic_features,
     concat_expirations,
     masked_moving_average3,
@@ -226,3 +227,115 @@ def test_concat_frames_start_on_unit_frames():
     assert np.count_nonzero(straddling) == 2 * len(splices)
     for i in np.flatnonzero(~straddling):
         assert np.array_equal(concat_frames[i], frames[idx[i]])
+
+
+# The voice columns as they were written out by hand, column by column,
+# before VOICE_FEATURES declared them: the reference for their names,
+# order and bits.
+REFERENCE_NAMES = [
+    "slopeUV0_500_amean",
+    "slopeV0_500_stddevNorm",
+    "slopeV0_500_amean",
+    "F2_amean",
+    "F3_amean",
+    "F3_stddevNorm",
+    "mfcc3_amean",
+    "mfcc3V_amean",
+    "mfcc3V_stddevNorm",
+    "loudness_stddevFallingSlope",
+    "mfcc2_stddevNorm",
+    "mfcc4V_stddevNorm",
+]
+
+
+def _reference_amean(x, mask):
+    return float(np.mean(x[mask])) if mask.any() else 0.0
+
+
+def _reference_stddev_norm(x, mask):
+    if not mask.any():
+        return 0.0
+    sel = x[mask]
+    return float(np.std(sel) / max(abs(np.mean(sel)), voicefeat._NORM_GUARD))
+
+
+def reference_generic_features(front, seg, concat, config):
+    grid = front.f0.grid
+    idx = unit_frames(grid, seg)
+    voiced = front.f0.voiced[idx]
+    unvoiced = ~voiced
+    if not voiced.any():
+        raise ValueError("no voiced frames")
+
+    allf = np.ones(len(idx), dtype=bool)
+    slope = masked_moving_average3(front.slope0_500[idx], allf)
+    loud = masked_moving_average3(front.loudness[idx], allf)
+    mfcc2 = masked_moving_average3(front.mfcc2_4[idx, 0], allf)
+    mfcc3 = masked_moving_average3(front.mfcc2_4[idx, 1], allf)
+    mfcc4 = masked_moving_average3(front.mfcc2_4[idx, 2], allf)
+
+    formants = dsp.lpc_formants(concat, config)
+    n = min(len(formants), len(idx))
+    formants, formant_voiced = formants[:n], voiced[:n]
+    f2_valid = formant_voiced & (formants[:, 1] > 0)
+    f3_valid = formant_voiced & (formants[:, 2] > 0)
+    f2 = masked_moving_average3(formants[:, 1], f2_valid)
+    f3 = masked_moving_average3(formants[:, 2], f3_valid)
+
+    return {
+        "slopeUV0_500_amean": _reference_amean(slope, unvoiced),
+        "slopeV0_500_stddevNorm": _reference_stddev_norm(slope, voiced),
+        "slopeV0_500_amean": _reference_amean(slope, voiced),
+        "F2_amean": _reference_amean(f2, f2_valid),
+        "F3_amean": _reference_amean(f3, f3_valid),
+        "F3_stddevNorm": _reference_stddev_norm(f3, f3_valid),
+        "mfcc3_amean": _reference_amean(mfcc3, allf),
+        "mfcc3V_amean": _reference_amean(mfcc3, voiced),
+        "mfcc3V_stddevNorm": _reference_stddev_norm(mfcc3, voiced),
+        "loudness_stddevFallingSlope": stddev_falling_slope(loud, grid.hop_seconds),
+        "mfcc2_stddevNorm": _reference_stddev_norm(mfcc2, allf),
+        "mfcc4V_stddevNorm": _reference_stddev_norm(mfcc4, voiced),
+    }
+
+
+def test_voice_feature_names_come_from_the_table():
+    assert VOICE_FEATURE_NAMES == list(VOICE_FEATURES) == REFERENCE_NAMES
+
+
+def sine_in_noise(f0=300.0):
+    # LPC finds one narrow resonance in a pure tone over a faint noise bed,
+    # so neither F2 nor F3 on any frame
+    t = (np.arange(SR) + 0.5) / SR
+    return AudioClip(0.4 * np.sin(2 * np.pi * f0 * t) + 1e-3 * np.random.default_rng(0).standard_normal(SR), SR)
+
+
+VOICE_CASES = {
+    "harmonic": (harmonic_clip(), [(0.0, 1.0)]),
+    "harmonic-low": (harmonic_clip(f0=300.0, amp=0.2), [(0.0, 0.4), (0.55, 1.0)]),
+    "harmonic-units": (three_unit_clip(), None),
+    "all-voiced": (harmonic_clip(), [(0.1, 0.9)]),
+    "no-formant": (sine_in_noise(), [(0.1, 0.9)]),
+    "off-grid": (harmonic_clip(dur_s=2.0), [(0.0101 + 0.4 * k, 0.2099 + 0.4 * k) for k in range(4)]),
+}
+
+
+@pytest.mark.parametrize("case", VOICE_CASES)
+def test_voice_features_equal_the_written_out_columns(case):
+    # the same names in the same order, and the same float bits
+    clip, units = VOICE_CASES[case]
+    cfg = PipelineConfig()
+    seg, front = segment_clip(clip, cfg) if units is None else (CrySegmentation(units), analyze_frames(clip, cfg))
+    concat = concat_expirations(clip, seg)
+    got = compute_generic_features(front, seg, concat, cfg)
+    want = reference_generic_features(front, seg, concat, cfg)
+    assert list(got) == list(want) == REFERENCE_NAMES
+    assert np.array_equal(np.array(list(got.values())).view(np.int64), np.array(list(want.values())).view(np.int64))
+    idx = unit_frames(front.f0.grid, seg)
+    formants = dsp.lpc_formants(concat, cfg)
+    if case == "all-voiced":
+        assert front.f0.voiced[idx].all() and got["slopeUV0_500_amean"] == 0.0
+    if case == "no-formant":
+        assert front.f0.voiced[idx].any() and not formants[:, 1:].any()
+        assert got["F2_amean"] == got["F3_amean"] == got["F3_stddevNorm"] == 0.0
+    if case == "off-grid":
+        assert len(formants) > len(idx)

@@ -16,10 +16,11 @@ ENCODINGS = [(1, 8), (1, 16), (1, 24), (1, 32), (3, 32)]
 UNSUPPORTED = [(1, 12), (3, 64), (7, 8), (0, 16)]
 RATES = [8000, 11025, 16000, 22050, 44100, 48000]
 FAST_RATES = [384001, 2**32 - 1]  # above audio_io.MAX_SAMPLE_RATE
+SLOW_RATES = [1, 999]  # below audio_io.MIN_SAMPLE_RATE
 SPECIALS = [np.nan, np.inf, -np.inf]
 EXTRA_CHUNKS = st.sampled_from([b"LIST", b"fact", b"junk"])
 FAULTS = ["riff id", "form type", "truncated", "no fmt", "short fmt", "no channels", "no rate", "fast rate",
-          "unsupported", "other subformat", "foreign subformat", "short extensible fmt", "small cbSize"]
+          "slow rate", "unsupported", "other subformat", "foreign subformat", "short extensible fmt", "small cbSize"]
 EXTENSIBLE_FAULTS = FAULTS[-4:]
 # the bytes after the first four of the SubFormat GUID {0000000X-0000-0010-8000-00AA00389B71} of tag X
 GUID_TAIL = bytes.fromhex("000010008000" "00aa00389b71")
@@ -55,7 +56,8 @@ def wav_files(draw):
     fault = draw(st.sampled_from([None] * len(FAULTS) + FAULTS))
     fmt_tag, bits = draw(st.sampled_from(UNSUPPORTED if fault == "unsupported" else ENCODINGS))
     channels = 0 if fault == "no channels" else draw(st.integers(1, 3))
-    rate = 0 if fault == "no rate" else draw(st.sampled_from(FAST_RATES if fault == "fast rate" else RATES))
+    rates = {"fast rate": FAST_RATES, "slow rate": SLOW_RATES}.get(fault, RATES)
+    rate = 0 if fault == "no rate" else draw(st.sampled_from(rates))
     block = channels * bits // 8
     extensible = fault in EXTENSIBLE_FAULTS or draw(st.booleans())
     fmt = struct.pack("<HHIIHH", 0xFFFE if extensible else fmt_tag, channels, rate, rate * block & 0xFFFFFFFF, block, bits)
