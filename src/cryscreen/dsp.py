@@ -11,6 +11,7 @@ grid. The pipeline passes the kernels clips at the config's sample rate.
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -48,10 +49,11 @@ NUM_FORMANTS = 3
 MAX_FORMANT_BANDWIDTH_HZ = 400.0
 
 # How lpc_formants finds the narrow roots (see _certified_roots): Newton
-# seeds from the envelope on the circle of radius SEED_RADIUS, sampled by a
-# SEED_FFT-point FFT for SEED_BLOCK frames at a time, NEWTON_STEPS steps
-# from them, and the tolerances of the certificate that lets a frame skip
-# the eigenvalues of its companion matrix.
+# seeds from the envelope on the circle of radius SEED_RADIUS, sampled on
+# the grid of a SEED_FFT-point FFT by one product of each frame's lags with
+# a table of cosines, in products of SEED_BLOCK rows (see _envelope_seeds),
+# NEWTON_STEPS steps from them, and the tolerances of the certificate that
+# lets a frame skip the eigenvalues of its companion matrix.
 SEED_RADIUS = 0.98
 SEED_FFT = 512
 SEED_BLOCK = 128
@@ -59,6 +61,12 @@ NEWTON_STEPS = 6
 ROOT_PIVOT_TOL = 1e-10
 ROOT_STEP_TOL = 1e-12
 ROOT_SEPARATION = 1e-9
+
+# The kernels' constant arrays (Hann window, Mel filterbank, DCT rows, seed
+# tables) are built once per shape and kept for the CACHED_SHAPES shapes
+# used last. Each cache is keyed on whole numbers only and holds read-only
+# arrays, so that no caller can change what the next one reads.
+CACHED_SHAPES = 16
 
 # A duration within this many hops of a whole number of hops counts as that
 # number, so that a span that is a whole number of hops, in float noise,
@@ -180,6 +188,17 @@ def _next_pow2(n: int) -> int:
     return 1 << max(n - 1, 0).bit_length()
 
 
+def _read_only(x: np.ndarray) -> np.ndarray:
+    x.flags.writeable = False
+    return x
+
+
+@functools.lru_cache(maxsize=CACHED_SHAPES)
+def _hann_window(length: int) -> np.ndarray:
+    """np.hanning(length), read-only."""
+    return _read_only(np.hanning(length))
+
+
 def check_mel_bands(num_bands: int, window_samples: int) -> None:
     """Raise ValueError when stft's spectrum of a window_samples window has
     fewer bins than num_bands; its FFT size is the next power of two at or
@@ -252,7 +271,7 @@ def stft(clip: AudioClip, config: PipelineConfig) -> Spectrogram:
     """
     grid = make_grid(len(clip.samples), clip.sample_rate, config.window_s, config.hop_s)
     frames = grid.frames(np.asarray(clip.samples, dtype=np.float64))
-    window = np.hanning(grid.window_samples)
+    window = _hann_window(grid.window_samples)
     nfft = _next_pow2(grid.window_samples)
     power = np.abs(np.fft.rfft(frames * window, n=nfft, axis=1)) ** 2
     freqs = np.fft.rfftfreq(nfft, 1.0 / clip.sample_rate)
@@ -288,9 +307,16 @@ def log_mel(spec: Spectrogram, config: PipelineConfig) -> np.ndarray:
     Nyquist frequency.
     """
     check_mel_bands(config.num_mel_bands, spec.grid.window_samples)
-    fb = mel_filterbank(spec.freqs_hz, config.num_mel_bands, 0.0, spec.grid.sample_rate / 2.0)
+    fb = _mel_bank(_next_pow2(spec.grid.window_samples), spec.grid.sample_rate, config.num_mel_bands)
     energy = spec.values @ fb.T
     return np.log(np.maximum(energy, MEL_FLOOR))
+
+
+@functools.lru_cache(maxsize=CACHED_SHAPES)
+def _mel_bank(nfft: int, sample_rate: int, num_bands: int) -> np.ndarray:
+    """log_mel's filterbank over the bins of stft's nfft-point spectrum, read-only."""
+    freqs = np.fft.rfftfreq(nfft, 1.0 / sample_rate)
+    return _read_only(mel_filterbank(freqs, num_bands, 0.0, sample_rate / 2.0))
 
 
 def difference_function(samples: np.ndarray, grid: FrameGrid, frames: np.ndarray, tau_max: int) -> np.ndarray:
@@ -478,10 +504,15 @@ def mfcc(logmel: np.ndarray, num_coeffs: int) -> np.ndarray:
     """
     num_bands = logmel.shape[1]
     check_mfcc_coeffs(num_coeffs, num_bands)
+    return logmel @ _dct_rows(num_coeffs, num_bands).T
+
+
+@functools.lru_cache(maxsize=CACHED_SHAPES)
+def _dct_rows(num_coeffs: int, num_bands: int) -> np.ndarray:
+    """Rows 1..num_coeffs of the orthonormal DCT-II basis over num_bands bands, read-only."""
     k = np.arange(1, num_coeffs + 1)[:, None]
     n = np.arange(num_bands)
-    basis = np.sqrt(2.0 / num_bands) * np.cos(np.pi * k * (2 * n + 1) / (2 * num_bands))
-    return logmel @ basis.T
+    return _read_only(np.sqrt(2.0 / num_bands) * np.cos(np.pi * k * (2 * n + 1) / (2 * num_bands)))
 
 
 def loudness(logmel: np.ndarray) -> np.ndarray:
@@ -510,8 +541,9 @@ def lpc_formants(clip: AudioClip, config: PipelineConfig) -> np.ndarray:
     - count: the Schur-Cohn-Jury recursion on P(rho w) gives the number of
       roots outside rho (_count_outside);
     - seed: the up to LPC_ORDER // 2 deepest interior minima of the
-      predictor's envelope on the circle of radius SEED_RADIUS, from one
-      SEED_FFT-point FFT, are starting points (_envelope_seeds);
+      predictor's envelope on the circle of radius SEED_RADIUS, sampled on
+      the grid of a SEED_FFT-point FFT by one product of the predictor's
+      lags with a table of cosines, are starting points (_envelope_seeds);
     - polish: NEWTON_STEPS batched Newton steps on P (_newton_step);
     - certify: the frame passes when no pivot of the count was under
       ROOT_PIVOT_TOL, each kept root's last step was at most ROOT_STEP_TOL
@@ -527,7 +559,7 @@ def lpc_formants(clip: AudioClip, config: PipelineConfig) -> np.ndarray:
     win = grid.window_samples
     check_lpc_order(win)
     frames = grid.frames(np.asarray(clip.samples, dtype=np.float64))
-    window = np.hanning(win)
+    window = _hann_window(win)
     out = np.empty((grid.num_frames, NUM_FORMANTS))
     for start in range(0, grid.num_frames, FRAME_BLOCK):
         block = frames[start : start + FRAME_BLOCK] * window
@@ -662,31 +694,59 @@ def _count_outside(a: np.ndarray, rho: float) -> tuple[np.ndarray, np.ndarray]:
 def _envelope_seeds(a: np.ndarray) -> np.ndarray:
     """Newton seeds for the narrow roots of each row's predictor polynomial.
 
-    A(z) = 1 + a_1 / z + ... + a_n / z**n dips near each narrow root. Of its
-    squared modulus on the circle of radius SEED_RADIUS, sampled by one
-    SEED_FFT-point FFT of a_k SEED_RADIUS**-k, the up to n // 2 deepest
-    interior minima give the seeds, SEED_RADIUS e^{jw} at their angles w,
-    deepest first; a row with fewer minima has NaN in the slots left over.
-    The FFT runs on SEED_BLOCK rows at a time.
+    A(z) = 1 + a_1 / z + ... + a_n / z**n dips near each narrow root. On
+    the circle of radius SEED_RADIUS, with b_k = a_k SEED_RADIUS**-k, its
+    squared modulus at angle w is c_0 + 2 sum_m c_m cos(m w), where
+    c_m = sum_k b_k b_{k+m}; so at the SEED_FFT // 2 + 1 angles
+    2 pi j / SEED_FFT it is one product of the lags c with a table of
+    cosines. Of its interior minima, the up to n // 2 deepest give the
+    seeds, SEED_RADIUS e^{jw} at their angles w, deepest first and ties in
+    frequency order; a row with fewer minima has NaN in the slots left over.
+
+    Every product has SEED_BLOCK rows, the last padded with zeros: OpenBLAS
+    gives a row last-bit different values depending on how many rows share
+    the product, and one shape keeps each row's envelope its own.
     """
     n = a.shape[1] - 1
-    scale = SEED_RADIUS ** -np.arange(n + 1)
-    circle = SEED_RADIUS * np.exp(2j * np.pi * np.arange(1, SEED_FFT // 2) / SEED_FFT)
+    scale, cosines, circle = _seed_tables(n)
+    b = a * scale
+    lags = np.zeros((-(-len(a) // SEED_BLOCK) * SEED_BLOCK, n + 1))
+    for m in range(n + 1):
+        lags[: len(a), m] = np.einsum("ij,ij->i", b[:, : n + 1 - m], b[:, m:])
     seeds = np.full((len(a), n // 2), np.nan, dtype=complex)
     for start in range(0, len(a), SEED_BLOCK):
-        env = np.fft.rfft(a[start : start + SEED_BLOCK] * scale, n=SEED_FFT, axis=1)
-        power = env.real**2
-        power += env.imag**2
-        del env
+        power = (lags[start : start + SEED_BLOCK] @ cosines)[: len(a) - start]
         inner = power[:, 1:-1]
-        rows, cols = np.nonzero((inner < power[:, :-2]) & (inner <= power[:, 2:]))
-        # the minima sorted by row, then depth; rank counts them within the row
-        order = np.lexsort((inner[rows, cols], rows))
-        rows, cols = rows[order], cols[order]
-        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
-        kept = rank < n // 2
-        seeds[start + rows[kept], rank[kept]] = circle[cols[kept]]
+        rows, cols = np.divmod(np.flatnonzero((inner < power[:, :-2]) & (inner <= power[:, 2:])), inner.shape[1])
+        # each row's minima in frequency order, padded with inf to the most
+        # any row has; a stable sort ranks them by depth
+        counts = np.bincount(rows, minlength=len(power))
+        slot = np.arange(len(rows)) - np.repeat(np.cumsum(counts) - counts, counts)
+        depth = np.full((len(power), counts.max(initial=0)), np.inf)
+        depth[rows, slot] = inner[rows, cols]
+        at = np.full(depth.shape, -1)
+        at[rows, slot] = cols
+        ranked = np.argsort(depth, axis=1, kind="stable")[:, : n // 2]
+        seeds[start : start + len(power), : ranked.shape[1]] = circle[np.take_along_axis(at, ranked, axis=1)]
     return seeds
+
+
+@functools.lru_cache(maxsize=CACHED_SHAPES)
+def _seed_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """_envelope_seeds' constants for predictors of order n, read-only: the
+    scale SEED_RADIUS**-k, the (n + 1, SEED_FFT // 2 + 1) table whose row m
+    holds cos(m w) at the grid's angles w, doubled for m > 0, and the seed
+    at each interior angle, with NaN last for the slots no minimum fills.
+    """
+    m = np.arange(n + 1)[:, None]
+    cosines = np.cos(2 * np.pi * m * np.arange(SEED_FFT // 2 + 1) / SEED_FFT)
+    cosines[1:] *= 2.0
+    circle = SEED_RADIUS * np.exp(2j * np.pi * np.arange(1, SEED_FFT // 2) / SEED_FFT)
+    return (
+        _read_only(SEED_RADIUS ** -np.arange(n + 1)),
+        _read_only(cosines),
+        _read_only(np.append(circle, np.nan)),
+    )
 
 
 def _newton_step(a: np.ndarray, z: np.ndarray) -> np.ndarray:

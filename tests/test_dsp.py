@@ -20,6 +20,7 @@ from scipy.fft import dct
 from cryscreen import dsp
 from cryscreen.audio_io import AudioClip, load_wav, resample, write_wav
 from cryscreen.config import PipelineConfig
+from cryscreen.pipeline import extract_clip
 from cryscreen.dsp import (
     FrameGrid,
     Spectrogram,
@@ -433,7 +434,7 @@ def long_float_cry():
 
 
 @pytest.mark.parametrize("pcm16", [False, True])
-@pytest.mark.parametrize("block", [1, 7, 1024])
+@pytest.mark.parametrize("block", [1, 7, 15, 16, 128, 1024])
 def test_f0_and_formants_do_not_depend_on_the_block_size(block, pcm16, tmp_path, monkeypatch):
     clip = long_float_cry()
     if pcm16:
@@ -442,6 +443,8 @@ def test_f0_and_formants_do_not_depend_on_the_block_size(block, pcm16, tmp_path,
     monkeypatch.setattr(dsp, "FRAME_BLOCK", 10**9)
     want_f0, want_formants = estimate_f0(clip, CFG), lpc_formants(clip, CFG)
     monkeypatch.setattr(dsp, "FRAME_BLOCK", block)
+    # products of 15 rows or fewer take OpenBLAS's small-matrix path
+    monkeypatch.setattr(dsp, "SEED_BLOCK", block)
     got_f0, got_formants = estimate_f0(clip, CFG), lpc_formants(clip, CFG)
     for field in ("f0_hz", "voiced", "confidence"):
         assert np.array_equal(getattr(got_f0, field), getattr(want_f0, field)), field
@@ -540,6 +543,69 @@ def test_mfcc_matches_scipy_dct_within_a_few_ulp(bands):
     for k in sorted({4, min(13, bands - 1)}):
         want = dct(logmel, type=2, norm="ortho", axis=1)[:, 1 : k + 1]
         assert np.allclose(mfcc(logmel, num_coeffs=k), want, rtol=0.0, atol=1e-13 * np.abs(logmel).max())
+
+
+def direct_front_end(clip, config):
+    """Reference: stft's power, log_mel and mfcc of 4 coefficients, each
+    constant array built afresh."""
+    grid = make_grid(len(clip.samples), clip.sample_rate, config.window_s, config.hop_s)
+    frames = grid.frames(np.asarray(clip.samples, dtype=np.float64))
+    nfft = dsp._next_pow2(grid.window_samples)
+    power = np.abs(np.fft.rfft(frames * np.hanning(grid.window_samples), n=nfft, axis=1)) ** 2
+    freqs = np.fft.rfftfreq(nfft, 1.0 / clip.sample_rate)
+    bands = config.num_mel_bands
+    fb = mel_filterbank(freqs, bands, 0.0, clip.sample_rate / 2.0)
+    logmel = np.log(np.maximum(power @ fb.T, dsp.MEL_FLOOR))
+    k = np.arange(1, 5)[:, None]
+    basis = np.sqrt(2.0 / bands) * np.cos(np.pi * k * (2 * np.arange(bands) + 1) / (2 * bands))
+    return power, logmel, logmel @ basis.T
+
+
+def cached_front_end(clip, config):
+    spec = stft(clip, config)
+    logmel = log_mel(spec, config)
+    return spec.values, logmel, mfcc(logmel, 4)
+
+
+FRONT_END_SHAPES = [(sr, window_s, bands) for sr in (8000, 16000, 44100) for window_s in (0.02, 0.04) for bands in (40, 80)]
+
+
+@pytest.mark.parametrize("sr, window_s, bands", FRONT_END_SHAPES)
+def test_front_end_constants_are_built_once_per_shape_and_change_no_bit(sr, window_s, bands):
+    clip = AudioClip(0.3 * np.random.default_rng(sr).standard_normal(sr // 2), sr)
+    config = PipelineConfig(sample_rate=sr, window_s=window_s, num_mel_bands=bands)
+    # another shape of every constant in between
+    other_sr = 22050
+    other = PipelineConfig(sample_rate=other_sr, window_s=0.03, num_mel_bands=bands // 2 + 1)
+    other_clip = AudioClip(clip.samples[: other_sr // 4], other_sr)
+    want = direct_front_end(clip, config)
+    first = cached_front_end(clip, config)
+    assert_front_ends_equal(cached_front_end(other_clip, other), direct_front_end(other_clip, other))
+    again = cached_front_end(clip, config)
+    assert_front_ends_equal(first, want)
+    assert_front_ends_equal(again, want)
+
+
+def assert_front_ends_equal(got, want):
+    for name, g, w in zip(("power", "log_mel", "mfcc"), got, want):
+        assert np.array_equal(g, w), name
+
+
+def test_cached_constants_are_read_only_and_bounded():
+    win = 400
+    cached = {
+        "_hann_window": dsp._hann_window(win),
+        "_mel_bank": dsp._mel_bank(512, SR, 80),
+        "_dct_rows": dsp._dct_rows(4, 80),
+    }
+    cached.update(zip(("scale", "cosines", "circle"), dsp._seed_tables(dsp.LPC_ORDER)))
+    for name, table in cached.items():
+        assert not table.flags.writeable, name
+        with pytest.raises(ValueError):
+            table[0] = 0.0
+    for cache in (dsp._hann_window, dsp._mel_bank, dsp._dct_rows, dsp._seed_tables):
+        assert cache.cache_info().maxsize == dsp.CACHED_SHAPES
+    assert np.array_equal(cached["_hann_window"], np.hanning(win))
 
 
 def test_mfcc_rejects_excess_coeffs():
@@ -764,6 +830,74 @@ def cry_predictors(monkeypatch):
     lpc_formants(resample(planted_cry(sample_rate=44100), SR), CFG)
     monkeypatch.setattr(dsp, "_formant_roots", real)
     return np.concatenate(rows)
+
+
+def fft_envelope_seeds(a):
+    """Reference: _envelope_seeds with the envelope from a SEED_FFT-point FFT
+    of a_k SEED_RADIUS**-k, and the minima ranked by one lexsort of them all."""
+    n = a.shape[1] - 1
+    scale = dsp.SEED_RADIUS ** -np.arange(n + 1)
+    circle = dsp.SEED_RADIUS * np.exp(2j * np.pi * np.arange(1, dsp.SEED_FFT // 2) / dsp.SEED_FFT)
+    seeds = np.full((len(a), n // 2), np.nan, dtype=complex)
+    for start in range(0, len(a), 128):
+        env = np.fft.rfft(a[start : start + 128] * scale, n=dsp.SEED_FFT, axis=1)
+        power = env.real**2
+        power += env.imag**2
+        inner = power[:, 1:-1]
+        rows, cols = np.nonzero((inner < power[:, :-2]) & (inner <= power[:, 2:]))
+        # the minima sorted by row, then depth; rank counts them within the row
+        order = np.lexsort((inner[rows, cols], rows))
+        rows, cols = rows[order], cols[order]
+        rank = np.arange(len(rows)) - np.searchsorted(rows, rows)
+        kept = rank < n // 2
+        seeds[start + rows[kept], rank[kept]] = circle[cols[kept]]
+    return seeds
+
+
+def assert_same_bits(got, want):
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def no_minimum_rows(num):
+    """Predictor rows with all coefficients 0: a flat envelope, so no interior minimum."""
+    a = np.zeros((num, dsp.LPC_ORDER + 1))
+    a[:, 0] = 1.0
+    return a
+
+
+def test_envelope_seeds_equal_the_fft_reference_bit_for_bit(monkeypatch):
+    rows = cry_predictors(monkeypatch)
+    assert len(rows) > 2 * dsp.SEED_BLOCK
+    want = fft_envelope_seeds(rows)
+    assert np.isfinite(want).any() and np.isnan(want).any()
+    assert_same_bits(dsp._envelope_seeds(rows), want)
+    # each row's seeds are its own, however the rows are grouped
+    for size in (1, 15, 16, dsp.SEED_BLOCK + 1):
+        for start in (0, 7, len(rows) - size):
+            part = rows[start : start + size]
+            assert_same_bits(dsp._envelope_seeds(part), want[start : start + size])
+    assert_same_bits(dsp._envelope_seeds(rows[:0]), fft_envelope_seeds(rows[:0]))
+    flat = no_minimum_rows(3)
+    assert np.isnan(fft_envelope_seeds(flat)).all()
+    assert_same_bits(dsp._envelope_seeds(flat), fft_envelope_seeds(flat))
+    mixed = np.concatenate([rows[:5], flat, rows[5:9]])
+    assert_same_bits(dsp._envelope_seeds(mixed), fft_envelope_seeds(mixed))
+
+
+def test_features_do_not_move_with_the_seed_envelope(monkeypatch):
+    config = PipelineConfig(min_total_cry_s=1.0)
+    clips = [planted_cry(), planted_cry(seed=6), resample(planted_cry(sample_rate=44100), SR)]
+    got = [extract_clip(clip, config)[0] for clip in clips]
+    calls = []
+    monkeypatch.setattr(dsp, "_envelope_seeds", lambda a: calls.append(len(a)) or fft_envelope_seeds(a))
+    want = [extract_clip(clip, config)[0] for clip in clips]
+    assert sum(calls) > 0
+    for g, w in zip(got, want):
+        assert len(w) == 38
+        assert list(g) == list(w)
+        assert np.array(list(g.values())).tobytes() == np.array(list(w.values())).tobytes()
 
 
 def test_most_frames_of_a_cry_skip_eigvals(monkeypatch):
