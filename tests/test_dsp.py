@@ -20,7 +20,6 @@ from scipy.fft import dct
 from cryscreen import dsp
 from cryscreen.audio_io import AudioClip, load_wav, resample, write_wav
 from cryscreen.config import PipelineConfig
-from cryscreen.pipeline import extract_clip
 from cryscreen.dsp import (
     FrameGrid,
     Spectrogram,
@@ -40,6 +39,7 @@ from cryscreen.dsp import (
     stft,
     whole_samples,
 )
+from cryscreen.pipeline import extract_clip
 from cryscreen.synthcry import SynthSpec, UnitSpec, synth_cry
 
 SR = 16000
@@ -567,7 +567,9 @@ def cached_front_end(clip, config):
     return spec.values, logmel, mfcc(logmel, 4)
 
 
-FRONT_END_SHAPES = [(sr, window_s, bands) for sr in (8000, 16000, 44100) for window_s in (0.02, 0.04) for bands in (40, 80)]
+FRONT_END_SHAPES = [
+    (sr, window_s, bands) for sr in (8000, 16000, 44100) for window_s in (0.02, 0.04) for bands in (40, 80)
+]
 
 
 @pytest.mark.parametrize("sr, window_s, bands", FRONT_END_SHAPES)
